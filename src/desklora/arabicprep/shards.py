@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError, FormatError
+from ..errors import ConfigError, DataError, FormatError
 from ..util import sha256_bytes
 from .textops import NormalizationPolicy
 
@@ -62,6 +62,8 @@ def write_shards(
     shard_docs: int = DEFAULT_SHARD_DOCS,
 ) -> str:
     """Tokenize documents into shards; returns the manifest path."""
+    if not 1 <= shard_docs <= 0xFFFF:  # the shard header stores the doc count as a u16
+        raise ConfigError(f"shard_docs must be in [1, 65535], got {shard_docs}")
     if not docs:
         raise DataError("no documents to write")
     os.makedirs(out_dir, exist_ok=True)

@@ -35,19 +35,20 @@ from .evalharness import (
     robustness_curve,
     validate_report,
 )
-from .lora import LoraConfig, apply_adapter_state, loads_adapters
-from .model import ModelConfig, build, build_diacritic_mask
+from .lora import LoraConfig, loads_adapters
+from .model import ModelConfig, build, build_diacritic_mask, load_model
 from .numcore import Rng
-from .quant import loads_qnf4
+from .quant import loads_qnf4, loads_state8
 from .trainer import (
     MemoryBudget,
     TrainConfig,
     checkpoint_hash,
     load_checkpoint,
+    loads_optimizer,
     pack_windows,
     train,
 )
-from .util import sha256_bytes, sha256_file
+from .util import sha256_file
 
 _POLICY_KEYS = set(NormalizationPolicy().to_dict())
 _SECTION_KEYS = {
@@ -214,10 +215,14 @@ def cmd_train(args) -> int:
         out_dir = os.path.join(out_dir, section["stage"])
 
     resume = section.get("resume")
-    if resume:
-        model, state = load_checkpoint(resume)
+    start = resume or section.get("init_from")
+    if start:
+        model, state = load_checkpoint(start)
         if state["vocab_hash"] and state["vocab_hash"] != vocab.vocab_hash():
             raise ConfigError("vocab hash mismatch between checkpoint and shard set")
+        if not resume:
+            adapters_hash = sha256_file(os.path.join(start, "adapters.lora"))
+            print(f"initialized from {start} (adapters sha256 {adapters_hash[:12]})")
     else:
         model_over = dict(section.get("model", {}))
         for key in ("d_model", "n_heads", "n_layers", "d_ffn", "max_seq_len", "diacritic_bias"):
@@ -237,11 +242,6 @@ def cmd_train(args) -> int:
             "lora": lora_cfg.to_dict(),
         })
         model = build(model_cfg, Rng(train_cfg.seed))
-        if section.get("init_from"):
-            init_dir = section["init_from"]
-            model, _ = load_checkpoint(init_dir)
-            blob = open(os.path.join(init_dir, "adapters.lora"), "rb").read()
-            print(f"initialized from {init_dir} (adapters sha256 {sha256_bytes(blob)[:12]})")
 
     windows = _windows_from_shards(reader, train_cfg.seq_len, section.get("dialect"))
     frac = model.trainable_fraction()
@@ -280,11 +280,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-
-def _metric_tables(model, sets, vocab, policy, metadata):
-    report = dialect_breakdown(model, sets, vocab, policy, metadata=metadata)
-    return report
 
 
 def cmd_eval(args) -> int:
@@ -339,7 +334,7 @@ def cmd_eval(args) -> int:
         "vocab_hash": vocab.vocab_hash(),
         "perturbation": pcfg.to_dict(),
     }
-    report = _metric_tables(model, sets, vocab, policy, metadata)
+    report = dialect_breakdown(model, sets, vocab, policy, metadata=metadata)
 
     if section.get("robustness"):
         robust_set = load_eval_set(section["robustness"], "robustness")
@@ -351,7 +346,7 @@ def cmd_eval(args) -> int:
 
     if section.get("compare"):
         other = load_side(section["compare"])
-        other_report = _metric_tables(other, sets, vocab, policy, {})
+        other_report = dialect_breakdown(other, sets, vocab, policy, metadata={})
         comparison = {}
         for metric, row in report.tables.items():
             comparison[metric] = {}
@@ -410,19 +405,26 @@ def _inspect_one(path):
         print(f"{path}: directory (no manifest or trainer_state)")
         return
     with open(path, "rb") as f:
-        head = f.read(4)
+        data = f.read()
+    head = data[:4]
     if head == b"QNF4":
-        q = loads_qnf4(open(path, "rb").read())
+        q = loads_qnf4(data)
         print(f"{path}: QNF4 tensor shape {q.shape}, block {q.block_size}, "
               f"double-quant {q.dq is not None}")
+    elif head == b"QST8":
+        s = loads_state8(data)
+        print(f"{path}: QST8 optimizer moment shape {s.shape}, block {s.block_size}")
     elif head == b"LORA":
-        state = loads_adapters(open(path, "rb").read())
+        state = loads_adapters(data)
         print(f"{path}: adapter checkpoint r={state['r']} alpha={state['alpha']} "
-              f"targets={','.join(state['targets'])} layers={len(state['weights'])}")
+              f"layers={len(state['weights'])}")
     elif head == b"DMDL":
-        print(f"{path}: model checkpoint, sha256 {sha256_file(path)[:12]}")
+        cfg = load_model(path).cfg
+        print(f"{path}: model checkpoint, {cfg.n_layers} layers, d_model {cfg.d_model}, "
+              f"vocab {cfg.vocab_size}, sha256 {sha256_file(path)[:12]}")
     elif head == b"OPT8":
-        print(f"{path}: optimizer state, sha256 {sha256_file(path)[:12]}")
+        opt = loads_optimizer(data)
+        print(f"{path}: {opt.kind} optimizer state at step {opt.step_count}")
     elif head == b"SHRD":
         print(f"{path}: token shard, sha256 {sha256_file(path)[:12]}")
     else:

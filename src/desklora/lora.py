@@ -7,17 +7,15 @@ drops the alpha/r factor for fidelity experiments with the bare h = W + BA
 form.
 """
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
-from .numcore import FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, transpose
-from .numcore import ops as _ops
+from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, transpose
 from .quant import QuantizedTensor, dequantize
-
-TARGETS = ("Q", "K", "V", "O")
+from .util import from_known_keys
 
 
 @dataclass
@@ -25,7 +23,6 @@ class LoraConfig:
     r: int = 8
     alpha: float = 32.0
     dropout: float = 0.05
-    targets: tuple = TARGETS
     eq1_literal: bool = False  # drop the alpha/r factor
 
     def __post_init__(self):
@@ -35,33 +32,33 @@ class LoraConfig:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        bad = [t for t in self.targets if t not in TARGETS]
-        if bad:
-            raise ConfigError(f"unknown adapter targets {bad}; choose from {TARGETS}")
-        self.targets = tuple(self.targets)
 
     @property
     def scaling(self) -> float:
         return 1.0 if self.eq1_literal else self.alpha / self.r
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "alpha": self.alpha,
-            "dropout": self.dropout,
-            "targets": list(self.targets),
-            "eq1_literal": self.eq1_literal,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LoraConfig":
-        return cls(
-            r=d["r"],
-            alpha=d["alpha"],
-            dropout=d.get("dropout", 0.05),
-            targets=tuple(d.get("targets", TARGETS)),
-            eq1_literal=d.get("eq1_literal", False),
-        )
+        return from_known_keys(cls, d)
+
+
+class FrozenWeight:
+    """Quantized constant with a per-precision dequantization cache."""
+
+    __slots__ = ("q", "_cache")
+
+    def __init__(self, q: QuantizedTensor):
+        self.q = q
+        self._cache: dict = {}
+
+    def node(self, dtype: str) -> GradNode:
+        if dtype not in self._cache:
+            np_dtype = np.float64 if dtype == DOUBLE else np.float32
+            self._cache[dtype] = GradNode(Tensor(dequantize(self.q, np_dtype), dtype))
+        return self._cache[dtype]
 
 
 @dataclass
@@ -70,10 +67,6 @@ class LoraAdapter:
     b: Parameter  # [d_out x r]
     scaling: float
     dropout: float
-
-    @property
-    def r(self) -> int:
-        return self.a.value.shape[0]
 
     @property
     def n_params(self) -> int:
@@ -87,8 +80,10 @@ class AdaptedLinear:
     base: QuantizedTensor  # [d_out x d_in]
     adapter: LoraAdapter
     name: str = ""
-    bias: np.ndarray | None = None
-    _dequant_cache: dict = field(default_factory=dict, repr=False)
+    _frozen: FrozenWeight = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._frozen = FrozenWeight(self.base)
 
     @property
     def d_out(self) -> int:
@@ -100,19 +95,10 @@ class AdaptedLinear:
 
     def base_weight(self, dtype: str = FULL) -> GradNode:
         """Dequantized base as a gradient-free constant, cached per precision."""
-        if dtype not in self._dequant_cache:
-            np_dtype = np.float64 if dtype == "double" else np.float32
-            self._dequant_cache[dtype] = GradNode(Tensor(dequantize(self.base, np_dtype), dtype))
-        return self._dequant_cache[dtype]
+        return self._frozen.node(dtype)
 
 
-def attach(
-    base: QuantizedTensor,
-    cfg: LoraConfig,
-    rng: Rng,
-    name: str = "",
-    bias: np.ndarray | None = None,
-) -> AdaptedLinear:
+def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "") -> AdaptedLinear:
     """Wrap a frozen quantized weight with a zero-initialized adapter."""
     if len(base.shape) != 2:
         raise ConfigError(f"adapters attach to 2-D weights, got shape {base.shape}")
@@ -125,7 +111,7 @@ def attach(
     )
     b = Parameter(Tensor(np.zeros((d_out, cfg.r)), FULL), name=f"{name}.lora_b" if name else "lora_b")
     adapter = LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout)
-    return AdaptedLinear(base=base, adapter=adapter, name=name, bias=bias)
+    return AdaptedLinear(base=base, adapter=adapter, name=name)
 
 
 def forward(
@@ -145,10 +131,7 @@ def forward(
     ad = layer.adapter
     xd = dropout(x, ad.dropout, rng, train_mode)
     branch = matmul(matmul(xd, transpose(ad.a)), transpose(ad.b))
-    y = add(y, scale(branch, ad.scaling))
-    if layer.bias is not None:
-        y = add(y, _ops.as_node(Tensor(np.broadcast_to(layer.bias, y.value.shape), dtype)))
-    return y
+    return add(y, scale(branch, ad.scaling))
 
 
 def merge(layer: AdaptedLinear) -> np.ndarray:
@@ -167,63 +150,37 @@ def trainable_fraction(adapted_layers, extra_trainable: int = 0, extra_frozen: i
 
 
 # ---------------------------------------------------------------------------
-# adapter checkpoint format: "LORA" header + raw little-endian f32 A/B pairs
+# adapter checkpoint: per layer a name, then A and B as shaped f32 arrays
 # ---------------------------------------------------------------------------
 
-LORA_MAGIC = b"LORA"
-LORA_VERSION = 1
+_LORA = (b"LORA", 2)
 
 
 def dumps_adapters(layers: list[AdaptedLinear], cfg: LoraConfig) -> bytes:
-    parts = [LORA_MAGIC, struct.pack("<HIf", LORA_VERSION, cfg.r, cfg.alpha)]
-    target_blob = ",".join(cfg.targets).encode("ascii")
-    parts.append(struct.pack("<B", len(target_blob)))
-    parts.append(target_blob)
-    parts.append(struct.pack("<I", len(layers)))
+    w = Writer(*_LORA)
+    w.pack("IfI", cfg.r, cfg.alpha, len(layers))
     for layer in layers:
-        name_blob = layer.name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_blob)))
-        parts.append(name_blob)
+        w.text(layer.name)
         for mat in (layer.adapter.a.value.data, layer.adapter.b.value.data):
-            parts.append(struct.pack("<II", *mat.shape))
-            parts.append(mat.astype("<f4").tobytes())
-    return b"".join(parts)
+            w.shape(mat.shape)
+            w.array(mat, "<f4")
+    return w.getvalue()
 
 
 def loads_adapters(data: bytes) -> dict:
     """Parse an adapter checkpoint into {layer name: (A, B)} plus header info."""
-    if data[:4] != LORA_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {LORA_MAGIC!r}")
-    off = 4
-    version, r, alpha = struct.unpack_from("<HIf", data, off)
-    off += struct.calcsize("<HIf")
-    if version != LORA_VERSION:
-        raise FormatError(f"unsupported LORA version {version}")
-    (tlen,) = struct.unpack_from("<B", data, off)
-    off += 1
-    targets = tuple(data[off : off + tlen].decode("ascii").split(",")) if tlen else ()
-    off += tlen
-    (n_layers,) = struct.unpack_from("<I", data, off)
-    off += 4
+    r = Reader(data, *_LORA)
+    rank, alpha, n_layers = r.unpack("IfI")
     weights = {}
     for _ in range(n_layers):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        mats = []
-        for _ in range(2):
-            rows, cols = struct.unpack_from("<II", data, off)
-            off += 8
-            count = rows * cols
-            mats.append(
-                np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(rows, cols).copy()
-            )
-            off += 4 * count
-        weights[name] = (mats[0], mats[1])
-    if off != len(data):
-        raise FormatError(f"trailing bytes: consumed {off} of {len(data)}")
-    return {"r": r, "alpha": alpha, "targets": targets, "weights": weights}
+        name = r.text()
+        a = r.array("<f4", r.shape())
+        b = r.array("<f4", r.shape())
+        r.expect(a.ndim == b.ndim == 2 and a.shape[0] == rank == b.shape[1],
+                 f"layer {name!r}: A {a.shape} and B {b.shape} are not rank-{rank} factors")
+        weights[name] = (a, b)
+    r.done()
+    return {"r": rank, "alpha": alpha, "weights": weights}
 
 
 def apply_adapter_state(layers: list[AdaptedLinear], state: dict):
@@ -233,5 +190,9 @@ def apply_adapter_state(layers: list[AdaptedLinear], state: dict):
         if layer.name not in weights:
             raise FormatError(f"adapter checkpoint missing layer {layer.name!r}")
         a, b = weights[layer.name]
-        layer.adapter.a.assign(Tensor(a, FULL))
-        layer.adapter.b.assign(Tensor(b, FULL))
+        ad = layer.adapter
+        if a.shape != ad.a.value.shape or b.shape != ad.b.value.shape:
+            raise FormatError(f"adapter checkpoint layer {layer.name!r} has A {a.shape}, B {b.shape}; "
+                              f"the model expects {ad.a.value.shape}, {ad.b.value.shape}")
+        ad.a.assign(Tensor(a, FULL))
+        ad.b.assign(Tensor(b, FULL))

@@ -9,14 +9,14 @@ emphasize keys whose token carries a combining diacritic.
 """
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import lora
+from .binfmt import Reader, Writer
 from .errors import ConfigError, ContractError, FormatError
-from .lora import AdaptedLinear, LoraAdapter, LoraConfig
+from .lora import AdaptedLinear, FrozenWeight, LoraAdapter, LoraConfig
 from .numcore import (
     DOUBLE,
     FULL,
@@ -37,7 +37,8 @@ from .numcore import (
     softmax_cross_entropy,
     transpose,
 )
-from .quant import QuantizedTensor, dequantize, dumps_qnf4, loads_qnf4, quantize
+from .quant import QuantizedTensor, dumps_qnf4, loads_qnf4, quantize
+from .util import from_known_keys
 
 INIT_STD = 0.02
 
@@ -76,40 +77,11 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ffn": self.d_ffn,
-            "max_seq_len": self.max_seq_len,
-            "diacritic_bias": self.diacritic_bias,
-            "rope_base": self.rope_base,
-            "dtype": self.dtype,
-            "quant_block_size": self.quant_block_size,
-            "double_quant": self.double_quant,
-            "lora": self.lora.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
-
-class _FrozenWeight:
-    """Quantized constant with a per-precision dequantization cache."""
-
-    __slots__ = ("q", "_cache")
-
-    def __init__(self, q: QuantizedTensor):
-        self.q = q
-        self._cache: dict = {}
-
-    def node(self, dtype: str) -> GradNode:
-        if dtype not in self._cache:
-            np_dtype = np.float64 if dtype == DOUBLE else np.float32
-            self._cache[dtype] = GradNode(Tensor(dequantize(self.q, np_dtype), dtype))
-        return self._cache[dtype]
+        return from_known_keys(cls, d)
 
 
 @dataclass
@@ -118,8 +90,8 @@ class Block:
     k: AdaptedLinear
     v: AdaptedLinear
     o: AdaptedLinear
-    w1: _FrozenWeight  # [d_ffn x d_model]
-    w2: _FrozenWeight  # [d_model x d_ffn]
+    w1: FrozenWeight  # [d_ffn x d_model]
+    w2: FrozenWeight  # [d_model x d_ffn]
     ln1_g: Parameter
     ln1_b: Parameter
     ln2_g: Parameter
@@ -325,8 +297,8 @@ def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
                 k=adapted["k"],
                 v=adapted["v"],
                 o=adapted["o"],
-                w1=_FrozenWeight(quantized(f"layer{i}.w1", (cfg.d_ffn, cfg.d_model))),
-                w2=_FrozenWeight(quantized(f"layer{i}.w2", (cfg.d_model, cfg.d_ffn))),
+                w1=FrozenWeight(quantized(f"layer{i}.w1", (cfg.d_ffn, cfg.d_model))),
+                w2=FrozenWeight(quantized(f"layer{i}.w2", (cfg.d_model, cfg.d_ffn))),
                 ln1_g=Parameter(Tensor(np.ones(cfg.d_model), dtype), name=f"layer{i}.ln1_g"),
                 ln1_b=Parameter(Tensor(np.zeros(cfg.d_model), dtype), name=f"layer{i}.ln1_b"),
                 ln2_g=Parameter(Tensor(np.ones(cfg.d_model), dtype), name=f"layer{i}.ln2_g"),
@@ -391,95 +363,58 @@ def init_embeddings_from_vectors(model: TransformerModel, vector_file, tokenizer
     return count
 
 
-# ---------------------------------------------------------------------------
-# model checkpoint: config header + trainable arrays + QNF4 base blobs
-# ---------------------------------------------------------------------------
+# model checkpoint: config JSON, f32 embedding, per layer the q/k/v/o/w1/w2
+# QNF4 blobs and four f32 norms, then the f32 final norm
 
-MODEL_MAGIC = b"DMDL"
-MODEL_VERSION = 1
-
-
-def _f32_section(arr: np.ndarray) -> bytes:
-    payload = arr.astype("<f4").tobytes()
-    return struct.pack("<I", len(payload)) + payload
+_DMDL = (b"DMDL", 2)
+_NORMS = ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
 
 
 def save_model(model: TransformerModel, path):
-    header = json.dumps(
-        {"version": MODEL_VERSION, "config": model.cfg.to_dict()}, sort_keys=True
-    ).encode("utf-8")
+    w = Writer(*_DMDL)
+    w.text(json.dumps(model.cfg.to_dict(), sort_keys=True))
+    w.array(model.embedding.value.data, "<f4")
+    for blk in model.blocks:
+        for q in (blk.q.base, blk.k.base, blk.v.base, blk.o.base, blk.w1.q, blk.w2.q):
+            w.blob(dumps_qnf4(q))
+        for tag in _NORMS:
+            w.array(getattr(blk, tag).value.data, "<f4")
+    w.array(model.lnf_g.value.data, "<f4")
+    w.array(model.lnf_b.value.data, "<f4")
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(_f32_section(model.embedding.value.data))
-        f.write(_f32_section(model.lnf_g.value.data))
-        f.write(_f32_section(model.lnf_b.value.data))
-        for blk in model.blocks:
-            for p in (blk.ln1_g, blk.ln1_b, blk.ln2_g, blk.ln2_b):
-                f.write(_f32_section(p.value.data))
-        for _, q in model.frozen_tensors():
-            blob = dumps_qnf4(q)
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-
-
-def _read_section(f) -> bytes:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise FormatError("model file truncated")
-    (n,) = struct.unpack("<I", raw)
-    payload = f.read(n)
-    if len(payload) != n:
-        raise FormatError("model file truncated")
-    return payload
+        f.write(w.getvalue())
 
 
 def load_model(path) -> TransformerModel:
+    """Rebuild a saved model; its adapters start at zero (see apply_adapter_state)."""
     with open(path, "rb") as f:
-        if f.read(4) != MODEL_MAGIC:
-            raise FormatError(f"{path}: not a model checkpoint")
-        header = json.loads(_read_section(f).decode("utf-8"))
-        if header.get("version") != MODEL_VERSION:
-            raise FormatError(f"unsupported model version {header.get('version')}")
-        cfg = ModelConfig.from_dict(header["config"])
+        r = Reader(f.read(), *_DMDL)
+    try:
+        cfg = ModelConfig.from_dict(json.loads(r.text()))
+    except (ValueError, ConfigError) as e:
+        raise FormatError(f"{path}: bad model config: {e}") from e
+    d, dtype, lcfg = cfg.d_model, cfg.dtype, cfg.lora
 
-        def f32(shape) -> np.ndarray:
-            arr = np.frombuffer(_read_section(f), dtype="<f4")
-            return arr.reshape(shape).copy()
+    def master(name: str, shape) -> Parameter:
+        return Parameter(Tensor(r.array("<f4", shape), dtype), name=name)
 
-        emb = Parameter(Tensor(f32((cfg.vocab_size, cfg.d_model)), cfg.dtype), name="embedding")
-        lnf_g = Parameter(Tensor(f32((cfg.d_model,)), cfg.dtype), name="lnf_g")
-        lnf_b = Parameter(Tensor(f32((cfg.d_model,)), cfg.dtype), name="lnf_b")
-        norms = []
-        for i in range(cfg.n_layers):
-            norms.append(
-                tuple(
-                    Parameter(Tensor(f32((cfg.d_model,)), cfg.dtype), name=f"layer{i}.{tag}")
-                    for tag in ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
-                )
-            )
-        blocks = []
-        for i in range(cfg.n_layers):
-            adapted = {}
-            for tag in ("q", "k", "v", "o"):
-                base = loads_qnf4(_read_section(f))
-                adapter = LoraAdapter(
-                    a=Parameter(
-                        Tensor(np.zeros((cfg.lora.r, cfg.d_model)), cfg.dtype),
-                        name=f"layer{i}.{tag}.lora_a",
-                    ),
-                    b=Parameter(
-                        Tensor(np.zeros((cfg.d_model, cfg.lora.r)), cfg.dtype),
-                        name=f"layer{i}.{tag}.lora_b",
-                    ),
-                    scaling=cfg.lora.scaling,
-                    dropout=cfg.lora.dropout,
-                )
-                adapted[tag] = AdaptedLinear(base=base, adapter=adapter, name=f"layer{i}.{tag}")
-            w1 = _FrozenWeight(loads_qnf4(_read_section(f)))
-            w2 = _FrozenWeight(loads_qnf4(_read_section(f)))
-            ln1_g, ln1_b, ln2_g, ln2_b = norms[i]
-            blocks.append(Block(adapted["q"], adapted["k"], adapted["v"], adapted["o"],
-                                w1, w2, ln1_g, ln1_b, ln2_g, ln2_b))
-        return TransformerModel(cfg, emb, blocks, lnf_g, lnf_b)
+    def base(shape) -> QuantizedTensor:
+        q = loads_qnf4(r.blob())
+        r.expect(q.shape == shape, f"frozen weight of shape {q.shape} where the config implies {shape}")
+        return q
+
+    def adapted(name: str) -> AdaptedLinear:
+        a = Parameter(Tensor(np.zeros((lcfg.r, d)), dtype), name=f"{name}.lora_a")
+        b = Parameter(Tensor(np.zeros((d, lcfg.r)), dtype), name=f"{name}.lora_b")
+        return AdaptedLinear(base((d, d)), LoraAdapter(a, b, lcfg.scaling, lcfg.dropout), name)
+
+    emb = master("embedding", (cfg.vocab_size, d))
+    blocks = []
+    for i in range(cfg.n_layers):
+        q, k, v, o = (adapted(f"layer{i}.{tag}") for tag in "qkvo")
+        w1 = FrozenWeight(base((cfg.d_ffn, d)))
+        w2 = FrozenWeight(base((d, cfg.d_ffn)))
+        blocks.append(Block(q, k, v, o, w1, w2, *(master(f"layer{i}.{tag}", (d,)) for tag in _NORMS)))
+    model = TransformerModel(cfg, emb, blocks, master("lnf_g", (d,)), master("lnf_b", (d,)))
+    r.done()
+    return model

@@ -66,12 +66,6 @@ class GradNode:
     def dtype(self):
         return self.value.dtype
 
-    def detach(self) -> "GradNode":
-        return GradNode(self.value)
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"GradNode(shape={self.shape}, dtype={self.dtype!r}, requires_grad={self.requires_grad})"
 

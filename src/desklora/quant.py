@@ -9,12 +9,12 @@ duplicated zero level. The constants below were produced once from a normal
 inverse-CDF oracle and are frozen; a golden test re-derives them.
 """
 
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .binfmt import Reader, Writer
 
 NF4_OFFSET = 1.0 - 0.5 * (1.0 / 32.0 + 1.0 / 30.0)
 
@@ -47,21 +47,6 @@ DEFAULT_DQ_GROUP = 256
 STATE8_BLOCK_SIZE = 256
 
 
-@dataclass(frozen=True)
-class Nf4Codebook:
-    """16 quantization levels, strictly increasing, one exact zero."""
-
-    values: np.ndarray
-
-    @property
-    def zero_code(self) -> int:
-        return int(np.flatnonzero(self.values == 0.0)[0])
-
-
-def build_nf4_codebook() -> Nf4Codebook:
-    return Nf4Codebook(values=NF4_VALUES.copy())
-
-
 def _dynamic8_values() -> np.ndarray:
     # 7 "decades" of linear-fraction midpoints, denser toward zero; rescaled
     # so the top level is exactly 1, mirrored, with an exact zero: 255 levels.
@@ -88,6 +73,12 @@ def _nearest_codes(normalized: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     """Nearest level per element; ties at midpoints resolve to the lower code."""
     mids = (codebook[:-1] + codebook[1:]) / 2.0
     return np.searchsorted(mids, normalized, side="left")
+
+
+def _block_scales(absmax: np.ndarray, block_size: int, numel: int) -> np.ndarray:
+    """One float64 scale per element. A block larger than the tensor is its
+    only block, so it repeats numel times, never block_size times."""
+    return np.repeat(absmax.astype(np.float64), min(block_size, numel))[:numel]
 
 
 def _check_finite(x: np.ndarray):
@@ -219,8 +210,7 @@ def reconstructed_absmax(q: QuantizedTensor) -> np.ndarray:
 def dequantize(q: QuantizedTensor, out_dtype=np.float32) -> np.ndarray:
     codes = _unpack4(q.codes, q.numel)
     values = NF4_VALUES[codes]
-    absmax = reconstructed_absmax(q).astype(np.float64)
-    scales = np.repeat(absmax, q.block_size)[: q.numel]
+    scales = _block_scales(reconstructed_absmax(q), q.block_size, q.numel)
     return (values * scales).astype(out_dtype).reshape(q.shape)
 
 
@@ -283,101 +273,72 @@ def quantize_state8(x: np.ndarray, block_size: int = STATE8_BLOCK_SIZE) -> Quant
 
 def dequantize_state8(q: Quantized8bitState, out_dtype=np.float32) -> np.ndarray:
     values = DYNAMIC8_VALUES[q.codes]
-    scales = np.repeat(q.absmax.astype(np.float64), q.block_size)[: q.numel]
+    scales = _block_scales(q.absmax, q.block_size, q.numel)
     return (values * scales).astype(out_dtype).reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------
-# serialization (little-endian throughout)
+# serialization (layout in binfmt)
 # ---------------------------------------------------------------------------
 
-QNF4_MAGIC = b"QNF4"
-QNF4_VERSION = 1
+_QNF4 = (b"QNF4", 2)
+_QST8 = (b"QST8", 2)
 
 
 def dumps_qnf4(q: QuantizedTensor) -> bytes:
-    parts = [QNF4_MAGIC, struct.pack("<HIB", QNF4_VERSION, q.block_size, 1 if q.dq else 0)]
-    parts.append(struct.pack("<I", len(q.shape)))
-    parts.append(struct.pack(f"<{len(q.shape)}I", *q.shape))
-    parts.append(q.codes.tobytes())
-    if q.dq is not None:
-        dq = q.dq
-        parts.append(struct.pack("<II", dq.group_size, dq.group_scale.size))
-        parts.append(dq.group_scale.astype("<f4").tobytes())
-        parts.append(dq.group_offset.astype("<f4").tobytes())
-        parts.append(dq.absmax_codes.tobytes())
+    w = Writer(*_QNF4)
+    w.pack("IB", q.block_size, q.dq is not None)
+    w.shape(q.shape)
+    w.array(q.codes, "u1")
+    if q.dq is None:
+        w.array(q.absmax, "<f4")
     else:
-        parts.append(q.absmax.astype("<f4").tobytes())
-    return b"".join(parts)
+        w.pack("I", q.dq.group_size)
+        w.array(q.dq.group_scale, "<f4")
+        w.array(q.dq.group_offset, "<f4")
+        w.array(q.dq.absmax_codes, "u1")
+    return w.getvalue()
 
 
 def loads_qnf4(data: bytes) -> QuantizedTensor:
-    if data[:4] != QNF4_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {QNF4_MAGIC!r}")
-    off = 4
-    version, block_size, dq_flag = struct.unpack_from("<HIB", data, off)
-    off += struct.calcsize("<HIB")
-    if version != QNF4_VERSION:
-        raise FormatError(f"unsupported QNF4 version {version}")
-    (rank,) = struct.unpack_from("<I", data, off)
-    off += 4
-    shape = struct.unpack_from(f"<{rank}I", data, off)
-    off += 4 * rank
-    numel = int(np.prod(shape)) if shape else 1
-    n_code_bytes = (numel + 1) // 2
-    n_blocks = (numel + block_size - 1) // block_size
-    codes = np.frombuffer(data, dtype=np.uint8, count=n_code_bytes, offset=off).copy()
-    off += n_code_bytes
+    r = Reader(data, *_QNF4)
+    block_size, dq_flag = r.unpack("IB")
+    r.expect(block_size >= 1 and dq_flag <= 1, f"block size {block_size}, double-quant flag {dq_flag}")
+    shape = r.shape()
+    numel = math.prod(shape)
+    n_blocks = -(-numel // block_size)
+    codes = r.array("u1", (numel + 1) // 2)
     if dq_flag:
-        group_size, n_groups = struct.unpack_from("<II", data, off)
-        off += 8
-        scale = np.frombuffer(data, dtype="<f4", count=n_groups, offset=off).copy()
-        off += 4 * n_groups
-        offset_arr = np.frombuffer(data, dtype="<f4", count=n_groups, offset=off).copy()
-        off += 4 * n_groups
-        absmax_codes = np.frombuffer(data, dtype=np.uint8, count=n_blocks, offset=off).copy()
-        off += n_blocks
-        dq = DoubleQuantState(absmax_codes, group_size, scale, offset_arr)
-        q = QuantizedTensor(tuple(shape), codes, None, dq, block_size)
+        (group_size,) = r.unpack("I")
+        r.expect(group_size >= 1, "double-quant group size 0")
+        n_groups = -(-n_blocks // group_size)
+        scale = r.array("<f4", n_groups)
+        offset = r.array("<f4", n_groups)
+        dq = DoubleQuantState(r.array("u1", n_blocks), group_size, scale, offset)
+        q = QuantizedTensor(shape, codes, None, dq, block_size)
     else:
-        absmax = np.frombuffer(data, dtype="<f4", count=n_blocks, offset=off).copy()
-        off += 4 * n_blocks
-        q = QuantizedTensor(tuple(shape), codes, absmax, None, block_size)
-    if off != len(data):
-        raise FormatError(f"trailing bytes: consumed {off} of {len(data)}")
+        q = QuantizedTensor(shape, codes, r.array("<f4", n_blocks), None, block_size)
+    r.done()
     return q
 
 
-ST8_MAGIC = b"QST8"
-
-
 def dumps_state8(q: Quantized8bitState) -> bytes:
-    parts = [ST8_MAGIC, struct.pack("<HI", 1, q.block_size)]
-    parts.append(struct.pack("<I", len(q.shape)))
-    parts.append(struct.pack(f"<{len(q.shape)}I", *q.shape))
-    parts.append(q.codes.tobytes())
-    parts.append(q.absmax.astype("<f4").tobytes())
-    return b"".join(parts)
+    w = Writer(*_QST8)
+    w.pack("I", q.block_size)
+    w.shape(q.shape)
+    w.array(q.codes, "u1")
+    w.array(q.absmax, "<f4")
+    return w.getvalue()
 
 
 def loads_state8(data: bytes) -> Quantized8bitState:
-    if data[:4] != ST8_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {ST8_MAGIC!r}")
-    off = 4
-    version, block_size = struct.unpack_from("<HI", data, off)
-    off += struct.calcsize("<HI")
-    if version != 1:
-        raise FormatError(f"unsupported QST8 version {version}")
-    (rank,) = struct.unpack_from("<I", data, off)
-    off += 4
-    shape = struct.unpack_from(f"<{rank}I", data, off)
-    off += 4 * rank
-    numel = int(np.prod(shape)) if shape else 1
-    n_blocks = (numel + block_size - 1) // block_size
-    codes = np.frombuffer(data, dtype=np.uint8, count=numel, offset=off).copy()
-    off += numel
-    absmax = np.frombuffer(data, dtype="<f4", count=n_blocks, offset=off).copy()
-    off += 4 * n_blocks
-    if off != len(data):
-        raise FormatError(f"trailing bytes: consumed {off} of {len(data)}")
-    return Quantized8bitState(tuple(shape), codes, absmax, block_size)
+    r = Reader(data, *_QST8)
+    (block_size,) = r.unpack("I")
+    r.expect(block_size >= 1, "block size 0")
+    shape = r.shape()
+    numel = math.prod(shape)
+    codes = r.array("u1", numel)
+    r.expect(codes.size == 0 or codes.max() < DYNAMIC8_VALUES.size, "code outside the 8-bit codebook")
+    absmax = r.array("<f4", -(-numel // block_size))
+    r.done()
+    return Quantized8bitState(shape, codes, absmax, block_size)

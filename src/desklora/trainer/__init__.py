@@ -22,7 +22,7 @@ from .loop import (
     save_checkpoint,
     train,
 )
-from .optim import AdamW, Sgd, clip_gradients, global_grad_norm, make_optimizer
+from .optim import AdamW, Sgd, clip_gradients, global_grad_norm, loads_optimizer, make_optimizer
 
 __all__ = [
     "ActivationMeter",
@@ -42,6 +42,7 @@ __all__ = [
     "effective_batch",
     "global_grad_norm",
     "load_checkpoint",
+    "loads_optimizer",
     "lr_at",
     "make_optimizer",
     "pack_windows",

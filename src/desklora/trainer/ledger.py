@@ -23,9 +23,6 @@ class MemoryBudget:
     device_bytes: int = int(3.5 * 2**30)
     host_bytes: int = int(12 * 2**30)
 
-    def to_dict(self) -> dict:
-        return {"device_bytes": self.device_bytes, "host_bytes": self.host_bytes}
-
     @classmethod
     def from_dict(cls, d: dict) -> "MemoryBudget":
         return cls(device_bytes=int(d["device_bytes"]), host_bytes=int(d["host_bytes"]))

@@ -9,7 +9,7 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
 from ..numcore import Rng, add, backward, scale
 from ..quant import quantized_nbytes
-from ..util import sha256_file, sha256_json
+from ..util import from_known_keys, sha256_file, sha256_json
 from .ledger import ActivationMeter, MemoryBudget, MemoryLedger
 from .optim import clip_gradients, global_grad_norm, make_optimizer
 
@@ -67,21 +67,11 @@ class TrainConfig:
         self.betas = tuple(self.betas)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "micro_batch", "accumulation_steps", "lr_max", "warmup_steps", "total_steps",
-            "max_grad_norm", "seq_len", "seed", "precision", "checkpointing", "optimizer",
-            "weight_decay", "eps", "checkpoint_every", "keep_checkpoints",
-        )}
-        d["betas"] = list(self.betas)
-        d["budget"] = self.budget.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
-        return cls(**d)
+        return from_known_keys(cls, d)
 
 
 def lr_at(t: int, cfg: TrainConfig) -> float:
@@ -172,16 +162,18 @@ def register_static_memory(model: TransformerModel, ledger: MemoryLedger):
     return qbytes
 
 
-CHECKPOINT_FILES = ("model.qnf4", "adapters.lora", "optimizer.st8", "trainer_state")
-
-
 def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
                     cfg: TrainConfig, vocab_hash: str = ""):
-    os.makedirs(out_dir, exist_ok=True)
-    save_model(model, os.path.join(out_dir, "model.qnf4"))
-    with open(os.path.join(out_dir, "adapters.lora"), "wb") as f:
+    """Write the checkpoint into `out_dir.tmp`, then rename it to `out_dir`, so
+    a save that fails midway leaves no `out_dir` for a resume to read."""
+    out_dir = os.path.normpath(out_dir)
+    tmp = out_dir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    save_model(model, os.path.join(tmp, "model.qnf4"))
+    with open(os.path.join(tmp, "adapters.lora"), "wb") as f:
         f.write(dumps_adapters(model.adapted_layers(), model.cfg.lora))
-    with open(os.path.join(out_dir, "optimizer.st8"), "wb") as f:
+    with open(os.path.join(tmp, "optimizer.st8"), "wb") as f:
         f.write(optimizer.dumps())
     state = {
         "step": step,
@@ -190,9 +182,11 @@ def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
         "config": cfg.to_dict(),
         "config_digest": sha256_json(cfg.to_dict()),
     }
-    with open(os.path.join(out_dir, "trainer_state"), "w", encoding="utf-8") as f:
+    with open(os.path.join(tmp, "trainer_state"), "w", encoding="utf-8") as f:
         json.dump(state, f, sort_keys=True, indent=1)
         f.write("\n")
+    shutil.rmtree(out_dir, ignore_errors=True)
+    os.replace(tmp, out_dir)
 
 
 def load_checkpoint(ckpt_dir):

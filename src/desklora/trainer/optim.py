@@ -4,10 +4,9 @@ ledger), a full-precision variant for oracle comparisons, and plain SGD for
 accumulation-equivalence checks.
 """
 
-import struct
-
 import numpy as np
 
+from ..binfmt import Reader, Writer
 from ..errors import FormatError, TrainingError
 from ..numcore import Parameter, Tensor
 from ..quant import (
@@ -45,13 +44,61 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return scale
 
 
-class Sgd:
+_OPT8 = (b"OPT8", 2)
+
+
+def _nbytes(moments: dict) -> int:
+    return sum(m.nbytes + v.nbytes for m, v in moments.values())
+
+
+class _Checkpointable:
+    """OPT8 state: kind text, u32 step, u32 count, then per parameter its name
+    and (m, v), as nested QST8 blobs when quantized, else shaped f64 arrays."""
+
+    quantized = False
+    ledger = None
+
+    def dumps(self) -> bytes:
+        w = Writer(*_OPT8)
+        w.text(self.kind)
+        w.pack("II", self.step_count, len(self.moments))
+        for name in sorted(self.moments):
+            w.text(name)
+            for state in self.moments[name]:
+                if self.quantized:
+                    w.blob(dumps_state8(state))
+                else:
+                    w.shape(state.shape)
+                    w.array(state, "<f8")
+        return w.getvalue()
+
+    def loads(self, data: bytes):
+        r = Reader(data, *_OPT8)
+        found = r.text()
+        r.expect(found == self.kind, f"holds {found!r} state, expected {self.kind!r}")
+        step, count = r.unpack("II")
+        moments = {}
+        for _ in range(count):
+            name = r.text()
+            moments[name] = tuple(
+                loads_state8(r.blob()) if self.quantized else r.array("<f8", r.shape())
+                for _ in range(2)
+            )
+        r.done()
+        if self.ledger is not None:
+            self.ledger.release("optimizer_states", _nbytes(self.moments))
+            self.ledger.allocate("optimizer_states", _nbytes(moments))
+        self.step_count, self.moments = step, moments
+
+
+class Sgd(_Checkpointable):
     """Plain gradient descent; stateless."""
 
     kind = "sgd"
 
     def __init__(self, **_):
         self.step_count = 0
+        self.moments: dict = {}  # stays empty
 
     def step(self, params: list, grads: dict, lr: float):
         self.step_count += 1
@@ -61,34 +108,14 @@ class Sgd:
                 continue
             p.assign(Tensor(p.value.data - lr * g, p.value.dtype))
 
-    def dumps(self) -> bytes:
-        return OPT_MAGIC + struct.pack("<HBI", OPT_VERSION, 0, self.step_count) + struct.pack("<I", 0)
 
-    def loads(self, data: bytes):
-        _, _, self.step_count, _ = _parse_header(data)
-
-
-OPT_MAGIC = b"OPT8"
-OPT_VERSION = 1
-
-
-def _parse_header(data: bytes):
-    if data[:4] != OPT_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {OPT_MAGIC!r}")
-    version, quantized, step = struct.unpack_from("<HBI", data, 4)
-    if version != OPT_VERSION:
-        raise FormatError(f"unsupported optimizer state version {version}")
-    off = 4 + struct.calcsize("<HBI")
-    (count,) = struct.unpack_from("<I", data, off)
-    return version, quantized, step, off + 4, count
-
-
-class AdamW:
+class AdamW(_Checkpointable):
     """Adam with decoupled weight decay and bias correction.
 
     With `quantized=True` (the default) the first and second moments live as
-    blockwise 8-bit states, dequantized for the update and requantized after.
-    Their bytes are charged to the ledger's host-side optimizer_states pool.
+    blockwise 8-bit states, dequantized for the update and requantized after;
+    otherwise as float64 arrays. Their bytes are charged to the ledger's
+    host-side optimizer_states pool, on first use and on load.
     """
 
     def __init__(
@@ -118,26 +145,11 @@ class AdamW:
         if self.quantized:
             m = quantize_state8(zeros, self.block_size)
             v = quantize_state8(zeros, self.block_size)
-            if self.ledger is not None:
-                self.ledger.allocate("optimizer_states", m.nbytes + v.nbytes)
         else:
             m, v = zeros.copy(), zeros.copy()
+        if self.ledger is not None:
+            self.ledger.allocate("optimizer_states", m.nbytes + v.nbytes)
         self.moments[name] = (m, v)
-
-    def _get_moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        m, v = self.moments[name]
-        if self.quantized:
-            return dequantize_state8(m, np.float64), dequantize_state8(v, np.float64)
-        return m, v
-
-    def _put_moments(self, name: str, m: np.ndarray, v: np.ndarray):
-        if self.quantized:
-            self.moments[name] = (
-                quantize_state8(m, self.block_size),
-                quantize_state8(v, self.block_size),
-            )
-        else:
-            self.moments[name] = (m, v)
 
     def step(self, params: list, grads: dict, lr: float):
         self.step_count += 1
@@ -150,56 +162,22 @@ class AdamW:
             if name not in self.moments:
                 self._init_state(name, p.value.shape)
             g64 = g.astype(np.float64)
-            m, v = self._get_moments(name)
+            m, v = self.moments[name]
+            if self.quantized:
+                m, v = dequantize_state8(m, np.float64), dequantize_state8(v, np.float64)
             m = b1 * m + (1 - b1) * g64
             v = b2 * v + (1 - b2) * g64 * g64
+            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+                raise TrainingError(f"non-finite moments for {name!r} at step {t}", step=t)
             m_hat = m / (1 - b1**t)
             v_hat = np.maximum(v / (1 - b2**t), 0.0)
             update = m_hat / (np.sqrt(v_hat) + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * p.value.data.astype(np.float64)
             p.assign(Tensor(p.value.data - lr * update, p.value.dtype))
-            self._put_moments(name, m, v)
-            if not np.all(np.isfinite(self._get_moments(name)[0])):
-                raise TrainingError(f"non-finite first moment for {name!r}")
-
-    # -- serialization --------------------------------------------------------
-
-    def dumps(self) -> bytes:
-        if not self.quantized:
-            raise FormatError("only 8-bit optimizer state is checkpointable")
-        parts = [OPT_MAGIC, struct.pack("<HBI", OPT_VERSION, 1, self.step_count)]
-        parts.append(struct.pack("<I", len(self.moments)))
-        for name in sorted(self.moments):
-            blob_name = name.encode("utf-8")
-            parts.append(struct.pack("<H", len(blob_name)))
-            parts.append(blob_name)
-            for state in self.moments[name]:
-                blob = dumps_state8(state)
-                parts.append(struct.pack("<I", len(blob)))
-                parts.append(blob)
-        return b"".join(parts)
-
-    def loads(self, data: bytes):
-        _, quantized, step, off, count = _parse_header(data)
-        if not quantized:
-            raise FormatError("optimizer state blob is not 8-bit quantized")
-        self.step_count = step
-        self.moments = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off : off + nlen].decode("utf-8")
-            off += nlen
-            states = []
-            for _ in range(2):
-                (blen,) = struct.unpack_from("<I", data, off)
-                off += 4
-                states.append(loads_state8(data[off : off + blen]))
-                off += blen
-            self.moments[name] = tuple(states)
-        if off != len(data):
-            raise FormatError(f"trailing bytes: consumed {off} of {len(data)}")
+            if self.quantized:
+                m, v = quantize_state8(m, self.block_size), quantize_state8(v, self.block_size)
+            self.moments[name] = (m, v)
 
 
 def make_optimizer(kind: str, betas, eps, weight_decay, ledger=None):
@@ -210,3 +188,10 @@ def make_optimizer(kind: str, betas, eps, weight_decay, ledger=None):
     if kind == "sgd":
         return Sgd()
     raise FormatError(f"unknown optimizer kind {kind!r}")
+
+
+def loads_optimizer(data: bytes):
+    """The optimizer an OPT8 blob was written by, with default hyperparameters."""
+    opt = make_optimizer(Reader(data, *_OPT8).text(), (0.9, 0.999), 1e-8, 0.0)
+    opt.loads(data)
+    return opt

@@ -6,6 +6,7 @@ import pytest
 
 from desklora import cli
 from desklora.arabicprep import BpeVocab, ShardReader
+from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
 from desklora.trainer import load_checkpoint
 from desklora.util import sha256_file
 from tests.conftest import synth_raw_docs, write_jsonl
@@ -239,6 +240,32 @@ class TestPerturbInspect:
     def test_inspect_missing_path(self):
         assert cli.main(["inspect", "/nonexistent/path"]) == 3
 
+    @staticmethod
+    def artifacts(trained_ckpt, tmp_path):
+        """One file of each container kind: QNF4, QST8, LORA, DMDL and OPT8."""
+        (tmp_path / "w.qnf4").write_bytes(dumps_qnf4(quantize(np.linspace(-1, 1, 40))))
+        (tmp_path / "m.qst8").write_bytes(dumps_state8(quantize_state8(np.linspace(-1, 1, 40))))
+        return [tmp_path / "w.qnf4", tmp_path / "m.qst8", trained_ckpt / "adapters.lora",
+                trained_ckpt / "model.qnf4", trained_ckpt / "optimizer.st8"]
+
+    def test_inspect_loads_every_artifact_kind(self, trained_ckpt, tmp_path, capsys):
+        rc = cli.main(["inspect", *map(str, self.artifacts(trained_ckpt, tmp_path))])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "QNF4 tensor shape (40,)" in out
+        assert "QST8 optimizer moment shape (40,)" in out
+        assert "adapter checkpoint r=2" in out
+        assert "model checkpoint, 1 layers, d_model 16" in out
+        assert "adamw8 optimizer state at step 5" in out
+
+    def test_inspect_truncated_artifacts_are_data_errors(self, trained_ckpt, tmp_path, capsys):
+        for path in self.artifacts(trained_ckpt, tmp_path):
+            cut = tmp_path / f"cut_{path.name}"
+            cut.write_bytes(path.read_bytes()[:20])
+            assert cli.main(["inspect", str(cut)]) == 3, path.name
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1, err
+
 
 class TestConfigFile:
     def test_file_plus_flag_precedence(self, corpus_path, tmp_path):
@@ -256,6 +283,14 @@ class TestConfigFile:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"nonsense": {}}))
         assert cli.main(["prep", "--config", str(p), "--input", "x", "--out", "y"]) == 2
+
+    def test_shard_docs_out_of_range_rejected(self, tmp_path):
+        src = write_jsonl(tmp_path / "docs.jsonl", synth_raw_docs(5, seed=3))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"prep": {"shard_docs": 0}}))
+        rc = cli.main(["prep", "--config", str(p), "--input", str(src), "--out",
+                       str(tmp_path / "o"), "--vocab-size", "300"])
+        assert rc == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -6,9 +6,9 @@ from desklora.quant import (
     DYNAMIC8_VALUES,
     NF4_OFFSET,
     NF4_VALUES,
+    NF4_ZERO_CODE,
     QuantizedTensor,
     bits_per_param,
-    build_nf4_codebook,
     dequantize,
     dequantize_state8,
     dumps_qnf4,
@@ -26,13 +26,13 @@ from desklora.errors import FormatError
 
 class TestCodebook:
     def test_structure(self):
-        cb = build_nf4_codebook()
-        v = cb.values
+        v = NF4_VALUES
         assert len(v) == 16
         assert np.all(np.diff(v) > 0)
         assert (v == 0.0).sum() == 1
         assert v[0] == -1.0 and v[-1] == 1.0
         assert (v < 0).sum() == 8 and (v > 0).sum() == 7
+        assert v[NF4_ZERO_CODE] == 0.0
 
     def test_golden_against_quantile_oracle(self):
         """Re-derive the frozen constants from the normal inverse CDF."""
@@ -276,7 +276,7 @@ class TestSerialization:
     def test_truncation_detected(self):
         q = quantize(np.ones(100))
         data = dumps_qnf4(q)
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError):
             loads_qnf4(data[:-2])
 
     def test_state8_round_trip(self):

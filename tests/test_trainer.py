@@ -229,6 +229,15 @@ class TestAdam:
         assert np.array_equal(opt2.moments["w"][0].codes, opt.moments["w"][0].codes)
         assert opt2.dumps() == blob
 
+    @pytest.mark.parametrize("quantized", [True, False])
+    def test_non_finite_gradient_is_training_error(self, quantized):
+        p = Parameter(Tensor(np.zeros(4), FULL), name="w")
+        opt = AdamW(quantized=quantized)
+        opt.step([("w", p)], {"w": np.ones(4)}, lr=0.1)
+        with pytest.raises(TrainingError) as e:
+            opt.step([("w", p)], {"w": np.array([0.0, np.inf, 0.0, 0.0])}, lr=0.1)
+        assert e.value.step == 2
+
     def test_optimizer_state_charged_to_host_budget(self):
         ledger = MemoryLedger(MemoryBudget(device_bytes=10**9, host_bytes=50))
         p = Parameter(Tensor(np.zeros(1024), FULL), name="w")
@@ -292,8 +301,10 @@ class TestTrainLoop:
         assert (a / "step_000004" / "adapters.lora").read_bytes() == (b / "step_000004" / "adapters.lora").read_bytes()
         assert (a / "step_000004" / "optimizer.st8").read_bytes() == (b / "step_000004" / "optimizer.st8").read_bytes()
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
-        cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9)
+    @staticmethod
+    def run_and_resume(tmp_path, **kw):
+        """Train 4 steps, then resume a second run from the full run's step 2."""
+        cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9, **kw)
         full_dir = tmp_path / "full"
         train(tiny_model(seed=6), fixture_windows(), cfg, full_dir)
 
@@ -301,11 +312,55 @@ class TestTrainLoop:
         model2, state = load_checkpoint(full_dir / "step_000002")
         assert state["step"] == 2
         train(model2, fixture_windows(), cfg, resumed_dir, resume_from=full_dir / "step_000002")
+        return full_dir, resumed_dir
 
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+        full_dir, resumed_dir = self.run_and_resume(tmp_path)
         for name in ("model.qnf4", "adapters.lora", "optimizer.st8"):
             assert (resumed_dir / "step_000004" / name).read_bytes() == (
                 full_dir / "step_000004" / name
             ).read_bytes()
+
+        def rows_without_wall_ms(run_dir):
+            lines = (run_dir / "metrics.csv").read_text().splitlines()[1:]
+            return {int(line.split(",")[0]): line.rsplit(",", 1)[0] for line in lines}
+
+        full_rows = rows_without_wall_ms(full_dir)
+        resumed_rows = rows_without_wall_ms(resumed_dir)
+        assert sorted(resumed_rows) == [3, 4]
+        for step in (3, 4):
+            assert resumed_rows[step] == full_rows[step]
+
+    def test_full_precision_adamw_checkpoints_and_resumes(self, tmp_path):
+        full_dir, resumed_dir = self.run_and_resume(tmp_path, optimizer="adamw")
+        assert (resumed_dir / "step_000004" / "optimizer.st8").read_bytes() == (
+            full_dir / "step_000004" / "optimizer.st8"
+        ).read_bytes()
+
+    def test_failed_save_leaves_no_checkpoint_dir(self, tmp_path, monkeypatch):
+        model = tiny_model()
+        opt = AdamW()
+
+        def fail():
+            raise OSError("disk full")
+
+        monkeypatch.setattr(opt, "dumps", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "step_000003", model, opt, 3, tiny_train_cfg())
+        assert sorted(os.listdir(tmp_path)) == ["step_000003.tmp"]
+
+    def test_save_replaces_an_existing_checkpoint(self, tmp_path):
+        model, cfg = tiny_model(), tiny_train_cfg()
+        target = tmp_path / "step_000003"
+        (tmp_path / "step_000003.tmp").mkdir()  # stale, from an earlier failed save
+        target.mkdir()
+        (target / "leftover").write_text("x")
+        save_checkpoint(target, model, AdamW(), 3, cfg)
+        assert sorted(os.listdir(tmp_path)) == ["step_000003"]
+        assert sorted(os.listdir(target)) == ["adapters.lora", "model.qnf4", "optimizer.st8", "trainer_state"]
+        reloaded, state = load_checkpoint(target)
+        assert state["step"] == 3
+        assert reloaded.base_bytes() == model.base_bytes()
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9)
