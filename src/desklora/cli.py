@@ -36,7 +36,7 @@ from .evalharness import (
     validate_report,
 )
 from .lora import LoraConfig, loads_adapters
-from .model import ModelConfig, build, build_diacritic_mask, load_model
+from .model import ModelConfig, build, load_model, token_has_diacritic
 from .numcore import Rng
 from .quant import loads_qnf4, loads_state8
 from .trainer import (
@@ -46,15 +46,15 @@ from .trainer import (
     load_checkpoint,
     loads_optimizer,
     pack_windows,
+    read_trainer_state,
     train,
 )
 from .util import sha256_file
 
 _POLICY_KEYS = set(NormalizationPolicy().to_dict())
 _SECTION_KEYS = {
-    "global": {"seed", "out"},
     "prep": {"input", "out", "vocab_size", "vocab", "per_sentence", "lexicon",
-             "shard_docs", "policy", "seed"},
+             "shard_docs", "policy"},
     "train": {"shards", "out", "train", "model", "lora", "stage", "dialect",
               "resume", "init_from", "seed"},
     "eval": {"checkpoint", "shards", "out", "lm", "qa", "mt", "robustness",
@@ -119,7 +119,6 @@ def cmd_prep(args) -> int:
         "vocab": args.vocab,
         "per_sentence": args.per_sentence or None,
         "lexicon": args.lexicon,
-        "seed": args.seed,
     })
     policy_dict = dict(section.get("policy", {}))
     for key in _POLICY_KEYS:
@@ -241,17 +240,14 @@ def cmd_train(args) -> int:
             **model_over,
             "lora": lora_cfg.to_dict(),
         })
-        model = build(model_cfg, Rng(train_cfg.seed))
+        flags = [token_has_diacritic(bs) for bs in vocab.token_bytes]
+        model = build(model_cfg, Rng(train_cfg.seed), flags)
 
     windows = _windows_from_shards(reader, train_cfg.seq_len, section.get("dialect"))
     frac = model.trainable_fraction()
     print(f"training: {windows.shape[0]} windows of {train_cfg.seq_len + 1} tokens, "
           f"effective batch {train_cfg.micro_batch * train_cfg.accumulation_steps}, "
           f"trainable fraction {frac:.4%}")
-
-    mask_fn = None
-    if model.cfg.diacritic_bias != 0.0:
-        mask_fn = lambda ids: build_diacritic_mask(ids[:-1], vocab.token_bytes_of)  # noqa: E731
 
     resolved = {
         "train": {
@@ -269,7 +265,6 @@ def cmd_train(args) -> int:
         out_dir,
         resume_from=resume,
         vocab_hash=vocab.vocab_hash(),
-        mask_fn=mask_fn,
         log=print,
     )
     final = result.final_checkpoint
@@ -397,8 +392,7 @@ def _inspect_one(path):
             print(f"  dialects: {counts['dialect']}")
             return
         if os.path.exists(state):
-            with open(state, "r", encoding="utf-8") as f:
-                st = json.load(f)
+            st = read_trainer_state(path)
             print(f"{path}: checkpoint at step {st['step']}, seed {st['seed']}, "
                   f"hash {checkpoint_hash(path)[:12]}")
             return
@@ -469,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="reuse an existing tokenizer file")
     p.add_argument("--per-sentence", dest="per_sentence", action="store_true", default=False)
     p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int)
     for key in sorted(_POLICY_KEYS):
         flag = "--" + key.replace("_", "-")
         p.add_argument(flag, dest=key, action="store_true", default=None)

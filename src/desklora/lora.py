@@ -2,9 +2,9 @@
 
 The adapted weight is W + (alpha/r) * B @ A with W held as a 4-bit
 QuantizedTensor that never receives gradients. B starts at zero so a freshly
-attached adapter is an exact identity perturbation. An `eq1_literal` switch
-drops the alpha/r factor for fidelity experiments with the bare h = W + BA
-form.
+attached adapter is an exact identity perturbation. A layer computes in the
+precision its adapter was created in (`attach`), which `apply_adapter_state`
+keeps and its dequantized base shares; `forward` drops out only given an rng.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -13,7 +13,9 @@ import numpy as np
 
 from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
-from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, transpose
+from .numcore import (
+    FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, storage_dtype, transpose,
+)
 from .quant import QuantizedTensor, dequantize
 from .util import from_known_keys
 
@@ -23,7 +25,6 @@ class LoraConfig:
     r: int = 8
     alpha: float = 32.0
     dropout: float = 0.05
-    eq1_literal: bool = False  # drop the alpha/r factor
 
     def __post_init__(self):
         if self.r <= 0:
@@ -35,7 +36,7 @@ class LoraConfig:
 
     @property
     def scaling(self) -> float:
-        return 1.0 if self.eq1_literal else self.alpha / self.r
+        return self.alpha / self.r
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -46,19 +47,19 @@ class LoraConfig:
 
 
 class FrozenWeight:
-    """Quantized constant with a per-precision dequantization cache."""
+    """Quantized constant, dequantized once into one precision on first use."""
 
-    __slots__ = ("q", "_cache")
+    __slots__ = ("q", "dtype", "_node")
 
-    def __init__(self, q: QuantizedTensor):
+    def __init__(self, q: QuantizedTensor, dtype: str):
         self.q = q
-        self._cache: dict = {}
+        self.dtype = dtype
+        self._node: GradNode | None = None
 
-    def node(self, dtype: str) -> GradNode:
-        if dtype not in self._cache:
-            np_dtype = np.float64 if dtype == DOUBLE else np.float32
-            self._cache[dtype] = GradNode(Tensor(dequantize(self.q, np_dtype), dtype))
-        return self._cache[dtype]
+    def node(self) -> GradNode:
+        if self._node is None:
+            self._node = GradNode(Tensor(dequantize(self.q, storage_dtype(self.dtype)), self.dtype))
+        return self._node
 
 
 @dataclass
@@ -83,7 +84,7 @@ class AdaptedLinear:
     _frozen: FrozenWeight = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._frozen = FrozenWeight(self.base)
+        self._frozen = FrozenWeight(self.base, self.adapter.a.value.dtype)
 
     @property
     def d_out(self) -> int:
@@ -93,43 +94,37 @@ class AdaptedLinear:
     def d_in(self) -> int:
         return self.base.shape[1]
 
-    def base_weight(self, dtype: str = FULL) -> GradNode:
-        """Dequantized base as a gradient-free constant, cached per precision."""
-        return self._frozen.node(dtype)
+    def base_weight(self) -> GradNode:
+        """Dequantized base as a gradient-free constant in the adapter's precision."""
+        return self._frozen.node()
 
 
-def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "") -> AdaptedLinear:
-    """Wrap a frozen quantized weight with a zero-initialized adapter."""
+def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
+           dtype: str = FULL) -> AdaptedLinear:
+    """Wrap a frozen quantized weight with a zero-initialized adapter in precision
+    `dtype`; A is drawn in 32-bit before widening, so every precision starts alike."""
     if len(base.shape) != 2:
         raise ConfigError(f"adapters attach to 2-D weights, got shape {base.shape}")
     d_out, d_in = base.shape
     if cfg.r > min(d_in, d_out):
         raise ConfigError(f"rank {cfg.r} exceeds min(d_in={d_in}, d_out={d_out})")
-    a = Parameter(
-        Tensor(rng.split("lora_a").normal((cfg.r, d_in), std=1.0 / np.sqrt(cfg.r)), FULL),
-        name=f"{name}.lora_a" if name else "lora_a",
-    )
-    b = Parameter(Tensor(np.zeros((d_out, cfg.r)), FULL), name=f"{name}.lora_b" if name else "lora_b")
+    a_init = rng.split("lora_a").normal((cfg.r, d_in), std=1.0 / np.sqrt(cfg.r)).astype(np.float32)
+    a = Parameter(Tensor(a_init, dtype), name=f"{name}.lora_a" if name else "lora_a")
+    b = Parameter(Tensor(np.zeros((d_out, cfg.r)), dtype), name=f"{name}.lora_b" if name else "lora_b")
     adapter = LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout)
     return AdaptedLinear(base=base, adapter=adapter, name=name)
 
 
-def forward(
-    layer: AdaptedLinear,
-    x: GradNode,
-    train_mode: bool = False,
-    rng: Rng | None = None,
-    dtype: str = FULL,
-) -> GradNode:
-    """y = dequantize(W) x + scaling * B (A dropout(x)), row-major batched."""
+def forward(layer: AdaptedLinear, x: GradNode, rng: Rng | None = None) -> GradNode:
+    """y = dequantize(W) x + scaling * B (A dropout(x)), row-major batched;
+    the dropout runs exactly when `rng` is given."""
     if x.value.shape[-1] != layer.d_in:
         raise DimensionError(
             f"{layer.name or 'adapted linear'}: input width {x.value.shape[-1]} != d_in {layer.d_in}"
         )
-    w = layer.base_weight(dtype)
-    y = matmul(x, transpose(w))
+    y = matmul(x, transpose(layer.base_weight()))
     ad = layer.adapter
-    xd = dropout(x, ad.dropout, rng, train_mode)
+    xd = dropout(x, ad.dropout, rng)
     branch = matmul(matmul(xd, transpose(ad.a)), transpose(ad.b))
     return add(y, scale(branch, ad.scaling))
 
@@ -184,7 +179,7 @@ def loads_adapters(data: bytes) -> dict:
 
 
 def apply_adapter_state(layers: list[AdaptedLinear], state: dict):
-    """Load saved A/B matrices into matching layers by name."""
+    """Load saved A/B matrices into matching layers by name, in each layer's precision."""
     weights = state["weights"]
     for layer in layers:
         if layer.name not in weights:
@@ -194,5 +189,5 @@ def apply_adapter_state(layers: list[AdaptedLinear], state: dict):
         if a.shape != ad.a.value.shape or b.shape != ad.b.value.shape:
             raise FormatError(f"adapter checkpoint layer {layer.name!r} has A {a.shape}, B {b.shape}; "
                               f"the model expects {ad.a.value.shape}, {ad.b.value.shape}")
-        ad.a.assign(Tensor(a, FULL))
-        ad.b.assign(Tensor(b, FULL))
+        ad.a.assign(Tensor(a, ad.a.value.dtype))
+        ad.b.assign(Tensor(b, ad.b.value.dtype))

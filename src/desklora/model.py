@@ -5,7 +5,9 @@ Q/K/V/O projections carry trainable low-rank adapters, the MLP stays fully
 frozen, and the token embedding (tied to the output head), layer-norm gains
 and biases remain trainable in full precision. Rotary position mixing,
 pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
-emphasize keys whose token carries a combining diacritic.
+emphasize keys whose token carries a combining diacritic: the model keeps one
+diacritic flag per token id, and its precision is fixed when it is built or
+loaded. Dropout runs exactly when `forward` gets an rng.
 """
 
 import json
@@ -41,6 +43,9 @@ from .quant import QuantizedTensor, dumps_qnf4, loads_qnf4, quantize
 from .util import from_known_keys
 
 INIT_STD = 0.02
+ROPE_BASE = 10000.0
+QUANT_BLOCK_SIZE = 64
+DOUBLE_QUANT = True
 
 
 @dataclass
@@ -52,10 +57,7 @@ class ModelConfig:
     d_ffn: int = 256
     max_seq_len: int = 128
     diacritic_bias: float = 0.0
-    rope_base: float = 10000.0
     dtype: str = FULL
-    quant_block_size: int = 64
-    double_quant: bool = True
     lora: LoraConfig = field(default_factory=LoraConfig)
 
     def __post_init__(self):
@@ -98,22 +100,25 @@ class Block:
     ln2_b: Parameter
 
 
-def _rope_tables(max_len: int, head_dim: int, base: float) -> tuple[np.ndarray, np.ndarray]:
+def _rope_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(head_dim // 2, dtype=np.float64)[None, :]
-    theta = pos / (base ** (2.0 * idx / head_dim))
+    theta = pos / (ROPE_BASE ** (2.0 * idx / head_dim))
     return np.cos(theta), np.sin(theta)
 
 
 class TransformerModel:
     def __init__(self, cfg: ModelConfig, embedding: Parameter, blocks: list[Block],
-                 lnf_g: Parameter, lnf_b: Parameter):
+                 lnf_g: Parameter, lnf_b: Parameter, diacritic_flags):
         self.cfg = cfg
         self.embedding = embedding
         self.blocks = blocks
         self.lnf_g = lnf_g
         self.lnf_b = lnf_b
-        self.rope = _rope_tables(cfg.max_seq_len, cfg.head_dim, cfg.rope_base)
+        self.diacritic_flags = np.asarray(diacritic_flags, dtype=bool)
+        if self.diacritic_flags.shape != (cfg.vocab_size,):
+            raise ConfigError(f"{self.diacritic_flags.shape} diacritic flags for vocab {cfg.vocab_size}")
+        self.rope = _rope_tables(cfg.max_seq_len, cfg.head_dim)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -176,7 +181,7 @@ class TransformerModel:
 
     # -- forward --------------------------------------------------------------
 
-    def _block_fn(self, blk: Block, i: int, t_len: int, key_bias, train_mode, rng, dtype):
+    def _block_fn(self, blk: Block, i: int, t_len: int, key_bias, rng):
         cos, sin = self.rope
         rope = (cos[:t_len], sin[:t_len])
         cfg = self.cfg
@@ -184,94 +189,69 @@ class TransformerModel:
         def run(x: GradNode) -> GradNode:
             h = layer_norm(x, blk.ln1_g, blk.ln1_b)
             sub = rng.split("block", i) if rng is not None else None
-            q = lora.forward(blk.q, h, train_mode, sub.split("q") if sub else None, dtype)
-            k = lora.forward(blk.k, h, train_mode, sub.split("k") if sub else None, dtype)
-            v = lora.forward(blk.v, h, train_mode, sub.split("v") if sub else None, dtype)
+            q = lora.forward(blk.q, h, sub.split("q") if sub else None)
+            k = lora.forward(blk.k, h, sub.split("k") if sub else None)
+            v = lora.forward(blk.v, h, sub.split("v") if sub else None)
             attn = causal_attention(q, k, v, cfg.n_heads, rope, key_bias)
-            x = add(x, lora.forward(blk.o, attn, train_mode, sub.split("o") if sub else None, dtype))
+            x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
             h2 = layer_norm(x, blk.ln2_g, blk.ln2_b)
-            m = matmul(h2, transpose(blk.w1.node(dtype)))
+            m = matmul(h2, transpose(blk.w1.node()))
             m = gelu(m)
-            m = matmul(m, transpose(blk.w2.node(dtype)))
+            m = matmul(m, transpose(blk.w2.node()))
             return add(x, m)
 
         return run
 
-    def forward(
-        self,
-        tokens,
-        diacritic_mask: np.ndarray | None = None,
-        train_mode: bool = False,
-        rng: Rng | None = None,
-        mixed: bool = False,
-        checkpointing: bool = False,
-        scope_factory=None,
-    ) -> GradNode:
-        """Logits [T x vocab] for a token id sequence."""
+    def key_bias(self, ids: np.ndarray) -> np.ndarray | None:
+        """Pre-softmax bias per key position, or None when no position gets one."""
+        if self.cfg.diacritic_bias == 0.0:
+            return None
+        flagged = self.diacritic_flags[ids]
+        return self.cfg.diacritic_bias * flagged if flagged.any() else None
+
+    def forward(self, tokens, rng: Rng | None = None, mixed: bool = False,
+                checkpointing: bool = False) -> GradNode:
+        """Logits [T x vocab] for a token id sequence; dropout only when `rng` is given."""
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ContractError(f"forward expects a non-empty 1-D id sequence, got shape {ids.shape}")
         if ids.size > self.cfg.max_seq_len:
             raise ContractError(f"sequence length {ids.size} exceeds max_seq_len {self.cfg.max_seq_len}")
-        t_len = ids.size
 
-        key_bias = None
-        if self.cfg.diacritic_bias != 0.0 and diacritic_mask is not None:
-            mask = np.asarray(diacritic_mask, dtype=np.float64)
-            if mask.shape != (t_len,):
-                raise ContractError(f"diacritic mask shape {mask.shape} != ({t_len},)")
-            if np.any(mask):
-                key_bias = self.cfg.diacritic_bias * mask
-
-        dtype = self.cfg.dtype
-        x = gather_rows(self.embedding, ids)
+        x = gather_rows(self.embedding, ids)  # rejects ids outside the vocab
+        key_bias = self.key_bias(ids)
         if mixed:
             x = astype(x, REDUCED)
 
         for i, blk in enumerate(self.blocks):
-            fn = self._block_fn(blk, i, t_len, key_bias, train_mode, rng, dtype)
-            if checkpointing:
-                x = checkpoint(fn, x, scope_factory=scope_factory)
-            else:
-                x = fn(x)
+            fn = self._block_fn(blk, i, ids.size, key_bias, rng)
+            x = checkpoint(fn, x) if checkpointing else fn(x)
 
         x = layer_norm(x, self.lnf_g, self.lnf_b)
         return matmul(x, transpose(self.embedding))
 
-    def loss(
-        self,
-        window,
-        diacritic_mask: np.ndarray | None = None,
-        train_mode: bool = False,
-        rng: Rng | None = None,
-        mixed: bool = False,
-        checkpointing: bool = False,
-        scope_factory=None,
-    ) -> GradNode:
+    def loss(self, window, rng: Rng | None = None, mixed: bool = False,
+             checkpointing: bool = False) -> GradNode:
         """Mean next-token NLL over a window; inputs window[:-1], targets window[1:]."""
         window = np.asarray(window, dtype=np.int64)
         if window.size < 2:
             raise ContractError("loss needs a window of at least 2 tokens")
-        mask = diacritic_mask[:-1] if diacritic_mask is not None else None
-        logits = self.forward(
-            window[:-1],
-            diacritic_mask=mask,
-            train_mode=train_mode,
-            rng=rng,
-            mixed=mixed,
-            checkpointing=checkpointing,
-            scope_factory=scope_factory,
-        )
+        logits = self.forward(window[:-1], rng=rng, mixed=mixed, checkpointing=checkpointing)
         return softmax_cross_entropy(logits, window[1:])
 
-    def forward_ids(self, ids, diacritic_mask: np.ndarray | None = None) -> np.ndarray:
+    def forward_ids(self, ids) -> np.ndarray:
         """Evaluation-mode logits as a plain array; no tape is built."""
         with no_grad():
-            return self.forward(ids, diacritic_mask=diacritic_mask).value.data
+            return self.forward(ids).value.data
 
 
-def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
-    """Initialize, quantize the linear bases, and wrap Q/K/V/O with adapters."""
+def build(cfg: ModelConfig, rng: Rng, diacritic_flags=None) -> TransformerModel:
+    """Initialize, quantize the linear bases, and wrap Q/K/V/O with adapters.
+    `diacritic_flags` (one per token id) may be omitted at zero bias."""
+    if diacritic_flags is None:
+        if cfg.diacritic_bias != 0.0:
+            raise ConfigError("a nonzero diacritic_bias needs the vocabulary's diacritic flags")
+        diacritic_flags = np.zeros(cfg.vocab_size, dtype=bool)
     dtype = cfg.dtype
     emb = Parameter(
         Tensor(rng.split("embedding").normal((cfg.vocab_size, cfg.d_model), std=INIT_STD), dtype),
@@ -280,25 +260,23 @@ def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
 
     def quantized(tag: str, shape) -> QuantizedTensor:
         w = rng.split("init", tag).normal(shape, std=INIT_STD).astype(np.float32)
-        return quantize(w, cfg.quant_block_size, double_quant=cfg.double_quant)
+        return quantize(w, QUANT_BLOCK_SIZE, double_quant=DOUBLE_QUANT)
 
     blocks = []
     for i in range(cfg.n_layers):
         adapted = {}
         for tag in ("q", "k", "v", "o"):
             base = quantized(f"layer{i}.{tag}", (cfg.d_model, cfg.d_model))
-            adapted[tag] = lora.attach(base, cfg.lora, rng.split("lora", i, tag), name=f"layer{i}.{tag}")
-            if dtype == DOUBLE:
-                adapted[tag].adapter.a.assign(Tensor(adapted[tag].adapter.a.value.data, DOUBLE))
-                adapted[tag].adapter.b.assign(Tensor(adapted[tag].adapter.b.value.data, DOUBLE))
+            adapted[tag] = lora.attach(base, cfg.lora, rng.split("lora", i, tag),
+                                       name=f"layer{i}.{tag}", dtype=dtype)
         blocks.append(
             Block(
                 q=adapted["q"],
                 k=adapted["k"],
                 v=adapted["v"],
                 o=adapted["o"],
-                w1=FrozenWeight(quantized(f"layer{i}.w1", (cfg.d_ffn, cfg.d_model))),
-                w2=FrozenWeight(quantized(f"layer{i}.w2", (cfg.d_model, cfg.d_ffn))),
+                w1=FrozenWeight(quantized(f"layer{i}.w1", (cfg.d_ffn, cfg.d_model)), dtype),
+                w2=FrozenWeight(quantized(f"layer{i}.w2", (cfg.d_model, cfg.d_ffn)), dtype),
                 ln1_g=Parameter(Tensor(np.ones(cfg.d_model), dtype), name=f"layer{i}.ln1_g"),
                 ln1_b=Parameter(Tensor(np.zeros(cfg.d_model), dtype), name=f"layer{i}.ln1_b"),
                 ln2_g=Parameter(Tensor(np.ones(cfg.d_model), dtype), name=f"layer{i}.ln2_g"),
@@ -307,11 +285,11 @@ def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
         )
     lnf_g = Parameter(Tensor(np.ones(cfg.d_model), dtype), name="lnf_g")
     lnf_b = Parameter(Tensor(np.zeros(cfg.d_model), dtype), name="lnf_b")
-    return TransformerModel(cfg, emb, blocks, lnf_g, lnf_b)
+    return TransformerModel(cfg, emb, blocks, lnf_g, lnf_b, diacritic_flags)
 
 
 # ---------------------------------------------------------------------------
-# diacritic masks
+# diacritic flags
 # ---------------------------------------------------------------------------
 
 # U+064B..U+065F encode as 0xD9 0x8B..0x9F; U+0670 as 0xD9 0xB0. 0xD9 is always
@@ -324,10 +302,6 @@ def token_has_diacritic(token_bytes: bytes) -> bool:
                 return True
     return False
 
-
-def build_diacritic_mask(ids, token_bytes_fn) -> np.ndarray:
-    """Per-position flag: does the token's byte string carry a diacritic."""
-    return np.array([token_has_diacritic(token_bytes_fn(int(i))) for i in ids], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +337,18 @@ def init_embeddings_from_vectors(model: TransformerModel, vector_file, tokenizer
     return count
 
 
-# model checkpoint: config JSON, f32 embedding, per layer the q/k/v/o/w1/w2
-# QNF4 blobs and four f32 norms, then the f32 final norm
+# model checkpoint: config JSON, one u8 diacritic flag per token id, f32
+# embedding, per layer the q/k/v/o/w1/w2 QNF4 blobs and four f32 norms, then
+# the f32 final norm
 
-_DMDL = (b"DMDL", 2)
+_DMDL = (b"DMDL", 3)
 _NORMS = ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
 
 
 def save_model(model: TransformerModel, path):
     w = Writer(*_DMDL)
     w.text(json.dumps(model.cfg.to_dict(), sort_keys=True))
+    w.array(model.diacritic_flags, "u1")
     w.array(model.embedding.value.data, "<f4")
     for blk in model.blocks:
         for q in (blk.q.base, blk.k.base, blk.v.base, blk.o.base, blk.w1.q, blk.w2.q):
@@ -386,7 +362,8 @@ def save_model(model: TransformerModel, path):
 
 
 def load_model(path) -> TransformerModel:
-    """Rebuild a saved model; its adapters start at zero (see apply_adapter_state)."""
+    """Rebuild a saved model in its saved precision; its adapters start at zero
+    (see apply_adapter_state)."""
     with open(path, "rb") as f:
         r = Reader(f.read(), *_DMDL)
     try:
@@ -394,6 +371,8 @@ def load_model(path) -> TransformerModel:
     except (ValueError, ConfigError) as e:
         raise FormatError(f"{path}: bad model config: {e}") from e
     d, dtype, lcfg = cfg.d_model, cfg.dtype, cfg.lora
+    flags = r.array("u1", cfg.vocab_size)
+    r.expect(int(flags.max()) <= 1, "diacritic flags must be 0 or 1")
 
     def master(name: str, shape) -> Parameter:
         return Parameter(Tensor(r.array("<f4", shape), dtype), name=name)
@@ -412,9 +391,9 @@ def load_model(path) -> TransformerModel:
     blocks = []
     for i in range(cfg.n_layers):
         q, k, v, o = (adapted(f"layer{i}.{tag}") for tag in "qkvo")
-        w1 = FrozenWeight(base((cfg.d_ffn, d)))
-        w2 = FrozenWeight(base((d, cfg.d_ffn)))
+        w1 = FrozenWeight(base((cfg.d_ffn, d)), dtype)
+        w2 = FrozenWeight(base((d, cfg.d_ffn)), dtype)
         blocks.append(Block(q, k, v, o, w1, w2, *(master(f"layer{i}.{tag}", (d,)) for tag in _NORMS)))
-    model = TransformerModel(cfg, emb, blocks, master("lnf_g", (d,)), master("lnf_b", (d,)))
+    model = TransformerModel(cfg, emb, blocks, master("lnf_g", (d,)), master("lnf_b", (d,)), flags)
     r.done()
     return model

@@ -13,18 +13,23 @@ import numpy as np
 from ..errors import ContractError
 from .tensor import DOUBLE, FULL, Tensor
 
-# Hook invoked with the byte size of every node value created while set.
-# Installed by the trainer's activation meter; None outside training scopes.
-_alloc_hook = None
+# The meter charged with the byte size of every node value created while it is
+# installed (see `metering`): an object with `charge(nbytes)` and `scope()`.
+_meter = None
 
 _grad_enabled = True
 
 
-def set_alloc_hook(fn):
-    global _alloc_hook
-    previous = _alloc_hook
-    _alloc_hook = fn
-    return previous
+@contextlib.contextmanager
+def metering(meter):
+    """Charge `meter` for every node created inside; restore the previous meter on exit."""
+    global _meter
+    previous = _meter
+    _meter = meter
+    try:
+        yield
+    finally:
+        _meter = previous
 
 
 @contextlib.contextmanager
@@ -39,10 +44,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class GradNode:
     """One tape node: a Tensor value plus edges to the nodes it came from."""
 
@@ -55,8 +56,8 @@ class GradNode:
             parents = ()
         self.parents = tuple(parents)
         self.requires_grad = bool(requires_grad or any(p.requires_grad for p, _ in self.parents))
-        if _alloc_hook is not None:
-            _alloc_hook(value.nbytes)
+        if _meter is not None:
+            _meter.charge(value.nbytes)
 
     @property
     def shape(self):
@@ -119,6 +120,8 @@ def _topo_order(root: GradNode) -> list:
 def backward(loss: GradNode, seed: np.ndarray | None = None):
     """Accumulate gradients of `loss` into every reachable requires-grad node.
 
+    A leaf's `grad` adds onto what earlier calls left there, so calls made
+    between two `zero_grad`s sum their gradients (the trainer's micro-batches).
     `seed` overrides the initial output gradient (used internally for
     checkpoint recomputation); without it the loss must be scalar.
     """
@@ -158,17 +161,18 @@ def backward(loss: GradNode, seed: np.ndarray | None = None):
                 node.grad = Tensor(node.grad.data + g, grad_dtype)
 
 
-def checkpoint(fn, x: GradNode, scope_factory=None) -> GradNode:
+def checkpoint(fn, x: GradNode) -> GradNode:
     """Run `fn(x)` without retaining its internal tape; recompute it on backward.
 
     The recomputation executes the exact same op sequence, so gradients are
-    bit-identical to the non-checkpointed path. `scope_factory`, when given,
-    must return a context manager; it is entered around both the throwaway
-    forward and the recomputation so an activation meter can observe that the
-    block's internals are transient.
+    bit-identical to the non-checkpointed path. When a meter is installed (see
+    `metering`) at the call, the throwaway forward and the recomputation each
+    run in a scope of its own, so the meter sees the block's internals as
+    transient.
+    The leaf that feeds `fn` is a new node over `x.value`, so the meter
+    charges those bytes once more although they are shared.
     """
-    scope = scope_factory if scope_factory is not None else contextlib.nullcontext
-
+    scope = _meter.scope if _meter is not None else contextlib.nullcontext
     with scope():
         with no_grad():
             out_value = fn(GradNode(x.value)).value

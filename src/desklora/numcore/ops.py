@@ -78,18 +78,17 @@ def sub(a: GradNode, b) -> GradNode:
     return add(a, neg(b)) if isinstance(b, GradNode) else add(a, -b)
 
 
-def dropout(x: GradNode, rate: float, rng: Rng | None = None, train_mode: bool = True) -> GradNode:
+def dropout(x: GradNode, rate: float, rng: Rng | None = None) -> GradNode:
     """Zero each element with probability `rate`, scaling survivors by 1/(1-rate).
 
-    Identity outside train mode or at rate 0. Mask draws come from the given
-    stream, so the same stream yields the same mask.
+    Dropout is on exactly when an `rng` is passed; without one, or at rate 0,
+    it returns `x` itself. Mask draws come from the given stream, so the same
+    stream yields the same mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
-        return _node(x.value.data, x.value.dtype, ((x, lambda g: g),))
-    if rng is None:
-        raise ContractError("dropout with rate > 0 requires an Rng")
+    if rng is None or rate == 0.0:
+        return x
     keep = (rng.uniform(x.value.shape) >= rate).astype(x.value.data.dtype)
     factor = keep / (1.0 - rate)
     factor = factor.astype(x.value.data.dtype)
@@ -97,7 +96,9 @@ def dropout(x: GradNode, rate: float, rng: Rng | None = None, train_mode: bool =
 
 
 def astype(x: GradNode, dtype: str) -> GradNode:
-    """Precision boundary: re-tag (and round, for "reduced"). Gradient passes through."""
+    """Precision boundary: re-tag (and round, for "reduced"), or `x` itself if it has `dtype`."""
+    if x.value.dtype == dtype:
+        return x
     return _node(x.value.data, dtype, ((x, lambda g: g),))
 
 

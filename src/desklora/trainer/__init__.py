@@ -18,6 +18,7 @@ from .loop import (
     load_checkpoint,
     lr_at,
     pack_windows,
+    read_trainer_state,
     register_static_memory,
     save_checkpoint,
     train,
@@ -46,6 +47,7 @@ __all__ = [
     "lr_at",
     "make_optimizer",
     "pack_windows",
+    "read_trainer_state",
     "register_static_memory",
     "save_checkpoint",
     "train",

@@ -11,7 +11,7 @@ import contextlib
 from dataclasses import dataclass, field
 
 from ..errors import BudgetError, ContractError
-from ..numcore import set_alloc_hook
+from ..numcore import metering
 
 DEVICE_CATEGORIES = ("quantized_weights", "adapters", "activations")
 HOST_CATEGORIES = ("optimizer_states", "other")
@@ -89,32 +89,28 @@ class MemoryLedger:
 
 
 class ActivationMeter:
-    """Feeds tape-node allocations into a ledger's activation category.
+    """Charges tape-node allocations to a ledger's activation category.
 
-    Every scope tracks the bytes created while it is the innermost active
-    scope and releases them on exit, so transient graphs (checkpointed block
-    recomputation) raise and then lower the water line.
+    Inside `scope()` autograd charges the meter for every node it creates, and
+    `checkpoint` opens nested scopes on it. Every scope releases the bytes
+    charged while it was innermost, so transient graphs (checkpointed block
+    recomputation) raise and then lower the water line. Ops that return their
+    input node (dropout off, `astype` to the same precision) cost nothing.
     """
 
     def __init__(self, ledger: MemoryLedger):
         self.ledger = ledger
         self._stack: list[int] = []
-        self._previous_hook = None
 
-    def _on_alloc(self, nbytes: int):
-        self._stack[-1] += nbytes
+    def charge(self, nbytes: int):
         self.ledger.allocate("activations", nbytes)
+        self._stack[-1] += nbytes
 
     @contextlib.contextmanager
     def scope(self):
-        if not self._stack:
-            self._previous_hook = set_alloc_hook(self._on_alloc)
         self._stack.append(0)
         try:
-            yield self
+            with metering(self):
+                yield self
         finally:
-            counted = self._stack.pop()
-            self.ledger.release("activations", counted)
-            if not self._stack:
-                set_alloc_hook(self._previous_hook)
-                self._previous_hook = None
+            self.ledger.release("activations", self._stack.pop())

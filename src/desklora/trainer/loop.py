@@ -1,7 +1,9 @@
 """Training loop: gradient accumulation, warmup+cosine schedule, clipping,
 8-bit-state AdamW, optional gradient checkpointing and mixed precision, a
 memory ledger with budget enforcement, per-step metrics, and deterministic
-checkpoint/resume.
+checkpoint/resume. The model derives its diacritic bias and precision itself,
+`backward` sums micro-batch gradients into each `grad`, and `checkpoint`
+finds the activation meter through autograd.
 """
 
 import json
@@ -13,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, DataError, TrainingError
+from ..errors import ConfigError, ContractError, DataError, FormatError, TrainingError
 from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
 from ..numcore import Rng, add, backward, scale
@@ -146,20 +148,10 @@ class _WindowOrder:
 
 def register_static_memory(model: TransformerModel, ledger: MemoryLedger):
     """Charge quantized bases, adapter masters, and full-precision masters."""
-    qbytes = sum(quantized_nbytes(q) for _, q in model.frozen_tensors())
-    ledger.allocate("quantized_weights", qbytes)
-    adapter_bytes = sum(
-        layer.adapter.a.value.nbytes + layer.adapter.b.value.nbytes
-        for layer in model.adapted_layers()
-    )
-    ledger.allocate("adapters", adapter_bytes)
-    master_bytes = model.embedding.value.nbytes
-    for blk in model.blocks:
-        for p in (blk.ln1_g, blk.ln1_b, blk.ln2_g, blk.ln2_b):
-            master_bytes += p.value.nbytes
-    master_bytes += model.lnf_g.value.nbytes + model.lnf_b.value.nbytes
-    ledger.allocate("other", master_bytes)
-    return qbytes
+    ledger.allocate("quantized_weights", sum(quantized_nbytes(q) for _, q in model.frozen_tensors()))
+    params = model.trainable_parameters()
+    ledger.allocate("adapters", sum(p.value.nbytes for name, p in params if ".lora_" in name))
+    ledger.allocate("other", sum(p.value.nbytes for name, p in params if ".lora_" not in name))
 
 
 def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
@@ -189,14 +181,30 @@ def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
     os.replace(tmp, out_dir)
 
 
+_STATE_FIELDS = {"step": int, "seed": int, "vocab_hash": str, "config": dict, "config_digest": str}
+
+
+def read_trainer_state(ckpt_dir) -> dict:
+    """A checkpoint's `trainer_state`; FormatError unless it is JSON holding every field."""
+    path = os.path.join(ckpt_dir, "trainer_state")
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            state = json.load(f)
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise FormatError(f"{path}: not JSON: {e}") from e
+    bad = [k for k, kind in _STATE_FIELDS.items() if not isinstance(state, dict)
+           or not isinstance(state.get(k), kind)]
+    if bad:
+        raise FormatError(f"{path}: missing or mistyped fields {bad}")
+    return state
+
+
 def load_checkpoint(ckpt_dir):
     """Rebuild the model (bases + masters + adapters) and the trainer state."""
     model = load_model(os.path.join(ckpt_dir, "model.qnf4"))
     with open(os.path.join(ckpt_dir, "adapters.lora"), "rb") as f:
         apply_adapter_state(model.adapted_layers(), loads_adapters(f.read()))
-    with open(os.path.join(ckpt_dir, "trainer_state"), "r", encoding="utf-8") as f:
-        state = json.load(f)
-    return model, state
+    return model, read_trainer_state(ckpt_dir)
 
 
 def checkpoint_hash(ckpt_dir) -> str:
@@ -216,15 +224,14 @@ def train(
     out_dir,
     resume_from=None,
     vocab_hash: str = "",
-    mask_fn=None,
     log=None,
 ) -> TrainResult:
     """Run total_steps optimizer macro-steps over packed windows.
 
-    `mask_fn` maps a window's ids to a diacritic key mask (used only when the
-    model's diacritic bias is nonzero). With `resume_from`, the optimizer
-    state and step counter continue from that checkpoint directory; the model
-    passed in must already carry its weights.
+    Each step sums the gradients of `accumulation_steps` micro-batches of
+    `micro_batch` windows and steps once on their mean. With `resume_from`,
+    the optimizer state and step counter continue from that checkpoint
+    directory; the model passed in must already carry its weights.
     """
     windows = np.asarray(windows, dtype=np.int64)
     if windows.ndim != 2 or windows.shape[0] == 0:
@@ -238,8 +245,7 @@ def train(
 
     start_step = 0
     if resume_from is not None:
-        with open(os.path.join(resume_from, "trainer_state"), "r", encoding="utf-8") as f:
-            state = json.load(f)
+        state = read_trainer_state(resume_from)
         if state["config_digest"] != sha256_json(cfg.to_dict()):
             raise ConfigError("resume config does not match checkpoint config")
         if vocab_hash and state["vocab_hash"] and state["vocab_hash"] != vocab_hash:
@@ -252,7 +258,6 @@ def train(
     order = _WindowOrder(windows.shape[0], cfg.seed)
     run_rng = Rng(cfg.seed)
     mixed = cfg.precision == "mixed"
-    use_masks = mask_fn is not None and model.cfg.diacritic_bias != 0.0
 
     metrics: list[MetricsRecord] = []
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -268,27 +273,18 @@ def train(
     try:
         for t in range(start_step + 1, cfg.total_steps + 1):
             t0 = time.perf_counter()
-            accum: dict[str, np.ndarray] = {}
+            model.zero_grads()
             micro_losses = []
             for micro in range(cfg.accumulation_steps):
-                model.zero_grads()
                 seq_losses = []
                 with meter.scope():
                     for bi in range(cfg.micro_batch):
                         window = windows[order.window_index(micro_idx)]
                         micro_idx += 1
-                        mask = mask_fn(window) if use_masks else None
-                        seq_losses.append(
-                            model.loss(
-                                window,
-                                diacritic_mask=mask,
-                                train_mode=True,
-                                rng=run_rng.split("drop", t, micro, bi),
-                                mixed=mixed,
-                                checkpointing=cfg.checkpointing,
-                                scope_factory=meter.scope if cfg.checkpointing else None,
-                            )
-                        )
+                        seq_losses.append(model.loss(
+                            window, rng=run_rng.split("drop", t, micro, bi), mixed=mixed,
+                            checkpointing=cfg.checkpointing,
+                        ))
                     combined = seq_losses[0]
                     for extra in seq_losses[1:]:
                         combined = add(combined, extra)
@@ -299,23 +295,16 @@ def train(
                         raise TrainingError(f"non-finite loss at step {t}", step=t)
                     backward(combined)
                 micro_losses.append(loss_value)
-                for name, p in params:
-                    if p.grad is None:
-                        continue
-                    if name in accum:
-                        accum[name] = accum[name] + p.grad.data
-                    else:
-                        accum[name] = p.grad.data
+            grads = {name: p.grad.data / cfg.accumulation_steps
+                     for name, p in params if p.grad is not None}
             model.zero_grads()
 
-            for name in accum:
-                accum[name] = accum[name] / cfg.accumulation_steps
-            grad_norm = global_grad_norm(accum)
+            grad_norm = global_grad_norm(grads)
             if not math.isfinite(grad_norm):
                 raise TrainingError(f"non-finite gradient norm at step {t}", step=t)
-            clip_gradients(accum, cfg.max_grad_norm)
+            clip_gradients(grads, cfg.max_grad_norm)
             lr = lr_at(t, cfg)
-            optimizer.step(params, accum, lr)
+            optimizer.step(params, grads, lr)
 
             record = MetricsRecord(
                 step=t,

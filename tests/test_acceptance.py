@@ -173,7 +173,7 @@ def _op_battery(seed: int) -> float:
         lambda x: probe(gelu(x)),
         lambda x: probe(softmax(x)),
         lambda x: probe(layer_norm(x, c_gain, c_bias)),
-        lambda x: probe(dropout(x, 0.4, drop_rng.split("fd"), train_mode=True)),
+        lambda x: probe(dropout(x, 0.4, drop_rng.split("fd"))),
         lambda x: sum_all(mul(matmul(x, c_right), c_p45)),
         lambda x: sum_all(mul(transpose(x), c_p64)),
         lambda x: softmax_cross_entropy(matmul(x, c_right), targets[:4] % 5),
@@ -213,7 +213,7 @@ def _attention_score_bound(model, window) -> float:
     blk, cfg = model.blocks[0], model.cfg
     with no_grad():
         h = layer_norm(gather_rows(model.embedding, window), blk.ln1_g, blk.ln1_b)
-        q, k = (lora.forward(layer, h, dtype=cfg.dtype).value.data for layer in (blk.q, blk.k))
+        q, k = (lora.forward(layer, h).value.data for layer in (blk.q, blk.k))
     shape = (len(window), cfg.n_heads, cfg.head_dim)
     q_norm = np.linalg.norm(q.reshape(shape), axis=-1).max(axis=0)
     k_norm = np.linalg.norm(k.reshape(shape), axis=-1).max(axis=0)
@@ -459,10 +459,10 @@ def _grads_with_mode(checkpointing, layers, meter=None):
     model = build(cfg, Rng(8))
     window = np.array(Rng(9).integers(4, 64, (12,)))
     model.zero_grads()
-    kwargs = dict(train_mode=True, rng=Rng(10).split("d"), checkpointing=checkpointing)
+    kwargs = dict(rng=Rng(10).split("d"), checkpointing=checkpointing)
     if meter is not None:
         with meter.scope():
-            loss = model.loss(window, scope_factory=meter.scope if checkpointing else None, **kwargs)
+            loss = model.loss(window, **kwargs)
             backward(loss)
     else:
         loss = model.loss(window, **kwargs)
@@ -584,7 +584,7 @@ class _UniformModel:
     def __init__(self, v):
         self.v = v
 
-    def forward_ids(self, ids, diacritic_mask=None):
+    def forward_ids(self, ids):
         return np.zeros((len(ids), self.v))
 
 
@@ -593,7 +593,7 @@ class _TableModel(_UniformModel):
         super().__init__(v)
         self.table = np.random.default_rng(seed).normal(size=(64, v))
 
-    def forward_ids(self, ids, diacritic_mask=None):
+    def forward_ids(self, ids):
         return self.table[: len(ids)]
 
 

@@ -132,6 +132,18 @@ class TestTrain:
         rc = run_train(shards_dir, tmp_path / "x", extra=["--dialect", "ZZZ"])
         assert rc == 3
 
+    def test_damaged_trainer_state_resume_is_data_error(self, shards_dir, tmp_path, capsys):
+        assert run_train(shards_dir, tmp_path / "run") == 0
+        ckpt = tmp_path / "run" / "step_000005"
+        state = ckpt / "trainer_state"
+        state.write_bytes(state.read_bytes()[:20])
+        capsys.readouterr()
+        for argv in (["inspect", str(ckpt)], ["train", "--shards", str(shards_dir), "--out",
+                                               str(tmp_path / "again"), "--resume", str(ckpt)]):
+            assert cli.main(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and "trainer_state" in err, err
+
     def test_determinism_hash_identical(self, shards_dir, tmp_path):
         for name in ("a", "b"):
             assert run_train(shards_dir, tmp_path / name) == 0
@@ -196,6 +208,13 @@ class TestEval:
         for metric, row in report["comparison"].items():
             for dialect, cells in row.items():
                 assert cells["base"] == cells["finetuned"], (metric, dialect)
+
+    def test_diacritic_bias_trains_and_evaluates(self, shards_dir, eval_files, tmp_path):
+        assert run_train(shards_dir, tmp_path / "run", extra=["--diacritic-bias", "0.5"]) == 0
+        ckpt = tmp_path / "run" / "step_000005"
+        model, _ = load_checkpoint(ckpt)
+        assert model.cfg.diacritic_bias == 0.5 and model.diacritic_flags.any()
+        assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 0
 
     def test_missing_eval_file_names_path(self, trained_ckpt, shards_dir, tmp_path, capsys):
         rc = cli.main([
@@ -296,6 +315,18 @@ class TestConfigFile:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"prep": {"frobnicate": 1}}))
         assert cli.main(["prep", "--config", str(p), "--input", "x", "--out", "y"]) == 2
+
+    @pytest.mark.parametrize("cfg", [{"global": {"seed": 1}}, {"global": {"out": "o"}},
+                                     {"prep": {"seed": 1}}])
+    def test_keys_nothing_reads_rejected(self, tmp_path, cfg):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["prep", "--config", str(p), "--input", "x", "--out", "y"]) == 2
+
+    def test_prep_has_no_seed_flag(self):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["prep", "--input", "x", "--out", "y", "--seed", "1"])
+        assert e.value.code == 2
 
     def test_reproduce_from_resolved_echo(self, corpus_path, tmp_path):
         out1 = tmp_path / "one"

@@ -39,7 +39,7 @@ class UniformModel:
     def __init__(self, vocab_size):
         self.v = vocab_size
 
-    def forward_ids(self, ids, diacritic_mask=None):
+    def forward_ids(self, ids):
         return np.zeros((len(ids), self.v))
 
 
@@ -52,7 +52,7 @@ class ScriptedModel:
         self.script = list(script)
         self.v = vocab_size
 
-    def forward_ids(self, ids, diacritic_mask=None):
+    def forward_ids(self, ids):
         out = np.zeros((len(ids), self.v))
         for i in range(len(ids)):
             out[i, self.script[min(i, len(self.script) - 1)]] = 1000.0
@@ -68,7 +68,7 @@ class ConstantModel:
         self.token = token
         self.v = vocab_size
 
-    def forward_ids(self, ids, diacritic_mask=None):
+    def forward_ids(self, ids):
         out = np.zeros((len(ids), self.v))
         out[:, self.token] = 5.0
         return out
@@ -84,7 +84,7 @@ class TableModel:
         self.rng = np.random.default_rng(seed)
         self.table = self.rng.normal(size=(64, vocab_size))
 
-    def forward_ids(self, ids, diacritic_mask=None):
+    def forward_ids(self, ids):
         return self.table[: len(ids)]
 
 

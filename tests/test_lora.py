@@ -33,9 +33,6 @@ class TestConfig:
         assert cfg.dropout == 0.05
         assert cfg.scaling == 4.0  # alpha / r
 
-    def test_eq1_literal_disables_scaling(self):
-        assert LoraConfig(eq1_literal=True).scaling == 1.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             LoraConfig(r=0)
@@ -43,6 +40,8 @@ class TestConfig:
             LoraConfig(dropout=1.0)
         with pytest.raises(ConfigError):
             LoraConfig.from_dict({"r": 4, "targets": ["Q", "V"]})
+        with pytest.raises(ConfigError):  # the scaling is always alpha / r
+            LoraConfig.from_dict({"r": 4, "eq1_literal": True})
 
     def test_rank_too_large(self):
         base = quantize(np.zeros((4, 4), dtype=np.float32))
@@ -65,8 +64,8 @@ class TestIdentityAtInit:
     def test_eval_calls_bit_identical(self):
         layer, _ = make_layer(drop=0.5)
         x = constant(Rng(2).normal((3, 16)), FULL)
-        y1 = lora.forward(layer, x, train_mode=False).value.data
-        y2 = lora.forward(layer, x, train_mode=False).value.data
+        y1 = lora.forward(layer, x).value.data
+        y2 = lora.forward(layer, x).value.data
         assert np.array_equal(y1, y2)
 
 
@@ -91,7 +90,7 @@ class TestForward:
         layer.adapter.b.assign(Tensor(Rng(6).normal((8, 2)), FULL))
         x = constant(np.ones((4, 8)), FULL)
         # with dropout killing essentially the whole branch, output approaches base path
-        y = lora.forward(layer, x, train_mode=True, rng=Rng(7)).value.data
+        y = lora.forward(layer, x, rng=Rng(7)).value.data
         base_only = x.value.data @ dequantize(layer.base).T
         # base path must be exactly present; branch contributes only where mask survived
         assert y.shape == base_only.shape

@@ -7,7 +7,6 @@ from desklora.model import (
     ModelConfig,
     TransformerModel,
     build,
-    build_diacritic_mask,
     init_embeddings_from_vectors,
     load_model,
     save_model,
@@ -38,6 +37,9 @@ class TestConfig:
             ModelConfig(vocab_size=16, d_model=32, n_heads=4, max_seq_len=0)
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=0)
+        for constant_key in ("rope_base", "quant_block_size", "double_quant"):
+            with pytest.raises(ConfigError):
+                ModelConfig.from_dict({"vocab_size": 16, constant_key: 1})
 
     def test_round_trip_dict(self):
         cfg = tiny_cfg(diacritic_bias=0.5)
@@ -96,22 +98,27 @@ class TestForwardSemantics:
 
     def test_zero_bias_matches_unbiased_model(self):
         ids = np.arange(10)
-        mask = np.zeros(10, dtype=bool)
-        mask[3] = True
-        m0 = build(tiny_cfg(diacritic_bias=0.0), Rng(3))
-        m0_out = m0.forward_ids(ids, diacritic_mask=mask)
-        plain = m0.forward_ids(ids)
-        assert np.array_equal(m0_out, plain)
+        flags = np.zeros(256, dtype=bool)
+        flags[3] = True
+        m0 = build(tiny_cfg(diacritic_bias=0.0), Rng(3), flags)
+        plain = build(tiny_cfg(diacritic_bias=0.0), Rng(3))
+        assert np.array_equal(m0.forward_ids(ids), plain.forward_ids(ids))
 
     def test_bias_shifts_attention(self):
         ids = np.arange(10)
-        mask = np.zeros(10, dtype=bool)
-        mask[0] = True
-        biased = build(tiny_cfg(diacritic_bias=5.0), Rng(3))
-        plain = build(tiny_cfg(diacritic_bias=0.0), Rng(3))
-        out_b = biased.forward_ids(ids, diacritic_mask=mask)
-        out_p = plain.forward_ids(ids, diacritic_mask=mask)
+        flags = np.zeros(256, dtype=bool)
+        flags[0] = True
+        biased = build(tiny_cfg(diacritic_bias=5.0), Rng(3), flags)
+        plain = build(tiny_cfg(diacritic_bias=0.0), Rng(3), flags)
+        out_b = biased.forward_ids(ids)
+        out_p = plain.forward_ids(ids)
         assert not np.array_equal(out_b, out_p)
+
+    def test_nonzero_bias_needs_one_flag_per_token(self):
+        with pytest.raises(ConfigError):
+            build(tiny_cfg(diacritic_bias=0.5), Rng(3))
+        with pytest.raises(ConfigError):
+            build(tiny_cfg(diacritic_bias=0.5), Rng(3), np.zeros(255, dtype=bool))
 
     def test_logit_finiteness_many_seeds(self):
         m = build(tiny_cfg(n_layers=1, d_model=16, d_ffn=32, lora=LoraConfig(r=2, dropout=0.0)), Rng(4))
@@ -206,9 +213,11 @@ class TestDiacriticMask:
             assert token_has_diacritic(bs) == by_codepoint
 
     def test_mask_independent_of_position(self):
-        table = {0: "كَ".encode("utf-8"), 1: b"abc"}
-        mask = build_diacritic_mask([0, 1, 0], table.__getitem__)
-        assert mask.tolist() == [True, False, True]
+        table = ["كَ".encode("utf-8"), b"abc"] + [b"x"] * 254
+        flags = [token_has_diacritic(bs) for bs in table]
+        m = build(tiny_cfg(diacritic_bias=0.5), Rng(0), flags)
+        assert m.key_bias(np.array([0, 1, 0])).tolist() == [0.5, 0.0, 0.5]
+        assert m.key_bias(np.array([1, 2])) is None
 
 
 class FakeTokenizer:
@@ -275,6 +284,43 @@ class TestCheckpointIO:
         apply_adapter_state(m2.adapted_layers(), loads_adapters((tmp_path / "adapters.lora").read_bytes()))
         assert np.array_equal(m2.forward_ids(ids), expected)
         assert m2.base_bytes() == m.base_bytes()
+
+    def test_biased_model_reloads_with_its_flags(self, tmp_path):
+        flags = np.zeros(256, dtype=bool)
+        flags[[2, 5]] = True
+
+        def trained(bias):
+            m = build(tiny_cfg(diacritic_bias=bias), Rng(10), flags)
+            for layer in m.adapted_layers():
+                b = Rng(11).split(layer.name).normal((32, 4), std=0.1)
+                layer.adapter.b.assign(Tensor(b, FULL))
+            return m
+
+        m = trained(2.0)
+        save_model(m, tmp_path / "model.qnf4")
+        m2 = load_model(tmp_path / "model.qnf4")
+        state = loads_adapters(dumps_adapters(m.adapted_layers(), m.cfg.lora))
+        apply_adapter_state(m2.adapted_layers(), state)
+        ids = np.array([1, 5, 7, 2, 9, 4])
+        assert np.array_equal(m2.diacritic_flags, flags)
+        assert np.array_equal(m2.forward_ids(ids), m.forward_ids(ids))
+        assert not np.array_equal(m2.forward_ids(ids), trained(0.0).forward_ids(ids))
+
+    def test_double_model_reloads_with_double_adapters(self, tmp_path):
+        m = build(tiny_cfg(dtype=DOUBLE), Rng(10))
+        b = Rng(11).normal((32, 4), std=0.1).astype(np.float32)
+        for layer in m.adapted_layers():
+            layer.adapter.b.assign(Tensor(b, DOUBLE))
+        save_model(m, tmp_path / "model.qnf4")
+        m2 = load_model(tmp_path / "model.qnf4")
+        state = loads_adapters(dumps_adapters(m.adapted_layers(), m.cfg.lora))
+        apply_adapter_state(m2.adapted_layers(), state)
+        for old, new in zip(m.adapted_layers(), m2.adapted_layers()):
+            for p_old, p_new in ((old.adapter.a, new.adapter.a), (old.adapter.b, new.adapter.b)):
+                assert p_new.value.dtype == DOUBLE
+                assert np.array_equal(p_new.value.data, p_old.value.data.astype(np.float32))
+            assert new.base_weight().dtype == DOUBLE
+        assert m2.blocks[0].w1.node().dtype == DOUBLE
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         m = build(tiny_cfg(), Rng(12))

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from desklora.errors import BudgetError, ConfigError, ContractError, DataError, TrainingError
+from desklora.errors import BudgetError, ConfigError, ContractError, DataError, FormatError, TrainingError
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
-from desklora.numcore import DOUBLE, FULL, REDUCED, Parameter, Rng, Tensor, backward
+from desklora.numcore import DOUBLE, FULL, REDUCED, Parameter, Rng, Tensor, astype, backward, constant, dropout
 from desklora.trainer import (
     ActivationMeter,
     AdamW,
@@ -23,6 +23,7 @@ from desklora.trainer import (
     load_checkpoint,
     lr_at,
     pack_windows,
+    register_static_memory,
     save_checkpoint,
     train,
 )
@@ -174,6 +175,16 @@ class TestLedger:
             assert ledger.totals["activations"] == outer.value.nbytes
         assert ledger.totals["activations"] == 0
         assert ledger.device_high_water == 440
+
+    def test_identity_ops_charge_nothing(self):
+        x = constant(np.zeros(10), FULL)
+        ledger = MemoryLedger()
+        with ActivationMeter(ledger).scope():
+            for out in (dropout(x, 0.0, Rng(0)), dropout(x, 0.5, None), astype(x, x.dtype)):
+                assert out is x
+            assert ledger.device_high_water == 0
+            dropout(x, 0.5, Rng(0))
+            assert ledger.device_high_water == x.value.nbytes
 
 
 class TestAdam:
@@ -362,6 +373,17 @@ class TestTrainLoop:
         assert state["step"] == 3
         assert reloaded.base_bytes() == model.base_bytes()
 
+    @pytest.mark.parametrize("content", ['{"step": 2, "se', '{"step": 2}', "[]", "\udcff"])
+    def test_damaged_trainer_state_is_format_error(self, tmp_path, content):
+        cfg = tiny_train_cfg(warmup_steps=1, total_steps=2, checkpoint_every=2)
+        train(tiny_model(seed=6), fixture_windows(), cfg, tmp_path / "run")
+        ckpt = tmp_path / "run" / "step_000002"
+        (ckpt / "trainer_state").write_bytes(content.encode("utf-8", "surrogateescape"))
+        with pytest.raises(FormatError):
+            load_checkpoint(ckpt)
+        with pytest.raises(FormatError):
+            train(tiny_model(seed=6), fixture_windows(), cfg, tmp_path / "x", resume_from=ckpt)
+
     def test_resume_config_mismatch_rejected(self, tmp_path):
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9)
         train(tiny_model(seed=6), fixture_windows(), cfg, tmp_path / "run")
@@ -405,6 +427,14 @@ class TestTrainLoop:
         with pytest.raises(BudgetError):
             train(model, fixture_windows(), cfg, tmp_path)
 
+    def test_activation_budget_breach_aborts(self, tmp_path):
+        model = tiny_model(seed=9)
+        ledger = MemoryLedger()
+        register_static_memory(model, ledger)
+        budget = MemoryBudget(device_bytes=ledger.device_total() + 5000, host_bytes=10**9)
+        with pytest.raises(BudgetError):
+            train(model, fixture_windows(), tiny_train_cfg(budget=budget), tmp_path)
+
     def test_mixed_precision_tags(self, tmp_path):
         model = tiny_model(seed=10)
         loss = model.loss(np.arange(9), mixed=True)
@@ -423,12 +453,10 @@ class TestCheckpointedGradients:
         rng = Rng(1).split("drop")
         if meter is not None:
             with meter.scope():
-                loss = model.loss(window, train_mode=True, rng=rng,
-                                  checkpointing=checkpointing,
-                                  scope_factory=meter.scope if checkpointing else None)
+                loss = model.loss(window, rng=rng, checkpointing=checkpointing)
                 backward(loss)
         else:
-            loss = model.loss(window, train_mode=True, rng=rng, checkpointing=checkpointing)
+            loss = model.loss(window, rng=rng, checkpointing=checkpointing)
             backward(loss)
         return {n: p.grad.data.copy() for n, p in model.trainable_parameters() if p.grad is not None}
 
