@@ -56,7 +56,6 @@ class BpeVocab:
             int(_pair_key(np.asarray([a]), np.asarray([b]))[0]): rank
             for rank, (a, b) in enumerate(self.merges)
         }
-        self._id_by_rank = [FIRST_MERGE_ID + i for i in range(len(self.merges))]
 
     @property
     def n_tokens(self) -> int:
@@ -93,7 +92,7 @@ class BpeVocab:
             if best_rank is None:
                 break
             a, b = self.merges[best_rank]
-            ids = _merge_piece(ids, a, b, self._id_by_rank[best_rank])
+            ids = _merge_piece(ids, a, b, FIRST_MERGE_ID + best_rank)
         return ids
 
     def encode(self, text: str) -> list[int]:

@@ -24,6 +24,13 @@ import numpy as np
 
 from .errors import FormatError
 
+_MAX_RANK = 32  # the most dimensions every supported numpy gives an array
+
+
+def _little(dtype) -> np.dtype:
+    """`dtype` (a numpy type or code) as the file holds it: little-endian."""
+    return np.dtype(dtype).newbyteorder("<")
+
 
 class Writer:
     def __init__(self, magic: bytes, version: int):
@@ -42,8 +49,8 @@ class Writer:
     def shape(self, shape):
         self.pack(f"I{len(shape)}I", len(shape), *shape)
 
-    def array(self, arr: np.ndarray, dtype: str):
-        self._parts.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    def array(self, arr: np.ndarray, dtype):
+        self._parts.append(np.ascontiguousarray(arr, dtype=_little(dtype)).tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -86,12 +93,14 @@ class Reader:
 
     def shape(self) -> tuple:
         (rank,) = self.unpack("I")
+        self.expect(rank <= _MAX_RANK, f"rank {rank} exceeds {_MAX_RANK}")
         return self.unpack(f"{rank}I")
 
-    def array(self, dtype: str, shape) -> np.ndarray:
+    def array(self, dtype, shape) -> np.ndarray:
         """A writable copy of the next prod(shape) elements; `shape` may be a count."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        raw = self._take(math.prod(shape) * np.dtype(dtype).itemsize)
+        dtype = _little(dtype)
+        raw = self._take(math.prod(shape) * dtype.itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
     def done(self):

@@ -56,9 +56,9 @@ _SECTION_KEYS = {
     "prep": {"input", "out", "vocab_size", "vocab", "per_sentence", "lexicon",
              "shard_docs", "policy"},
     "train": {"shards", "out", "train", "model", "lora", "stage", "dialect",
-              "resume", "init_from", "seed"},
+              "resume", "init_from"},
     "eval": {"checkpoint", "shards", "out", "lm", "qa", "mt", "robustness",
-             "perturbation", "compare", "max_new", "seed"},
+             "perturbation", "compare", "max_new"},
 }
 
 
@@ -130,7 +130,7 @@ def cmd_prep(args) -> int:
     if not section.get("out"):
         raise ConfigError("prep needs --out (or prep.out in the config file)")
 
-    policy = NormalizationPolicy.from_dict({**NormalizationPolicy().to_dict(), **policy_dict})
+    policy = NormalizationPolicy.from_dict(policy_dict)
     lexicon = (
         DialectLexicon.from_file(section["lexicon"], policy)
         if section.get("lexicon")
@@ -185,7 +185,6 @@ def cmd_train(args) -> int:
         "dialect": args.dialect,
         "resume": args.resume,
         "init_from": args.init_from,
-        "seed": args.seed,
     })
     if not section.get("shards"):
         raise ConfigError("train needs --shards (or train.shards in the config file)")
@@ -194,15 +193,13 @@ def cmd_train(args) -> int:
 
     train_over = dict(section.get("train", {}))
     for key in ("total_steps", "warmup_steps", "lr_max", "micro_batch", "accumulation_steps",
-                "seq_len", "max_grad_norm", "precision", "optimizer", "checkpoint_every"):
+                "seq_len", "max_grad_norm", "precision", "optimizer", "checkpoint_every", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
             train_over[key] = flag
     if args.checkpointing:
         train_over["checkpointing"] = True
-    if section.get("seed") is not None:
-        train_over.setdefault("seed", int(section["seed"]))
-    train_cfg = TrainConfig.from_dict({**TrainConfig(seq_len=128).to_dict(), **train_over})
+    train_cfg = TrainConfig.from_dict(train_over)
 
     reader = ShardReader(section["shards"])
     vocab = BpeVocab.load(os.path.join(section["shards"], "vocab.json"))
@@ -233,7 +230,7 @@ def cmd_train(args) -> int:
             flag = getattr(args, arg_key, None)
             if flag is not None:
                 lora_over[cfg_key] = flag
-        lora_cfg = LoraConfig.from_dict({**LoraConfig().to_dict(), **lora_over})
+        lora_cfg = LoraConfig.from_dict(lora_over)
         model_cfg = ModelConfig.from_dict({
             **{"vocab_size": vocab.n_tokens,
                "max_seq_len": max(train_cfg.seq_len, 16)},
@@ -289,7 +286,6 @@ def cmd_eval(args) -> int:
         "robustness": args.robustness,
         "compare": args.compare,
         "max_new": args.max_new,
-        "seed": args.seed,
     })
     for required in ("checkpoint", "shards", "out"):
         if not section.get(required):
@@ -320,8 +316,8 @@ def cmd_eval(args) -> int:
     pcfg_dict = dict(section.get("perturbation", {}))
     if args.levels:
         pcfg_dict["levels"] = [float(x) for x in args.levels.split(",")]
-    if section.get("seed") is not None:
-        pcfg_dict.setdefault("seed", int(section["seed"]))
+    if args.seed is not None:
+        pcfg_dict["seed"] = args.seed
     pcfg = PerturbationConfig(**pcfg_dict)
 
     metadata = {

@@ -20,7 +20,6 @@ from .metrics import (
     normalize_for_match,
     perplexity,
     qa_f1,
-    sequence_nll,
     token_f1,
 )
 from .perturb import CONFUSABLE_GROUPS, DEFAULT_LEVELS, OPS, PerturbationConfig, perturb
@@ -47,7 +46,6 @@ __all__ = [
     "perturb",
     "qa_f1",
     "robustness_curve",
-    "sequence_nll",
     "token_f1",
     "validate_report",
 ]

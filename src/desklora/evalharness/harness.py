@@ -194,8 +194,6 @@ def dialect_breakdown(
         for dialect in DIALECT_ORDER:
             items = lm.subset(dialect)
             if not items:
-                if dialect in lm.dialects():
-                    continue
                 report.warnings.append(f"lm: no items for dialect {dialect}; omitted")
                 continue
             seqs = [encode_text(it["text"], vocab, policy) for it in items]

@@ -34,25 +34,32 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
 
 
-def sequence_nll(model, seq, bos_id: int = BOS_ID) -> tuple[float, int]:
-    """Teacher-forced total NLL and token count for one BOS-prefixed sequence."""
-    seq = [int(t) for t in seq]
-    if not seq:
-        return 0.0, 0
+def _teacher_forced(model, seq, bos_id: int) -> tuple[float, int]:
+    """Total NLL and argmax hits of the tokens of one BOS-prefixed sequence.
+
+    A sequence longer than the model's window is scored in consecutive
+    windows of at most `max_seq_len` inputs, each starting again at position
+    0, as `greedy_continue`'s slide does. Argmax ties resolve to the lowest id.
+    """
     ids = np.asarray([bos_id, *seq], dtype=np.int64)
-    logits = model.forward_ids(ids[:-1])
-    logp = _log_softmax(logits)
-    nll = -logp[np.arange(len(seq)), np.asarray(seq)]
-    return float(nll.sum()), len(seq)
+    inputs, targets = ids[:-1], ids[1:]
+    limit = model.cfg.max_seq_len
+    nll, hits = 0.0, 0
+    for start in range(0, targets.size, limit):
+        logits = model.forward_ids(inputs[start : start + limit])
+        target = targets[start : start + limit]
+        logp = _log_softmax(logits)
+        nll += float(-logp[np.arange(target.size), target].sum())
+        hits += int((logits.argmax(axis=-1) == target).sum())
+    return nll, hits
 
 
 def perplexity(model, sequences, bos_id: int = BOS_ID) -> float:
     """exp(total NLL / total predicted tokens) over tokenized sequences."""
     total, count = 0.0, 0
     for seq in sequences:
-        nll, n = sequence_nll(model, seq, bos_id)
-        total += nll
-        count += n
+        total += _teacher_forced(model, seq, bos_id)[0]
+        count += len(seq)
     if count == 0:
         raise ContractError("perplexity needs at least one non-empty sequence")
     return float(math.exp(total / count))
@@ -65,13 +72,7 @@ def next_word_accuracy(model, sequences, bos_id: int = BOS_ID) -> float:
     """
     hits, count = 0, 0
     for seq in sequences:
-        seq = [int(t) for t in seq]
-        if not seq:
-            continue
-        ids = np.asarray([bos_id, *seq], dtype=np.int64)
-        logits = model.forward_ids(ids[:-1])
-        pred = logits.argmax(axis=-1)  # first max = lowest id
-        hits += int((pred == np.asarray(seq)).sum())
+        hits += _teacher_forced(model, seq, bos_id)[1]
         count += len(seq)
     if count == 0:
         raise ContractError("next_word_accuracy needs at least one non-empty sequence")

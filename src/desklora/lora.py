@@ -5,6 +5,7 @@ QuantizedTensor that never receives gradients. B starts at zero so a freshly
 attached adapter is an exact identity perturbation. A layer computes in the
 precision its adapter was created in (`attach`), which `apply_adapter_state`
 keeps and its dequantized base shares; `forward` drops out only given an rng.
+The adapter file stores A and B in that precision, so they reload exactly.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -14,7 +15,8 @@ import numpy as np
 from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
 from .numcore import (
-    FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, storage_dtype, transpose,
+    DOUBLE, FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, storage_dtype,
+    transpose,
 )
 from .quant import QuantizedTensor, dequantize
 from .util import from_known_keys
@@ -47,13 +49,14 @@ class LoraConfig:
 
 
 class FrozenWeight:
-    """Quantized constant, dequantized once into one precision on first use."""
+    """Named quantized constant, dequantized once into one precision on first use."""
 
-    __slots__ = ("q", "dtype", "_node")
+    __slots__ = ("q", "dtype", "name", "_node")
 
-    def __init__(self, q: QuantizedTensor, dtype: str):
+    def __init__(self, q: QuantizedTensor, dtype: str, name: str):
         self.q = q
         self.dtype = dtype
+        self.name = name
         self._node: GradNode | None = None
 
     def node(self) -> GradNode:
@@ -81,10 +84,10 @@ class AdaptedLinear:
     base: QuantizedTensor  # [d_out x d_in]
     adapter: LoraAdapter
     name: str = ""
-    _frozen: FrozenWeight = field(init=False, repr=False)
+    frozen: FrozenWeight = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._frozen = FrozenWeight(self.base, self.adapter.a.value.dtype)
+        self.frozen = FrozenWeight(self.base, self.adapter.a.value.dtype, self.name)
 
     @property
     def d_out(self) -> int:
@@ -96,7 +99,7 @@ class AdaptedLinear:
 
     def base_weight(self) -> GradNode:
         """Dequantized base as a gradient-free constant in the adapter's precision."""
-        return self._frozen.node()
+        return self.frozen.node()
 
 
 def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
@@ -136,29 +139,25 @@ def merge(layer: AdaptedLinear) -> np.ndarray:
     return (w + layer.adapter.scaling * ba).astype(np.float32)
 
 
-def trainable_fraction(adapted_layers, extra_trainable: int = 0, extra_frozen: int = 0) -> float:
-    """Adapter parameters over all parameters, counting frozen base elements."""
-    adapter_params = sum(layer.adapter.n_params for layer in adapted_layers)
-    base_params = sum(layer.base.numel for layer in adapted_layers)
-    total = adapter_params + base_params + extra_trainable + extra_frozen
-    return adapter_params / total if total else 0.0
-
-
 # ---------------------------------------------------------------------------
-# adapter checkpoint: per layer a name, then A and B as shaped f32 arrays
+# adapter checkpoint: u32 r, f32 alpha, u32 layer count, then per layer its
+# name, its precision tag ("full" or "double"), and A and B as shaped arrays
+# in that precision (f32 or f64), so a full-precision file ends with B's last f32
 # ---------------------------------------------------------------------------
 
-_LORA = (b"LORA", 2)
+_LORA = (b"LORA", 3)
 
 
 def dumps_adapters(layers: list[AdaptedLinear], cfg: LoraConfig) -> bytes:
     w = Writer(*_LORA)
     w.pack("IfI", cfg.r, cfg.alpha, len(layers))
     for layer in layers:
+        precision = layer.adapter.a.value.dtype
         w.text(layer.name)
-        for mat in (layer.adapter.a.value.data, layer.adapter.b.value.data):
-            w.shape(mat.shape)
-            w.array(mat, "<f4")
+        w.text(precision)
+        for p in (layer.adapter.a, layer.adapter.b):
+            w.shape(p.value.shape)
+            w.array(p.value.data, storage_dtype(precision))
     return w.getvalue()
 
 
@@ -169,8 +168,10 @@ def loads_adapters(data: bytes) -> dict:
     weights = {}
     for _ in range(n_layers):
         name = r.text()
-        a = r.array("<f4", r.shape())
-        b = r.array("<f4", r.shape())
+        precision = r.text()
+        r.expect(precision in (FULL, DOUBLE), f"layer {name!r}: unknown precision {precision!r}")
+        a = r.array(storage_dtype(precision), r.shape())
+        b = r.array(storage_dtype(precision), r.shape())
         r.expect(a.ndim == b.ndim == 2 and a.shape[0] == rank == b.shape[1],
                  f"layer {name!r}: A {a.shape} and B {b.shape} are not rank-{rank} factors")
         weights[name] = (a, b)

@@ -8,6 +8,9 @@ pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
 emphasize keys whose token carries a combining diacritic: the model keeps one
 diacritic flag per token id, and its precision is fixed when it is built or
 loaded. Dropout runs exactly when `forward` gets an rng.
+
+`_assemble` alone lays out, names and freezes a model's tensors: `build` and
+`load_model` supply the values, and the inventory reads the objects' names.
 """
 
 import json
@@ -37,6 +40,7 @@ from .numcore import (
     matmul,
     no_grad,
     softmax_cross_entropy,
+    storage_dtype,
     transpose,
 )
 from .quant import QuantizedTensor, dumps_qnf4, loads_qnf4, quantize
@@ -99,6 +103,15 @@ class Block:
     ln2_g: Parameter
     ln2_b: Parameter
 
+    def adapted(self) -> tuple[AdaptedLinear, ...]:
+        return (self.q, self.k, self.v, self.o)
+
+    def norms(self) -> tuple[Parameter, ...]:
+        return (self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b)
+
+    def frozen(self) -> tuple[FrozenWeight, ...]:
+        return (*(layer.frozen for layer in self.adapted()), self.w1, self.w2)
+
 
 def _rope_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
     pos = np.arange(max_len, dtype=np.float64)[:, None]
@@ -123,53 +136,31 @@ class TransformerModel:
     # -- parameter bookkeeping ------------------------------------------------
 
     def adapted_layers(self) -> list[AdaptedLinear]:
-        out = []
-        for blk in self.blocks:
-            out.extend([blk.q, blk.k, blk.v, blk.o])
-        return out
+        return [layer for blk in self.blocks for layer in blk.adapted()]
 
     def frozen_tensors(self) -> list[tuple[str, QuantizedTensor]]:
-        out = []
-        for i, blk in enumerate(self.blocks):
-            for tag, layer in (("q", blk.q), ("k", blk.k), ("v", blk.v), ("o", blk.o)):
-                out.append((f"layer{i}.{tag}", layer.base))
-            out.append((f"layer{i}.w1", blk.w1.q))
-            out.append((f"layer{i}.w2", blk.w2.q))
-        return out
+        return [(w.name, w.q) for blk in self.blocks for w in blk.frozen()]
+
+    def masters(self) -> list[Parameter]:
+        """Trainable parameters other than the adapters: embedding and norms."""
+        return [self.embedding, *(p for blk in self.blocks for p in blk.norms()),
+                self.lnf_g, self.lnf_b]
 
     def trainable_parameters(self) -> list[tuple[str, Parameter]]:
-        params: list[tuple[str, Parameter]] = [("embedding", self.embedding)]
-        for i, blk in enumerate(self.blocks):
-            params.append((f"layer{i}.ln1_g", blk.ln1_g))
-            params.append((f"layer{i}.ln1_b", blk.ln1_b))
-            params.append((f"layer{i}.ln2_g", blk.ln2_g))
-            params.append((f"layer{i}.ln2_b", blk.ln2_b))
-            for tag, layer in (("q", blk.q), ("k", blk.k), ("v", blk.v), ("o", blk.o)):
-                params.append((f"layer{i}.{tag}.lora_a", layer.adapter.a))
-                params.append((f"layer{i}.{tag}.lora_b", layer.adapter.b))
-        params.append(("lnf_g", self.lnf_g))
-        params.append(("lnf_b", self.lnf_b))
-        return params
-
-    def parameter_counts(self) -> dict:
-        cfg = self.cfg
-        adapters = sum(l.adapter.n_params for l in self.adapted_layers())
-        frozen = sum(q.numel for _, q in self.frozen_tensors())
-        norms = cfg.n_layers * 4 * cfg.d_model + 2 * cfg.d_model
-        return {
-            "embedding": cfg.vocab_size * cfg.d_model,
-            "norms": norms,
-            "adapters": adapters,
-            "frozen": frozen,
-        }
+        """(name, parameter) in the order the optimizer and the gradient-norm sum follow."""
+        params = [self.embedding]
+        for blk in self.blocks:
+            params += blk.norms()
+            params += [p for layer in blk.adapted() for p in (layer.adapter.a, layer.adapter.b)]
+        params += [self.lnf_g, self.lnf_b]
+        return [(p.name, p) for p in params]
 
     def trainable_fraction(self) -> float:
-        counts = self.parameter_counts()
-        return lora.trainable_fraction(
-            self.adapted_layers(),
-            extra_trainable=counts["embedding"] + counts["norms"],
-            extra_frozen=sum(q.numel for name, q in self.frozen_tensors() if "w" in name),
-        )
+        """Adapter elements over all elements, frozen bases included."""
+        adapters = sum(layer.adapter.n_params for layer in self.adapted_layers())
+        total = (sum(p.value.numel for _, p in self.trainable_parameters())
+                 + sum(q.numel for _, q in self.frozen_tensors()))
+        return adapters / total
 
     def base_bytes(self) -> bytes:
         """Serialized frozen weights; byte-stable across training."""
@@ -245,6 +236,33 @@ class TransformerModel:
             return self.forward(ids).value.data
 
 
+def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerModel:
+    """Lay out a model's named tensors in its precision. `base(name, shape)` gives a
+    frozen QuantizedTensor; `master(name, shape, fill)` the values of a trainable
+    non-adapter tensor, `fill` being the constant a fresh norm starts at (None for
+    the embedding); `adapted(name, base, i, tag)` projection `tag` of block `i`.
+    """
+    d, dtype = cfg.d_model, cfg.dtype
+
+    def param(name, shape, fill=None) -> Parameter:
+        return Parameter(Tensor(master(name, shape, fill), dtype), name=name)
+
+    def frozen(name, shape) -> FrozenWeight:
+        return FrozenWeight(base(name, shape), dtype, name)
+
+    blocks = []
+    for i in range(cfg.n_layers):
+        pre = f"layer{i}."
+        q, k, v, o = (adapted(pre + tag, base(pre + tag, (d, d)), i, tag) for tag in "qkvo")
+        blocks.append(Block(
+            q, k, v, o, frozen(pre + "w1", (cfg.d_ffn, d)), frozen(pre + "w2", (d, cfg.d_ffn)),
+            param(pre + "ln1_g", (d,), 1.0), param(pre + "ln1_b", (d,), 0.0),
+            param(pre + "ln2_g", (d,), 1.0), param(pre + "ln2_b", (d,), 0.0),
+        ))
+    return TransformerModel(cfg, param("embedding", (cfg.vocab_size, d)), blocks,
+                            param("lnf_g", (d,), 1.0), param("lnf_b", (d,), 0.0), flags)
+
+
 def build(cfg: ModelConfig, rng: Rng, diacritic_flags=None) -> TransformerModel:
     """Initialize, quantize the linear bases, and wrap Q/K/V/O with adapters.
     `diacritic_flags` (one per token id) may be omitted at zero bias."""
@@ -252,40 +270,18 @@ def build(cfg: ModelConfig, rng: Rng, diacritic_flags=None) -> TransformerModel:
         if cfg.diacritic_bias != 0.0:
             raise ConfigError("a nonzero diacritic_bias needs the vocabulary's diacritic flags")
         diacritic_flags = np.zeros(cfg.vocab_size, dtype=bool)
-    dtype = cfg.dtype
-    emb = Parameter(
-        Tensor(rng.split("embedding").normal((cfg.vocab_size, cfg.d_model), std=INIT_STD), dtype),
-        name="embedding",
-    )
 
-    def quantized(tag: str, shape) -> QuantizedTensor:
-        w = rng.split("init", tag).normal(shape, std=INIT_STD).astype(np.float32)
+    def base(name, shape) -> QuantizedTensor:
+        w = rng.split("init", name).normal(shape, std=INIT_STD).astype(np.float32)
         return quantize(w, QUANT_BLOCK_SIZE, double_quant=DOUBLE_QUANT)
 
-    blocks = []
-    for i in range(cfg.n_layers):
-        adapted = {}
-        for tag in ("q", "k", "v", "o"):
-            base = quantized(f"layer{i}.{tag}", (cfg.d_model, cfg.d_model))
-            adapted[tag] = lora.attach(base, cfg.lora, rng.split("lora", i, tag),
-                                       name=f"layer{i}.{tag}", dtype=dtype)
-        blocks.append(
-            Block(
-                q=adapted["q"],
-                k=adapted["k"],
-                v=adapted["v"],
-                o=adapted["o"],
-                w1=FrozenWeight(quantized(f"layer{i}.w1", (cfg.d_ffn, cfg.d_model)), dtype),
-                w2=FrozenWeight(quantized(f"layer{i}.w2", (cfg.d_model, cfg.d_ffn)), dtype),
-                ln1_g=Parameter(Tensor(np.ones(cfg.d_model), dtype), name=f"layer{i}.ln1_g"),
-                ln1_b=Parameter(Tensor(np.zeros(cfg.d_model), dtype), name=f"layer{i}.ln1_b"),
-                ln2_g=Parameter(Tensor(np.ones(cfg.d_model), dtype), name=f"layer{i}.ln2_g"),
-                ln2_b=Parameter(Tensor(np.zeros(cfg.d_model), dtype), name=f"layer{i}.ln2_b"),
-            )
-        )
-    lnf_g = Parameter(Tensor(np.ones(cfg.d_model), dtype), name="lnf_g")
-    lnf_b = Parameter(Tensor(np.zeros(cfg.d_model), dtype), name="lnf_b")
-    return TransformerModel(cfg, emb, blocks, lnf_g, lnf_b, diacritic_flags)
+    def master(name, shape, fill) -> np.ndarray:
+        return rng.split(name).normal(shape, std=INIT_STD) if fill is None else np.full(shape, fill)
+
+    def adapted(name, q, i, tag) -> AdaptedLinear:
+        return lora.attach(q, cfg.lora, rng.split("lora", i, tag), name=name, dtype=cfg.dtype)
+
+    return _assemble(cfg, diacritic_flags, base, master, adapted)
 
 
 # ---------------------------------------------------------------------------
@@ -337,63 +333,73 @@ def init_embeddings_from_vectors(model: TransformerModel, vector_file, tokenizer
     return count
 
 
-# model checkpoint: config JSON, one u8 diacritic flag per token id, f32
-# embedding, per layer the q/k/v/o/w1/w2 QNF4 blobs and four f32 norms, then
-# the f32 final norm
+# model checkpoint: config JSON, one u8 diacritic flag per token id, a u32
+# count and that many (name, QNF4 blob) frozen weights, then a u32 count and
+# that many (name, shape, array) masters in the model's storage precision (f32
+# for full, f64 for double). Adapters live in their own LORA file.
 
-_DMDL = (b"DMDL", 3)
-_NORMS = ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
+_DMDL = (b"DMDL", 4)
 
 
 def save_model(model: TransformerModel, path):
     w = Writer(*_DMDL)
     w.text(json.dumps(model.cfg.to_dict(), sort_keys=True))
     w.array(model.diacritic_flags, "u1")
-    w.array(model.embedding.value.data, "<f4")
-    for blk in model.blocks:
-        for q in (blk.q.base, blk.k.base, blk.v.base, blk.o.base, blk.w1.q, blk.w2.q):
-            w.blob(dumps_qnf4(q))
-        for tag in _NORMS:
-            w.array(getattr(blk, tag).value.data, "<f4")
-    w.array(model.lnf_g.value.data, "<f4")
-    w.array(model.lnf_b.value.data, "<f4")
+    frozen = model.frozen_tensors()
+    w.pack("I", len(frozen))
+    for name, q in frozen:
+        w.text(name)
+        w.blob(dumps_qnf4(q))
+    masters = model.masters()
+    w.pack("I", len(masters))
+    for p in masters:
+        w.text(p.name)
+        w.shape(p.value.shape)
+        w.array(p.value.data, storage_dtype(model.cfg.dtype))
     with open(path, "wb") as f:
         f.write(w.getvalue())
 
 
 def load_model(path) -> TransformerModel:
     """Rebuild a saved model in its saved precision; its adapters start at zero
-    (see apply_adapter_state)."""
+    (see apply_adapter_state). A tensor the layout lacks, misses or shapes
+    otherwise is a FormatError."""
     with open(path, "rb") as f:
         r = Reader(f.read(), *_DMDL)
     try:
         cfg = ModelConfig.from_dict(json.loads(r.text()))
     except (ValueError, ConfigError) as e:
         raise FormatError(f"{path}: bad model config: {e}") from e
-    d, dtype, lcfg = cfg.d_model, cfg.dtype, cfg.lora
     flags = r.array("u1", cfg.vocab_size)
     r.expect(int(flags.max()) <= 1, "diacritic flags must be 0 or 1")
 
-    def master(name: str, shape) -> Parameter:
-        return Parameter(Tensor(r.array("<f4", shape), dtype), name=name)
+    def named(read) -> dict:
+        (count,) = r.unpack("I")
+        out = {}
+        for _ in range(count):
+            name = r.text()
+            r.expect(name not in out, f"tensor {name!r} appears twice")
+            out[name] = read()
+        return out
 
-    def base(shape) -> QuantizedTensor:
-        q = loads_qnf4(r.blob())
-        r.expect(q.shape == shape, f"frozen weight of shape {q.shape} where the config implies {shape}")
-        return q
-
-    def adapted(name: str) -> AdaptedLinear:
-        a = Parameter(Tensor(np.zeros((lcfg.r, d)), dtype), name=f"{name}.lora_a")
-        b = Parameter(Tensor(np.zeros((d, lcfg.r)), dtype), name=f"{name}.lora_b")
-        return AdaptedLinear(base((d, d)), LoraAdapter(a, b, lcfg.scaling, lcfg.dropout), name)
-
-    emb = master("embedding", (cfg.vocab_size, d))
-    blocks = []
-    for i in range(cfg.n_layers):
-        q, k, v, o = (adapted(f"layer{i}.{tag}") for tag in "qkvo")
-        w1 = FrozenWeight(base((cfg.d_ffn, d)), dtype)
-        w2 = FrozenWeight(base((d, cfg.d_ffn)), dtype)
-        blocks.append(Block(q, k, v, o, w1, w2, *(master(f"layer{i}.{tag}", (d,)) for tag in _NORMS)))
-    model = TransformerModel(cfg, emb, blocks, master("lnf_g", (d,)), master("lnf_b", (d,)), flags)
+    frozen = named(lambda: loads_qnf4(r.blob()))
+    masters = named(lambda: r.array(storage_dtype(cfg.dtype), r.shape()))
     r.done()
+
+    def take(table: dict, name: str, shape):
+        r.expect(name in table, f"no tensor named {name!r}")
+        x = table.pop(name)
+        r.expect(tuple(x.shape) == shape,
+                 f"{name!r} has shape {tuple(x.shape)} where the config implies {shape}")
+        return x
+
+    def adapted(name, q, _i, _tag) -> AdaptedLinear:
+        (d_out, d_in), lcfg = q.shape, cfg.lora
+        a = Parameter(Tensor(np.zeros((lcfg.r, d_in)), cfg.dtype), name=f"{name}.lora_a")
+        b = Parameter(Tensor(np.zeros((d_out, lcfg.r)), cfg.dtype), name=f"{name}.lora_b")
+        return AdaptedLinear(q, LoraAdapter(a, b, lcfg.scaling, lcfg.dropout), name)
+
+    model = _assemble(cfg, flags, lambda name, shape: take(frozen, name, shape),
+                      lambda name, shape, _fill: take(masters, name, shape), adapted)
+    r.expect(not frozen and not masters, f"unexpected tensors {sorted([*frozen, *masters])}")
     return model

@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ContractError
 from .tensor import DOUBLE, FULL, Tensor
 
-# The meter charged with the byte size of every node value created while it is
+# The meter charged with the byte size of every op output created while it is
 # installed (see `metering`): an object with `charge(nbytes)` and `scope()`.
 _meter = None
 
@@ -22,7 +22,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def metering(meter):
-    """Charge `meter` for every node created inside; restore the previous meter on exit."""
+    """Charge `meter` for every op output created inside; restore the previous meter on exit."""
     global _meter
     previous = _meter
     _meter = meter
@@ -56,8 +56,6 @@ class GradNode:
             parents = ()
         self.parents = tuple(parents)
         self.requires_grad = bool(requires_grad or any(p.requires_grad for p, _ in self.parents))
-        if _meter is not None:
-            _meter.charge(value.nbytes)
 
     @property
     def shape(self):
@@ -89,6 +87,13 @@ class Parameter(GradNode):
 
     def zero_grad(self):
         self.grad = None
+
+
+def op_output(value: Tensor, parents, requires_grad: bool = False) -> GradNode:
+    """An op's output node, charged to the installed meter; leaves never are."""
+    if _meter is not None:
+        _meter.charge(value.nbytes)
+    return GradNode(value, parents, requires_grad)
 
 
 def constant(data, dtype: str = FULL) -> GradNode:
@@ -168,9 +173,8 @@ def checkpoint(fn, x: GradNode) -> GradNode:
     bit-identical to the non-checkpointed path. When a meter is installed (see
     `metering`) at the call, the throwaway forward and the recomputation each
     run in a scope of its own, so the meter sees the block's internals as
-    transient.
-    The leaf that feeds `fn` is a new node over `x.value`, so the meter
-    charges those bytes once more although they are shared.
+    transient; the leaf that feeds `fn` shares `x.value` and costs nothing.
+    Only the block's output is charged where `checkpoint` is called.
     """
     scope = _meter.scope if _meter is not None else contextlib.nullcontext
     with scope():
@@ -184,4 +188,4 @@ def checkpoint(fn, x: GradNode) -> GradNode:
             backward(out, seed=g)
         return leaf.grad.data
 
-    return GradNode(out_value, parents=((x, recompute_backward),), requires_grad=True)
+    return op_output(out_value, ((x, recompute_backward),), requires_grad=True)

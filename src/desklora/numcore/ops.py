@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import ContractError, DimensionError
-from .autograd import GradNode
+from .autograd import GradNode, op_output
 from .rng import Rng
 from .tensor import DOUBLE, FULL, REDUCED, Tensor
 
@@ -26,15 +26,7 @@ def _out_dtype(*nodes) -> str:
 
 
 def _node(arr: np.ndarray, dtype: str, parents) -> GradNode:
-    return GradNode(Tensor(arr, dtype), parents=parents)
-
-
-def as_node(x, dtype: str = FULL) -> GradNode:
-    if isinstance(x, GradNode):
-        return x
-    if isinstance(x, Tensor):
-        return GradNode(x)
-    return GradNode(Tensor(x, dtype))
+    return op_output(Tensor(arr, dtype), parents)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +100,6 @@ def astype(x: GradNode, dtype: str) -> GradNode:
 
 
 def matmul(a: GradNode, b: GradNode) -> GradNode:
-    a = as_node(a)
-    b = as_node(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError(
             f"matmul expects 2-D operands, got {a.value.shape} and {b.value.shape}"
@@ -155,10 +145,6 @@ def sum_all(x: GradNode) -> GradNode:
         x.value.dtype,
         ((x, lambda g: np.broadcast_to(g, shape).astype(g.dtype)),),
     )
-
-
-def mean_all(x: GradNode) -> GradNode:
-    return scale(sum_all(x), 1.0 / x.value.numel)
 
 
 # ---------------------------------------------------------------------------

@@ -89,13 +89,17 @@ class MemoryLedger:
 
 
 class ActivationMeter:
-    """Charges tape-node allocations to a ledger's activation category.
+    """Charges op outputs to a ledger's activation category.
 
-    Inside `scope()` autograd charges the meter for every node it creates, and
-    `checkpoint` opens nested scopes on it. Every scope releases the bytes
-    charged while it was innermost, so transient graphs (checkpointed block
-    recomputation) raise and then lower the water line. Ops that return their
-    input node (dropout off, `astype` to the same precision) cost nothing.
+    Inside `scope()` autograd charges the meter for every op output it
+    creates, and `checkpoint` opens nested scopes on it. Every scope releases
+    the bytes charged while it was innermost, so transient graphs
+    (checkpointed block recomputation) raise and then lower the water line.
+    Leaves cost nothing: parameters, constants, the dequantized frozen
+    weights (created on first use and kept, so charging them would make the
+    water line depend on the model's history) and `checkpoint`'s view of its
+    input. Ops that return their input node (dropout off, `astype` to the same
+    precision) cost nothing either.
     """
 
     def __init__(self, ledger: MemoryLedger):

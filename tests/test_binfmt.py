@@ -18,7 +18,7 @@ from desklora.binfmt import Reader, Writer
 from desklora.errors import FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import ModelConfig, build, load_model, save_model
-from desklora.numcore import FULL, Parameter, Rng, Tensor
+from desklora.numcore import DOUBLE, FULL, Parameter, Rng, Tensor
 from desklora.trainer import AdamW, Sgd
 
 
@@ -60,6 +60,13 @@ class TestReader:
         with pytest.raises(FormatError, match="1 trailing bytes"):
             r.done()
 
+    def test_rank_numpy_cannot_hold_rejected(self):
+        w = Writer(b"TEST", 3)
+        w.shape((0,) * 65)  # zero elements, so no short read
+        r = Reader(w.getvalue(), b"TEST", 3)
+        with pytest.raises(FormatError, match="rank 65"):
+            r.array("<f4", r.shape())
+
     def test_huge_length_is_a_short_read(self):
         w = Writer(b"TEST", 3)
         w.shape((2**32 - 1, 2**32 - 1))
@@ -87,12 +94,12 @@ def test_struct_confined_to_the_container_and_shards():
 # ---------------------------------------------------------------------------
 
 
-def _tiny_model():
+def _tiny_model(dtype=FULL):
     cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, n_layers=1, d_ffn=16, max_seq_len=8,
-                      diacritic_bias=0.5, lora=LoraConfig(r=2, dropout=0.0))
+                      diacritic_bias=0.5, dtype=dtype, lora=LoraConfig(r=2, dropout=0.0))
     model = build(cfg, Rng(0), np.arange(16) % 3 == 0)
     for i, layer in enumerate(model.adapted_layers()):
-        layer.adapter.b.assign(Tensor(Rng(10 + i).normal((8, 2), std=0.1), FULL))
+        layer.adapter.b.assign(Tensor(Rng(10 + i).normal((8, 2), std=0.1), dtype))
     return model
 
 
@@ -135,6 +142,7 @@ def tmp_dir(tmp_path_factory):
 def artifacts(tmp_dir):
     """kind -> (intact bytes, first use of possibly corrupted bytes)."""
     model, target = _tiny_model(), _tiny_model()
+    double, double_target = _tiny_model(DOUBLE), _tiny_model(DOUBLE)
     x = np.linspace(-1.0, 1.0, 40).reshape(5, 8) ** 3
 
     def use_qnf4(data, _):
@@ -148,16 +156,21 @@ def artifacts(tmp_dir):
                  lambda data, _: quant.dequantize_state8(quant.loads_state8(data))),
         "lora": (dumps_adapters(model.adapted_layers(), model.cfg.lora),
                  lambda data, _: apply_adapter_state(target.adapted_layers(), loads_adapters(data))),
+        "lora_double": (dumps_adapters(double.adapted_layers(), double.cfg.lora),
+                        lambda data, _: apply_adapter_state(double_target.adapted_layers(),
+                                                            loads_adapters(data))),
         "opt8_adamw8": (_optimizer_blob(AdamW(quantized=True, block_size=16)),
                         _use_optimizer(lambda: AdamW(quantized=True, block_size=16))),
         "opt8_adamw": (_optimizer_blob(AdamW(quantized=False)),
                        _use_optimizer(lambda: AdamW(quantized=False))),
         "opt8_sgd": (_optimizer_blob(Sgd()), _use_optimizer(Sgd)),
         "dmdl": (_model_blob(model, tmp_dir), _use_model),
+        "dmdl_double": (_model_blob(double, tmp_dir), _use_model),
     }
 
 
-KINDS = ["dmdl", "lora", "opt8_adamw", "opt8_adamw8", "opt8_sgd", "qnf4", "qnf4_double_quant", "qst8"]
+KINDS = ["dmdl", "dmdl_double", "lora", "lora_double", "opt8_adamw", "opt8_adamw8", "opt8_sgd",
+         "qnf4", "qnf4_double_quant", "qst8"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

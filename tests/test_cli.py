@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from desklora import cli
-from desklora.arabicprep import BpeVocab, ShardReader
+from desklora.arabicprep import BpeVocab, ShardReader, encode_text
 from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
-from desklora.trainer import load_checkpoint
+from desklora.trainer import load_checkpoint, read_trainer_state
 from desklora.util import sha256_file
 from tests.conftest import synth_raw_docs, write_jsonl
 
@@ -216,6 +216,35 @@ class TestEval:
         assert model.cfg.diacritic_bias == 0.5 and model.diacritic_flags.any()
         assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 0
 
+    def test_lm_text_longer_than_the_window(self, trained_ckpt, shards_dir, tmp_path):
+        model, _ = load_checkpoint(trained_ckpt)
+        vocab = BpeVocab.load(shards_dir / "vocab.json")
+        text = " ".join(["الطقس جميل اليوم"] * 6)
+        n_ids = len(encode_text(text, vocab, ShardReader(shards_dir).policy))
+        assert 2 * model.cfg.max_seq_len < n_ids < 3 * model.cfg.max_seq_len
+        write_jsonl(tmp_path / "long.jsonl", [{"text": text}])
+        rc = cli.main(["eval", "--checkpoint", str(trained_ckpt), "--shards", str(shards_dir),
+                       "--out", str(tmp_path / "rep"), "--lm", str(tmp_path / "long.jsonl")])
+        assert rc == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert np.isfinite(report["tables"]["perplexity"]["MSA"])
+
+    def test_seed_flag_beats_the_config_file(self, shards_dir, eval_files, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"train": {"seed": 3}},
+                                   "eval": {"perturbation": {"seed": 3}}}))
+        assert run_train(shards_dir, tmp_path / "run", extra=["--config", str(cfg)]) == 0  # --seed 9
+        resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())["config"]
+        assert resolved["train"]["train"]["seed"] == 9 and "seed" not in resolved["train"]
+        assert read_trainer_state(tmp_path / "run" / "step_000005")["seed"] == 9
+        rc = self.run_eval(tmp_path / "run" / "step_000005", shards_dir, eval_files,
+                           tmp_path / "rep", extra=["--config", str(cfg), "--seed", "7"])
+        assert rc == 0
+        resolved = json.loads((tmp_path / "rep" / "resolved_config.json").read_text())["config"]
+        assert resolved["eval"]["perturbation"]["seed"] == 7 and "seed" not in resolved["eval"]
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert report["metadata"]["perturbation"]["seed"] == 7
+
     def test_missing_eval_file_names_path(self, trained_ckpt, shards_dir, tmp_path, capsys):
         rc = cli.main([
             "eval", "--checkpoint", str(trained_ckpt), "--shards", str(shards_dir),
@@ -317,7 +346,8 @@ class TestConfigFile:
         assert cli.main(["prep", "--config", str(p), "--input", "x", "--out", "y"]) == 2
 
     @pytest.mark.parametrize("cfg", [{"global": {"seed": 1}}, {"global": {"out": "o"}},
-                                     {"prep": {"seed": 1}}])
+                                     {"prep": {"seed": 1}}, {"train": {"seed": 1}},
+                                     {"eval": {"seed": 1}}])
     def test_keys_nothing_reads_rejected(self, tmp_path, cfg):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))

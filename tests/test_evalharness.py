@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from desklora.arabicprep import NormalizationPolicy, bpe_train
+from desklora.arabicprep.bpe import BOS_ID
 from desklora.arabicprep.textops import DIACRITICS
 from desklora.errors import ContractError, DataError, FormatError
 from desklora.evalharness import (
@@ -26,6 +27,9 @@ from desklora.evalharness import (
     validate_report,
 )
 from desklora.evalharness.perturb import CONFUSABLE_GROUPS, _GROUP_OF
+from desklora.lora import LoraConfig
+from desklora.model import ModelConfig, build
+from desklora.numcore import Rng
 from tests.conftest import synth_raw_docs
 
 
@@ -120,6 +124,29 @@ class TestPerplexity:
     def test_always_at_least_one(self):
         model = TableModel(7, seed=5)
         assert perplexity(model, [[1, 2, 3, 4]]) >= 1.0
+
+
+    def test_long_text_scored_in_windows(self):
+        """A text of 2.5 windows is scored in consecutive windows of at most
+        max_seq_len inputs, each starting again at position 0."""
+        cfg = ModelConfig(vocab_size=64, d_model=16, n_heads=2, n_layers=1, d_ffn=32,
+                          max_seq_len=8, lora=LoraConfig(r=2, dropout=0.0))
+        model = build(cfg, Rng(0))
+        seq = [int(t) for t in Rng(1).integers(4, 64, (20,))]
+        ids = np.asarray([BOS_ID, *seq])
+        inputs, targets = ids[:-1], ids[1:]
+        nll, hits = 0.0, 0
+        for start in (0, 8, 16):
+            logits = model.forward_ids(inputs[start : start + 8])
+            target = targets[start : start + 8]
+            x = logits.astype(np.float64)
+            x = x - x.max(axis=-1, keepdims=True)
+            logp = x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+            nll -= logp[np.arange(target.size), target].sum()
+            hits += int((logits.argmax(axis=-1) == target).sum())
+        assert math.isfinite(nll)
+        assert perplexity(model, [seq]) == pytest.approx(math.exp(nll / 20), rel=1e-12)
+        assert next_word_accuracy(model, [seq]) == hits / 20
 
 
 class TestNextWordAccuracy:

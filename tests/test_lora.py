@@ -11,7 +11,6 @@ from desklora.lora import (
     dumps_adapters,
     loads_adapters,
     merge,
-    trainable_fraction,
 )
 from desklora.numcore import FULL, GradNode, Rng, Tensor, backward, constant, sum_all
 from desklora.quant import dequantize, dumps_qnf4, quantize
@@ -166,16 +165,6 @@ class TestCounting:
         # d=128, r=8, 4 targets/layer, 2 layers -> 2*4*(8*(128+128)) = 16384
         layers = [make_layer(d_in=128, d_out=128, r=8, seed=s)[0] for s in range(8)]
         assert sum(l.adapter.n_params for l in layers) == 16384
-
-    def test_trainable_fraction(self):
-        layers = [make_layer(d_in=32, d_out=32, r=4, seed=s)[0] for s in range(2)]
-        frac = trainable_fraction(layers)
-        adapters = sum(l.adapter.n_params for l in layers)
-        assert frac == pytest.approx(adapters / (adapters + 2 * 32 * 32))
-        assert 0 < frac < 1
-
-    def test_zero_adapters(self):
-        assert trainable_fraction([], extra_frozen=100) == 0.0
 
 
 class TestCheckpoint:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from desklora.errors import ConfigError, ContractError
+from desklora.errors import ConfigError, ContractError, FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import (
     ModelConfig,
@@ -12,7 +12,8 @@ from desklora.model import (
     save_model,
     token_has_diacritic,
 )
-from desklora.numcore import DOUBLE, FULL, Rng, Tensor, backward, no_grad
+from desklora.numcore import DOUBLE, FULL, Parameter, Rng, Tensor, backward, no_grad
+from desklora.quant import quantize
 
 
 def tiny_cfg(**kw):
@@ -68,13 +69,26 @@ class TestBuild:
     def test_parameter_count_closed_form(self):
         cfg = tiny_cfg()
         m = build(cfg, Rng(0))
-        counts = m.parameter_counts()
         d, L, r = cfg.d_model, cfg.n_layers, cfg.lora.r
-        assert counts["embedding"] == cfg.vocab_size * d
-        assert counts["norms"] == L * 4 * d + 2 * d
-        assert counts["adapters"] == L * 4 * (r * (d + d))
-        assert counts["frozen"] == L * (4 * d * d + 2 * cfg.d_ffn * d)
-        assert 0 < m.trainable_fraction() < 1
+        params = m.trainable_parameters()
+        numel = {name: p.value.numel for name, p in params}
+        assert len(numel) == len(params)  # names are unique
+
+        def total(pick):
+            return sum(n for name, n in numel.items() if pick(name))
+
+        embedding = cfg.vocab_size * d
+        norms = L * 4 * d + 2 * d
+        adapters = L * 4 * (r * (d + d))
+        frozen = L * (4 * d * d + 2 * cfg.d_ffn * d)
+        assert numel["embedding"] == embedding
+        assert total(lambda name: ".ln" in name or name.startswith("lnf_")) == norms
+        assert total(lambda name: ".lora_" in name) == adapters
+        assert sum(numel.values()) == embedding + norms + adapters
+        assert [name for name, _ in m.frozen_tensors()] == [
+            f"layer{i}.{tag}" for i in range(L) for tag in ("q", "k", "v", "o", "w1", "w2")]
+        assert sum(q.numel for _, q in m.frozen_tensors()) == frozen
+        assert m.trainable_fraction() == adapters / (embedding + norms + adapters + frozen)
 
     def test_sequence_length_enforced(self):
         m = build(tiny_cfg(max_seq_len=8), Rng(0))
@@ -321,6 +335,27 @@ class TestCheckpointIO:
                 assert np.array_equal(p_new.value.data, p_old.value.data.astype(np.float32))
             assert new.base_weight().dtype == DOUBLE
         assert m2.blocks[0].w1.node().dtype == DOUBLE
+
+    @pytest.mark.parametrize("method, edit, match", [
+        ("masters", lambda ms: ms[:-1], "no tensor named 'lnf_b'"),
+        ("masters", lambda ms: [*ms, Parameter(Tensor(np.zeros(3), FULL), name="extra")],
+         r"unexpected tensors \['extra'\]"),
+        ("masters", lambda ms: [*ms[:-1], Parameter(Tensor(np.zeros(33), FULL), name="lnf_b")],
+         "'lnf_b' has shape"),
+        ("masters", lambda ms: [*ms, ms[0]], "'embedding' appears twice"),
+        ("frozen_tensors", lambda fs: fs[:-1], "no tensor named 'layer1.w2'"),
+        ("frozen_tensors", lambda fs: [*fs, ("layer2.q", fs[0][1])],
+         r"unexpected tensors \['layer2.q'\]"),
+        ("frozen_tensors", lambda fs: [*fs[:-1], ("layer1.w2", quantize(np.zeros((8, 8))))],
+         "'layer1.w2' has shape"),
+    ])
+    def test_missing_extra_or_misshapen_tensor_rejected(self, tmp_path, monkeypatch, method, edit, match):
+        m = build(tiny_cfg(), Rng(10))
+        listed = getattr(m, method)()
+        monkeypatch.setattr(m, method, lambda: edit(listed))
+        save_model(m, tmp_path / "model.qnf4")
+        with pytest.raises(FormatError, match=match):
+            load_model(tmp_path / "model.qnf4")
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         m = build(tiny_cfg(), Rng(12))

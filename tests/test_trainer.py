@@ -8,7 +8,9 @@ import pytest
 from desklora.errors import BudgetError, ConfigError, ContractError, DataError, FormatError, TrainingError
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
-from desklora.numcore import DOUBLE, FULL, REDUCED, Parameter, Rng, Tensor, astype, backward, constant, dropout
+from desklora.numcore import (
+    DOUBLE, FULL, REDUCED, Parameter, Rng, Tensor, astype, backward, constant, dropout, scale,
+)
 from desklora.trainer import (
     ActivationMeter,
     AdamW,
@@ -168,13 +170,32 @@ class TestLedger:
     def test_meter_scopes_nest(self):
         ledger = MemoryLedger()
         meter = ActivationMeter(ledger)
+        small, large = constant(np.zeros(10), FULL), constant(np.zeros(100), FULL)
         with meter.scope():
-            outer = Parameter(Tensor(np.zeros(10), FULL))  # 40 bytes via hook
+            outer = scale(small, 2.0)  # a 40-byte op output
             with meter.scope():
-                Parameter(Tensor(np.zeros(100), FULL))
+                scale(large, 2.0)
             assert ledger.totals["activations"] == outer.value.nbytes
         assert ledger.totals["activations"] == 0
         assert ledger.device_high_water == 440
+
+    def test_leaves_charge_nothing(self):
+        ledger = MemoryLedger()
+        with ActivationMeter(ledger).scope():
+            Parameter(Tensor(np.zeros(10), FULL))
+            constant(np.zeros(10), FULL)
+            tiny_model().blocks[0].w1.node()
+        assert ledger.device_high_water == 0
+
+    def test_device_high_water_independent_of_model_history(self, tmp_path):
+        """The frozen bases dequantize on first use; whether that happened
+        before training must not move the activation high-water."""
+        cfg = tiny_train_cfg(micro_batch=2, accumulation_steps=1, total_steps=2, warmup_steps=1)
+        fresh, used = tiny_model(seed=2), tiny_model(seed=2)
+        used.forward_ids(np.arange(8))
+        hw = [train(m, fixture_windows(), cfg, tmp_path / name).metrics[-1].device_hw_bytes
+              for name, m in (("fresh", fresh), ("used", used))]
+        assert hw[0] == hw[1]
 
     def test_identity_ops_charge_nothing(self):
         x = constant(np.zeros(10), FULL)
@@ -341,6 +362,15 @@ class TestTrainLoop:
         assert sorted(resumed_rows) == [3, 4]
         for step in (3, 4):
             assert resumed_rows[step] == full_rows[step]
+
+    def test_trained_double_model_reloads_exactly(self, tmp_path):
+        model = tiny_model(seed=7, dtype=DOUBLE, dropout=0.05)
+        res = train(model, fixture_windows(), tiny_train_cfg(total_steps=6, checkpoint_every=6), tmp_path)
+        reloaded, _ = load_checkpoint(res.final_checkpoint)
+        for (name, p), (_, q) in zip(model.trainable_parameters(), reloaded.trainable_parameters()):
+            assert q.value.dtype == DOUBLE and np.array_equal(q.value.data, p.value.data), name
+        ids = fixture_windows()[0]
+        assert np.array_equal(reloaded.forward_ids(ids), model.forward_ids(ids))
 
     def test_full_precision_adamw_checkpoints_and_resumes(self, tmp_path):
         full_dir, resumed_dir = self.run_and_resume(tmp_path, optimizer="adamw")
