@@ -49,7 +49,7 @@ from .trainer import (
     read_trainer_state,
     train,
 )
-from .util import sha256_file
+from .util import from_known_keys, sha256_file
 
 _POLICY_KEYS = set(NormalizationPolicy().to_dict())
 _SECTION_KEYS = {
@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
 
     train_over = dict(section.get("train", {}))
     for key in ("total_steps", "warmup_steps", "lr_max", "micro_batch", "accumulation_steps",
-                "seq_len", "max_grad_norm", "precision", "optimizer", "checkpoint_every", "seed"):
+                "seq_len", "max_grad_norm", "optimizer", "checkpoint_every", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
             train_over[key] = flag
@@ -290,6 +290,11 @@ def cmd_eval(args) -> int:
     for required in ("checkpoint", "shards", "out"):
         if not section.get(required):
             raise ConfigError(f"eval needs --{required} (or eval.{required} in the config file)")
+    perturbation = section.get("perturbation", {})
+    if not isinstance(perturbation, dict):
+        raise ConfigError(f"eval.perturbation must be an object, got {type(perturbation).__name__}")
+    pcfg = from_known_keys(PerturbationConfig, _merge(perturbation, {
+        "levels": args.levels.split(",") if args.levels else None, "seed": args.seed}))
     for key in ("lm", "qa", "mt", "robustness"):
         path = section.get(key)
         if path and not os.path.exists(path):
@@ -313,12 +318,6 @@ def cmd_eval(args) -> int:
     for kind in ("lm", "qa", "mt"):
         if section.get(kind):
             sets[kind] = load_eval_set(section[kind], kind)
-    pcfg_dict = dict(section.get("perturbation", {}))
-    if args.levels:
-        pcfg_dict["levels"] = [float(x) for x in args.levels.split(",")]
-    if args.seed is not None:
-        pcfg_dict["seed"] = args.seed
-    pcfg = PerturbationConfig(**pcfg_dict)
 
     metadata = {
         "model_hash": checkpoint_hash(section["checkpoint"]),
@@ -476,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--accum", dest="accumulation_steps", type=int)
     t.add_argument("--seq-len", dest="seq_len", type=int)
     t.add_argument("--clip", dest="max_grad_norm", type=float)
-    t.add_argument("--precision", choices=("full", "mixed"))
     t.add_argument("--optimizer", choices=("adamw8", "adamw", "sgd"))
     t.add_argument("--checkpointing", action="store_true", default=False)
     t.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)

@@ -9,7 +9,7 @@ deterministic under the seed.
 from dataclasses import dataclass, field
 
 from ..arabicprep.textops import DIACRITICS
-from ..errors import ContractError
+from ..errors import ConfigError, ContractError
 from ..numcore import Rng
 
 OPS = ("swap_adjacent", "delete", "substitute_confusable", "strip_one_diacritic")
@@ -33,13 +33,13 @@ class PerturbationConfig:
     def __post_init__(self):
         self.levels = tuple(float(l) for l in self.levels)
         if any(not 0.0 <= l <= 1.0 for l in self.levels):
-            raise ContractError(f"perturbation levels must lie in [0, 1]: {self.levels}")
+            raise ConfigError(f"perturbation levels must lie in [0, 1]: {self.levels}")
         self.ops = tuple(self.ops)
         bad = [op for op in self.ops if op not in OPS]
         if bad:
-            raise ContractError(f"unknown perturbation ops {bad}; choose from {OPS}")
+            raise ConfigError(f"unknown perturbation ops {bad}; choose from {OPS}")
         if not self.ops:
-            raise ContractError("need at least one perturbation op")
+            raise ConfigError("need at least one perturbation op")
 
     def to_dict(self) -> dict:
         return {"levels": list(self.levels), "ops": list(self.ops), "seed": self.seed}

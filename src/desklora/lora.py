@@ -15,8 +15,8 @@ import numpy as np
 from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
 from .numcore import (
-    DOUBLE, FULL, GradNode, Parameter, Rng, Tensor, add, dropout, matmul, scale, storage_dtype,
-    transpose,
+    DOUBLE, FULL, GradNode, Parameter, Rng, RowRngs, Tensor, add, dropout, matmul, scale,
+    storage_dtype, transpose,
 )
 from .quant import QuantizedTensor, dequantize
 from .util import from_known_keys
@@ -118,9 +118,9 @@ def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
     return AdaptedLinear(base=base, adapter=adapter, name=name)
 
 
-def forward(layer: AdaptedLinear, x: GradNode, rng: Rng | None = None) -> GradNode:
-    """y = dequantize(W) x + scaling * B (A dropout(x)), row-major batched;
-    the dropout runs exactly when `rng` is given."""
+def forward(layer: AdaptedLinear, x: GradNode, rng: Rng | RowRngs | None = None) -> GradNode:
+    """y = dequantize(W) x + scaling * B (A dropout(x)) over the rows of x [..., d_in];
+    the dropout runs exactly when `rng` is given (see `numcore.dropout`)."""
     if x.value.shape[-1] != layer.d_in:
         raise DimensionError(
             f"{layer.name or 'adapted linear'}: input width {x.value.shape[-1]} != d_in {layer.d_in}"

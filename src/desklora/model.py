@@ -7,7 +7,8 @@ and biases remain trainable in full precision. Rotary position mixing,
 pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
 emphasize keys whose token carries a combining diacritic: the model keeps one
 diacritic flag per token id, and its precision is fixed when it is built or
-loaded. Dropout runs exactly when `forward` gets an rng.
+loaded. `forward` and `loss` take one sequence or a batch of equal-length
+sequences; dropout runs exactly when they get an rng.
 
 `_assemble` alone lays out, names and freezes a model's tensors: `build` and
 `load_model` supply the values, and the inventory reads the objects' names.
@@ -25,13 +26,12 @@ from .lora import AdaptedLinear, FrozenWeight, LoraAdapter, LoraConfig
 from .numcore import (
     DOUBLE,
     FULL,
-    REDUCED,
     GradNode,
     Parameter,
     Rng,
+    RowRngs,
     Tensor,
     add,
-    astype,
     causal_attention,
     checkpoint,
     gather_rows,
@@ -194,44 +194,46 @@ class TransformerModel:
         return run
 
     def key_bias(self, ids: np.ndarray) -> np.ndarray | None:
-        """Pre-softmax bias per key position, or None when no position gets one."""
+        """Pre-softmax bias per key position (ids' shape), or None when no position gets one."""
         if self.cfg.diacritic_bias == 0.0:
             return None
         flagged = self.diacritic_flags[ids]
         return self.cfg.diacritic_bias * flagged if flagged.any() else None
 
-    def forward(self, tokens, rng: Rng | None = None, mixed: bool = False,
+    def forward(self, tokens, rng: Rng | RowRngs | None = None,
                 checkpointing: bool = False) -> GradNode:
-        """Logits [T x vocab] for a token id sequence; dropout only when `rng` is given."""
+        """Logits [T x vocab] for token ids [T], or [B x T x vocab] for a batch
+        [B x T]. Dropout only when `rng` is given; with a `RowRngs` of one
+        stream per row, row b's masks are those its stream gives the [T] row alone."""
         ids = np.asarray(tokens, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ContractError(f"forward expects a non-empty 1-D id sequence, got shape {ids.shape}")
-        if ids.size > self.cfg.max_seq_len:
-            raise ContractError(f"sequence length {ids.size} exceeds max_seq_len {self.cfg.max_seq_len}")
+        if ids.ndim not in (1, 2) or ids.size == 0:
+            raise ContractError(f"forward expects non-empty [T] or [B x T] ids, got shape {ids.shape}")
+        t_len = ids.shape[-1]
+        if t_len > self.cfg.max_seq_len:
+            raise ContractError(f"sequence length {t_len} exceeds max_seq_len {self.cfg.max_seq_len}")
 
         x = gather_rows(self.embedding, ids)  # rejects ids outside the vocab
         key_bias = self.key_bias(ids)
-        if mixed:
-            x = astype(x, REDUCED)
 
         for i, blk in enumerate(self.blocks):
-            fn = self._block_fn(blk, i, ids.size, key_bias, rng)
+            fn = self._block_fn(blk, i, t_len, key_bias, rng)
             x = checkpoint(fn, x) if checkpointing else fn(x)
 
         x = layer_norm(x, self.lnf_g, self.lnf_b)
         return matmul(x, transpose(self.embedding))
 
-    def loss(self, window, rng: Rng | None = None, mixed: bool = False,
+    def loss(self, window, rng: Rng | RowRngs | None = None,
              checkpointing: bool = False) -> GradNode:
-        """Mean next-token NLL over a window; inputs window[:-1], targets window[1:]."""
+        """Mean next-token NLL over a window [T+1] or a batch of windows [B x T+1]
+        (the mean over all B*T targets); inputs window[..., :-1], targets window[..., 1:]."""
         window = np.asarray(window, dtype=np.int64)
-        if window.size < 2:
-            raise ContractError("loss needs a window of at least 2 tokens")
-        logits = self.forward(window[:-1], rng=rng, mixed=mixed, checkpointing=checkpointing)
-        return softmax_cross_entropy(logits, window[1:])
+        if window.ndim not in (1, 2) or window.shape[-1] < 2:
+            raise ContractError("loss needs windows of at least 2 tokens")
+        logits = self.forward(window[..., :-1], rng=rng, checkpointing=checkpointing)
+        return softmax_cross_entropy(logits, window[..., 1:])
 
     def forward_ids(self, ids) -> np.ndarray:
-        """Evaluation-mode logits as a plain array; no tape is built."""
+        """Evaluation-mode logits [T x vocab] for ids [T] as a plain array; no tape is built."""
         with no_grad():
             return self.forward(ids).value.data
 

@@ -1,9 +1,12 @@
 """Differentiable operations over GradNodes.
 
-Every op computes its value in the storage precision of its inputs, applies
-the 16-bit rounding boundary when the result is tagged "reduced", and records
-local-backward closures on the tape. Broadcasting is deliberately narrow:
-elementwise ops accept exact-match shapes or python scalars only.
+Every op computes its value in the storage precision of its inputs ("double"
+when every input is double, else "full") and records local-backward closures
+on the tape. Broadcasting is deliberately narrow: elementwise ops accept
+exact-match shapes or python scalars only. Ops over sequences take leading
+batch axes: `matmul`, `layer_norm`, `gather_rows`, `softmax_cross_entropy` and
+`causal_attention` read a `[B, T, d]` activation as B sequences of `[T, d]`,
+and a `[T, d]` one as a batch of one.
 """
 
 import math
@@ -12,17 +15,12 @@ import numpy as np
 
 from ..errors import ContractError, DimensionError
 from .autograd import GradNode, op_output
-from .rng import Rng
-from .tensor import DOUBLE, FULL, REDUCED, Tensor
+from .rng import Rng, RowRngs
+from .tensor import DOUBLE, FULL, Tensor
 
 
 def _out_dtype(*nodes) -> str:
-    tags = {n.value.dtype for n in nodes}
-    if REDUCED in tags:
-        return REDUCED
-    if FULL in tags:
-        return FULL
-    return DOUBLE
+    return DOUBLE if all(n.value.dtype == DOUBLE for n in nodes) else FULL
 
 
 def _node(arr: np.ndarray, dtype: str, parents) -> GradNode:
@@ -70,12 +68,13 @@ def sub(a: GradNode, b) -> GradNode:
     return add(a, neg(b)) if isinstance(b, GradNode) else add(a, -b)
 
 
-def dropout(x: GradNode, rate: float, rng: Rng | None = None) -> GradNode:
+def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradNode:
     """Zero each element with probability `rate`, scaling survivors by 1/(1-rate).
 
     Dropout is on exactly when an `rng` is passed; without one, or at rate 0,
     it returns `x` itself. Mask draws come from the given stream, so the same
-    stream yields the same mask.
+    stream yields the same mask; a `RowRngs` draws row b's mask from its
+    stream b, the mask that stream alone gives for `x[b]`.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
@@ -88,7 +87,7 @@ def dropout(x: GradNode, rate: float, rng: Rng | None = None) -> GradNode:
 
 
 def astype(x: GradNode, dtype: str) -> GradNode:
-    """Precision boundary: re-tag (and round, for "reduced"), or `x` itself if it has `dtype`."""
+    """Precision boundary: re-tag, or `x` itself if it has `dtype`."""
     if x.value.dtype == dtype:
         return x
     return _node(x.value.data, dtype, ((x, lambda g: g),))
@@ -100,17 +99,24 @@ def astype(x: GradNode, dtype: str) -> GradNode:
 
 
 def matmul(a: GradNode, b: GradNode) -> GradNode:
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    """`a @ b` for an activation `a` [..., K] and a 2-D weight `b` [K, N]. The
+    leading axes of `a` flatten into rows, so `b`'s gradient sums over them all."""
+    if a.value.ndim < 2 or b.value.ndim != 2:
         raise DimensionError(
-            f"matmul expects 2-D operands, got {a.value.shape} and {b.value.shape}"
+            f"matmul expects [..., K] x [K, N] operands, got {a.value.shape} and {b.value.shape}"
         )
-    if a.value.shape[1] != b.value.shape[0]:
+    if a.value.shape[-1] != b.value.shape[0]:
         raise DimensionError(
             f"matmul: inner dimensions differ: {a.value.shape} x {b.value.shape}"
         )
     da, db = a.value.data, b.value.data
-    out = da @ db
-    return _node(out, _out_dtype(a, b), ((a, lambda g: g @ db.T), (b, lambda g: da.T @ g)))
+    (k, n), lead = db.shape, da.shape[:-1]
+    rows = da.reshape(-1, k)
+    out = (rows @ db).reshape(*lead, n)
+    return _node(out, _out_dtype(a, b), (
+        (a, lambda g: (g.reshape(-1, n) @ db.T).reshape(da.shape)),
+        (b, lambda g: rows.T @ g.reshape(-1, n)),
+    ))
 
 
 def transpose(a: GradNode) -> GradNode:
@@ -120,10 +126,10 @@ def transpose(a: GradNode) -> GradNode:
 
 
 def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
-    """Row lookup (embedding). Backward scatter-adds into the table."""
+    """Row lookup (embedding) for [T] or [B, T] ids. Backward scatter-adds into the table."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise DimensionError(f"gather_rows expects 1-D ids, got {ids.shape}")
+    if ids.ndim not in (1, 2):
+        raise DimensionError(f"gather_rows expects [T] or [B, T] ids, got {ids.shape}")
     n_rows = table.value.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         bad = int(ids[(ids < 0) | (ids >= n_rows)][0])
@@ -132,7 +138,7 @@ def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
 
     def back(g):
         acc = np.zeros(shape, dtype=g.dtype)
-        np.add.at(acc, ids, g)
+        np.add.at(acc, ids.reshape(-1), g.reshape(-1, *shape[1:]))
         return acc
 
     return _node(table.value.data[ids], table.value.dtype, ((table, back),))
@@ -156,7 +162,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: GradNode) -> GradNode:
     d = x.value.data
-    inner = _GELU_C * (d + 0.044715 * d**3)
+    inner = _GELU_C * (d + 0.044715 * (d * d * d))
     t = np.tanh(inner)
     out = 0.5 * d * (1.0 + t)
 
@@ -229,20 +235,24 @@ def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -
 
 
 def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
-    """Mean negative log-likelihood of `targets` under row-softmax of `logits`."""
+    """Mean negative log-likelihood of `targets` [...] under the last-axis
+    softmax of `logits` [..., V], over every target: for [B, T, V] logits, the
+    mean over all B*T positions, which equals the mean of the B per-sequence means."""
     d = logits.value.data
-    if d.ndim != 2:
-        raise DimensionError(f"softmax_cross_entropy expects [N x V] logits, got {d.shape}")
+    if d.ndim < 2:
+        raise DimensionError(f"softmax_cross_entropy expects [..., N, V] logits, got {d.shape}")
     t = np.asarray(targets, dtype=np.int64)
-    n, v = d.shape
-    if t.shape != (n,):
-        raise DimensionError(f"targets shape {t.shape} does not match {n} logit rows")
+    if t.shape != d.shape[:-1]:
+        raise DimensionError(f"targets shape {t.shape} does not match logits {d.shape}")
+    v = d.shape[-1]
     if t.size and (t.min() < 0 or t.max() >= v):
         bad = int(t[(t < 0) | (t >= v)][0])
         raise IndexError(f"target id {bad} out of range for vocab of {v}")
 
-    m = d.max(axis=-1, keepdims=True)
-    shifted = d - m
+    t = t.reshape(-1)
+    n = t.size
+    flat = d.reshape(n, v)
+    shifted = flat - flat.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     nll = (lse.reshape(-1) - shifted[np.arange(n), t])
     loss = np.asarray(nll.mean())
@@ -250,7 +260,7 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
     def back(g):
         p = np.exp(shifted - lse)
         p[np.arange(n), t] -= 1.0
-        return (float(g) / n) * p
+        return ((float(g) / n) * p).reshape(d.shape)
 
     return _node(loss, logits.value.dtype, ((logits, back),))
 
@@ -261,20 +271,16 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary position mix over half-dimension pairs. x: [T, H, hd]."""
+    """Rotary position mix over half-dimension pairs. x: [B, H, T, hd]; cos, sin: [T, hd/2]."""
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
 def _unrotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     half = g.shape[-1] // 2
     g1, g2 = g[..., :half], g[..., half:]
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    return np.concatenate([g1 * c + g2 * s, -g1 * s + g2 * c], axis=-1)
+    return np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
 
 
 def causal_attention(
@@ -285,26 +291,33 @@ def causal_attention(
     rope: tuple[np.ndarray, np.ndarray] | None = None,
     key_bias: np.ndarray | None = None,
 ) -> GradNode:
-    """Multi-head causal attention over a [T x d] sequence.
+    """Multi-head causal attention over [B, T, d] sequences, or one [T, d] sequence.
 
     `rope` is the (cos, sin) table for the first T positions; `key_bias` is an
-    additive pre-softmax logit bias per key position, applied to every query
-    and head (the diacritic-emphasis hook).
+    additive pre-softmax logit bias per key position ([B, T], or [T] for one
+    sequence), applied to every query and head of its row (the
+    diacritic-emphasis hook). Scores and weights are [B, H, T, T] batched matmuls.
     """
     shape = q.value.shape
     if shape != k.value.shape or shape != v.value.shape:
         raise DimensionError(
             f"attention q/k/v shapes differ: {shape}, {k.value.shape}, {v.value.shape}"
         )
-    t_len, d = shape
+    if len(shape) not in (2, 3):
+        raise DimensionError(f"attention expects [T, d] or [B, T, d] inputs, got {shape}")
+    t_len, d = shape[-2:]
     if d % n_heads != 0:
         raise DimensionError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     compute = q.value.data.dtype
 
-    qh = q.value.data.reshape(t_len, n_heads, hd)
-    kh = k.value.data.reshape(t_len, n_heads, hd)
-    vh = v.value.data.reshape(t_len, n_heads, hd)
+    def heads(x: np.ndarray) -> np.ndarray:  # [..., T, d] -> [B, H, T, hd]
+        return x.reshape(-1, t_len, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [B, H, T, hd] -> the input's shape
+        return x.transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, kh, vh = heads(q.value.data), heads(k.value.data), heads(v.value.data)
     if rope is not None:
         cos = rope[0][:t_len].astype(compute)
         sin = rope[1][:t_len].astype(compute)
@@ -315,38 +328,35 @@ def causal_attention(
         qr, kr = qh, kh
 
     inv_sqrt = 1.0 / math.sqrt(hd)
-    scores = np.einsum("ihd,jhd->hij", qr, kr) * inv_sqrt
+    scores = np.matmul(qr, kr.swapaxes(-1, -2)) * inv_sqrt
     if key_bias is not None:
-        scores = scores + np.asarray(key_bias, dtype=compute)[None, None, :]
+        bias = np.asarray(key_bias, dtype=compute).reshape(-1, 1, 1, t_len)
+        scores = scores + bias
     mask = np.triu(np.full((t_len, t_len), -np.inf, dtype=compute), k=1)
-    scores = scores + mask[None, :, :]
+    scores = scores + mask
 
     m = scores.max(axis=-1, keepdims=True)
     w = np.exp(scores - m)
     w = w / w.sum(axis=-1, keepdims=True)
-    out = np.einsum("hij,jhd->ihd", w, vh).reshape(t_len, d)
+    out = merge(np.matmul(w, vh))
 
     cache: dict = {}
 
     def shared(g):
         if cache.get("id") != id(g):
-            gh = g.reshape(t_len, n_heads, hd)
-            dw = np.einsum("ihd,jhd->hij", gh, vh)
+            gh = heads(g)
+            dw = np.matmul(gh, vh.swapaxes(-1, -2))
             ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
-            dqr = np.einsum("hij,jhd->ihd", ds, kr) * inv_sqrt
-            dkr = np.einsum("hij,ihd->jhd", ds, qr) * inv_sqrt
-            dv = np.einsum("hij,ihd->jhd", w, gh)
+            dqr = np.matmul(ds, kr) * inv_sqrt
+            dkr = np.matmul(ds.swapaxes(-1, -2), qr) * inv_sqrt
+            dv = np.matmul(w.swapaxes(-1, -2), gh)
             if rope is not None:
                 dq = _unrotate_grad(dqr, cos, sin)
                 dk = _unrotate_grad(dkr, cos, sin)
             else:
                 dq, dk = dqr, dkr
             cache["id"] = id(g)
-            cache["grads"] = (
-                dq.reshape(t_len, d),
-                dk.reshape(t_len, d),
-                dv.reshape(t_len, d),
-            )
+            cache["grads"] = (merge(dq), merge(dk), merge(dv))
         return cache["grads"]
 
     return _node(

@@ -9,6 +9,8 @@ its parent.
 
 import numpy as np
 
+from ..errors import DimensionError
+
 _MASK = (1 << 64) - 1
 
 
@@ -22,7 +24,7 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _fold_tag(key: int, tag) -> int:
     if isinstance(tag, str):
-        # FNV-1a over utf-8 bytes, then mixed in
+        # FNV-1a over utf-8 bytes, then folded into the key
         h = 0xCBF29CE484222325
         for b in tag.encode("utf-8"):
             h = ((h ^ b) * 0x100000001B3) & _MASK
@@ -66,3 +68,22 @@ class Rng:
 
     def choice(self, seq):
         return seq[int(self._gen.integers(0, len(seq)))]
+
+
+class RowRngs:
+    """One stream per row of a batch. `split` splits every row's stream, and a
+    draw of shape [B, ...] stacks row b's draw of shape [...] from stream b, so
+    each row gets exactly what its stream alone would give."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+
+    def split(self, *tags) -> "RowRngs":
+        return RowRngs(r.split(*tags) for r in self.rows)
+
+    def uniform(self, shape) -> np.ndarray:
+        if len(shape) == 0 or shape[0] != len(self.rows):
+            raise DimensionError(f"a draw of shape {tuple(shape)} from {len(self.rows)} row streams")
+        return np.stack([r.uniform(shape[1:]) for r in self.rows])

@@ -1,29 +1,21 @@
 """Dense tensor values with explicit precision tags.
 
-Three tags are supported: "full" (32-bit storage and compute), "reduced"
-(computed in 32-bit, rounded through 16-bit storage at op boundaries), and
-"double" (64-bit, used for gradient checking). A reduced tensor always holds
-values that survive a 16-bit round trip unchanged.
+Two tags are supported: "full" (32-bit storage and compute) and "double"
+(64-bit, used for gradient checking).
 """
 
 import numpy as np
 
 FULL = "full"
-REDUCED = "reduced"
 DOUBLE = "double"
 
-DTYPES = (FULL, REDUCED, DOUBLE)
+DTYPES = (FULL, DOUBLE)
 
-_STORAGE = {FULL: np.float32, REDUCED: np.float32, DOUBLE: np.float64}
+_STORAGE = {FULL: np.float32, DOUBLE: np.float64}
 
 
 def storage_dtype(dtype: str) -> type:
     return _STORAGE[dtype]
-
-
-def round_reduced(a: np.ndarray) -> np.ndarray:
-    """Round to the nearest 16-bit-representable value, stored as 32-bit."""
-    return np.asarray(a, dtype=np.float32).astype(np.float16).astype(np.float32)
 
 
 class Tensor:
@@ -35,8 +27,6 @@ class Tensor:
         if dtype not in _STORAGE:
             raise ValueError(f"unknown dtype tag {dtype!r}")
         arr = np.asarray(data, dtype=_STORAGE[dtype])
-        if dtype == REDUCED:
-            arr = round_reduced(arr)
         if not arr.flags.c_contiguous or not arr.flags.owndata:
             arr = arr.copy(order="C")
         arr.flags.writeable = False

@@ -34,14 +34,16 @@ class MemoryLedger:
 
     def __post_init__(self):
         self.totals = {c: 0 for c in CATEGORIES}
+        self._device_total = 0  # running sums of `totals` over each side's categories
+        self._host_total = 0
         self.device_high_water = 0
         self.host_high_water = 0
 
     def device_total(self) -> int:
-        return sum(self.totals[c] for c in DEVICE_CATEGORIES)
+        return self._device_total
 
     def host_total(self) -> int:
-        return sum(self.totals[c] for c in HOST_CATEGORIES)
+        return self._host_total
 
     def breakdown(self) -> dict:
         return {
@@ -63,7 +65,7 @@ class MemoryLedger:
             raise ContractError(f"negative allocation of {nbytes} bytes")
         device = category in DEVICE_CATEGORIES
         budget = self.budget.device_bytes if device else self.budget.host_bytes
-        total = (self.device_total() if device else self.host_total()) + nbytes
+        total = (self._device_total if device else self._host_total) + nbytes
         if total > budget:
             side = "device" if device else "host"
             raise BudgetError(
@@ -73,9 +75,11 @@ class MemoryLedger:
             )
         self.totals[category] += nbytes
         if device:
-            self.device_high_water = max(self.device_high_water, self.device_total())
+            self._device_total = total
+            self.device_high_water = max(self.device_high_water, total)
         else:
-            self.host_high_water = max(self.host_high_water, self.host_total())
+            self._host_total = total
+            self.host_high_water = max(self.host_high_water, total)
 
     def release(self, category: str, nbytes: int):
         if category not in CATEGORIES:
@@ -86,6 +90,10 @@ class MemoryLedger:
                 f"release of {nbytes} bytes from {category!r} holding {self.totals[category]}"
             )
         self.totals[category] -= nbytes
+        if category in DEVICE_CATEGORIES:
+            self._device_total -= nbytes
+        else:
+            self._host_total -= nbytes
 
 
 class ActivationMeter:

@@ -1,7 +1,8 @@
 """Training loop: gradient accumulation, warmup+cosine schedule, clipping,
-8-bit-state AdamW, optional gradient checkpointing and mixed precision, a
-memory ledger with budget enforcement, per-step metrics, and deterministic
-checkpoint/resume. The model derives its diacritic bias and precision itself,
+8-bit-state AdamW, optional gradient checkpointing, a memory ledger with
+budget enforcement, per-step metrics, and deterministic checkpoint/resume.
+Each micro-batch runs as one [micro_batch x seq_len+1] graph with one dropout
+stream per row. The model derives its diacritic bias and precision itself,
 `backward` sums micro-batch gradients into each `grad`, and `checkpoint`
 finds the activation meter through autograd.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from ..errors import ConfigError, ContractError, DataError, FormatError, TrainingError
 from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
-from ..numcore import Rng, add, backward, scale
+from ..numcore import Rng, RowRngs, backward
 from ..quant import quantized_nbytes
 from ..util import from_known_keys, sha256_file, sha256_json
 from .ledger import ActivationMeter, MemoryBudget, MemoryLedger
@@ -37,7 +38,6 @@ class TrainConfig:
     max_grad_norm: float = 0.3
     seq_len: int = 128
     seed: int = 0
-    precision: str = "full"  # full | mixed
     checkpointing: bool = False
     optimizer: str = "adamw8"  # adamw8 | adamw | sgd
     weight_decay: float = 0.0
@@ -60,8 +60,6 @@ class TrainConfig:
             raise ConfigError("micro_batch and accumulation_steps must be >= 1")
         if self.seq_len < 2:
             raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
-        if self.precision not in ("full", "mixed"):
-            raise ConfigError(f"precision must be full or mixed, got {self.precision!r}")
         if self.optimizer not in ("adamw8", "adamw", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if isinstance(self.budget, dict):
@@ -257,7 +255,6 @@ def train(
     params = model.trainable_parameters()
     order = _WindowOrder(windows.shape[0], cfg.seed)
     run_rng = Rng(cfg.seed)
-    mixed = cfg.precision == "mixed"
 
     metrics: list[MetricsRecord] = []
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -276,24 +273,15 @@ def train(
             model.zero_grads()
             micro_losses = []
             for micro in range(cfg.accumulation_steps):
-                seq_losses = []
+                batch = windows[[order.window_index(micro_idx + bi) for bi in range(cfg.micro_batch)]]
+                micro_idx += cfg.micro_batch
+                rows = RowRngs(run_rng.split("drop", t, micro, bi) for bi in range(cfg.micro_batch))
                 with meter.scope():
-                    for bi in range(cfg.micro_batch):
-                        window = windows[order.window_index(micro_idx)]
-                        micro_idx += 1
-                        seq_losses.append(model.loss(
-                            window, rng=run_rng.split("drop", t, micro, bi), mixed=mixed,
-                            checkpointing=cfg.checkpointing,
-                        ))
-                    combined = seq_losses[0]
-                    for extra in seq_losses[1:]:
-                        combined = add(combined, extra)
-                    if cfg.micro_batch > 1:
-                        combined = scale(combined, 1.0 / cfg.micro_batch)
-                    loss_value = combined.value.item()
+                    loss = model.loss(batch, rng=rows, checkpointing=cfg.checkpointing)
+                    loss_value = loss.value.item()
                     if not math.isfinite(loss_value):
                         raise TrainingError(f"non-finite loss at step {t}", step=t)
-                    backward(combined)
+                    backward(loss)
                 micro_losses.append(loss_value)
             grads = {name: p.grad.data / cfg.accumulation_steps
                      for name, p in params if p.grad is not None}

@@ -37,5 +37,5 @@ def from_known_keys(cls, d):
         raise ConfigError(f"unknown {cls.__name__} keys: {unknown}")
     try:
         return cls(**d)
-    except TypeError as e:  # a missing field, or a value of the wrong type
+    except (TypeError, ValueError) as e:  # a missing field, or a value of the wrong type
         raise ConfigError(f"{cls.__name__}: {e}") from e

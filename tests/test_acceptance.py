@@ -203,6 +203,24 @@ def _op_battery(seed: int) -> float:
     worst = max(worst, finite_diff_check(
         lambda t: sum_all(mul(gather_rows(t, ids), wg)), rng.normal(size=(3, 4))
     ))
+
+    # a leading batch axis: two [T, d] sequences, attention with a per-row key bias
+    xb = rng.normal(size=(2, t_len, d))
+    xb_node = constant(xb, DOUBLE)
+    w_right = constant(rng.normal(size=(d, 5)), DOUBLE)
+    c_pb = constant(rng.normal(size=(2, t_len, 5)), DOUBLE)
+    targets_b = rng.integers(0, 5, size=(2, t_len))
+    bias_b = rng.normal(size=(2, t_len))
+    qb, kb, vb, wb = (constant(rng.normal(size=(2, t_len, d)), DOUBLE) for _ in range(4))
+    batch_checks = [
+        (lambda x: sum_all(mul(matmul(x, w_right), c_pb)), xb),
+        (lambda w: sum_all(mul(matmul(xb_node, w), c_pb)), rng.normal(size=(d, 5))),
+        (lambda x: softmax_cross_entropy(matmul(x, w_right), targets_b), xb),
+        (lambda x: sum_all(mul(causal_attention(x, kb, vb, heads, rope, bias_b), wb)), xb),
+        (lambda x: sum_all(mul(causal_attention(qb, x, vb, heads, rope, bias_b), wb)), xb),
+        (lambda x: sum_all(mul(causal_attention(qb, kb, x, heads, rope, bias_b), wb)), xb),
+    ]
+    worst = max(worst, max(finite_diff_check(f, x) for f, x in batch_checks))
     return worst
 
 

@@ -267,6 +267,20 @@ class TestFiniteDifference:
 
         assert finite_diff_check(f, rng.normal(size=(3, 5))) < 1e-4
 
+    def test_gather_rows_2d_ids_scatter_add(self):
+        rng = np.random.default_rng(4)
+        ids = np.array([[0, 2, 2], [1, 2, 0]])
+        table = leaf(rng.normal(size=(3, 5)))
+        g = rng.normal(size=(2, 3, 5))
+        out = gather_rows(table, ids)
+        assert np.array_equal(out.value.data, table.value.data[ids])
+        backward(sum_all(mul(out, constant(g, DOUBLE))))
+        expected = np.zeros((3, 5))
+        for b in range(2):
+            for t in range(3):
+                expected[ids[b, t]] += g[b, t]
+        assert np.allclose(table.grad.data, expected, rtol=0, atol=1e-12)
+
 
 class TestAttentionSemantics:
     def test_causality(self):

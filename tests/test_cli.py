@@ -144,6 +144,14 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and "trainer_state" in err, err
 
+    def test_precision_is_not_a_setting(self, shards_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"train": {"precision": "full"}}}))
+        assert run_train(shards_dir, tmp_path / "run", extra=["--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as e:
+            run_train(shards_dir, tmp_path / "run", extra=["--precision", "full"])
+        assert e.value.code == 2
+
     def test_determinism_hash_identical(self, shards_dir, tmp_path):
         for name in ("a", "b"):
             assert run_train(shards_dir, tmp_path / name) == 0
@@ -244,6 +252,16 @@ class TestEval:
         assert resolved["eval"]["perturbation"]["seed"] == 7 and "seed" not in resolved["eval"]
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert report["metadata"]["perturbation"]["seed"] == 7
+
+    @pytest.mark.parametrize("perturbation", [{"bogus": 1}, {"levels": [2.0]}])
+    def test_bad_perturbation_config_exits_2_before_reading(self, tmp_path, capsys, perturbation):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eval": {"perturbation": perturbation}}))
+        rc = cli.main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no_ckpt"),
+                       "--shards", str(tmp_path / "no_shards"), "--out", str(tmp_path / "rep")])
+        assert rc == 2  # reading the missing checkpoint or shards first would exit 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_missing_eval_file_names_path(self, trained_ckpt, shards_dir, tmp_path, capsys):
         rc = cli.main([

@@ -7,7 +7,7 @@ import pytest
 from desklora.arabicprep import NormalizationPolicy, bpe_train
 from desklora.arabicprep.bpe import BOS_ID
 from desklora.arabicprep.textops import DIACRITICS
-from desklora.errors import ContractError, DataError, FormatError
+from desklora.errors import ConfigError, ContractError, DataError, FormatError
 from desklora.evalharness import (
     EvalReport,
     PerturbationConfig,
@@ -266,7 +266,7 @@ class TestPerturb:
     def test_level_validation(self):
         with pytest.raises(ContractError):
             perturb("x", 1.5)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             PerturbationConfig(levels=(0.0, 2.0))
 
 

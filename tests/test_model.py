@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from desklora.errors import ConfigError, ContractError, FormatError
+from desklora.errors import ConfigError, ContractError, DimensionError, FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import (
     ModelConfig,
@@ -12,7 +12,7 @@ from desklora.model import (
     save_model,
     token_has_diacritic,
 )
-from desklora.numcore import DOUBLE, FULL, Parameter, Rng, Tensor, backward, no_grad
+from desklora.numcore import DOUBLE, FULL, Parameter, Rng, RowRngs, Tensor, backward, no_grad
 from desklora.quant import quantize
 
 
@@ -207,6 +207,58 @@ class TestGradients:
             assert layer.adapter.b.grad is not None
         assert m.embedding.grad is not None
         assert m.base_bytes() == before
+
+
+class TestBatch:
+    """A [B, T] batch is one graph whose rows match the rows run one at a time."""
+
+    @staticmethod
+    def model(dtype):
+        flags = np.arange(256) % 3 == 0
+        m = build(tiny_cfg(dtype=dtype, diacritic_bias=0.5, lora=LoraConfig(r=4, dropout=0.05)),
+                  Rng(6), flags)
+        for layer in m.adapted_layers():  # a nonzero B, so every adapter gets a gradient
+            b = Rng(7).split(layer.name).normal(layer.adapter.b.value.shape, std=0.02)
+            layer.adapter.b.assign(Tensor(b, dtype))
+        return m
+
+    @pytest.mark.parametrize("dtype, tol, grad_tol", [(FULL, 1e-6, 1e-5), (DOUBLE, 1e-12, 1e-11)])
+    def test_batched_loss_is_the_mean_of_row_losses(self, dtype, tol, grad_tol):
+        m = self.model(dtype)
+        windows = np.array(Rng(8).integers(0, 256, (4, 13)))
+        streams = [Rng(9).split("drop", bi) for bi in range(4)]
+        m.zero_grads()
+        batched = m.loss(windows, rng=RowRngs(streams))
+        backward(batched)
+        batched_grads = {n: p.grad.data.copy() for n, p in m.trainable_parameters()}
+        m.zero_grads()
+        row_losses = []
+        for window, stream in zip(windows, streams):
+            loss = m.loss(window, rng=stream)
+            backward(loss)  # sums each row's gradient into `grad`
+            row_losses.append(loss.value.item())
+        mean = np.mean(row_losses)
+        assert abs(batched.value.item() - mean) <= tol * abs(mean)
+        for name, p in m.trainable_parameters():
+            rows_mean = p.grad.data / len(streams)
+            err = np.max(np.abs(batched_grads[name] - rows_mean))
+            assert err <= grad_tol * np.max(np.abs(rows_mean)), name
+
+    @pytest.mark.parametrize("dtype, tol", [(FULL, 1e-6), (DOUBLE, 1e-12)])
+    def test_batched_forward_rows_match_single_rows(self, dtype, tol):
+        m = self.model(dtype)
+        ids = np.array(Rng(10).integers(0, 256, (3, 10)))
+        with no_grad():
+            batched = m.forward(ids).value.data
+        assert batched.shape == (3, 10, 256)
+        for row, logits in zip(ids, batched):
+            single = m.forward_ids(row)
+            assert np.max(np.abs(logits - single)) <= tol * np.max(np.abs(single))
+
+    def test_row_streams_must_match_the_batch(self):
+        m = self.model(FULL)
+        with pytest.raises(DimensionError):
+            m.loss(np.zeros((3, 9), dtype=np.int64), rng=RowRngs([Rng(0), Rng(1)]))
 
 
 class TestDiacriticMask:

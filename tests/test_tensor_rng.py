@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from desklora.numcore import DOUBLE, FULL, REDUCED, Rng, Tensor, round_reduced
+from desklora.numcore import DOUBLE, FULL, Rng, Tensor
 
 
 class TestTensor:
@@ -20,20 +20,7 @@ class TestTensor:
 
     def test_storage_dtypes(self):
         assert Tensor([1.0], FULL).data.dtype == np.float32
-        assert Tensor([1.0], REDUCED).data.dtype == np.float32
         assert Tensor([1.0], DOUBLE).data.dtype == np.float64
-
-    def test_reduced_survives_16bit_round_trip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            t = Tensor(rng.normal(size=100), REDUCED)
-            again = t.data.astype(np.float16).astype(np.float32)
-            assert np.array_equal(t.data, again)
-
-    def test_reduced_rounding_applied_at_construction(self):
-        x = np.float32(1.0) + np.float32(1e-4)  # not representable in 16 bits
-        t = Tensor([x], REDUCED)
-        assert t.data[0] == np.float32(np.float16(x))
 
     def test_scalar_tensor_item(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)

@@ -9,7 +9,7 @@ from desklora.errors import BudgetError, ConfigError, ContractError, DataError, 
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
 from desklora.numcore import (
-    DOUBLE, FULL, REDUCED, Parameter, Rng, Tensor, astype, backward, constant, dropout, scale,
+    DOUBLE, FULL, Parameter, Rng, Tensor, astype, backward, constant, dropout, scale,
 )
 from desklora.trainer import (
     ActivationMeter,
@@ -464,15 +464,6 @@ class TestTrainLoop:
         budget = MemoryBudget(device_bytes=ledger.device_total() + 5000, host_bytes=10**9)
         with pytest.raises(BudgetError):
             train(model, fixture_windows(), tiny_train_cfg(budget=budget), tmp_path)
-
-    def test_mixed_precision_tags(self, tmp_path):
-        model = tiny_model(seed=10)
-        loss = model.loss(np.arange(9), mixed=True)
-        assert loss.value.dtype == REDUCED
-        for _, p in model.trainable_parameters():
-            assert p.value.dtype == FULL
-        # and training in mixed mode still runs
-        train(model, fixture_windows(), tiny_train_cfg(precision="mixed", total_steps=3, warmup_steps=1), tmp_path)
 
 
 class TestCheckpointedGradients:
