@@ -1,10 +1,18 @@
 """Command-line pipeline: prep -> train -> eval -> report, plus standalone
 perturbation and artifact inspection.
 
-Configuration precedence is flags > config file > defaults. The config file
-is one JSON document with per-command sections; unknown keys are rejected.
-Every command writes its resolved configuration next to its outputs so a run
-can be reproduced from the echo alone.
+`FLAGS` is the one table from flags to config fields: each row names a
+command, a flag, the path of the config field the flag sets and its type. The
+prep, train and eval parsers are generated from it, and each flag's --help
+names its path. The config file holds a JSON object per command, shaped like
+that command's dataclass (`PrepCommand`, `TrainCommand`, `EvalCommand`), so
+the table's paths are the file's schema; unknown keys and mistyped values are
+rejected in every section. `resolve` lays each given flag over the file at its
+path (flags > config file > defaults) and builds the typed config, so every
+config error exits 2 before any shard, vocabulary or checkpoint is opened.
+Only `train.model.vocab_size` comes from the data. Each command writes its
+full resolved config, defaults included, to `resolved_config.json`; fed back
+as --config with only `out` changed, it reruns the same run.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 training abort.
 """
@@ -13,53 +21,147 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 from .arabicprep import (
-    BpeVocab,
-    DialectLexicon,
-    NormalizationPolicy,
-    ShardReader,
-    bpe_train,
-    prepare_documents,
-    read_jsonl,
-    write_shards,
+    BpeVocab, DialectLexicon, NormalizationPolicy, ShardReader, bpe_train, prepare_documents,
+    read_jsonl, write_shards,
 )
-from .arabicprep.bpe import SEP_ID
+from .arabicprep.bpe import N_SPECIALS, SEP_ID
+from .arabicprep.shards import DEFAULT_SHARD_DOCS
+from .describe import describe
 from .errors import BudgetError, ConfigError, DataError, DeskloraError, TrainingError
 from .evalharness import (
-    PerturbationConfig,
-    dialect_breakdown,
-    emit_report,
-    load_eval_set,
-    perturb,
-    robustness_curve,
-    validate_report,
+    PerturbationConfig, dialect_breakdown, emit_report, load_eval_set, perturb, robustness_curve,
 )
-from .lora import LoraConfig, loads_adapters
-from .model import ModelConfig, build, load_model, token_has_diacritic
+from .model import ModelConfig, build, token_has_diacritic
 from .numcore import Rng
-from .quant import loads_qnf4, loads_state8
-from .trainer import (
-    MemoryBudget,
-    TrainConfig,
-    checkpoint_hash,
-    load_checkpoint,
-    loads_optimizer,
-    pack_windows,
-    read_trainer_state,
-    train,
-)
+from .trainer import TrainConfig, checkpoint_hash, load_checkpoint, pack_windows, train
 from .util import from_known_keys, sha256_file
 
-_POLICY_KEYS = set(NormalizationPolicy().to_dict())
-_SECTION_KEYS = {
-    "prep": {"input", "out", "vocab_size", "vocab", "per_sentence", "lexicon",
-             "shard_docs", "policy"},
-    "train": {"shards", "out", "train", "model", "lora", "stage", "dialect",
-              "resume", "init_from"},
-    "eval": {"checkpoint", "shards", "out", "lm", "qa", "mt", "robustness",
-             "perturbation", "compare", "max_new"},
-}
+
+@dataclass
+class PrepCommand:
+    """`desklora prep`'s config: the `prep` section of a config file."""
+
+    input: str = None
+    out: str = None
+    vocab_size: int = 8192
+    vocab: str = None
+    per_sentence: bool = False
+    lexicon: str = None
+    shard_docs: int = DEFAULT_SHARD_DOCS
+    policy: NormalizationPolicy = field(default_factory=NormalizationPolicy)
+
+    def __post_init__(self):  # bpe_train and write_shards check these too, after reading
+        if self.vocab_size <= 256 + N_SPECIALS:
+            raise ConfigError(f"vocab_size must exceed {256 + N_SPECIALS}, got {self.vocab_size}")
+        if not 1 <= self.shard_docs <= 0xFFFF:  # the shard header stores the doc count as a u16
+            raise ConfigError(f"shard_docs must be in [1, 65535], got {self.shard_docs}")
+
+
+@dataclass
+class TrainCommand:
+    """`desklora train`'s config: the `train` section of a config file."""
+
+    shards: str = None
+    out: str = None
+    stage: str = None
+    dialect: str = None
+    resume: str = None
+    init_from: str = None
+    train: TrainConfig = field(default_factory=TrainConfig)
+    model: ModelConfig = None  # built by `_build`: its defaults depend on train.seq_len
+
+
+@dataclass
+class EvalCommand:
+    """`desklora eval`'s config: the `eval` section of a config file."""
+
+    checkpoint: str = None
+    shards: str = None
+    out: str = None
+    lm: str = None
+    qa: str = None
+    mt: str = None
+    robustness: str = None
+    compare: str = None
+    max_new: int = 16
+    perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
+
+    def __post_init__(self):
+        if self.max_new < 1:
+            raise ConfigError(f"max_new must be >= 1, got {self.max_new}")
+
+
+COMMANDS = {"prep": PrepCommand, "train": TrainCommand, "eval": EvalCommand}
+REQUIRED = {"prep": ("input", "out"), "train": ("shards", "out"),
+            "eval": ("checkpoint", "shards", "out")}
+SWITCH = "switch"  # a flag that sets its field to true and takes no value
+
+
+def levels(text: str) -> list:
+    return [float(x) for x in text.split(",")]
+
+
+class Flag(NamedTuple):
+    command: str
+    flag: str
+    path: tuple  # field names from the command's dataclass down
+    kind: object  # int, float, str, levels, SWITCH, or bool for a --x/--no-x pair
+    help: str = ""
+
+
+FLAGS = (
+    Flag("prep", "--input", ("input",), str),
+    Flag("prep", "--out", ("out",), str),
+    Flag("prep", "--vocab-size", ("vocab_size",), int),
+    Flag("prep", "--vocab", ("vocab",), str, "reuse an existing tokenizer file"),
+    Flag("prep", "--per-sentence", ("per_sentence",), SWITCH),
+    Flag("prep", "--lexicon", ("lexicon",), str),
+    *(Flag("prep", "--" + key.replace("_", "-"), ("policy", key), bool)
+      for key in NormalizationPolicy().to_dict()),
+    Flag("train", "--shards", ("shards",), str),
+    Flag("train", "--out", ("out",), str),
+    Flag("train", "--steps", ("train", "total_steps"), int),
+    Flag("train", "--warmup", ("train", "warmup_steps"), int),
+    Flag("train", "--lr", ("train", "lr_max"), float),
+    Flag("train", "--micro-batch", ("train", "micro_batch"), int),
+    Flag("train", "--accum", ("train", "accumulation_steps"), int),
+    Flag("train", "--seq-len", ("train", "seq_len"), int),
+    Flag("train", "--clip", ("train", "max_grad_norm"), float),
+    Flag("train", "--optimizer", ("train", "optimizer"), str, "adamw8, adamw or sgd"),
+    Flag("train", "--checkpointing", ("train", "checkpointing"), SWITCH),
+    Flag("train", "--checkpoint-every", ("train", "checkpoint_every"), int),
+    Flag("train", "--seed", ("train", "seed"), int),
+    Flag("train", "--d-model", ("model", "d_model"), int),
+    Flag("train", "--n-heads", ("model", "n_heads"), int),
+    Flag("train", "--n-layers", ("model", "n_layers"), int),
+    Flag("train", "--d-ffn", ("model", "d_ffn"), int),
+    Flag("train", "--max-seq-len", ("model", "max_seq_len"), int, "default max(seq_len, 16)"),
+    Flag("train", "--diacritic-bias", ("model", "diacritic_bias"), float),
+    Flag("train", "--rank", ("model", "lora", "r"), int),
+    Flag("train", "--alpha", ("model", "lora", "alpha"), float),
+    Flag("train", "--lora-dropout", ("model", "lora", "dropout"), float),
+    Flag("train", "--resume", ("resume",), str, "checkpoint dir to continue"),
+    Flag("train", "--init-from", ("init_from",), str, "checkpoint dir to start a new stage from"),
+    Flag("train", "--stage", ("stage",), str, "stage name; outputs nest under out/<stage>"),
+    Flag("train", "--dialect", ("dialect",), str, "train only on documents with this dialect tag"),
+    Flag("eval", "--checkpoint", ("checkpoint",), str),
+    Flag("eval", "--shards", ("shards",), str, "shard dir supplying vocab and policy"),
+    Flag("eval", "--out", ("out",), str),
+    Flag("eval", "--lm", ("lm",), str),
+    Flag("eval", "--qa", ("qa",), str),
+    Flag("eval", "--mt", ("mt",), str),
+    Flag("eval", "--robustness", ("robustness",), str),
+    Flag("eval", "--levels", ("perturbation", "levels"), levels,
+         "comma-separated perturbation levels"),
+    Flag("eval", "--max-new", ("max_new",), int,
+         "tokens generated per robustness continuation; QA and MT keep their own cap"),
+    Flag("eval", "--compare", ("compare",), str, "second checkpoint for side-by-side tables"),
+    Flag("eval", "--seed", ("perturbation", "seed"), int),
+)
 
 
 def _load_config_file(path) -> dict:
@@ -75,289 +177,190 @@ def _load_config_file(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for section, body in cfg.items():
-        if section not in _SECTION_KEYS:
+        if section not in COMMANDS:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(body) - _SECTION_KEYS[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-        if section == "prep" and "policy" in body:
-            bad = set(body["policy"]) - _POLICY_KEYS
-            if bad:
-                raise ConfigError(f"unknown policy keys: {sorted(bad)}")
     return cfg
 
 
-def _merge(file_section: dict, overrides: dict) -> dict:
-    out = dict(file_section)
-    for key, value in overrides.items():
-        if value is not None:
-            out[key] = value
-    return out
+def _build(command: str, section: dict):
+    """The command's config from its section of the file, flags laid over."""
+    if command != "train":
+        return from_known_keys(COMMANDS[command], section)
+    model = section.get("model", {})
+    if not isinstance(model, dict):
+        raise ConfigError(f"train.model must be an object, got {type(model).__name__}")
+    run = from_known_keys(TrainCommand, {k: v for k, v in section.items() if k != "model"})
+    # vocab_size 1 stands in until cmd_train reads the shard set's vocabulary
+    run.model = from_known_keys(
+        ModelConfig, {"vocab_size": 1, "max_seq_len": max(run.train.seq_len, 16), **model})
+    _fits_window(run.train, run.model, "train.model")
+    return run
 
 
-def _write_resolved(out_dir: str, command: str, resolved: dict):
+def _fits_window(train_cfg: TrainConfig, model_cfg: ModelConfig, source: str):
+    if train_cfg.seq_len > model_cfg.max_seq_len:
+        raise ConfigError(f"train.train.seq_len {train_cfg.seq_len} exceeds the max_seq_len "
+                          f"{model_cfg.max_seq_len} of {source}")
+
+
+def resolve(command: str, args):
+    """Lay the flags given in `args` over the config file's section for
+    `command` and build the command's config. Returns it with the section as
+    given (file plus flags, no defaults). Every section in the file is built,
+    so a config error anywhere in it is raised before any data is read."""
+    given = vars(args)
+    sections = _load_config_file(given["config"])
+    for row in FLAGS:
+        value = given.get(row.flag[2:].replace("-", "_"))
+        if row.command == command and value is not None:
+            node, where = sections.setdefault(command, {}), command
+            for key in row.path[:-1]:
+                node, where = node.setdefault(key, {}), f"{where}.{key}"
+                if not isinstance(node, dict):
+                    raise ConfigError(f"{where} must be an object, got {type(node).__name__}")
+            node[row.path[-1]] = value
+    section = sections.setdefault(command, {})
+    cfg = {name: _build(name, body) for name, body in sections.items()}[command]
+    for key in REQUIRED[command]:
+        if getattr(cfg, key) is None:
+            flag = next(r.flag for r in FLAGS if r.command == command and r.path == (key,))
+            raise ConfigError(f"{command} needs {flag} (or {command}.{key} in the config file)")
+    return cfg, section
+
+
+def _must_match(given: dict, actual: dict, source: str, where: str = "train.model"):
+    """Every value in `given` equals `actual`'s at the same key; else ConfigError."""
+    for key, value in given.items():
+        if isinstance(value, dict):
+            _must_match(value, actual[key], source, f"{where}.{key}")
+        elif value != actual[key]:
+            raise ConfigError(f"{where}.{key} is {value!r} but {source} has {actual[key]!r}")
+
+
+def _write_resolved(out_dir: str, command: str, cfg):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
-        json.dump({"command": command, "config": resolved}, f,
+        json.dump({"command": command, "config": {command: asdict(cfg)}}, f,
                   ensure_ascii=False, sort_keys=True, indent=1)
         f.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# prep
-# ---------------------------------------------------------------------------
-
-
 def cmd_prep(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    section = _merge(file_cfg.get("prep", {}), {
-        "input": args.input,
-        "out": args.out,
-        "vocab_size": args.vocab_size,
-        "vocab": args.vocab,
-        "per_sentence": args.per_sentence or None,
-        "lexicon": args.lexicon,
-    })
-    policy_dict = dict(section.get("policy", {}))
-    for key in _POLICY_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            policy_dict[key] = flag
-    if not section.get("input"):
-        raise ConfigError("prep needs --input (or prep.input in the config file)")
-    if not section.get("out"):
-        raise ConfigError("prep needs --out (or prep.out in the config file)")
-
-    policy = NormalizationPolicy.from_dict(policy_dict)
-    lexicon = (
-        DialectLexicon.from_file(section["lexicon"], policy)
-        if section.get("lexicon")
-        else DialectLexicon.default(policy)
-    )
-    raw = read_jsonl(section["input"])
-    docs = prepare_documents(raw, policy, lexicon, per_sentence=bool(section.get("per_sentence")))
+    run, _ = resolve("prep", args)
+    lexicon = (DialectLexicon.from_file(run.lexicon, run.policy) if run.lexicon
+               else DialectLexicon.default(run.policy))
+    raw = read_jsonl(run.input)
+    docs = prepare_documents(raw, run.policy, lexicon, per_sentence=run.per_sentence)
     if not docs:
         raise DataError("all documents were dropped by cleaning; nothing to write")
 
-    if section.get("vocab"):
-        vocab = BpeVocab.load(section["vocab"])
-    else:
-        vocab = bpe_train((d.text for d in docs), vocab_size=int(section.get("vocab_size", 8192)))
+    vocab = (BpeVocab.load(run.vocab) if run.vocab
+             else bpe_train((d.text for d in docs), vocab_size=run.vocab_size))
+    os.makedirs(run.out, exist_ok=True)
+    vocab.save(os.path.join(run.out, "vocab.json"))
+    write_shards(docs, vocab, run.policy, run.out, shard_docs=run.shard_docs)
 
-    out_dir = section["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    vocab.save(os.path.join(out_dir, "vocab.json"))
-    write_shards(docs, vocab, policy, out_dir, shard_docs=int(section.get("shard_docs", 4096)))
-
-    reader = ShardReader(out_dir)
+    reader = ShardReader(run.out)
     counts = reader.manifest["counts"]
-    print(f"prepared {len(docs)} documents ({len(raw) - len(docs)} dropped) -> {out_dir}")
+    print(f"prepared {len(docs)} documents ({len(raw) - len(docs)} dropped) -> {run.out}")
     for label, table in (("source", counts["source"]), ("dialect", counts["dialect"])):
         rendered = "  ".join(f"{k}={v}" for k, v in sorted(table.items()))
         print(f"  by {label}: {rendered}")
     print(f"  vocab: {vocab.n_tokens} tokens, hash {vocab.vocab_hash()[:12]}")
-
-    resolved = {"prep": {**section, "policy": policy.to_dict()}}
-    _write_resolved(out_dir, "prep", resolved)
+    _write_resolved(run.out, "prep", run)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# train
-# ---------------------------------------------------------------------------
-
-
-def _windows_from_shards(reader: ShardReader, seq_len: int, dialect: str | None):
-    docs = list(reader.iter_tokens(dialect))
-    if dialect is not None and not docs:
-        raise DataError(f"no documents tagged {dialect!r} in the shard set")
-    return pack_windows([d.tolist() for d in docs], seq_len, SEP_ID)
-
-
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    section = _merge(file_cfg.get("train", {}), {
-        "shards": args.shards,
-        "out": args.out,
-        "stage": args.stage,
-        "dialect": args.dialect,
-        "resume": args.resume,
-        "init_from": args.init_from,
-    })
-    if not section.get("shards"):
-        raise ConfigError("train needs --shards (or train.shards in the config file)")
-    if not section.get("out"):
-        raise ConfigError("train needs --out (or train.out in the config file)")
-
-    train_over = dict(section.get("train", {}))
-    for key in ("total_steps", "warmup_steps", "lr_max", "micro_batch", "accumulation_steps",
-                "seq_len", "max_grad_norm", "optimizer", "checkpoint_every", "seed"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            train_over[key] = flag
-    if args.checkpointing:
-        train_over["checkpointing"] = True
-    train_cfg = TrainConfig.from_dict(train_over)
-
-    reader = ShardReader(section["shards"])
-    vocab = BpeVocab.load(os.path.join(section["shards"], "vocab.json"))
+    run, section = resolve("train", args)
+    reader = ShardReader(run.shards)
+    vocab = BpeVocab.load(os.path.join(run.shards, "vocab.json"))
     if vocab.vocab_hash() != reader.vocab_hash:
         raise ConfigError("vocab.json does not match the shard manifest vocab hash")
+    out_dir = os.path.join(run.out, run.stage) if run.stage else run.out
 
-    out_dir = section["out"]
-    if section.get("stage"):
-        out_dir = os.path.join(out_dir, section["stage"])
-
-    resume = section.get("resume")
-    start = resume or section.get("init_from")
+    # a model value the file or a flag gives must match the checkpoint's, or the vocabulary's
+    start = run.resume or run.init_from
     if start:
         model, state = load_checkpoint(start)
         if state["vocab_hash"] and state["vocab_hash"] != vocab.vocab_hash():
             raise ConfigError("vocab hash mismatch between checkpoint and shard set")
-        if not resume:
+        _must_match(section.get("model", {}), model.cfg.to_dict(), f"checkpoint {start}")
+        _fits_window(run.train, model.cfg, f"checkpoint {start}")
+        if not run.resume:
             adapters_hash = sha256_file(os.path.join(start, "adapters.lora"))
             print(f"initialized from {start} (adapters sha256 {adapters_hash[:12]})")
     else:
-        model_over = dict(section.get("model", {}))
-        for key in ("d_model", "n_heads", "n_layers", "d_ffn", "max_seq_len", "diacritic_bias"):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                model_over[key] = flag
-        lora_over = dict(section.get("lora", {}))
-        for arg_key, cfg_key in (("rank", "r"), ("alpha", "alpha"), ("lora_dropout", "dropout")):
-            flag = getattr(args, arg_key, None)
-            if flag is not None:
-                lora_over[cfg_key] = flag
-        lora_cfg = LoraConfig.from_dict(lora_over)
-        model_cfg = ModelConfig.from_dict({
-            **{"vocab_size": vocab.n_tokens,
-               "max_seq_len": max(train_cfg.seq_len, 16)},
-            **model_over,
-            "lora": lora_cfg.to_dict(),
-        })
+        model_cfg = replace(run.model, vocab_size=vocab.n_tokens)
+        _must_match(section.get("model", {}), model_cfg.to_dict(), "the shard set's vocabulary")
         flags = [token_has_diacritic(bs) for bs in vocab.token_bytes]
-        model = build(model_cfg, Rng(train_cfg.seed), flags)
+        model = build(model_cfg, Rng(run.train.seed), flags)
+    run.model = model.cfg
 
-    windows = _windows_from_shards(reader, train_cfg.seq_len, section.get("dialect"))
+    docs = [d.tolist() for d in reader.iter_tokens(run.dialect)]
+    if run.dialect is not None and not docs:
+        raise DataError(f"no documents tagged {run.dialect!r} in the shard set")
+    windows = pack_windows(docs, run.train.seq_len, SEP_ID)
     frac = model.trainable_fraction()
-    print(f"training: {windows.shape[0]} windows of {train_cfg.seq_len + 1} tokens, "
-          f"effective batch {train_cfg.micro_batch * train_cfg.accumulation_steps}, "
+    print(f"training: {windows.shape[0]} windows of {run.train.seq_len + 1} tokens, "
+          f"effective batch {run.train.micro_batch * run.train.accumulation_steps}, "
           f"trainable fraction {frac:.4%}")
+    _write_resolved(out_dir, "train", run)
 
-    resolved = {
-        "train": {
-            **section,
-            "train": train_cfg.to_dict(),
-            "model": model.cfg.to_dict(),
-        }
-    }
-    _write_resolved(out_dir, "train", resolved)
-
-    result = train(
-        model,
-        windows,
-        train_cfg,
-        out_dir,
-        resume_from=resume,
-        vocab_hash=vocab.vocab_hash(),
-        log=print,
-    )
+    result = train(model, windows, run.train, out_dir, resume_from=run.resume,
+                   vocab_hash=vocab.vocab_hash(), log=print)
     final = result.final_checkpoint
     print(f"done: final checkpoint {final} (hash {checkpoint_hash(final)[:12]})")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# eval
-# ---------------------------------------------------------------------------
-
-
 def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    section = _merge(file_cfg.get("eval", {}), {
-        "checkpoint": args.checkpoint,
-        "shards": args.shards,
-        "out": args.out,
-        "lm": args.lm,
-        "qa": args.qa,
-        "mt": args.mt,
-        "robustness": args.robustness,
-        "compare": args.compare,
-        "max_new": args.max_new,
-    })
-    for required in ("checkpoint", "shards", "out"):
-        if not section.get(required):
-            raise ConfigError(f"eval needs --{required} (or eval.{required} in the config file)")
-    perturbation = section.get("perturbation", {})
-    if not isinstance(perturbation, dict):
-        raise ConfigError(f"eval.perturbation must be an object, got {type(perturbation).__name__}")
-    pcfg = from_known_keys(PerturbationConfig, _merge(perturbation, {
-        "levels": args.levels.split(",") if args.levels else None, "seed": args.seed}))
-    for key in ("lm", "qa", "mt", "robustness"):
-        path = section.get(key)
+    run, _ = resolve("eval", args)
+    set_paths = {"lm": run.lm, "qa": run.qa, "mt": run.mt}
+    for path in (*set_paths.values(), run.robustness):
         if path and not os.path.exists(path):
             raise DataError(f"eval set file not found: {path}")
 
-    reader = ShardReader(section["shards"])
-    vocab = BpeVocab.load(os.path.join(section["shards"], "vocab.json"))
+    reader = ShardReader(run.shards)
+    vocab = BpeVocab.load(os.path.join(run.shards, "vocab.json"))
     policy = reader.policy
 
     def load_side(ckpt_dir):
         model, state = load_checkpoint(ckpt_dir)
         if state["vocab_hash"] and state["vocab_hash"] != vocab.vocab_hash():
             raise ConfigError(
-                f"vocab hash mismatch between checkpoint {ckpt_dir} and eval tokenization"
-            )
+                f"vocab hash mismatch between checkpoint {ckpt_dir} and eval tokenization")
         return model
 
-    model = load_side(section["checkpoint"])
+    model = load_side(run.checkpoint)
+    sets = {kind: load_eval_set(path, kind) for kind, path in set_paths.items() if path}
 
-    sets = {}
-    for kind in ("lm", "qa", "mt"):
-        if section.get(kind):
-            sets[kind] = load_eval_set(section[kind], kind)
-
-    metadata = {
-        "model_hash": checkpoint_hash(section["checkpoint"]),
-        "vocab_hash": vocab.vocab_hash(),
-        "perturbation": pcfg.to_dict(),
-    }
+    metadata = {"model_hash": checkpoint_hash(run.checkpoint), "vocab_hash": vocab.vocab_hash(),
+                "perturbation": run.perturbation.to_dict()}
     report = dialect_breakdown(model, sets, vocab, policy, metadata=metadata)
 
-    if section.get("robustness"):
-        robust_set = load_eval_set(section["robustness"], "robustness")
-        texts = [it["text"] for it in robust_set.items]
-        max_new = int(section.get("max_new") or 16)
+    if run.robustness:
+        texts = [it["text"] for it in load_eval_set(run.robustness, "robustness").items]
         report.curves["robustness"] = robustness_curve(
-            model, texts, vocab, policy, pcfg, max_new=max_new
-        )
+            model, texts, vocab, policy, run.perturbation, max_new=run.max_new)
 
-    if section.get("compare"):
-        other = load_side(section["compare"])
+    if run.compare:
+        other = load_side(run.compare)
         other_report = dialect_breakdown(other, sets, vocab, policy, metadata={})
-        comparison = {}
-        for metric, row in report.tables.items():
-            comparison[metric] = {}
-            for dialect, value in row.items():
-                comparison[metric][dialect] = {
-                    "finetuned": value,
-                    "base": other_report.tables.get(metric, {}).get(dialect, float("nan")),
-                }
-        report.comparison = comparison
-        report.metadata["compare_hash"] = checkpoint_hash(section["compare"])
+        base = other_report.tables
+        report.comparison = {
+            metric: {dialect: {"finetuned": value,
+                               "base": base.get(metric, {}).get(dialect, float("nan"))}
+                     for dialect, value in row.items()}
+            for metric, row in report.tables.items()}
+        report.metadata["compare_hash"] = checkpoint_hash(run.compare)
 
-    out_dir = section["out"]
-    paths = emit_report(report, out_dir)
-    _write_resolved(out_dir, "eval", {"eval": {**section, "perturbation": pcfg.to_dict()}})
+    paths = emit_report(report, run.out)
+    _write_resolved(run.out, "eval", run)
     print(f"report written: {paths['json']}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# perturb / inspect
-# ---------------------------------------------------------------------------
 
 
 def cmd_perturb(args) -> int:
@@ -368,146 +371,40 @@ def cmd_perturb(args) -> int:
             text = f.read()
     else:
         text = sys.stdin.read()
-    ops = tuple(args.ops.split(",")) if args.ops else None
-    kwargs = {"ops": ops} if ops else {}
+    kwargs = {"ops": tuple(args.ops.split(","))} if args.ops else {}
     print(perturb(text, args.level, seed=args.seed or 0, **kwargs))
     return 0
-
-
-def _inspect_one(path):
-    if os.path.isdir(path):
-        manifest = os.path.join(path, "manifest.json")
-        state = os.path.join(path, "trainer_state")
-        if os.path.exists(manifest):
-            reader = ShardReader(path)
-            counts = reader.manifest["counts"]
-            print(f"{path}: shard set, {len(reader)} docs, "
-                  f"{len(reader.manifest['shards'])} shards, vocab {reader.vocab_hash[:12]}")
-            print(f"  policy: {reader.policy.to_dict()}")
-            print(f"  dialects: {counts['dialect']}")
-            return
-        if os.path.exists(state):
-            st = read_trainer_state(path)
-            print(f"{path}: checkpoint at step {st['step']}, seed {st['seed']}, "
-                  f"hash {checkpoint_hash(path)[:12]}")
-            return
-        print(f"{path}: directory (no manifest or trainer_state)")
-        return
-    with open(path, "rb") as f:
-        data = f.read()
-    head = data[:4]
-    if head == b"QNF4":
-        q = loads_qnf4(data)
-        print(f"{path}: QNF4 tensor shape {q.shape}, block {q.block_size}, "
-              f"double-quant {q.dq is not None}")
-    elif head == b"QST8":
-        s = loads_state8(data)
-        print(f"{path}: QST8 optimizer moment shape {s.shape}, block {s.block_size}")
-    elif head == b"LORA":
-        state = loads_adapters(data)
-        print(f"{path}: adapter checkpoint r={state['r']} alpha={state['alpha']} "
-              f"layers={len(state['weights'])}")
-    elif head == b"DMDL":
-        cfg = load_model(path).cfg
-        print(f"{path}: model checkpoint, {cfg.n_layers} layers, d_model {cfg.d_model}, "
-              f"vocab {cfg.vocab_size}, sha256 {sha256_file(path)[:12]}")
-    elif head == b"OPT8":
-        opt = loads_optimizer(data)
-        print(f"{path}: {opt.kind} optimizer state at step {opt.step_count}")
-    elif head == b"SHRD":
-        print(f"{path}: token shard, sha256 {sha256_file(path)[:12]}")
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                obj = json.load(f)
-            if obj.get("format") == "desklora-bpe":
-                vocab = BpeVocab.load(path)
-                print(f"{path}: tokenizer, {vocab.n_tokens} tokens, hash {vocab.vocab_hash()[:12]}")
-                return
-            if obj.get("format") == "desklora-report":
-                validate_report(obj)
-                print(f"{path}: eval report, metrics {sorted(obj['tables'])}")
-                return
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            pass
-        print(f"{path}: unrecognized format")
 
 
 def cmd_inspect(args) -> int:
     for path in args.paths:
         if not os.path.exists(path):
             raise DataError(f"no such path: {path}")
-        _inspect_one(path)
+        describe(path)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# argument wiring
-# ---------------------------------------------------------------------------
+_HANDLERS = {
+    "prep": (cmd_prep, "clean, tag, tokenize, and shard a JSONL corpus"),
+    "train": (cmd_train, "fine-tune on a shard set"),
+    "eval": (cmd_eval, "run metrics and emit a report"),
+}
+_ACTIONS = {bool: {"action": argparse.BooleanOptionalAction},
+            SWITCH: {"action": "store_const", "const": True}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="desklora", description=__doc__)
+    parser = argparse.ArgumentParser(prog="desklora", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prep", help="clean, tag, tokenize, and shard a JSONL corpus")
-    p.add_argument("--config")
-    p.add_argument("--input")
-    p.add_argument("--out")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--vocab", help="reuse an existing tokenizer file")
-    p.add_argument("--per-sentence", dest="per_sentence", action="store_true", default=False)
-    p.add_argument("--lexicon")
-    for key in sorted(_POLICY_KEYS):
-        flag = "--" + key.replace("_", "-")
-        p.add_argument(flag, dest=key, action="store_true", default=None)
-        p.add_argument("--no-" + key.replace("_", "-"), dest=key, action="store_false", default=None)
-    p.set_defaults(func=cmd_prep)
-
-    t = sub.add_parser("train", help="fine-tune on a shard set")
-    t.add_argument("--config")
-    t.add_argument("--shards")
-    t.add_argument("--out")
-    t.add_argument("--steps", dest="total_steps", type=int)
-    t.add_argument("--warmup", dest="warmup_steps", type=int)
-    t.add_argument("--lr", dest="lr_max", type=float)
-    t.add_argument("--micro-batch", dest="micro_batch", type=int)
-    t.add_argument("--accum", dest="accumulation_steps", type=int)
-    t.add_argument("--seq-len", dest="seq_len", type=int)
-    t.add_argument("--clip", dest="max_grad_norm", type=float)
-    t.add_argument("--optimizer", choices=("adamw8", "adamw", "sgd"))
-    t.add_argument("--checkpointing", action="store_true", default=False)
-    t.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--d-model", dest="d_model", type=int)
-    t.add_argument("--n-heads", dest="n_heads", type=int)
-    t.add_argument("--n-layers", dest="n_layers", type=int)
-    t.add_argument("--d-ffn", dest="d_ffn", type=int)
-    t.add_argument("--max-seq-len", dest="max_seq_len", type=int)
-    t.add_argument("--diacritic-bias", dest="diacritic_bias", type=float)
-    t.add_argument("--rank", type=int)
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--lora-dropout", dest="lora_dropout", type=float)
-    t.add_argument("--resume", help="checkpoint dir to continue")
-    t.add_argument("--init-from", dest="init_from", help="checkpoint dir to start a new stage from")
-    t.add_argument("--stage", help="stage name; outputs nest under out/<stage>")
-    t.add_argument("--dialect", help="train only on documents with this dialect tag")
-    t.set_defaults(func=cmd_train)
-
-    e = sub.add_parser("eval", help="run metrics and emit a report")
-    e.add_argument("--config")
-    e.add_argument("--checkpoint")
-    e.add_argument("--shards", help="shard dir supplying vocab and policy")
-    e.add_argument("--out")
-    e.add_argument("--lm")
-    e.add_argument("--qa")
-    e.add_argument("--mt")
-    e.add_argument("--robustness")
-    e.add_argument("--levels", help="comma-separated perturbation levels")
-    e.add_argument("--max-new", dest="max_new", type=int)
-    e.add_argument("--compare", help="second checkpoint for side-by-side tables")
-    e.add_argument("--seed", type=int)
-    e.set_defaults(func=cmd_eval)
+    for command, (func, help_text) in _HANDLERS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for row in (r for r in FLAGS if r.command == command):
+            where = f"[config: {command}.{'.'.join(row.path)}]"
+            p.add_argument(row.flag, help=f"{row.help} {where}".lstrip(),
+                           **_ACTIONS.get(row.kind, {"type": row.kind}))
+        p.set_defaults(func=func)
 
     r = sub.add_parser("perturb", help="perturb text from --text/--in/stdin")
     r.add_argument("--text")

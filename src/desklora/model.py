@@ -75,8 +75,6 @@ class ModelConfig:
             raise ConfigError("head dimension must be even for rotary mixing")
         if self.dtype not in (FULL, DOUBLE):
             raise ConfigError(f"model dtype must be full or double, got {self.dtype!r}")
-        if isinstance(self.lora, dict):
-            self.lora = LoraConfig.from_dict(self.lora)
 
     @property
     def head_dim(self) -> int:

@@ -10,7 +10,7 @@ allocator.
 import contextlib
 from dataclasses import dataclass, field
 
-from ..errors import BudgetError, ContractError
+from ..errors import BudgetError, ConfigError, ContractError
 from ..numcore import metering
 
 DEVICE_CATEGORIES = ("quantized_weights", "adapters", "activations")
@@ -23,9 +23,10 @@ class MemoryBudget:
     device_bytes: int = int(3.5 * 2**30)
     host_bytes: int = int(12 * 2**30)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MemoryBudget":
-        return cls(device_bytes=int(d["device_bytes"]), host_bytes=int(d["host_bytes"]))
+    def __post_init__(self):
+        for name, value in (("device_bytes", self.device_bytes), ("host_bytes", self.host_bytes)):
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ConfigError(f"budget {name} must be a positive int, got {value!r}")
 
 
 @dataclass

@@ -21,7 +21,7 @@ from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
 from ..numcore import Rng, RowRngs, backward
 from ..quant import quantized_nbytes
-from ..util import from_known_keys, sha256_file, sha256_json
+from ..util import sha256_file, sha256_json
 from .ledger import ActivationMeter, MemoryBudget, MemoryLedger
 from .optim import clip_gradients, global_grad_norm, make_optimizer
 
@@ -40,9 +40,6 @@ class TrainConfig:
     seed: int = 0
     checkpointing: bool = False
     optimizer: str = "adamw8"  # adamw8 | adamw | sgd
-    weight_decay: float = 0.0
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     checkpoint_every: int = 1000
     keep_checkpoints: int = 2
     budget: MemoryBudget = field(default_factory=MemoryBudget)
@@ -62,16 +59,9 @@ class TrainConfig:
             raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
         if self.optimizer not in ("adamw8", "adamw", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if isinstance(self.budget, dict):
-            self.budget = MemoryBudget.from_dict(self.budget)
-        self.betas = tuple(self.betas)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return from_known_keys(cls, d)
 
 
 def lr_at(t: int, cfg: TrainConfig) -> float:
@@ -239,7 +229,7 @@ def train(
     ledger = MemoryLedger(cfg.budget)
     register_static_memory(model, ledger)
     meter = ActivationMeter(ledger)
-    optimizer = make_optimizer(cfg.optimizer, cfg.betas, cfg.eps, cfg.weight_decay, ledger=ledger)
+    optimizer = make_optimizer(cfg.optimizer, ledger=ledger)
 
     start_step = 0
     if resume_from is not None:

@@ -1,7 +1,7 @@
-"""Gradient clipping and optimizers: decoupled-weight-decay Adam with
-moments held in blockwise 8-bit dynamic quantization (host-resident in the
-ledger), a full-precision variant for oracle comparisons, and plain SGD for
-accumulation-equivalence checks.
+"""Gradient clipping and optimizers: Adam with moments held in blockwise
+8-bit dynamic quantization (host-resident in the ledger), a full-precision
+variant for oracle comparisons, and plain SGD for accumulation-equivalence
+checks.
 """
 
 import numpy as np
@@ -16,6 +16,9 @@ from ..quant import (
     loads_state8,
     quantize_state8,
 )
+
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 def global_grad_norm(grads: dict) -> float:
@@ -110,7 +113,7 @@ class Sgd(_Checkpointable):
 
 
 class AdamW(_Checkpointable):
-    """Adam with decoupled weight decay and bias correction.
+    """Adam with bias correction, `BETAS` and `EPS`, and no weight decay.
 
     With `quantized=True` (the default) the first and second moments live as
     blockwise 8-bit states, dequantized for the update and requantized after;
@@ -118,18 +121,7 @@ class AdamW(_Checkpointable):
     host-side optimizer_states pool, on first use and on load.
     """
 
-    def __init__(
-        self,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        quantized: bool = True,
-        block_size: int = STATE8_BLOCK_SIZE,
-        ledger=None,
-    ):
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, quantized: bool = True, block_size: int = STATE8_BLOCK_SIZE, ledger=None):
         self.quantized = quantized
         self.block_size = block_size
         self.ledger = ledger
@@ -154,7 +146,7 @@ class AdamW(_Checkpointable):
     def step(self, params: list, grads: dict, lr: float):
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         for name, p in params:
             g = grads.get(name)
             if g is None:
@@ -171,27 +163,25 @@ class AdamW(_Checkpointable):
                 raise TrainingError(f"non-finite moments for {name!r} at step {t}", step=t)
             m_hat = m / (1 - b1**t)
             v_hat = np.maximum(v / (1 - b2**t), 0.0)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.value.data.astype(np.float64)
+            update = m_hat / (np.sqrt(v_hat) + EPS)
             p.assign(Tensor(p.value.data - lr * update, p.value.dtype))
             if self.quantized:
                 m, v = quantize_state8(m, self.block_size), quantize_state8(v, self.block_size)
             self.moments[name] = (m, v)
 
 
-def make_optimizer(kind: str, betas, eps, weight_decay, ledger=None):
+def make_optimizer(kind: str, ledger=None):
     if kind == "adamw8":
-        return AdamW(betas=betas, eps=eps, weight_decay=weight_decay, quantized=True, ledger=ledger)
+        return AdamW(quantized=True, ledger=ledger)
     if kind == "adamw":
-        return AdamW(betas=betas, eps=eps, weight_decay=weight_decay, quantized=False, ledger=ledger)
+        return AdamW(quantized=False, ledger=ledger)
     if kind == "sgd":
         return Sgd()
     raise FormatError(f"unknown optimizer kind {kind!r}")
 
 
 def loads_optimizer(data: bytes):
-    """The optimizer an OPT8 blob was written by, with default hyperparameters."""
-    opt = make_optimizer(Reader(data, *_OPT8).text(), (0.9, 0.999), 1e-8, 0.0)
+    """The optimizer an OPT8 blob was written by."""
+    opt = make_optimizer(Reader(data, *_OPT8).text())
     opt.loads(data)
     return opt

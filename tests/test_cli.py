@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from desklora import cli
 from desklora.arabicprep import BpeVocab, ShardReader, encode_text
 from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
-from desklora.trainer import load_checkpoint, read_trainer_state
+from desklora.trainer import MemoryBudget, load_checkpoint, read_trainer_state
 from desklora.util import sha256_file
 from tests.conftest import synth_raw_docs, write_jsonl
 
@@ -27,6 +28,21 @@ def shards_dir(tmp_path_factory, corpus_path):
     ])
     assert rc == 0
     return out
+
+
+def rerun_from_echo(out, new_out):
+    """Run the command whose resolved_config.json is in `out` again, from
+    that file alone with only its `out` changed to `new_out`."""
+    echo = json.loads((out / "resolved_config.json").read_text())
+    echo["config"][echo["command"]]["out"] = str(new_out)
+    path = new_out.parent / f"{new_out.name}_echo.json"
+    path.write_text(json.dumps(echo["config"]))
+    return cli.main([echo["command"], "--config", str(path)])
+
+
+def same_bytes(a, b, names):
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def run_train(shards, out, extra=()):
@@ -117,6 +133,34 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert adapters_hash[:12] in printed
         assert (second / "egy" / "step_000005").exists()
+
+    @pytest.mark.parametrize("start, flag, value, key", [
+        ("--init-from", "--rank", "4", "train.model.lora.r"),
+        ("--resume", "--d-model", "32", "train.model.d_model"),
+        ("--init-from", "--seq-len", "32", "train.train.seq_len"),  # the checkpoint's window is 24
+    ])
+    def test_model_value_unlike_the_checkpoints_exits_2(self, shards_dir, trained_ckpt, tmp_path,
+                                                        capsys, start, flag, value, key):
+        rc = run_train(shards_dir, tmp_path / "run", extra=[start, str(trained_ckpt), flag, value])
+        assert rc == 2  # run_train's own --rank 2 and --d-model 16 match the checkpoint
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err, err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("init_from", [False, True])
+    def test_echo_reruns_its_run(self, shards_dir, trained_ckpt, tmp_path, init_from):
+        extra = ["--init-from", str(trained_ckpt)] if init_from else []
+        assert run_train(shards_dir, tmp_path / "one", extra=extra) == 0  # at --rank 2
+        assert rerun_from_echo(tmp_path / "one", tmp_path / "two") == 0
+        same_bytes(tmp_path / "one" / "step_000005", tmp_path / "two" / "step_000005",
+                   ("model.qnf4", "adapters.lora", "optimizer.st8"))
+
+    def test_partial_budget_trains_with_the_default_budget(self, shards_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"train": {"budget": {}}}}))
+        assert run_train(shards_dir, tmp_path / "run", extra=["--config", str(cfg)]) == 0
+        resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())["config"]
+        assert resolved["train"]["train"]["budget"] == dataclasses.asdict(MemoryBudget())
 
     def test_dialect_filter_selects_only_tagged_docs(self, shards_dir, tmp_path, capsys):
         out = tmp_path / "egy"
@@ -263,6 +307,13 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    def test_echo_reruns_its_run(self, trained_ckpt, shards_dir, eval_files, tmp_path):
+        rc = self.run_eval(trained_ckpt, shards_dir, eval_files, tmp_path / "one",
+                           extra=["--seed", "4"])
+        assert rc == 0
+        assert rerun_from_echo(tmp_path / "one", tmp_path / "two") == 0
+        same_bytes(tmp_path / "one", tmp_path / "two", ("report.json",))
+
     def test_missing_eval_file_names_path(self, trained_ckpt, shards_dir, tmp_path, capsys):
         rc = cli.main([
             "eval", "--checkpoint", str(trained_ckpt), "--shards", str(shards_dir),
@@ -365,11 +416,31 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("cfg", [{"global": {"seed": 1}}, {"global": {"out": "o"}},
                                      {"prep": {"seed": 1}}, {"train": {"seed": 1}},
-                                     {"eval": {"seed": 1}}])
+                                     {"eval": {"seed": 1}}, {"train": {"lora": {"r": 2}}},
+                                     {"train": {"train": {"weight_decay": 0.0}}},
+                                     {"train": {"train": {"betas": [0.9, 0.999]}}},
+                                     {"train": {"train": {"eps": 1e-8}}}])
     def test_keys_nothing_reads_rejected(self, tmp_path, cfg):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert cli.main(["prep", "--config", str(p), "--input", "x", "--out", "y"]) == 2
+
+    @pytest.mark.parametrize("command, section", [
+        ("train", {"model": 5}), ("train", {"lora": [1]}), ("train", {"train": 5}),
+        ("train", {"shards": 5}), ("train", {"train": {"budget": {"device_bytes": -1}}}),
+        ("prep", {"vocab_size": "abc"}), ("prep", {"shard_docs": "x"}), ("prep", {"policy": 5}),
+        ("prep", {"per_sentence": "no"}), ("eval", {"max_new": "abc"}),
+        ("train", {"train": {"seq_len": 64}, "model": {"max_seq_len": 32}}),
+    ])
+    def test_bad_value_exits_2_before_reading(self, tmp_path, capsys, command, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: section}))
+        paths = {key: tmp_path / f"no_{key}" for key in cli.REQUIRED[command] if key not in section}
+        argv = [x for key, path in paths.items() for x in (f"--{key}", str(path))]
+        rc = cli.main([command, "--config", str(cfg), *argv])
+        assert rc == 2  # reading the missing input, shards or checkpoint first would exit 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_prep_has_no_seed_flag(self):
         with pytest.raises(SystemExit) as e:
@@ -377,14 +448,8 @@ class TestConfigFile:
         assert e.value.code == 2
 
     def test_reproduce_from_resolved_echo(self, corpus_path, tmp_path):
-        out1 = tmp_path / "one"
-        assert cli.main(["prep", "--input", str(corpus_path), "--out", str(out1),
-                         "--vocab-size", "384"]) == 0
-        resolved = json.loads((out1 / "resolved_config.json").read_text())["config"]
-        resolved["prep"]["out"] = str(tmp_path / "two")
-        cfg_path = tmp_path / "echo.json"
-        cfg_path.write_text(json.dumps(resolved))
-        assert cli.main(["prep", "--config", str(cfg_path)]) == 0
-        assert (out1 / "shard_0000.bin").read_bytes() == (
-            tmp_path / "two" / "shard_0000.bin"
-        ).read_bytes()
+        assert cli.main(["prep", "--input", str(corpus_path), "--out", str(tmp_path / "one"),
+                         "--vocab-size", "384", "--no-unify-ya"]) == 0
+        assert rerun_from_echo(tmp_path / "one", tmp_path / "two") == 0
+        same_bytes(tmp_path / "one", tmp_path / "two",
+                   ("manifest.json", "shard_0000.bin", "vocab.json"))
