@@ -1,18 +1,28 @@
-"""Byte-level BPE: 256 byte tokens plus four specials, then greedy
-most-frequent-pair merges. Ties break on the lexicographically smallest
-(left bytes, right bytes) pair, and training stops early once no adjacent
-pair repeats, since single-occurrence merges cannot generalize.
+"""Byte-level BPE (Sennrich et al. 2016): 256 byte tokens plus four specials,
+then greedy most-frequent-pair merges.
 
-The morphological boundary marker acts as a hard pre-tokenization split:
-merges never cross it and it is dropped from the encoded stream, so decoding
-returns the text without markers.
+A pair's count is the number of adjacent positions holding it, overlapping
+runs included ("aaa" counts (a, a) twice). The most frequent pair merges,
+ties going to the smallest (left bytes, right bytes), and its occurrences are
+replaced left to right without overlap. Training stops once no pair repeats,
+since single-occurrence merges cannot generalize.
+
+Training keeps the corpus in one flat int32 stream, with -1 (no byte's id)
+before each piece and at the end, and the pair counts in sorted arrays built
+once. A merge finds its hits h with one vectorized scan, subtracts the pairs
+at {h-1, h, h+1}, writes the new id, deletes h+1 and adds the pairs around
+each new token (all new, as they hold the new id): one pass, not a recount.
+
+Encoding applies a piece's lowest-rank present merge until none is. The
+morphological boundary marker splits pieces: merges never cross it and it is
+dropped from the encoded stream, so decoding returns the text unmarked.
 """
 
 import json
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, FormatError
 from ..util import sha256_json
 from .morph import BOUNDARY
 
@@ -22,27 +32,14 @@ N_SPECIALS = len(SPECIALS)
 BYTE_OFFSET = N_SPECIALS  # byte b encodes as id BYTE_OFFSET + b
 FIRST_MERGE_ID = BYTE_OFFSET + 256
 
-_KEY_SHIFT = 21  # ids stay far below 2^21
+_KEY_SHIFT = 21  # a pair key packs (left << 21) | right, so ids must stay below 2^21
+MAX_VOCAB_SIZE = 1 << _KEY_SHIFT
 
 
-def _pair_key(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return (left.astype(np.int64) << _KEY_SHIFT) | right.astype(np.int64)
-
-
-def _merge_piece(ids: np.ndarray, a: int, b: int, new_id: int) -> np.ndarray:
-    """Replace non-overlapping (a, b) occurrences left to right."""
-    hits = np.flatnonzero((ids[:-1] == a) & (ids[1:] == b))
-    if hits.size == 0:
-        return ids
-    keep = []
-    last = -2
-    for i in hits.tolist():
-        if i > last + 1:
-            keep.append(i)
-            last = i
-    out = ids.copy()
-    out[keep] = new_id
-    return np.delete(out, [i + 1 for i in keep])
+def check_vocab_size(vocab_size: int):
+    if not FIRST_MERGE_ID < vocab_size <= MAX_VOCAB_SIZE:
+        raise ConfigError(
+            f"vocab_size must be in ({FIRST_MERGE_ID}, {MAX_VOCAB_SIZE}], got {vocab_size}")
 
 
 class BpeVocab:
@@ -52,10 +49,7 @@ class BpeVocab:
         self.token_bytes: list[bytes] = [b""] * N_SPECIALS + [bytes([i]) for i in range(256)]
         for a, b in self.merges:
             self.token_bytes.append(self.token_bytes[a] + self.token_bytes[b])
-        self._rank_by_key = {
-            int(_pair_key(np.asarray([a]), np.asarray([b]))[0]): rank
-            for rank, (a, b) in enumerate(self.merges)
-        }
+        self._rank = {pair: rank for rank, pair in enumerate(self.merges)}
 
     @property
     def n_tokens(self) -> int:
@@ -79,28 +73,26 @@ class BpeVocab:
 
     # -- encode / decode ------------------------------------------------------
 
-    def _encode_piece(self, piece: str) -> np.ndarray:
-        raw = piece.encode("utf-8")
-        ids = np.frombuffer(raw, dtype=np.uint8).astype(np.int64) + BYTE_OFFSET
-        while ids.size >= 2:
-            keys = _pair_key(ids[:-1], ids[1:])
-            best_rank = None
-            for k in np.unique(keys).tolist():
-                rank = self._rank_by_key.get(k)
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best_rank = rank
-            if best_rank is None:
-                break
-            a, b = self.merges[best_rank]
-            ids = _merge_piece(ids, a, b, FIRST_MERGE_ID + best_rank)
-        return ids
-
     def encode(self, text: str) -> list[int]:
-        pieces = text.split(BOUNDARY)
         out: list[int] = []
-        for piece in pieces:
-            if piece:
-                out.extend(self._encode_piece(piece).tolist())
+        no_merge = len(self.merges)
+        for piece in text.split(BOUNDARY):
+            ids = [b + BYTE_OFFSET for b in piece.encode("utf-8")]
+            while len(ids) >= 2:
+                rank = min(self._rank.get(pair, no_merge) for pair in zip(ids, ids[1:]))
+                if rank == no_merge:
+                    break
+                a, b = self.merges[rank]
+                merged, i, n = [], 0, len(ids)
+                while i < n:
+                    if ids[i] == a and i + 1 < n and ids[i + 1] == b:
+                        merged.append(FIRST_MERGE_ID + rank)
+                        i += 2
+                    else:
+                        merged.append(ids[i])
+                        i += 1
+                ids = merged
+            out.extend(ids)
         return out
 
     def decode(self, ids) -> str:
@@ -128,47 +120,72 @@ class BpeVocab:
 
     @classmethod
     def load(cls, path) -> "BpeVocab":
-        with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
-        if d.get("format") != "desklora-bpe":
-            raise ConfigError(f"{path}: not a tokenizer file")
-        return cls(merges=[tuple(m) for m in d["merges"]], vocab_size=d["vocab_size"])
+        """Read a tokenizer file written by `save`; any other content raises FormatError."""
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                d = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: tokenizer file is not valid JSON: {e}") from e
+        if not (isinstance(d, dict) and d.get("format") == "desklora-bpe"
+                and d.get("version") == 1 and d.get("specials") == list(SPECIALS)):
+            raise FormatError(f"{path}: not a tokenizer file")
+        merges, vocab_size = d.get("merges"), d.get("vocab_size")
+        if not isinstance(merges, list):
+            raise FormatError(f"{path}: merges must be a list")
+        for rank, m in enumerate(merges):
+            new_id = FIRST_MERGE_ID + rank
+            if not (isinstance(m, list) and len(m) == 2
+                    and all(type(x) is int and 0 <= x < new_id for x in m)):
+                raise FormatError(f"{path}: merge {rank} must be two ids below {new_id}, got {m!r}")
+        if not (type(vocab_size) is int
+                and FIRST_MERGE_ID + len(merges) <= vocab_size <= MAX_VOCAB_SIZE):
+            raise FormatError(f"{path}: vocab_size {vocab_size!r} does not hold "
+                              f"{FIRST_MERGE_ID + len(merges)} tokens")
+        return cls(merges=[tuple(m) for m in merges], vocab_size=vocab_size)
+
+
+def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Keys of the pairs (left[i], right[i]) that hold no -1 separator."""
+    real = (left >= 0) & (right >= 0)
+    return (left[real].astype(np.int64) << _KEY_SHIFT) | right[real]
 
 
 def bpe_train(corpus, vocab_size: int = 8192) -> BpeVocab:
     """Learn merges from an iterable of texts."""
-    if vocab_size <= 256 + N_SPECIALS:
-        raise ConfigError(f"vocab_size must exceed {256 + N_SPECIALS}, got {vocab_size}")
-    pieces: list[np.ndarray] = []
-    for text in corpus:
-        for piece in text.split(BOUNDARY):
-            if piece:
-                raw = piece.encode("utf-8")
-                pieces.append(np.frombuffer(raw, dtype=np.uint8).astype(np.int64) + BYTE_OFFSET)
+    check_vocab_size(vocab_size)
+    pieces = [p.encode("utf-8") for text in corpus for p in text.split(BOUNDARY) if p]
     if not pieces:
         raise ConfigError("cannot train a tokenizer on an empty corpus")
+    byte_ids = np.frombuffer(b"".join(pieces), dtype=np.uint8).astype(np.int32) + BYTE_OFFSET
+    stream = np.insert(byte_ids, np.cumsum([0] + [len(p) for p in pieces]), -1)
+    del pieces, byte_ids  # the stream holds the corpus now
+    keys, counts = np.unique(_pair_keys(stream[:-1], stream[1:]), return_counts=True)
 
     token_bytes: list[bytes] = [b""] * N_SPECIALS + [bytes([i]) for i in range(256)]
     merges: list[tuple[int, int]] = []
-    next_id = FIRST_MERGE_ID
-
-    while next_id < vocab_size:
-        keys_parts = [_pair_key(p[:-1], p[1:]) for p in pieces if p.size >= 2]
-        if not keys_parts:
+    for new_id in range(FIRST_MERGE_ID, vocab_size):
+        if (top := counts.max(initial=0)) < 2:
             break
-        keys, counts = np.unique(np.concatenate(keys_parts), return_counts=True)
-        top = int(counts.max())
-        if top < 2:
-            break
-        candidates = keys[counts == top].tolist()
-        best = min(
-            candidates,
-            key=lambda k: (token_bytes[k >> _KEY_SHIFT], token_bytes[k & ((1 << _KEY_SHIFT) - 1)]),
-        )
-        a, b = best >> _KEY_SHIFT, best & ((1 << _KEY_SHIFT) - 1)
+        tied = [(k >> _KEY_SHIFT, k & (MAX_VOCAB_SIZE - 1)) for k in keys[counts == top].tolist()]
+        a, b = min(tied, key=lambda pair: (token_bytes[pair[0]], token_bytes[pair[1]]))
         merges.append((a, b))
         token_bytes.append(token_bytes[a] + token_bytes[b])
-        pieces = [_merge_piece(p, a, b, next_id) if p.size >= 2 else p for p in pieces]
-        next_id += 1
+
+        hits = np.flatnonzero((stream[:-1] == a) & (stream[1:] == b))
+        # Only a == b gives adjacent hits: in each run of them keep the 1st, 3rd, ...
+        run_start = np.maximum.accumulate(np.where(np.diff(hits, prepend=-2) != 1, hits, 0))
+        hits = hits[(hits - run_start) % 2 == 0]
+        # The stream starts and ends with -1, so h - 1 and h + 2 are in range.
+        at = np.unique(np.concatenate([hits - 1, hits, hits + 1]))
+        gone, gone_counts = np.unique(_pair_keys(stream[at], stream[at + 1]), return_counts=True)
+        counts[np.searchsorted(keys, gone)] -= gone_counts
+        stream[hits] = new_id
+        stream = np.delete(stream, hits + 1)
+        placed = hits - np.arange(hits.size)  # the new tokens' positions after the deletions
+        at = np.unique(np.concatenate([placed - 1, placed]))
+        born, born_counts = np.unique(_pair_keys(stream[at], stream[at + 1]), return_counts=True)
+        keys, counts = keys[counts > 0], counts[counts > 0]
+        where = np.searchsorted(keys, born)
+        keys, counts = np.insert(keys, where, born), np.insert(counts, where, born_counts)
 
     return BpeVocab(merges=merges, vocab_size=vocab_size)

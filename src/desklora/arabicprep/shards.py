@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,10 @@ class Document:
         if not self.id:
             h = hashlib.sha256(f"{self.source}\x00{self.text}".encode("utf-8"))
             self.id = h.hexdigest()[:16]
+
+
+def _shard_file(n: int) -> str:
+    return f"shard_{n:04d}.bin"
 
 
 def _shard_bytes(token_lists: list[list[int]]) -> bytes:
@@ -94,7 +99,7 @@ def write_shards(
             counts_source[doc.source] = counts_source.get(doc.source, 0) + 1
             counts_dialect[doc.dialect] = counts_dialect.get(doc.dialect, 0) + 1
         blob = _shard_bytes(token_lists)
-        fname = f"shard_{len(shard_files):04d}.bin"
+        fname = _shard_file(len(shard_files))
         with open(os.path.join(out_dir, fname), "wb") as f:
             f.write(blob)
         shard_files.append({"file": fname, "sha256": sha256_bytes(blob), "count": len(chunk)})
@@ -115,16 +120,54 @@ def write_shards(
     return manifest_path
 
 
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0  # a JSON true is no count
+
+
+def _check_manifest(m, where):
+    """Raise FormatError unless `m` has the shape write_shards gives a manifest:
+    the doc index lists every shard slot once, in order, and the counts
+    tally the doc index."""
+    if not (isinstance(m, dict) and m.get("format") == "desklora-shards" and m.get("version") == 1):
+        raise FormatError(f"{where}: not a shard manifest")
+    shards, docs = m.get("shards"), m.get("docs")
+    if not (isinstance(m.get("vocab_hash"), str) and isinstance(shards, list)
+            and isinstance(docs, list) and all(isinstance(e, dict) for e in shards + docs)):
+        raise FormatError(f"{where}: manifest needs vocab_hash, a shard list and a doc list")
+    for n, e in enumerate(shards):
+        if not (e.get("file") == _shard_file(n) and isinstance(e.get("sha256"), str)
+                and _is_count(e.get("count"))):
+            raise FormatError(f"{where}: shard entry {n} is damaged")
+    for i, d in enumerate(docs):
+        if not (isinstance(d.get("id"), str) and d.get("source") in SOURCES
+                and d.get("dialect") in DIALECT_TAGS
+                and all(_is_count(d.get(k)) for k in ("shard", "index", "tokens"))):
+            raise FormatError(f"{where}: doc entry {i} is damaged")
+    slots = [(n, i) for n, e in enumerate(shards) for i in range(e["count"])]
+    if [(d["shard"], d["index"]) for d in docs] != slots:
+        raise FormatError(f"{where}: the doc index does not list each shard slot once, in order")
+    tally = {key: Counter(d[key] for d in docs) for key in ("source", "dialect")}
+    if m.get("counts") != tally:
+        raise FormatError(f"{where}: counts do not tally the doc index")
+
+
 class ShardReader:
-    """Seekable zero-copy access to tokenized documents."""
+    """Seekable zero-copy access to tokenized documents. A damaged manifest
+    raises FormatError, a shard that fails its checksum DataError."""
 
     def __init__(self, shard_dir):
         self.dir = shard_dir
-        with open(os.path.join(shard_dir, MANIFEST_NAME), "r", encoding="utf-8") as f:
-            self.manifest = json.load(f)
-        if self.manifest.get("format") != "desklora-shards":
-            raise FormatError(f"{shard_dir}: not a shard directory")
-        self.policy = NormalizationPolicy.from_dict(self.manifest["policy"])
+        path = os.path.join(shard_dir, MANIFEST_NAME)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                self.manifest = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: not valid JSON: {e}") from e
+        _check_manifest(self.manifest, path)
+        try:
+            self.policy = NormalizationPolicy.from_dict(self.manifest.get("policy"))
+        except ConfigError as e:
+            raise FormatError(f"{path}: {e}") from e
         self.vocab_hash = self.manifest["vocab_hash"]
         self.docs = self.manifest["docs"]
 
@@ -151,6 +194,8 @@ class ShardReader:
                 raise FormatError(f"{entry['file']}: trailing bytes")
             self._buffers.append(blob)
             self._offsets.append(offsets)
+        if any(self._offsets[d["shard"]][d["index"]][1] != d["tokens"] for d in self.docs):
+            raise FormatError(f"{path}: a doc's token count disagrees with its shard")
 
     def __len__(self) -> int:
         return len(self.docs)

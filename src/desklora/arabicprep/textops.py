@@ -8,6 +8,8 @@ space so unrelated words never fuse, then whitespace runs collapse.
 
 from dataclasses import dataclass
 
+from ..util import from_known_keys
+
 ARABIC_LETTERS = frozenset(chr(c) for c in range(0x0621, 0x064B))  # includes tatweel 0x0640
 # alef wasla participates in alif unification, so cleaning must let it through
 ALEF_WASLA = "ٱ"
@@ -50,7 +52,8 @@ class NormalizationPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationPolicy":
-        return cls(**d)
+        """Rebuild a policy from `to_dict`'s output; other keys or types raise ConfigError."""
+        return from_known_keys(cls, d)
 
 
 def clean(text: str) -> str:

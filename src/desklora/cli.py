@@ -28,7 +28,7 @@ from .arabicprep import (
     BpeVocab, DialectLexicon, NormalizationPolicy, ShardReader, bpe_train, prepare_documents,
     read_jsonl, write_shards,
 )
-from .arabicprep.bpe import N_SPECIALS, SEP_ID
+from .arabicprep.bpe import SEP_ID, check_vocab_size
 from .arabicprep.shards import DEFAULT_SHARD_DOCS
 from .describe import describe
 from .errors import BudgetError, ConfigError, DataError, DeskloraError, TrainingError
@@ -55,8 +55,7 @@ class PrepCommand:
     policy: NormalizationPolicy = field(default_factory=NormalizationPolicy)
 
     def __post_init__(self):  # bpe_train and write_shards check these too, after reading
-        if self.vocab_size <= 256 + N_SPECIALS:
-            raise ConfigError(f"vocab_size must exceed {256 + N_SPECIALS}, got {self.vocab_size}")
+        check_vocab_size(self.vocab_size)
         if not 1 <= self.shard_docs <= 0xFFFF:  # the shard header stores the doc count as a u16
             raise ConfigError(f"shard_docs must be in [1, 65535], got {self.shard_docs}")
 

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desklora.arabicprep import (
@@ -14,7 +17,7 @@ from desklora.arabicprep import (
     prepare_documents,
     write_shards,
 )
-from desklora.errors import ConfigError, DataError
+from desklora.errors import ConfigError, DataError, FormatError
 from tests.conftest import synth_raw_docs
 
 
@@ -57,6 +60,41 @@ def oracle_merges(texts, max_merges):
     return merges
 
 
+def oracle_encode(vocab, text):
+    """The numpy per-piece encoder BpeVocab used before its list-based one: per
+    piece, merge every occurrence of the lowest-rank present pair, left to
+    right without overlap, until no pair has a rank."""
+    rank_by_key = {(a << 21) | b: rank for rank, (a, b) in enumerate(vocab.merges)}
+    out = []
+    for piece in text.split(BOUNDARY):
+        ids = np.frombuffer(piece.encode("utf-8"), dtype=np.uint8).astype(np.int64) + 4
+        while ids.size >= 2:
+            ranks = [rank_by_key[k] for k in np.unique((ids[:-1] << 21) | ids[1:]).tolist()
+                     if k in rank_by_key]
+            if not ranks:
+                break
+            a, b = vocab.merges[min(ranks)]
+            keep, last = [], -2
+            for i in np.flatnonzero((ids[:-1] == a) & (ids[1:] == b)).tolist():
+                if i > last + 1:
+                    keep.append(i)
+                    last = i
+            ids = ids.copy()
+            ids[keep] = 260 + min(ranks)
+            ids = np.delete(ids, [i + 1 for i in keep])
+        out.extend(ids.tolist())
+    return out
+
+
+def _pieces(texts):
+    return [p for t in texts for p in t.split(BOUNDARY) if p]
+
+
+def _unread():
+    raise AssertionError("the corpus was read")
+    yield
+
+
 class TestBpeTraining:
     def test_matches_oracle_on_tiny_corpora(self):
         corpora = [
@@ -86,6 +124,9 @@ class TestBpeTraining:
             bpe_train(["ab"], vocab_size=260)
         with pytest.raises(ConfigError):
             bpe_train([], vocab_size=300)
+        with pytest.raises(ConfigError):  # pair keys hold ids in 21 bits
+            bpe_train(_unread(), vocab_size=(1 << 21) + 1)
+        assert bpe_train(["abab"], vocab_size=1 << 21).merges == [(101, 102)]
 
     def test_deterministic(self):
         docs = [d["text"] for d in synth_raw_docs(50, seed=1)]
@@ -94,11 +135,39 @@ class TestBpeTraining:
         assert v1.merges == v2.merges
         assert v1.vocab_hash() == v2.vocab_hash()
 
+    def test_matches_oracle_on_a_prepared_corpus(self):
+        docs = prepare_documents(synth_raw_docs(40, seed=8), NormalizationPolicy())
+        vocab = bpe_train([d.text for d in docs], vocab_size=400)
+        assert len(vocab.merges) == 140
+        assert vocab.merges == oracle_merges(_pieces(d.text for d in docs), 140)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=st.sampled_from(f"ab{BOUNDARY}c"), max_size=14),
+                    min_size=1, max_size=5))
+    def test_runs_match_the_oracles(self, texts):
+        """Runs such as "aaaa" and "abab" are where neighbourhood counts go wrong."""
+        assume(_pieces(texts))
+        vocab = bpe_train(texts, vocab_size=290)
+        assert vocab.merges == oracle_merges(_pieces(texts), 30)
+        for text in texts:
+            assert vocab.encode(text) == oracle_encode(vocab, text)
+
+    def test_golden_vocab_and_shards(self, tmp_path):
+        """Pins the tokenizer's output: a speedup must not change a merge or an id."""
+        policy = NormalizationPolicy()
+        docs = prepare_documents(synth_raw_docs(200, seed=31), policy)
+        vocab = bpe_train([d.text for d in docs], vocab_size=512)
+        assert vocab.vocab_hash() == (
+            "1f4db2d2c56b6fd99341a23caae923f66e6d545120eef3ba1b18997ef2ee9f6c")
+        write_shards(docs, vocab, policy, tmp_path)
+        assert hashlib.sha256((tmp_path / "shard_0000.bin").read_bytes()).hexdigest() == (
+            "12d7e95b099228d0ec8414e1b45c0da6c931bc2599d94de31558618add6ee9ca")
+
 
 class TestBpeEncodeDecode:
     @pytest.fixture(scope="class")
     def vocab(self):
-        return bpe_train([d["text"] for d in synth_raw_docs(100, seed=2)], vocab_size=512)
+        return _SYNTH_VOCAB
 
     def test_round_trip_arabic(self, vocab):
         for d in synth_raw_docs(50, seed=3):
@@ -115,6 +184,11 @@ class TestBpeEncodeDecode:
     def test_round_trip_arbitrary_unicode(self, text):
         vocab = _SHARED_VOCAB
         assert vocab.decode(vocab.encode(text)) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("الكتابمدرسة وي" + BOUNDARY), max_size=80))
+    def test_encode_matches_the_numpy_oracle(self, text):
+        assert _SYNTH_VOCAB.encode(text) == oracle_encode(_SYNTH_VOCAB, text)
 
     def test_encoding_never_longer_than_bytes(self, vocab):
         for d in synth_raw_docs(50, seed=4):
@@ -151,6 +225,67 @@ class TestBpeEncodeDecode:
 
 
 _SHARED_VOCAB = bpe_train(["مرحبا بكم في المدرسة اليوم", "abc abc"], vocab_size=300)
+_SYNTH_VOCAB = bpe_train([d["text"] for d in synth_raw_docs(100, seed=2)], vocab_size=512)
+
+
+def _vocab_dict(merges):
+    return {"format": "desklora-bpe", "version": 1, "vocab_size": 300,
+            "specials": ["<pad>", "<bos>", "<eos>", "<sep>"], "merges": merges}
+
+
+class TestVocabFile:
+    """A tokenizer file loads exactly or raises FormatError."""
+
+    @pytest.mark.parametrize("content", [
+        '{"format": "desklora-bpe", "merges": [[101, 1',  # truncated
+        json.dumps({k: v for k, v in _vocab_dict([]).items() if k != "merges"}),
+        json.dumps(_vocab_dict([[900, 5]])),  # id past the table
+        json.dumps(_vocab_dict([[260, 5]])),  # a merge of its own id
+        json.dumps(_vocab_dict([[-3, 5]])),  # a Python negative index
+        json.dumps(_vocab_dict([[5]])),
+        json.dumps(_vocab_dict([["a", "b"]])),
+        json.dumps(_vocab_dict([[True, 5]])),
+        json.dumps(_vocab_dict([[101, 102]]) | {"vocab_size": "300"}),
+        json.dumps(_vocab_dict([[101, 102]]) | {"vocab_size": 260}),  # holds no merge
+        json.dumps(_vocab_dict([[101, 102]]) | {"version": 2}),
+        json.dumps([_vocab_dict([])]),
+        b"\xff\xfe{}",
+    ])
+    def test_damaged_file_raises_format_error(self, tmp_path, content):
+        path = tmp_path / "vocab.json"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            path.write_bytes(content)
+        with pytest.raises(FormatError):
+            BpeVocab.load(path)
+
+    @pytest.fixture(scope="class")
+    def sweep_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("vocab_sweep")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_truncation_and_flip_sweep(self, sweep_dir, data):
+        path = sweep_dir / "vocab.json"
+        _SYNTH_VOCAB.save(path)
+        blob = path.read_bytes()
+        op = data.draw(st.sampled_from(["truncate", 0x01, 0xFF]), label="op")
+        at = data.draw(st.integers(0, len(blob) - 2), label="at")  # blob[-2] closes the object
+        if op == "truncate":
+            path.write_bytes(blob[:at])
+            with pytest.raises(FormatError):
+                BpeVocab.load(path)
+            return
+        flipped = bytearray(blob)
+        flipped[at] ^= op
+        path.write_bytes(bytes(flipped))
+        try:
+            vocab = BpeVocab.load(path)
+        except FormatError:
+            return
+        text = "والكتاب الكبير"
+        assert vocab.decode(vocab.encode(text)) == text
 
 
 class TestShards:
@@ -230,3 +365,86 @@ class TestShards:
         want = sum(1 for d in docs if d.dialect == "MSA")
         got = sum(1 for _ in reader.iter_tokens("MSA"))
         assert got == want
+
+
+class TestManifest:
+    """A damaged manifest raises FormatError; one that disagrees with a
+    shard's checksum raises DataError. Both exit 3 from the CLI."""
+
+    @pytest.fixture(scope="class")
+    def shard_dir(self, tmp_path_factory):
+        policy = NormalizationPolicy()
+        docs = prepare_documents(synth_raw_docs(12, seed=6), policy)
+        out = tmp_path_factory.mktemp("manifest")
+        write_shards(docs, _SHARED_VOCAB, policy, out, shard_docs=5)
+        return out
+
+    @staticmethod
+    def use(shard_dir):
+        reader = ShardReader(shard_dir)
+        for i in range(len(reader)):
+            reader.doc_tokens(i)
+        sum(1 for _ in reader.iter_tokens("MSA"))
+        return reader
+
+    def damaged(self, shard_dir, tmp_path, edit):
+        for f in shard_dir.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        manifest = json.loads((shard_dir / "manifest.json").read_text(encoding="utf-8"))
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        return tmp_path
+
+    def test_intact_loads(self, shard_dir):
+        assert len(self.use(shard_dir)) == 12
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("docs"),
+        lambda m: m.pop("policy"),
+        lambda m: m.pop("counts"),
+        lambda m: m.pop("vocab_hash"),
+        lambda m: m["docs"][0].update(shard=3),  # past the last shard
+        lambda m: m["docs"][0].update(shard=-1),  # a Python negative index
+        lambda m: m["docs"][4].update(index=5),  # past the shard's last doc
+        lambda m: m["docs"][0].update(index=True),
+        lambda m: m["docs"].pop(),
+        lambda m: m["docs"][0].update(tokens=m["docs"][0]["tokens"] + 1),
+        lambda m: m["docs"][0].update(dialect="XYZ"),
+        lambda m: m["counts"]["source"].update(other=99),
+        lambda m: m["shards"][0].update(file="../shard_0000.bin"),
+        lambda m: m["policy"].update(unify_alif="yes"),
+        lambda m: m["policy"].update(unknown=True),
+    ])
+    def test_damaged_manifest_raises_format_error(self, shard_dir, tmp_path, edit):
+        with pytest.raises(FormatError):
+            self.use(self.damaged(shard_dir, tmp_path, edit))
+
+    def test_truncated_manifest_raises_format_error(self, shard_dir, tmp_path):
+        self.damaged(shard_dir, tmp_path, lambda m: None)
+        blob = (tmp_path / "manifest.json").read_bytes()
+        (tmp_path / "manifest.json").write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(FormatError):
+            self.use(tmp_path)
+
+    @pytest.fixture(scope="class")
+    def sweep(self, shard_dir, tmp_path_factory):
+        return self.damaged(shard_dir, tmp_path_factory.mktemp("manifest_sweep"), lambda m: None)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_truncation_and_flip_sweep(self, shard_dir, sweep, data):
+        blob = (shard_dir / "manifest.json").read_bytes()
+        op = data.draw(st.sampled_from(["truncate", 0x01, 0xFF]), label="op")
+        at = data.draw(st.integers(0, len(blob) - 2), label="at")  # blob[-2] closes the object
+        if op == "truncate":
+            (sweep / "manifest.json").write_bytes(blob[:at])
+            with pytest.raises(FormatError):
+                self.use(sweep)
+            return
+        flipped = bytearray(blob)
+        flipped[at] ^= op
+        (sweep / "manifest.json").write_bytes(bytes(flipped))
+        try:
+            self.use(sweep)
+        except DataError:  # FormatError included; a flipped checksum is a mismatch
+            pass

@@ -97,6 +97,25 @@ class TestPrep:
                        "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("vocab_size, rc", [((1 << 21) + 1, 2), (1 << 21, 3)])
+    def test_vocab_size_bound_checked_before_reading(self, tmp_path, vocab_size, rc):
+        """Pair keys hold ids in 21 bits; the missing input shows what was read."""
+        assert cli.main(["prep", "--input", str(tmp_path / "nope.jsonl"), "--out",
+                         str(tmp_path / "o"), "--vocab-size", str(vocab_size)]) == rc
+
+    @pytest.mark.parametrize("content", [
+        '{"format": "desklora-bpe", "version": 1, "merges": [[101, 1',  # truncated
+        '{"format": "desklora-bpe", "version": 1, "vocab_size": 300}',  # no merges
+        "[]",
+        *(json.dumps({"format": "desklora-bpe", "version": 1, "vocab_size": 300,
+                      "specials": ["<pad>", "<bos>", "<eos>", "<sep>"], "merges": merges})
+          for merges in ([[-3, 5]], [[900, 5]], [[5]], [["a", "b"]])),
+    ])
+    def test_damaged_vocab_is_data_error(self, corpus_path, tmp_path, content):
+        (tmp_path / "vocab.json").write_text(content)
+        assert cli.main(["prep", "--input", str(corpus_path), "--out", str(tmp_path / "o"),
+                         "--vocab", str(tmp_path / "vocab.json")]) == 3
+
     def test_policy_flags_respected(self, tmp_path):
         src = tmp_path / "d.jsonl"
         write_jsonl(src, [{"text": "كَتَبَ الولد الدرس"}])
