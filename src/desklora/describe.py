@@ -60,11 +60,12 @@ def describe(path):
         try:
             with open(path, "r", encoding="utf-8") as f:
                 obj = json.load(f)
-            if obj.get("format") == "desklora-bpe":
+            kind = obj.get("format") if isinstance(obj, dict) else None
+            if kind == "desklora-bpe":
                 vocab = BpeVocab.load(path)
                 print(f"{path}: tokenizer, {vocab.n_tokens} tokens, hash {vocab.vocab_hash()[:12]}")
                 return
-            if obj.get("format") == "desklora-report":
+            if kind == "desklora-report":
                 validate_report(obj)
                 print(f"{path}: eval report, metrics {sorted(obj['tables'])}")
                 return

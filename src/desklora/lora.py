@@ -1,11 +1,12 @@
-"""Low-rank adapters over frozen quantized linear layers.
+"""QLoRA's linear layer as one op: y = x·Wᵀ + s·(dropout(x)·Aᵀ)·Bᵀ (Dettmers et al. 2023, eq. 5).
 
-The adapted weight is W + (alpha/r) * B @ A with W held as a 4-bit
-QuantizedTensor that never receives gradients. B starts at zero so a freshly
-attached adapter is an exact identity perturbation. A layer computes in the
-precision its adapter was created in (`attach`), which `apply_adapter_state`
-keeps and its dequantized base shares; `forward` drops out only given an rng.
-The adapter file stores A and B in that precision, so they reload exactly.
+A `FrozenLinear` holds a 4-bit base W [d_out x d_in] (`q`) that never receives
+gradients, dequantized once on first use into the layer's precision, and
+optionally a trainable adapter A [r x d_in], B [d_out x r] with s = alpha / r.
+B starts at zero (`attach`), so a fresh adapter is an exact identity perturbation.
+`forward` records one tape node whose backward gives x's, A's and B's gradients
+and never forms W's; dropout runs only given an rng. The adapter file stores A
+and B in the layer's precision, so they reload exactly.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -14,10 +15,9 @@ import numpy as np
 
 from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
-from .numcore import (
-    DOUBLE, FULL, GradNode, Parameter, Rng, RowRngs, Tensor, add, dropout, matmul, scale,
-    storage_dtype, transpose,
-)
+from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, RowRngs, Tensor, storage_dtype
+from .numcore.autograd import op_output
+from .numcore.ops import dropout_factor
 from .quant import QuantizedTensor, dequantize
 from .util import from_known_keys
 
@@ -48,23 +48,6 @@ class LoraConfig:
         return from_known_keys(cls, d)
 
 
-class FrozenWeight:
-    """Named quantized constant, dequantized once into one precision on first use."""
-
-    __slots__ = ("q", "dtype", "name", "_node")
-
-    def __init__(self, q: QuantizedTensor, dtype: str, name: str):
-        self.q = q
-        self.dtype = dtype
-        self.name = name
-        self._node: GradNode | None = None
-
-    def node(self) -> GradNode:
-        if self._node is None:
-            self._node = GradNode(Tensor(dequantize(self.q, storage_dtype(self.dtype)), self.dtype))
-        return self._node
-
-
 @dataclass
 class LoraAdapter:
     a: Parameter  # [r x d_in]
@@ -78,33 +61,28 @@ class LoraAdapter:
 
 
 @dataclass
-class AdaptedLinear:
-    """Frozen quantized base weight plus a trainable low-rank branch."""
+class FrozenLinear:
+    """A named frozen linear layer: quantized base, precision, optional adapter."""
 
-    base: QuantizedTensor  # [d_out x d_in]
-    adapter: LoraAdapter
-    name: str = ""
-    frozen: FrozenWeight = field(init=False, repr=False)
+    name: str
+    q: QuantizedTensor  # [d_out x d_in]
+    dtype: str
+    adapter: LoraAdapter | None = None
+    _weight: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.frozen = FrozenWeight(self.base, self.adapter.a.value.dtype, self.name)
-
-    @property
-    def d_out(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.base.shape[1]
-
-    def base_weight(self) -> GradNode:
-        """Dequantized base as a gradient-free constant in the adapter's precision."""
-        return self.frozen.node()
+    def weight(self) -> np.ndarray:
+        """The dequantized base [d_out x d_in], read-only, built on first use and
+        kept as a view of a contiguous Wᵀ, the layout that x·Wᵀ reads."""
+        if self._weight is None:
+            wt = np.ascontiguousarray(dequantize(self.q, storage_dtype(self.dtype)).T)
+            wt.flags.writeable = False
+            self._weight = wt.T
+        return self._weight
 
 
 def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
-           dtype: str = FULL) -> AdaptedLinear:
-    """Wrap a frozen quantized weight with a zero-initialized adapter in precision
+           dtype: str = FULL) -> FrozenLinear:
+    """Give a frozen quantized weight a zero-initialized adapter in precision
     `dtype`; A is drawn in 32-bit before widening, so every precision starts alike."""
     if len(base.shape) != 2:
         raise ConfigError(f"adapters attach to 2-D weights, got shape {base.shape}")
@@ -114,27 +92,46 @@ def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
     a_init = rng.split("lora_a").normal((cfg.r, d_in), std=1.0 / np.sqrt(cfg.r)).astype(np.float32)
     a = Parameter(Tensor(a_init, dtype), name=f"{name}.lora_a" if name else "lora_a")
     b = Parameter(Tensor(np.zeros((d_out, cfg.r)), dtype), name=f"{name}.lora_b" if name else "lora_b")
-    adapter = LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout)
-    return AdaptedLinear(base=base, adapter=adapter, name=name)
+    return FrozenLinear(name, base, dtype, LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout))
 
 
-def forward(layer: AdaptedLinear, x: GradNode, rng: Rng | RowRngs | None = None) -> GradNode:
-    """y = dequantize(W) x + scaling * B (A dropout(x)) over the rows of x [..., d_in];
-    the dropout runs exactly when `rng` is given (see `numcore.dropout`)."""
-    if x.value.shape[-1] != layer.d_in:
-        raise DimensionError(
-            f"{layer.name or 'adapted linear'}: input width {x.value.shape[-1]} != d_in {layer.d_in}"
-        )
-    y = matmul(x, transpose(layer.base_weight()))
-    ad = layer.adapter
-    xd = dropout(x, ad.dropout, rng)
-    branch = matmul(matmul(xd, transpose(ad.a)), transpose(ad.b))
-    return add(y, scale(branch, ad.scaling))
+def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) -> GradNode:
+    """y = x·Wᵀ + s·(dropout(x)·Aᵀ)·Bᵀ over the rows of x [..., d_in], as one node
+    over x, A and B (x·Wᵀ over x alone without an adapter). x is a parent twice,
+    once per path, so the tape adds its base and branch gradients one at a time,
+    in the order and rounding of an unfused matmul graph. Dropout runs exactly
+    when `rng` is given, with the mask `numcore.dropout` would draw.
+    Besides its output, the node charges what its backward keeps: the rank-r
+    product, Aᵀ, Bᵀ and the multiplier."""
+    (d_out, d_in), xv, ad = layer.q.shape, x.value.data, layer.adapter
+    if xv.shape[-1] != d_in:
+        raise DimensionError(f"{layer.name or 'linear layer'}: input width {xv.shape[-1]} != d_in {d_in}")
+    w, rows = layer.weight(), xv.reshape(-1, d_in)
+    y, saved = rows @ w.T, ()
+    parents = [(x, lambda g: (g.reshape(-1, d_out) @ w).reshape(xv.shape))]
+    if ad is not None:
+        # contiguous Aᵀ and Bᵀ, as for Wᵀ: operand layouts decide a matmul's rounding
+        at, bt = (np.ascontiguousarray(p.value.data.T) for p in (ad.a, ad.b))
+        s = ad.scaling
+        f = dropout_factor(xv, ad.dropout, rng)
+        drop = (lambda v: v) if f is None else (lambda v: v * f.reshape(v.shape))
+
+        def h_grad(g):  # the gradient of h = drop(x)·Aᵀ
+            return (g.reshape(-1, d_out) * s) @ bt.T
+
+        h = drop(rows) @ at
+        y = y + (h @ bt) * s
+        parents += [(x, lambda g: drop(h_grad(g) @ at.T).reshape(xv.shape)),
+                    (ad.a, lambda g: (drop(rows).T @ h_grad(g)).T),
+                    (ad.b, lambda g: (h.T @ (g.reshape(-1, d_out) * s)).T)]
+        saved = (h, at, bt) if f is None else (h, at, bt, f)
+    dtype = DOUBLE if x.value.dtype == layer.dtype == DOUBLE else FULL
+    return op_output(Tensor(y.reshape(*xv.shape[:-1], d_out), dtype), parents, saved=saved)
 
 
-def merge(layer: AdaptedLinear) -> np.ndarray:
+def merge(layer: FrozenLinear) -> np.ndarray:
     """Fold the adapter into a dense full-precision weight W' = W + s * B A."""
-    w = dequantize(layer.base, np.float64)
+    w = dequantize(layer.q, np.float64)
     ba = layer.adapter.b.value.data.astype(np.float64) @ layer.adapter.a.value.data.astype(np.float64)
     return (w + layer.adapter.scaling * ba).astype(np.float32)
 
@@ -148,7 +145,7 @@ def merge(layer: AdaptedLinear) -> np.ndarray:
 _LORA = (b"LORA", 3)
 
 
-def dumps_adapters(layers: list[AdaptedLinear], cfg: LoraConfig) -> bytes:
+def dumps_adapters(layers: list[FrozenLinear], cfg: LoraConfig) -> bytes:
     w = Writer(*_LORA)
     w.pack("IfI", cfg.r, cfg.alpha, len(layers))
     for layer in layers:
@@ -179,7 +176,7 @@ def loads_adapters(data: bytes) -> dict:
     return {"r": rank, "alpha": alpha, "weights": weights}
 
 
-def apply_adapter_state(layers: list[AdaptedLinear], state: dict):
+def apply_adapter_state(layers: list[FrozenLinear], state: dict):
     """Load saved A/B matrices into matching layers by name, in each layer's precision."""
     weights = state["weights"]
     for layer in layers:

@@ -1,10 +1,10 @@
-"""Tiny decoder-only transformer with adapter-wrapped attention projections.
+"""Tiny decoder-only transformer built on QLoRA's frozen-linear op.
 
-All linear weights are frozen as blockwise 4-bit tensors at build time; the
-Q/K/V/O projections carry trainable low-rank adapters, the MLP stays fully
-frozen, and the token embedding (tied to the output head), layer-norm gains
-and biases remain trainable in full precision. Rotary position mixing,
-pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
+A block's six linear layers are `lora.FrozenLinear`s, frozen 4-bit bases that
+each run as one `lora.forward` node; Q/K/V/O carry trainable low-rank adapters,
+the MLP's two none. The token embedding (tied to the output head), layer-norm
+gains and biases remain trainable in the model's precision. Rotary position
+mixing, pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
 emphasize keys whose token carries a combining diacritic: the model keeps one
 diacritic flag per token id, and its precision is fixed when it is built or
 loaded. `forward` and `loss` take one sequence or a batch of equal-length
@@ -22,7 +22,7 @@ import numpy as np
 from . import lora
 from .binfmt import Reader, Writer
 from .errors import ConfigError, ContractError, FormatError
-from .lora import AdaptedLinear, FrozenWeight, LoraAdapter, LoraConfig
+from .lora import FrozenLinear, LoraAdapter, LoraConfig
 from .numcore import (
     DOUBLE,
     FULL,
@@ -90,25 +90,25 @@ class ModelConfig:
 
 @dataclass
 class Block:
-    q: AdaptedLinear
-    k: AdaptedLinear
-    v: AdaptedLinear
-    o: AdaptedLinear
-    w1: FrozenWeight  # [d_ffn x d_model]
-    w2: FrozenWeight  # [d_model x d_ffn]
+    q: FrozenLinear
+    k: FrozenLinear
+    v: FrozenLinear
+    o: FrozenLinear
+    w1: FrozenLinear  # [d_ffn x d_model], no adapter
+    w2: FrozenLinear  # [d_model x d_ffn], no adapter
     ln1_g: Parameter
     ln1_b: Parameter
     ln2_g: Parameter
     ln2_b: Parameter
 
-    def adapted(self) -> tuple[AdaptedLinear, ...]:
-        return (self.q, self.k, self.v, self.o)
+    def frozen(self) -> tuple[FrozenLinear, ...]:
+        return (self.q, self.k, self.v, self.o, self.w1, self.w2)
+
+    def adapted(self) -> tuple[FrozenLinear, ...]:
+        return tuple(layer for layer in self.frozen() if layer.adapter is not None)
 
     def norms(self) -> tuple[Parameter, ...]:
         return (self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b)
-
-    def frozen(self) -> tuple[FrozenWeight, ...]:
-        return (*(layer.frozen for layer in self.adapted()), self.w1, self.w2)
 
 
 def _rope_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +133,7 @@ class TransformerModel:
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def adapted_layers(self) -> list[AdaptedLinear]:
+    def adapted_layers(self) -> list[FrozenLinear]:
         return [layer for blk in self.blocks for layer in blk.adapted()]
 
     def frozen_tensors(self) -> list[tuple[str, QuantizedTensor]]:
@@ -184,10 +184,7 @@ class TransformerModel:
             attn = causal_attention(q, k, v, cfg.n_heads, rope, key_bias)
             x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
             h2 = layer_norm(x, blk.ln2_g, blk.ln2_b)
-            m = matmul(h2, transpose(blk.w1.node()))
-            m = gelu(m)
-            m = matmul(m, transpose(blk.w2.node()))
-            return add(x, m)
+            return add(x, lora.forward(blk.w2, gelu(lora.forward(blk.w1, h2))))
 
         return run
 
@@ -247,8 +244,8 @@ def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerMode
     def param(name, shape, fill=None) -> Parameter:
         return Parameter(Tensor(master(name, shape, fill), dtype), name=name)
 
-    def frozen(name, shape) -> FrozenWeight:
-        return FrozenWeight(base(name, shape), dtype, name)
+    def frozen(name, shape) -> FrozenLinear:
+        return FrozenLinear(name, base(name, shape), dtype)
 
     blocks = []
     for i in range(cfg.n_layers):
@@ -278,7 +275,7 @@ def build(cfg: ModelConfig, rng: Rng, diacritic_flags=None) -> TransformerModel:
     def master(name, shape, fill) -> np.ndarray:
         return rng.split(name).normal(shape, std=INIT_STD) if fill is None else np.full(shape, fill)
 
-    def adapted(name, q, i, tag) -> AdaptedLinear:
+    def adapted(name, q, i, tag) -> FrozenLinear:
         return lora.attach(q, cfg.lora, rng.split("lora", i, tag), name=name, dtype=cfg.dtype)
 
     return _assemble(cfg, diacritic_flags, base, master, adapted)
@@ -298,39 +295,6 @@ def token_has_diacritic(token_bytes: bytes) -> bool:
                 return True
     return False
 
-
-
-# ---------------------------------------------------------------------------
-# embedding initialization from external word vectors
-# ---------------------------------------------------------------------------
-
-
-def init_embeddings_from_vectors(model: TransformerModel, vector_file, tokenizer) -> int:
-    """Overwrite embedding rows for vocab tokens found in a word-vector file.
-
-    File format: one line per token, `token v1 v2 ... vd` with d == d_model.
-    Returns the number of rows overwritten.
-    """
-    token_to_id = tokenizer.token_strings()
-    emb = model.embedding.value.data.copy()
-    d = model.cfg.d_model
-    count = 0
-    with open(vector_file, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2 or not parts[0]:
-                continue
-            token, vec = parts[0], parts[1:]
-            if len(vec) != d:
-                raise ConfigError(
-                    f"{vector_file}:{line_no}: vector dim {len(vec)} != d_model {d}"
-                )
-            if token in token_to_id:
-                emb[token_to_id[token]] = np.asarray([float(x) for x in vec], dtype=emb.dtype)
-                count += 1
-    if count:
-        model.embedding.assign(Tensor(emb, model.cfg.dtype))
-    return count
 
 
 # model checkpoint: config JSON, one u8 diacritic flag per token id, a u32
@@ -393,11 +357,11 @@ def load_model(path) -> TransformerModel:
                  f"{name!r} has shape {tuple(x.shape)} where the config implies {shape}")
         return x
 
-    def adapted(name, q, _i, _tag) -> AdaptedLinear:
+    def adapted(name, q, _i, _tag) -> FrozenLinear:
         (d_out, d_in), lcfg = q.shape, cfg.lora
         a = Parameter(Tensor(np.zeros((lcfg.r, d_in)), cfg.dtype), name=f"{name}.lora_a")
         b = Parameter(Tensor(np.zeros((d_out, lcfg.r)), cfg.dtype), name=f"{name}.lora_b")
-        return AdaptedLinear(q, LoraAdapter(a, b, lcfg.scaling, lcfg.dropout), name)
+        return FrozenLinear(name, q, cfg.dtype, LoraAdapter(a, b, lcfg.scaling, lcfg.dropout))
 
     model = _assemble(cfg, flags, lambda name, shape: take(frozen, name, shape),
                       lambda name, shape, _fill: take(masters, name, shape), adapted)

@@ -89,10 +89,11 @@ class Parameter(GradNode):
         self.grad = None
 
 
-def op_output(value: Tensor, parents, requires_grad: bool = False) -> GradNode:
-    """An op's output node, charged to the installed meter; leaves never are."""
+def op_output(value: Tensor, parents, requires_grad: bool = False, saved=()) -> GradNode:
+    """An op's output node, charged to the installed meter together with the
+    `saved` arrays its backward keeps besides its inputs; leaves never are."""
     if _meter is not None:
-        _meter.charge(value.nbytes)
+        _meter.charge(value.nbytes + sum(a.nbytes for a in saved))
     return GradNode(value, parents, requires_grad)
 
 

@@ -76,14 +76,19 @@ def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradN
     stream yields the same mask; a `RowRngs` draws row b's mask from its
     stream b, the mask that stream alone gives for `x[b]`.
     """
+    factor = dropout_factor(x.value.data, rate, rng)
+    if factor is None:
+        return x
+    return _node(x.value.data * factor, x.value.dtype, ((x, lambda g: g * factor),))
+
+
+def dropout_factor(x: np.ndarray, rate: float, rng: Rng | RowRngs | None) -> np.ndarray | None:
+    """`dropout`'s multiplier for `x`, keep / (1 - rate) drawn from `rng`; None when off."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
-        return x
-    keep = (rng.uniform(x.value.shape) >= rate).astype(x.value.data.dtype)
-    factor = keep / (1.0 - rate)
-    factor = factor.astype(x.value.data.dtype)
-    return _node(x.value.data * factor, x.value.dtype, ((x, lambda g: g * factor),))
+        return None
+    return ((rng.uniform(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)).astype(x.dtype)
 
 
 def astype(x: GradNode, dtype: str) -> GradNode:

@@ -38,14 +38,20 @@ def _fold_tag(key: int, tag) -> int:
 class Rng:
     """Seeded stream. Identical seed and tag path give identical draws."""
 
-    __slots__ = ("seed", "_key", "_gen")
+    __slots__ = ("seed", "_key", "_generator")
 
     algorithm = "philox4x64"
 
     def __init__(self, seed: int, _key: int | None = None):
         self.seed = int(seed) & _MASK
         self._key = self.seed if _key is None else (_key & _MASK)
-        self._gen = np.random.Generator(np.random.Philox(key=self._key))
+        self._generator = None
+
+    @property
+    def _gen(self) -> np.random.Generator:  # built on the first draw: many splits never draw
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=self._key))
+        return self._generator
 
     def split(self, *tags) -> "Rng":
         """Derive an independent child stream keyed by the given tags."""

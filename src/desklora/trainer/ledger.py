@@ -1,7 +1,7 @@
 """Byte-accounting ledger enforcing host/device budget ceilings.
 
-Budgets model the target hardware split: quantized weights, adapters and
-activations count against the device budget; optimizer moments and master
+Budgets model the target hardware split: quantized weights, their resident
+dequantized copies, adapters and activations count against the device budget; optimizer moments and master
 copies against the host budget. Only engine-registered allocations are
 tracked; this is an accounting realization of the memory limits, not an OS
 allocator.
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..errors import BudgetError, ConfigError, ContractError
 from ..numcore import metering
 
-DEVICE_CATEGORIES = ("quantized_weights", "adapters", "activations")
+DEVICE_CATEGORIES = ("quantized_weights", "dequantized_weights", "adapters", "activations")
 HOST_CATEGORIES = ("optimizer_states", "other")
 CATEGORIES = DEVICE_CATEGORIES + HOST_CATEGORIES
 
@@ -104,11 +104,12 @@ class ActivationMeter:
     creates, and `checkpoint` opens nested scopes on it. Every scope releases
     the bytes charged while it was innermost, so transient graphs
     (checkpointed block recomputation) raise and then lower the water line.
-    Leaves cost nothing: parameters, constants, the dequantized frozen
-    weights (created on first use and kept, so charging them would make the
-    water line depend on the model's history) and `checkpoint`'s view of its
-    input. Ops that return their input node (dropout off, `astype` to the same
-    precision) cost nothing either.
+    An op charges its output plus the arrays it declares as `saved`: for
+    `lora.forward`, the rank-r product, Aᵀ, Bᵀ and the dropout multiplier. Leaves
+    cost nothing: parameters, constants and `checkpoint`'s view of its input.
+    The dequantized frozen weights are no nodes at all; `register_static_memory`
+    charges them as `dequantized_weights` when training starts. Ops that return
+    their input node (dropout off, `astype` to the same precision) cost nothing.
     """
 
     def __init__(self, ledger: MemoryLedger):

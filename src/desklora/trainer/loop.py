@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ConfigError, ContractError, DataError, FormatError, TrainingError
 from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
-from ..numcore import Rng, RowRngs, backward
+from ..numcore import Rng, RowRngs, backward, storage_dtype
 from ..quant import quantized_nbytes
 from ..util import sha256_file, sha256_json
 from .ledger import ActivationMeter, MemoryBudget, MemoryLedger
@@ -135,8 +135,12 @@ class _WindowOrder:
 
 
 def register_static_memory(model: TransformerModel, ledger: MemoryLedger):
-    """Charge quantized bases, adapter masters, and full-precision masters."""
+    """Charge quantized bases, their dequantized copies (each frozen layer keeps
+    one from its first use on), adapter masters, and the other masters."""
     ledger.allocate("quantized_weights", sum(quantized_nbytes(q) for _, q in model.frozen_tensors()))
+    ledger.allocate("dequantized_weights", sum(
+        layer.q.numel * np.dtype(storage_dtype(layer.dtype)).itemsize
+        for blk in model.blocks for layer in blk.frozen()))
     params = model.trainable_parameters()
     ledger.allocate("adapters", sum(p.value.nbytes for name, p in params if ".lora_" in name))
     ledger.allocate("other", sum(p.value.nbytes for name, p in params if ".lora_" not in name))

@@ -1,10 +1,13 @@
 """Shared fixtures: a deterministic synthetic Arabic corpus generator used by
-preprocessing sweeps, the training-loop tests, and the acceptance suite."""
+preprocessing sweeps, the training-loop tests, and the acceptance suite; and
+the merge-agreement check that `test_lora` and C04 share."""
 
 import json
 
 import numpy as np
 import pytest
+
+from desklora.quant import dequantize
 
 MSA_WORDS = [
     "مرحبا", "كتاب", "مدرسة", "الطقس", "اليوم", "جميل", "قال", "ذهب", "البيت",
@@ -66,6 +69,22 @@ def write_jsonl(path, docs):
         for d in docs:
             f.write(json.dumps(d, ensure_ascii=False) + "\n")
     return path
+
+
+def merge_agreement(layer, x, y) -> float:
+    """Worst elementwise ratio of |y - x·(W + s·B·A)ᵀ| to the float32 rounding
+    bound 8·eps32·(|x|·|W|ᵀ + s·|x|·|A|ᵀ·|B|ᵀ): y is a 32-bit output for the
+    32-bit input x, and the reference is exact up to float64 rounding, with W
+    the layer's dequantized base. Below 1 passes. An absolute bound would not
+    do: outputs reach |y| ≈ 14, where one float32 ulp is 9.5e-7."""
+    x = np.asarray(x, dtype=np.float32).astype(np.float64)
+    w = dequantize(layer.q, np.float64)
+    a, b = (p.value.data.astype(np.float64) for p in (layer.adapter.a, layer.adapter.b))
+    s = layer.adapter.scaling
+    reference = x @ (w + s * (b @ a)).T
+    bound = 8 * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(w).T
+                                            + s * (np.abs(x) @ np.abs(a).T) @ np.abs(b).T)
+    return float(np.max(np.abs(np.asarray(y, dtype=np.float64) - reference) / bound))
 
 
 @pytest.fixture(scope="session")

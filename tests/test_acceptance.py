@@ -46,13 +46,14 @@ from desklora.evalharness import (
     robustness_curve,
     validate_report,
 )
-from desklora.lora import LoraConfig
+from desklora.lora import FrozenLinear, LoraAdapter, LoraConfig
 from desklora.model import ModelConfig, build
 from desklora.numcore import (
     DOUBLE,
     FULL,
     GradNode,
     Rng,
+    RowRngs,
     Tensor,
     add,
     backward,
@@ -86,7 +87,7 @@ from desklora.trainer import (
     train,
 )
 from desklora.util import sha256_file
-from tests.conftest import synth_raw_docs, write_jsonl
+from tests.conftest import merge_agreement, synth_raw_docs, write_jsonl
 
 POLICY = NormalizationPolicy()
 
@@ -221,6 +222,28 @@ def _op_battery(seed: int) -> float:
         (lambda x: sum_all(mul(causal_attention(qb, kb, x, heads, rope, bias_b), wb)), xb),
     ]
     worst = max(worst, max(finite_diff_check(f, x) for f, x in batch_checks))
+
+    # QLoRA's frozen linear op: x, A and B through a dropped-out adapter branch on
+    # [2, T, d] rows with one stream each; x without dropout on [T, d]; x without an adapter
+    layer = FrozenLinear("fd", quant.quantize(rng.normal(size=(5, d)).astype(np.float32)), DOUBLE)
+    a_val, b_val = rng.normal(size=(3, d)), rng.normal(size=(5, 3))
+    a_node, b_node = constant(a_val, DOUBLE), constant(b_val, DOUBLE)
+    c_lin = constant(rng.normal(size=(t_len, 5)), DOUBLE)
+    c_lin_b = constant(rng.normal(size=(2, t_len, 5)), DOUBLE)
+
+    def qlora(x, a=a_node, b=b_node, rate=0.4, adapter=True):
+        layer.adapter = LoraAdapter(a, b, 2.0, rate) if adapter else None
+        rows = RowRngs(Rng(seed).split("row", i) for i in range(2)) if x.value.ndim == 3 else None
+        return lora.forward(layer, x, rows)
+
+    qlora_checks = [
+        (lambda x: sum_all(mul(qlora(x), c_lin_b)), xb),
+        (lambda a: sum_all(mul(qlora(xb_node, a=a), c_lin_b)), a_val),
+        (lambda b: sum_all(mul(qlora(xb_node, b=b), c_lin_b)), b_val),
+        (lambda x: sum_all(mul(qlora(x), c_lin)), rng.normal(size=(t_len, d))),
+        (lambda x: sum_all(mul(qlora(x, adapter=False), c_lin)), rng.normal(size=(t_len, d))),
+    ]
+    worst = max(worst, max(finite_diff_check(f, x) for f, x in qlora_checks))
     return worst
 
 
@@ -377,7 +400,7 @@ def test_c03_memory_accounting():
 def test_c04_lora_identity_and_merge():
     rng = Rng(4)
     base = quant.quantize(rng.split("w").normal((24, 16), std=0.02).astype(np.float32))
-    layer = lora.attach(base, LoraConfig(r=8, alpha=32.0, dropout=0.0), rng.split("ad"), name="l")
+    layer = lora.attach(base, LoraConfig(r=8, alpha=32.0, dropout=0.05), rng.split("ad"), name="l")
     probe_rng = Rng(5)
     for _ in range(20):
         x = probe_rng.normal((3, 16))
@@ -392,10 +415,10 @@ def test_c04_lora_identity_and_merge():
         x = probe_rng.normal((1, 16))
         adapted = lora.forward(layer, constant(x, FULL)).value.data
         direct = x.astype(np.float32) @ merged.T
-        worst = max(worst, float(np.abs(adapted - direct).max()))
-    assert worst < 1e-6
-    announce(4, f"identity-at-init bit-exact on 20 probes; merge agreement {worst:.2e} "
-                f"over 100 probes")
+        worst = max(worst, merge_agreement(layer, x, adapted), merge_agreement(layer, x, direct))
+    assert worst < 1.0
+    announce(4, f"identity-at-init bit-exact on 20 probes; adapted and merged outputs within "
+                f"{worst:.2f} of the float32 rounding bound of x(W + sBA)^T over 100 probes")
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,13 @@ class TestPerturbInspect:
     def test_inspect_missing_path(self):
         assert cli.main(["inspect", "/nonexistent/path"]) == 3
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"'])
+    def test_inspect_json_without_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        assert cli.main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: unrecognized format\n"
+
     @staticmethod
     def artifacts(trained_ckpt, tmp_path):
         """One file of each container kind: QNF4, QST8, LORA, DMDL and OPT8."""

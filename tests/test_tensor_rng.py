@@ -59,3 +59,10 @@ class TestRng:
 
     def test_permutation_deterministic(self):
         assert np.array_equal(Rng(5).permutation(20), Rng(5).permutation(20))
+
+    def test_generator_built_on_first_draw(self):
+        stream = Rng(3).split("block", 1)
+        assert stream._generator is None  # a split that never draws costs no Philox state
+        first = stream.uniform((4,))
+        assert np.array_equal(first, np.random.Generator(np.random.Philox(key=stream._key)).random(4))
+        assert np.array_equal(stream.uniform((4,)), Rng(3).split("block", 1).uniform((8,))[4:])

@@ -184,8 +184,17 @@ class TestLedger:
         with ActivationMeter(ledger).scope():
             Parameter(Tensor(np.zeros(10), FULL))
             constant(np.zeros(10), FULL)
-            tiny_model().blocks[0].w1.node()
+            tiny_model().blocks[0].w1.weight()
         assert ledger.device_high_water == 0
+
+    @pytest.mark.parametrize("dtype, itemsize", [(FULL, 4), (DOUBLE, 8)])
+    def test_dequantized_bases_charged_up_front(self, dtype, itemsize):
+        model = tiny_model(dtype=dtype)
+        ledger = MemoryLedger()
+        register_static_memory(model, ledger)
+        held = [layer.weight().nbytes for blk in model.blocks for layer in blk.frozen()]
+        assert ledger.totals["dequantized_weights"] == sum(held)
+        assert sum(held) == itemsize * sum(q.numel for _, q in model.frozen_tensors())
 
     def test_device_high_water_independent_of_model_history(self, tmp_path):
         """The frozen bases dequantize on first use; whether that happened
