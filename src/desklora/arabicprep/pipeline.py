@@ -44,12 +44,25 @@ def prepare_documents(
     return out
 
 
-def read_jsonl(path):
-    docs = []
+# What a required field's type means in a JSONL record: its name for errors and its test.
+_FIELD_TYPES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a non-empty list of strings",
+           lambda v: isinstance(v, list) and bool(v) and all(isinstance(e, str) for e in v)),
+}
+
+
+def read_jsonl(path, fields: dict | None = None) -> list[dict]:
+    """The JSON objects of a JSONL file, one per non-blank line. Each must hold
+    every field of `fields` (name -> `str`, or `list` for a non-empty list of
+    strings; by default a string "text"). A violation, an unreadable or empty
+    file is a DataError that names the path, and the line where there is one."""
+    fields = {"text": str} if fields is None else fields
+    records = []
     try:
         f = open(path, "r", encoding="utf-8")
     except OSError as e:
-        raise DataError(f"cannot read corpus {path}: {e}") from e
+        raise DataError(f"cannot read {path}: {e}") from e
     with f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -59,12 +72,18 @@ def read_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{line_no}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict) or "text" not in obj:
-                raise DataError(f"{path}:{line_no}: expected an object with a 'text' field")
-            docs.append(obj)
-    if not docs:
-        raise DataError(f"{path}: no documents found")
-    return docs
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{line_no}: expected a JSON object")
+            for name, kind in fields.items():
+                label, valid = _FIELD_TYPES[kind]
+                if name not in obj:
+                    raise DataError(f"{path}:{line_no}: missing field {name!r}")
+                if not valid(obj[name]):
+                    raise DataError(f"{path}:{line_no}: field {name!r} must be {label}")
+            records.append(obj)
+    if not records:
+        raise DataError(f"{path}: no records found")
+    return records
 
 
 def encode_text(text: str, vocab: BpeVocab, policy: NormalizationPolicy) -> list[int]:

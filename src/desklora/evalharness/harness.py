@@ -8,18 +8,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arabicprep import NormalizationPolicy, encode_text
+from ..arabicprep import NormalizationPolicy, encode_text, read_jsonl
 from ..arabicprep.bpe import BOS_ID, SEP_ID
-from ..errors import ContractError, DataError, FormatError
+from ..errors import ContractError, FormatError
 from .metrics import bleu, exact_match, next_word_accuracy, perplexity, qa_f1, token_f1
 from .perturb import PerturbationConfig, perturb
 
 EVAL_KINDS = ("lm", "qa", "mt", "robustness")
+# `read_jsonl`'s field types: `list` is a non-empty list of strings.
 _REQUIRED_FIELDS = {
-    "lm": ("text",),
-    "qa": ("question", "answers"),
-    "mt": ("source", "references"),
-    "robustness": ("text",),
+    "lm": {"text": str},
+    "qa": {"question": str, "answers": list},
+    "mt": {"source": str, "references": list},
+    "robustness": {"text": str},
 }
 
 DIALECT_ORDER = ("MSA", "EGY", "GLF", "LEV", "MGR")
@@ -46,24 +47,7 @@ class EvalSet:
 def load_eval_set(path, kind: str) -> EvalSet:
     if kind not in EVAL_KINDS:
         raise ContractError(f"unknown eval kind {kind!r}; choose from {EVAL_KINDS}")
-    items = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            for fieldname in _REQUIRED_FIELDS[kind]:
-                if fieldname not in obj:
-                    raise DataError(f"{path}:{line_no}: {kind} item missing {fieldname!r}")
-            if kind == "qa" and not obj["answers"]:
-                raise DataError(f"{path}:{line_no}: qa item has no gold answers")
-            if kind == "mt" and not obj["references"]:
-                raise DataError(f"{path}:{line_no}: mt item has no references")
-            items.append(obj)
-    if not items:
-        raise DataError(f"{path}: empty eval set")
-    return EvalSet(kind=kind, items=items)
+    return EvalSet(kind=kind, items=read_jsonl(path, _REQUIRED_FIELDS[kind]))
 
 
 # ---------------------------------------------------------------------------

@@ -108,25 +108,30 @@ def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) 
         raise DimensionError(f"{layer.name or 'linear layer'}: input width {xv.shape[-1]} != d_in {d_in}")
     w, rows = layer.weight(), xv.reshape(-1, d_in)
     y, saved = rows @ w.T, ()
-    parents = [(x, lambda g: (g.reshape(-1, d_out) @ w).reshape(xv.shape))]
+
+    def base_grad(g):
+        return (g.reshape(-1, d_out) @ w).reshape(xv.shape)
+
+    parents, grad_fn = (x,), lambda g: (base_grad(g),)
     if ad is not None:
         # contiguous Aᵀ and Bᵀ, as for Wᵀ: operand layouts decide a matmul's rounding
         at, bt = (np.ascontiguousarray(p.value.data.T) for p in (ad.a, ad.b))
         s = ad.scaling
         f = dropout_factor(xv, ad.dropout, rng)
         drop = (lambda v: v) if f is None else (lambda v: v * f.reshape(v.shape))
-
-        def h_grad(g):  # the gradient of h = drop(x)·Aᵀ
-            return (g.reshape(-1, d_out) * s) @ bt.T
-
         h = drop(rows) @ at
         y = y + (h @ bt) * s
-        parents += [(x, lambda g: drop(h_grad(g) @ at.T).reshape(xv.shape)),
-                    (ad.a, lambda g: (drop(rows).T @ h_grad(g)).T),
-                    (ad.b, lambda g: (h.T @ (g.reshape(-1, d_out) * s)).T)]
+
+        def grad_fn(g):
+            gs = g.reshape(-1, d_out) * s
+            hg = gs @ bt.T  # the gradient of h = drop(x)·Aᵀ
+            return (base_grad(g), drop(hg @ at.T).reshape(xv.shape),
+                    (drop(rows).T @ hg).T, (h.T @ gs).T)
+
+        parents = (x, x, ad.a, ad.b)
         saved = (h, at, bt) if f is None else (h, at, bt, f)
     dtype = DOUBLE if x.value.dtype == layer.dtype == DOUBLE else FULL
-    return op_output(Tensor(y.reshape(*xv.shape[:-1], d_out), dtype), parents, saved=saved)
+    return op_output(Tensor(y.reshape(*xv.shape[:-1], d_out), dtype), parents, grad_fn, saved=saved)
 
 
 def merge(layer: FrozenLinear) -> np.ndarray:

@@ -20,11 +20,9 @@ from .ops import (
     layer_norm,
     matmul,
     mul,
-    neg,
     scale,
     softmax,
     softmax_cross_entropy,
-    sub,
     sum_all,
     transpose,
 )
@@ -54,14 +52,12 @@ __all__ = [
     "matmul",
     "metering",
     "mul",
-    "neg",
     "no_grad",
     "ones",
     "scale",
     "softmax",
     "softmax_cross_entropy",
     "storage_dtype",
-    "sub",
     "sum_all",
     "transpose",
     "zeros",

@@ -1,9 +1,11 @@
 """Reverse-mode autodiff tape.
 
-Nodes are built define-by-run: each op records its parents together with a
-local-backward closure mapping the output gradient to that parent's gradient
-contribution. `backward` walks the graph in reverse topological order and
-accumulates gradients into every reachable node that requires them.
+Nodes are built define-by-run: each op records the nodes it read (its
+parents) and one backward closure, `grad_fn`, that maps the output gradient
+to one gradient per parent, in parent order, so work the input gradients
+share is done once. `backward` walks the graph in reverse topological order,
+calls each reached node's `grad_fn` once and accumulates the gradients into
+every reachable node that requires them. A node without a `grad_fn` is a leaf.
 """
 
 import contextlib
@@ -45,17 +47,20 @@ def no_grad():
 
 
 class GradNode:
-    """One tape node: a Tensor value plus edges to the nodes it came from."""
+    """One tape node: a Tensor value, the nodes it came from and the closure
+    `grad_fn(g)` that returns one gradient per parent. Under `no_grad` a node
+    keeps neither, so it holds nothing its backward would have read."""
 
-    __slots__ = ("value", "grad", "parents", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "grad_fn", "requires_grad")
 
-    def __init__(self, value: Tensor, parents=(), requires_grad: bool = False):
+    def __init__(self, value: Tensor, parents=(), grad_fn=None, requires_grad: bool = False):
         self.value = value
         self.grad: Tensor | None = None
         if not _grad_enabled:
-            parents = ()
+            parents, grad_fn = (), None
         self.parents = tuple(parents)
-        self.requires_grad = bool(requires_grad or any(p.requires_grad for p, _ in self.parents))
+        self.grad_fn = grad_fn
+        self.requires_grad = bool(requires_grad or any(p.requires_grad for p in self.parents))
 
     @property
     def shape(self):
@@ -89,12 +94,14 @@ class Parameter(GradNode):
         self.grad = None
 
 
-def op_output(value: Tensor, parents, requires_grad: bool = False, saved=()) -> GradNode:
-    """An op's output node, charged to the installed meter together with the
-    `saved` arrays its backward keeps besides its inputs; leaves never are."""
+def op_output(value: Tensor, parents, grad_fn, saved=()) -> GradNode:
+    """An op's output node over `parents`, whose `grad_fn(g)` returns one
+    gradient per parent, in order. The node is charged to the installed meter
+    together with the `saved` arrays its backward keeps besides its inputs;
+    leaves never are."""
     if _meter is not None:
         _meter.charge(value.nbytes + sum(a.nbytes for a in saved))
-    return GradNode(value, parents, requires_grad)
+    return GradNode(value, parents, grad_fn)
 
 
 def constant(data, dtype: str = FULL) -> GradNode:
@@ -117,7 +124,7 @@ def _topo_order(root: GradNode) -> list:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent, _ in node.parents:
+        for parent in node.parents:
             if id(parent) not in visited and parent.requires_grad:
                 stack.append((parent, False))
     return order
@@ -150,21 +157,21 @@ def backward(loss: GradNode, seed: np.ndarray | None = None):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        for parent, local_backward in node.parents:
-            if not parent.requires_grad:
-                continue
-            contrib = local_backward(g)
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
-            else:
-                grads[key] = contrib
-        if node.requires_grad and (not node.parents or isinstance(node, Parameter)):
+        if node.grad_fn is None:
             # leaf: publish the accumulated gradient
             if node.grad is None:
                 node.grad = Tensor(g, grad_dtype)
             else:
                 node.grad = Tensor(node.grad.data + g, grad_dtype)
+            continue
+        for parent, contrib in zip(node.parents, node.grad_fn(g), strict=True):
+            if not parent.requires_grad:
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + contrib
+            else:
+                grads[key] = contrib
 
 
 def checkpoint(fn, x: GradNode) -> GradNode:
@@ -182,11 +189,10 @@ def checkpoint(fn, x: GradNode) -> GradNode:
         with no_grad():
             out_value = fn(GradNode(x.value)).value
 
-    def recompute_backward(g: np.ndarray) -> np.ndarray:
+    def grad_fn(g: np.ndarray) -> tuple:
         with scope():
             leaf = GradNode(x.value, requires_grad=True)
-            out = fn(leaf)
-            backward(out, seed=g)
-        return leaf.grad.data
+            backward(fn(leaf), seed=g)
+        return (leaf.grad.data,)
 
-    return op_output(out_value, ((x, recompute_backward),), requires_grad=True)
+    return op_output(out_value, (x,), grad_fn)

@@ -1,9 +1,11 @@
 """Differentiable operations over GradNodes.
 
 Every op computes its value in the storage precision of its inputs ("double"
-when every input is double, else "full") and records local-backward closures
-on the tape. Broadcasting is deliberately narrow: elementwise ops accept
-exact-match shapes or python scalars only. Ops over sequences take leading
+when every input is double, else "full") and records one tape node: its
+parents and one backward closure that returns every parent's gradient from a
+single call, so the parents' gradients share their intermediate products.
+Broadcasting is deliberately narrow: elementwise ops accept exact-match
+shapes or python scalars only. Ops over sequences take leading
 batch axes: `matmul`, `layer_norm`, `gather_rows`, `softmax_cross_entropy` and
 `causal_attention` read a `[B, T, d]` activation as B sequences of `[T, d]`,
 and a `[T, d]` one as a batch of one.
@@ -23,8 +25,8 @@ def _out_dtype(*nodes) -> str:
     return DOUBLE if all(n.value.dtype == DOUBLE for n in nodes) else FULL
 
 
-def _node(arr: np.ndarray, dtype: str, parents) -> GradNode:
-    return op_output(Tensor(arr, dtype), parents)
+def _node(arr: np.ndarray, dtype: str, parents, grad_fn) -> GradNode:
+    return op_output(Tensor(arr, dtype), parents, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +38,11 @@ def add(a: GradNode, b) -> GradNode:
     if not isinstance(b, GradNode):
         if np.ndim(b) != 0:
             raise DimensionError("add: second operand must be a GradNode or a scalar")
-        return _node(a.value.data + float(b), a.value.dtype, ((a, lambda g: g),))
+        return _node(a.value.data + float(b), a.value.dtype, (a,), lambda g: (g,))
     if a.value.shape != b.value.shape:
         raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
     dtype = _out_dtype(a, b)
-    return _node(a.value.data + b.value.data, dtype, ((a, lambda g: g), (b, lambda g: g)))
+    return _node(a.value.data + b.value.data, dtype, (a, b), lambda g: (g, g))
 
 
 def mul(a: GradNode, b) -> GradNode:
@@ -48,24 +50,16 @@ def mul(a: GradNode, b) -> GradNode:
         if np.ndim(b) != 0:
             raise DimensionError("mul: second operand must be a GradNode or a scalar")
         s = float(b)
-        return _node(a.value.data * s, a.value.dtype, ((a, lambda g: g * s),))
+        return _node(a.value.data * s, a.value.dtype, (a,), lambda g: (g * s,))
     if a.value.shape != b.value.shape:
         raise DimensionError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
     dtype = _out_dtype(a, b)
     da, db = a.value.data, b.value.data
-    return _node(da * db, dtype, ((a, lambda g: g * db), (b, lambda g: g * da)))
+    return _node(da * db, dtype, (a, b), lambda g: (g * db, g * da))
 
 
 def scale(a: GradNode, s: float) -> GradNode:
     return mul(a, float(s))
-
-
-def neg(a: GradNode) -> GradNode:
-    return scale(a, -1.0)
-
-
-def sub(a: GradNode, b) -> GradNode:
-    return add(a, neg(b)) if isinstance(b, GradNode) else add(a, -b)
 
 
 def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradNode:
@@ -79,7 +73,7 @@ def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradN
     factor = dropout_factor(x.value.data, rate, rng)
     if factor is None:
         return x
-    return _node(x.value.data * factor, x.value.dtype, ((x, lambda g: g * factor),))
+    return _node(x.value.data * factor, x.value.dtype, (x,), lambda g: (g * factor,))
 
 
 def dropout_factor(x: np.ndarray, rate: float, rng: Rng | RowRngs | None) -> np.ndarray | None:
@@ -95,7 +89,7 @@ def astype(x: GradNode, dtype: str) -> GradNode:
     """Precision boundary: re-tag, or `x` itself if it has `dtype`."""
     if x.value.dtype == dtype:
         return x
-    return _node(x.value.data, dtype, ((x, lambda g: g),))
+    return _node(x.value.data, dtype, (x,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +112,18 @@ def matmul(a: GradNode, b: GradNode) -> GradNode:
     (k, n), lead = db.shape, da.shape[:-1]
     rows = da.reshape(-1, k)
     out = (rows @ db).reshape(*lead, n)
-    return _node(out, _out_dtype(a, b), (
-        (a, lambda g: (g.reshape(-1, n) @ db.T).reshape(da.shape)),
-        (b, lambda g: rows.T @ g.reshape(-1, n)),
-    ))
+
+    def grad_fn(g):
+        g = g.reshape(-1, n)
+        return (g @ db.T).reshape(da.shape), rows.T @ g
+
+    return _node(out, _out_dtype(a, b), (a, b), grad_fn)
 
 
 def transpose(a: GradNode) -> GradNode:
     if a.value.ndim != 2:
         raise DimensionError(f"transpose expects a 2-D tensor, got {a.value.shape}")
-    return _node(a.value.data.T, a.value.dtype, ((a, lambda g: g.T),))
+    return _node(a.value.data.T, a.value.dtype, (a,), lambda g: (g.T,))
 
 
 def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
@@ -141,21 +137,18 @@ def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
         raise IndexError(f"row id {bad} out of range for table with {n_rows} rows")
     shape = table.value.shape
 
-    def back(g):
+    def grad_fn(g):
         acc = np.zeros(shape, dtype=g.dtype)
         np.add.at(acc, ids.reshape(-1), g.reshape(-1, *shape[1:]))
-        return acc
+        return (acc,)
 
-    return _node(table.value.data[ids], table.value.dtype, ((table, back),))
+    return _node(table.value.data[ids], table.value.dtype, (table,), grad_fn)
 
 
 def sum_all(x: GradNode) -> GradNode:
     shape = x.value.shape
-    return _node(
-        np.asarray(x.value.data.sum()),
-        x.value.dtype,
-        ((x, lambda g: np.broadcast_to(g, shape).astype(g.dtype)),),
-    )
+    return _node(np.asarray(x.value.data.sum()), x.value.dtype, (x,),
+                 lambda g: (np.broadcast_to(g, shape).astype(g.dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +164,11 @@ def gelu(x: GradNode) -> GradNode:
     t = np.tanh(inner)
     out = 0.5 * d * (1.0 + t)
 
-    def back(g):
+    def grad_fn(g):
         dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * d * d)
-        return g * (0.5 * (1.0 + t) + 0.5 * d * dt)
+        return (g * (0.5 * (1.0 + t) + 0.5 * d * dt),)
 
-    return _node(out, x.value.dtype, ((x, back),))
+    return _node(out, x.value.dtype, (x,), grad_fn)
 
 
 def softmax(x: GradNode, axis: int = -1) -> GradNode:
@@ -184,10 +177,10 @@ def softmax(x: GradNode, axis: int = -1) -> GradNode:
     e = np.exp(d - m)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def back(g):
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
+    def grad_fn(g):
+        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
-    return _node(s, x.value.dtype, ((x, back),))
+    return _node(s, x.value.dtype, (x,), grad_fn)
 
 
 def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -> GradNode:
@@ -213,25 +206,18 @@ def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -
 
     lead = tuple(range(d.ndim - 1))
 
-    def back_x(g):
+    def grad_fn(g):
         dxhat = g * gv
         dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
         dmu = -(dxhat.sum(axis=-1, keepdims=True)) * inv + dvar * (-2.0) * xc.mean(
             axis=-1, keepdims=True
         )
-        return dxhat * inv + dvar * (2.0 / n) * xc + dmu / n
+        dx = dxhat * inv + dvar * (2.0 / n) * xc + dmu / n
+        if not lead:
+            return dx, g * xhat, g
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-    def back_gain(g):
-        return (g * xhat).sum(axis=lead) if lead else g * xhat
-
-    def back_bias(g):
-        return g.sum(axis=lead) if lead else g
-
-    return _node(
-        out,
-        _out_dtype(x, gain, bias),
-        ((x, back_x), (gain, back_gain), (bias, back_bias)),
-    )
+    return _node(out, _out_dtype(x, gain, bias), (x, gain, bias), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +248,12 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
     nll = (lse.reshape(-1) - shifted[np.arange(n), t])
     loss = np.asarray(nll.mean())
 
-    def back(g):
+    def grad_fn(g):
         p = np.exp(shifted - lse)
         p[np.arange(n), t] -= 1.0
-        return ((float(g) / n) * p).reshape(d.shape)
+        return (((float(g) / n) * p).reshape(d.shape),)
 
-    return _node(loss, logits.value.dtype, ((logits, back),))
+    return _node(loss, logits.value.dtype, (logits,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -345,31 +331,15 @@ def causal_attention(
     w = w / w.sum(axis=-1, keepdims=True)
     out = merge(np.matmul(w, vh))
 
-    cache: dict = {}
+    def grad_fn(g):
+        gh = heads(g)
+        dw = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+        dq = np.matmul(ds, kr) * inv_sqrt
+        dk = np.matmul(ds.swapaxes(-1, -2), qr) * inv_sqrt
+        dv = np.matmul(w.swapaxes(-1, -2), gh)
+        if rope is not None:
+            dq, dk = _unrotate_grad(dq, cos, sin), _unrotate_grad(dk, cos, sin)
+        return merge(dq), merge(dk), merge(dv)
 
-    def shared(g):
-        if cache.get("id") != id(g):
-            gh = heads(g)
-            dw = np.matmul(gh, vh.swapaxes(-1, -2))
-            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
-            dqr = np.matmul(ds, kr) * inv_sqrt
-            dkr = np.matmul(ds.swapaxes(-1, -2), qr) * inv_sqrt
-            dv = np.matmul(w.swapaxes(-1, -2), gh)
-            if rope is not None:
-                dq = _unrotate_grad(dqr, cos, sin)
-                dk = _unrotate_grad(dkr, cos, sin)
-            else:
-                dq, dk = dqr, dkr
-            cache["id"] = id(g)
-            cache["grads"] = (merge(dq), merge(dk), merge(dv))
-        return cache["grads"]
-
-    return _node(
-        out,
-        _out_dtype(q, k, v),
-        (
-            (q, lambda g: shared(g)[0]),
-            (k, lambda g: shared(g)[1]),
-            (v, lambda g: shared(g)[2]),
-        ),
-    )
+    return _node(out, _out_dtype(q, k, v), (q, k, v), grad_fn)

@@ -75,10 +75,35 @@ def _nearest_codes(normalized: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     return np.searchsorted(mids, normalized, side="left")
 
 
-def _block_scales(absmax: np.ndarray, block_size: int, numel: int) -> np.ndarray:
-    """One float64 scale per element. A block larger than the tensor is its
-    only block, so it repeats numel times, never block_size times."""
-    return np.repeat(absmax.astype(np.float64), min(block_size, numel))[:numel]
+def _encode_blocks(x: np.ndarray, block_size: int, codebook: np.ndarray,
+                   zero_code: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Blockwise absmax scaling onto the nearest `codebook` level: x's shape,
+    one uint8 code per element and one float32 absmax per block. The tail
+    block is zero-padded; an all-zero block gets `zero_code` throughout."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_finite(x)
+    flat = x.reshape(-1)
+    numel = flat.size
+    n_blocks = (numel + block_size - 1) // block_size
+
+    padded = np.zeros(n_blocks * block_size, dtype=np.float64)
+    padded[:numel] = flat
+    blocks = padded.reshape(n_blocks, block_size)
+    absmax = np.abs(blocks).max(axis=1)
+    safe = np.where(absmax == 0.0, 1.0, absmax)
+    codes = _nearest_codes(blocks / safe[:, None], codebook).astype(np.uint8)
+    codes[absmax == 0.0, :] = zero_code
+    return tuple(x.shape), codes.reshape(-1)[:numel], absmax.astype(np.float32)
+
+
+def _decode_blocks(codes: np.ndarray, absmax: np.ndarray, block_size: int,
+                   codebook: np.ndarray, shape: tuple, out_dtype) -> np.ndarray:
+    """`codebook[codes]` times each element's block absmax, in float64, cast
+    to `out_dtype`. A block larger than the tensor is its only block, so its
+    scale repeats numel times, never block_size times."""
+    numel = codes.size
+    scales = np.repeat(absmax.astype(np.float64), min(block_size, numel))[:numel]
+    return (codebook[codes] * scales).astype(out_dtype).reshape(shape)
 
 
 def _check_finite(x: np.ndarray):
@@ -174,27 +199,8 @@ def quantize(
     dq_group: int = DEFAULT_DQ_GROUP,
 ) -> QuantizedTensor:
     """Blockwise absmax-scaled nearest-level 4-bit quantization."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_finite(x)
-    shape = tuple(x.shape)
-    flat = x.reshape(-1)
-    numel = flat.size
-    n_blocks = (numel + block_size - 1) // block_size
-
-    padded = np.zeros(n_blocks * block_size, dtype=np.float64)
-    padded[:numel] = flat
-    blocks = padded.reshape(n_blocks, block_size)
-    absmax = np.abs(blocks).max(axis=1)
-
-    safe = np.where(absmax == 0.0, 1.0, absmax)
-    normalized = blocks / safe[:, None]
-    codes = _nearest_codes(normalized, NF4_VALUES).astype(np.uint8)
-    codes[absmax == 0.0, :] = NF4_ZERO_CODE
-
-    flat_codes = codes.reshape(-1)[:numel]
-    packed = _pack4(flat_codes)
-    absmax32 = absmax.astype(np.float32)
-
+    shape, codes, absmax32 = _encode_blocks(x, block_size, NF4_VALUES, NF4_ZERO_CODE)
+    packed = _pack4(codes)
     if double_quant:
         dq = _quantize_absmax(absmax32, dq_group)
         return QuantizedTensor(shape, packed, None, dq, block_size)
@@ -208,10 +214,8 @@ def reconstructed_absmax(q: QuantizedTensor) -> np.ndarray:
 
 
 def dequantize(q: QuantizedTensor, out_dtype=np.float32) -> np.ndarray:
-    codes = _unpack4(q.codes, q.numel)
-    values = NF4_VALUES[codes]
-    scales = _block_scales(reconstructed_absmax(q), q.block_size, q.numel)
-    return (values * scales).astype(out_dtype).reshape(q.shape)
+    return _decode_blocks(_unpack4(q.codes, q.numel), reconstructed_absmax(q), q.block_size,
+                          NF4_VALUES, q.shape, out_dtype)
 
 
 def bits_per_param(q: QuantizedTensor) -> float:
@@ -254,27 +258,12 @@ class Quantized8bitState:
 
 
 def quantize_state8(x: np.ndarray, block_size: int = STATE8_BLOCK_SIZE) -> Quantized8bitState:
-    x = np.asarray(x, dtype=np.float64)
-    _check_finite(x)
-    shape = tuple(x.shape)
-    flat = x.reshape(-1)
-    numel = flat.size
-    n_blocks = (numel + block_size - 1) // block_size
-
-    padded = np.zeros(n_blocks * block_size, dtype=np.float64)
-    padded[:numel] = flat
-    blocks = padded.reshape(n_blocks, block_size)
-    absmax = np.abs(blocks).max(axis=1)
-    safe = np.where(absmax == 0.0, 1.0, absmax)
-    codes = _nearest_codes(blocks / safe[:, None], DYNAMIC8_VALUES).astype(np.uint8)
-    codes[absmax == 0.0, :] = DYNAMIC8_ZERO_CODE
-    return Quantized8bitState(shape, codes.reshape(-1)[:numel], absmax.astype(np.float32), block_size)
+    shape, codes, absmax = _encode_blocks(x, block_size, DYNAMIC8_VALUES, DYNAMIC8_ZERO_CODE)
+    return Quantized8bitState(shape, codes, absmax, block_size)
 
 
 def dequantize_state8(q: Quantized8bitState, out_dtype=np.float32) -> np.ndarray:
-    values = DYNAMIC8_VALUES[q.codes]
-    scales = _block_scales(q.absmax, q.block_size, q.numel)
-    return (values * scales).astype(out_dtype).reshape(q.shape)
+    return _decode_blocks(q.codes, q.absmax, q.block_size, DYNAMIC8_VALUES, q.shape, out_dtype)
 
 
 # ---------------------------------------------------------------------------

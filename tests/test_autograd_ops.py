@@ -196,6 +196,7 @@ class TestBackward:
         with no_grad():
             y = mul(x, x)
         assert y.parents == ()
+        assert y.grad_fn is None
         assert not y.requires_grad
 
 

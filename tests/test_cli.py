@@ -97,6 +97,13 @@ class TestPrep:
                        "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_malformed_record_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "d.jsonl"
+        write_jsonl(src, [{"text": "كتب الولد"}, {"text": 5}])
+        assert cli.main(["prep", "--input", str(src), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "d.jsonl:2: field 'text' must be a string" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("vocab_size, rc", [((1 << 21) + 1, 2), (1 << 21, 3)])
     def test_vocab_size_bound_checked_before_reading(self, tmp_path, vocab_size, rc):
         """Pair keys hold ids in 21 bits; the missing input shows what was read."""
@@ -340,6 +347,16 @@ class TestEval:
         ])
         assert rc == 3
         assert "missing.jsonl" in capsys.readouterr().err
+
+    def test_malformed_eval_line_is_data_error(self, trained_ckpt, shards_dir, tmp_path, capsys):
+        (tmp_path / "lm.jsonl").write_text('{"text": "t"}\n{bad\n', encoding="utf-8")
+        rc = cli.main([
+            "eval", "--checkpoint", str(trained_ckpt), "--shards", str(shards_dir),
+            "--out", str(tmp_path / "rep"), "--lm", str(tmp_path / "lm.jsonl"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "lm.jsonl:2: invalid JSON" in err and "Traceback" not in err
 
     def test_eval_deterministic(self, trained_ckpt, shards_dir, eval_files, tmp_path):
         for name in ("a", "b"):

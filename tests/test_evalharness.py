@@ -328,6 +328,28 @@ class TestEvalSets:
         with pytest.raises(DataError):
             load_eval_set(p, "qa")
 
+    @pytest.mark.parametrize("kind, line", [
+        ("lm", "{bad"),
+        ("lm", "5"),
+        ("lm", '["text"]'),
+        ("lm", '{"text": 5}'),
+        ("robustness", '{"text": null}'),
+        ("qa", '{"question": 5, "answers": ["a"]}'),
+        ("qa", '{"question": "q", "answers": "a"}'),
+        ("qa", '{"question": "q", "answers": ["a", 1]}'),
+        ("mt", '{"source": ["s"], "references": ["r"]}'),
+        ("mt", '{"source": "s", "references": []}'),
+        ("mt", '{"source": "s"}'),
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, kind, line):
+        good = {"lm": '{"text": "t"}', "robustness": '{"text": "t"}',
+                "qa": '{"question": "q", "answers": ["a"]}',
+                "mt": '{"source": "s", "references": ["r"]}'}[kind]
+        p = tmp_path / f"{kind}.jsonl"
+        p.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{kind}.jsonl:3: "):
+            load_eval_set(p, kind)
+
 
 class TestDialectBreakdown:
     def eval_sets(self, tmp_path):

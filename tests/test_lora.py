@@ -201,8 +201,8 @@ class TestGradientFlow:
         x = constant(Rng(16).normal((4, 16)), FULL)
         y, plain = lora.forward(blk.q, x, Rng(17)), lora.forward(blk.w1, x)
         # x twice: through the base and through the branch; W is no parent
-        assert [p for p, _ in y.parents] == [x, x, blk.q.adapter.a, blk.q.adapter.b]
-        assert [p for p, _ in plain.parents] == [x]
+        assert y.parents == (x, x, blk.q.adapter.a, blk.q.adapter.b)
+        assert plain.parents == (x,)
         backward(sum_all(y))
         assert np.any(blk.q.adapter.a.grad.data != 0)
         assert np.any(blk.q.adapter.b.grad.data != 0)

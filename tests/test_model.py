@@ -153,6 +153,7 @@ class TestForwardSemantics:
         with no_grad():
             node = m.forward(np.arange(4))
         assert node.parents == ()
+        assert node.grad_fn is None
 
     def test_one_tape_node_per_linear_layer(self):
         """A micro-batch loss at the deskbench `finetune` shape records 29 op

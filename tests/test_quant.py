@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,17 @@ class TestSerialization:
             assert q2.block_size == q.block_size
             assert np.array_equal(q2.codes, q.codes)
             assert np.array_equal(dequantize(q2), dequantize(q))
+
+    def test_golden_bytes(self):
+        """Pinned bytes of both quantizers, all-zero blocks included; any change
+        to padding, scaling, nearest-level choice or the zero code shows here."""
+        x = np.random.default_rng(7).normal(size=(37, 29))
+        x.reshape(-1)[256:512] = 0.0  # whole blocks of zeros in both block sizes
+        digest = lambda b: hashlib.sha256(b).hexdigest()
+        assert digest(dumps_qnf4(quantize(x, 64, double_quant=True))) == (
+            "c6faba167d345a59c6ae239b0a01b132ecf8022338276be63d6d1c818e589fca")
+        assert digest(dumps_state8(quantize_state8(x))) == (
+            "947dcd3ce1d2e00b4685b0ce246f0c3a4e67c9f686a5ad48bf45bd4cbbc886d4")
 
     def test_qnf4_deterministic_bytes(self):
         x = np.random.default_rng(12).standard_normal(500)
