@@ -16,6 +16,7 @@ from .harness import (
 from .metrics import (
     bleu,
     exact_match,
+    lm_scores,
     next_word_accuracy,
     normalize_for_match,
     perplexity,
@@ -39,6 +40,7 @@ __all__ = [
     "emit_report",
     "exact_match",
     "greedy_continue",
+    "lm_scores",
     "load_eval_set",
     "next_word_accuracy",
     "normalize_for_match",

@@ -11,7 +11,7 @@ import numpy as np
 from ..arabicprep import NormalizationPolicy, encode_text, read_jsonl
 from ..arabicprep.bpe import BOS_ID, SEP_ID
 from ..errors import ContractError, FormatError
-from .metrics import bleu, exact_match, next_word_accuracy, perplexity, qa_f1, token_f1
+from .metrics import bleu, exact_match, lm_scores, qa_f1, token_f1
 from .perturb import PerturbationConfig, perturb
 
 EVAL_KINDS = ("lm", "qa", "mt", "robustness")
@@ -185,10 +185,9 @@ def dialect_breakdown(
             if not seqs:
                 report.warnings.append(f"lm: dialect {dialect} only had empty texts; omitted")
                 continue
-            report.tables.setdefault("perplexity", {})[dialect] = perplexity(model, seqs)
-            report.tables.setdefault("next_word_accuracy", {})[dialect] = next_word_accuracy(
-                model, seqs
-            )
+            ppl, accuracy = lm_scores(model, seqs)
+            report.tables.setdefault("perplexity", {})[dialect] = ppl
+            report.tables.setdefault("next_word_accuracy", {})[dialect] = accuracy
 
     mt = eval_sets.get("mt")
     if mt is not None:

@@ -54,29 +54,31 @@ def _teacher_forced(model, seq, bos_id: int) -> tuple[float, int]:
     return nll, hits
 
 
+def lm_scores(model, sequences, bos_id: int = BOS_ID) -> tuple[float, float]:
+    """(perplexity, next-word accuracy) over tokenized sequences, from one
+    teacher-forced pass per sequence.
+
+    Perplexity is exp(total NLL / total predicted tokens); accuracy the
+    fraction of positions where argmax(logits) hits the actual next token,
+    argmax ties resolving to the lowest token id.
+    """
+    total, hits, count = 0.0, 0, 0
+    for seq in sequences:
+        nll, seq_hits = _teacher_forced(model, seq, bos_id)
+        total, hits, count = total + nll, hits + seq_hits, count + len(seq)
+    if count == 0:
+        raise ContractError("language-model scores need at least one non-empty sequence")
+    return float(math.exp(total / count)), hits / count
+
+
 def perplexity(model, sequences, bos_id: int = BOS_ID) -> float:
     """exp(total NLL / total predicted tokens) over tokenized sequences."""
-    total, count = 0.0, 0
-    for seq in sequences:
-        total += _teacher_forced(model, seq, bos_id)[0]
-        count += len(seq)
-    if count == 0:
-        raise ContractError("perplexity needs at least one non-empty sequence")
-    return float(math.exp(total / count))
+    return lm_scores(model, sequences, bos_id)[0]
 
 
 def next_word_accuracy(model, sequences, bos_id: int = BOS_ID) -> float:
-    """Fraction of positions where argmax(logits) hits the actual next token.
-
-    Argmax ties resolve to the lowest token id.
-    """
-    hits, count = 0, 0
-    for seq in sequences:
-        hits += _teacher_forced(model, seq, bos_id)[1]
-        count += len(seq)
-    if count == 0:
-        raise ContractError("next_word_accuracy needs at least one non-empty sequence")
-    return hits / count
+    """Fraction of positions where argmax(logits) hits the actual next token."""
+    return lm_scores(model, sequences, bos_id)[1]
 
 
 def token_f1(tokens_a, tokens_b) -> float:

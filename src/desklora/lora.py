@@ -15,7 +15,7 @@ import numpy as np
 
 from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
-from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, RowRngs, Tensor, storage_dtype
+from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, RowRngs, storage_dtype
 from .numcore.autograd import op_output
 from .numcore.ops import dropout_factor
 from .quant import QuantizedTensor, dequantize
@@ -57,7 +57,7 @@ class LoraAdapter:
 
     @property
     def n_params(self) -> int:
-        return self.a.value.numel + self.b.value.numel
+        return self.a.value.size + self.b.value.size
 
 
 @dataclass
@@ -90,8 +90,8 @@ def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
     if cfg.r > min(d_in, d_out):
         raise ConfigError(f"rank {cfg.r} exceeds min(d_in={d_in}, d_out={d_out})")
     a_init = rng.split("lora_a").normal((cfg.r, d_in), std=1.0 / np.sqrt(cfg.r)).astype(np.float32)
-    a = Parameter(Tensor(a_init, dtype), name=f"{name}.lora_a" if name else "lora_a")
-    b = Parameter(Tensor(np.zeros((d_out, cfg.r)), dtype), name=f"{name}.lora_b" if name else "lora_b")
+    a = Parameter(a_init, dtype, name=f"{name}.lora_a" if name else "lora_a")
+    b = Parameter(np.zeros((d_out, cfg.r)), dtype, name=f"{name}.lora_b" if name else "lora_b")
     return FrozenLinear(name, base, dtype, LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout))
 
 
@@ -103,7 +103,7 @@ def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) 
     when `rng` is given, with the mask `numcore.dropout` would draw.
     Besides its output, the node charges what its backward keeps: the rank-r
     product, Aᵀ, Bᵀ and the multiplier."""
-    (d_out, d_in), xv, ad = layer.q.shape, x.value.data, layer.adapter
+    (d_out, d_in), xv, ad = layer.q.shape, x.value, layer.adapter
     if xv.shape[-1] != d_in:
         raise DimensionError(f"{layer.name or 'linear layer'}: input width {xv.shape[-1]} != d_in {d_in}")
     w, rows = layer.weight(), xv.reshape(-1, d_in)
@@ -115,7 +115,7 @@ def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) 
     parents, grad_fn = (x,), lambda g: (base_grad(g),)
     if ad is not None:
         # contiguous Aᵀ and Bᵀ, as for Wᵀ: operand layouts decide a matmul's rounding
-        at, bt = (np.ascontiguousarray(p.value.data.T) for p in (ad.a, ad.b))
+        at, bt = (np.ascontiguousarray(p.value.T) for p in (ad.a, ad.b))
         s = ad.scaling
         f = dropout_factor(xv, ad.dropout, rng)
         drop = (lambda v: v) if f is None else (lambda v: v * f.reshape(v.shape))
@@ -130,14 +130,14 @@ def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) 
 
         parents = (x, x, ad.a, ad.b)
         saved = (h, at, bt) if f is None else (h, at, bt, f)
-    dtype = DOUBLE if x.value.dtype == layer.dtype == DOUBLE else FULL
-    return op_output(Tensor(y.reshape(*xv.shape[:-1], d_out), dtype), parents, grad_fn, saved=saved)
+    dtype = np.float64 if xv.dtype == w.dtype == np.float64 else np.float32
+    return op_output(y.reshape(*xv.shape[:-1], d_out), parents, grad_fn, saved=saved, dtype=dtype)
 
 
 def merge(layer: FrozenLinear) -> np.ndarray:
     """Fold the adapter into a dense full-precision weight W' = W + s * B A."""
     w = dequantize(layer.q, np.float64)
-    ba = layer.adapter.b.value.data.astype(np.float64) @ layer.adapter.a.value.data.astype(np.float64)
+    ba = layer.adapter.b.value.astype(np.float64) @ layer.adapter.a.value.astype(np.float64)
     return (w + layer.adapter.scaling * ba).astype(np.float32)
 
 
@@ -154,12 +154,11 @@ def dumps_adapters(layers: list[FrozenLinear], cfg: LoraConfig) -> bytes:
     w = Writer(*_LORA)
     w.pack("IfI", cfg.r, cfg.alpha, len(layers))
     for layer in layers:
-        precision = layer.adapter.a.value.dtype
         w.text(layer.name)
-        w.text(precision)
+        w.text(layer.dtype)
         for p in (layer.adapter.a, layer.adapter.b):
-            w.shape(p.value.shape)
-            w.array(p.value.data, storage_dtype(precision))
+            w.shape(p.shape)
+            w.array(p.value, storage_dtype(layer.dtype))
     return w.getvalue()
 
 
@@ -192,5 +191,5 @@ def apply_adapter_state(layers: list[FrozenLinear], state: dict):
         if a.shape != ad.a.value.shape or b.shape != ad.b.value.shape:
             raise FormatError(f"adapter checkpoint layer {layer.name!r} has A {a.shape}, B {b.shape}; "
                               f"the model expects {ad.a.value.shape}, {ad.b.value.shape}")
-        ad.a.assign(Tensor(a, ad.a.value.dtype))
-        ad.b.assign(Tensor(b, ad.b.value.dtype))
+        ad.a.assign(a)
+        ad.b.assign(b)

@@ -30,7 +30,6 @@ from .numcore import (
     Parameter,
     Rng,
     RowRngs,
-    Tensor,
     add,
     causal_attention,
     checkpoint,
@@ -154,11 +153,10 @@ class TransformerModel:
         return [(p.name, p) for p in params]
 
     def trainable_fraction(self) -> float:
-        """Adapter elements over all elements, frozen bases included."""
-        adapters = sum(layer.adapter.n_params for layer in self.adapted_layers())
-        total = (sum(p.value.numel for _, p in self.trainable_parameters())
-                 + sum(q.numel for _, q in self.frozen_tensors()))
-        return adapters / total
+        """Elements the optimizer updates (adapters, embedding and norms) over
+        all elements, frozen bases included."""
+        trained = sum(p.value.size for _, p in self.trainable_parameters())
+        return trained / (trained + sum(q.numel for _, q in self.frozen_tensors()))
 
     def base_bytes(self) -> bytes:
         """Serialized frozen weights; byte-stable across training."""
@@ -230,7 +228,7 @@ class TransformerModel:
     def forward_ids(self, ids) -> np.ndarray:
         """Evaluation-mode logits [T x vocab] for ids [T] as a plain array; no tape is built."""
         with no_grad():
-            return self.forward(ids).value.data
+            return self.forward(ids).value
 
 
 def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerModel:
@@ -242,7 +240,7 @@ def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerMode
     d, dtype = cfg.d_model, cfg.dtype
 
     def param(name, shape, fill=None) -> Parameter:
-        return Parameter(Tensor(master(name, shape, fill), dtype), name=name)
+        return Parameter(master(name, shape, fill), dtype, name=name)
 
     def frozen(name, shape) -> FrozenLinear:
         return FrozenLinear(name, base(name, shape), dtype)
@@ -319,7 +317,7 @@ def save_model(model: TransformerModel, path):
     for p in masters:
         w.text(p.name)
         w.shape(p.value.shape)
-        w.array(p.value.data, storage_dtype(model.cfg.dtype))
+        w.array(p.value, storage_dtype(model.cfg.dtype))
     with open(path, "wb") as f:
         f.write(w.getvalue())
 
@@ -359,8 +357,8 @@ def load_model(path) -> TransformerModel:
 
     def adapted(name, q, _i, _tag) -> FrozenLinear:
         (d_out, d_in), lcfg = q.shape, cfg.lora
-        a = Parameter(Tensor(np.zeros((lcfg.r, d_in)), cfg.dtype), name=f"{name}.lora_a")
-        b = Parameter(Tensor(np.zeros((d_out, lcfg.r)), cfg.dtype), name=f"{name}.lora_b")
+        a = Parameter(np.zeros((lcfg.r, d_in)), cfg.dtype, name=f"{name}.lora_a")
+        b = Parameter(np.zeros((d_out, lcfg.r)), cfg.dtype, name=f"{name}.lora_b")
         return FrozenLinear(name, q, cfg.dtype, LoraAdapter(a, b, lcfg.scaling, lcfg.dropout))
 
     model = _assemble(cfg, flags, lambda name, shape: take(frozen, name, shape),

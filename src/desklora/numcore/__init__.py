@@ -1,6 +1,9 @@
-"""Minimal dense-tensor core with reverse-mode autodiff."""
+"""Minimal dense-array core with reverse-mode autodiff: tape nodes hold
+read-only numpy arrays in float32 ("full") or float64 ("double")."""
 
 from .autograd import (
+    DOUBLE,
+    FULL,
     GradNode,
     Parameter,
     backward,
@@ -8,6 +11,7 @@ from .autograd import (
     constant,
     metering,
     no_grad,
+    storage_dtype,
 )
 from .gradcheck import finite_diff_check
 from .ops import (
@@ -27,16 +31,13 @@ from .ops import (
     transpose,
 )
 from .rng import Rng, RowRngs
-from .tensor import DOUBLE, DTYPES, FULL, Tensor, ones, storage_dtype, zeros
 
 __all__ = [
     "GradNode",
     "Parameter",
     "Rng",
     "RowRngs",
-    "Tensor",
     "DOUBLE",
-    "DTYPES",
     "FULL",
     "add",
     "astype",
@@ -53,12 +54,10 @@ __all__ = [
     "metering",
     "mul",
     "no_grad",
-    "ones",
     "scale",
     "softmax",
     "softmax_cross_entropy",
     "storage_dtype",
     "sum_all",
     "transpose",
-    "zeros",
 ]

@@ -3,8 +3,7 @@
 import numpy as np
 
 from ..errors import ContractError
-from .autograd import GradNode, backward, no_grad
-from .tensor import DOUBLE, Tensor
+from .autograd import DOUBLE, GradNode, Parameter, backward, constant, no_grad
 
 
 def finite_diff_check(f, x, h: float = 1e-5) -> float:
@@ -14,13 +13,13 @@ def finite_diff_check(f, x, h: float = 1e-5) -> float:
     precision. Relative error per element is
     |analytic - (f(x+h*e) - f(x-h*e)) / 2h| / (|analytic| + 1e-8).
     """
-    base = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    leaf = GradNode(Tensor(base, DOUBLE), requires_grad=True)
+    base = np.asarray(x, dtype=np.float64)
+    leaf = Parameter(base, DOUBLE)
     out = f(leaf)
-    if out.value.numel != 1:
+    if out.value.size != 1:
         raise ContractError("finite_diff_check requires a scalar-valued function")
     backward(out)
-    analytic = leaf.grad.data.reshape(-1)
+    analytic = leaf.grad.reshape(-1)
 
     flat = base.reshape(-1)
     worst = 0.0
@@ -28,9 +27,8 @@ def finite_diff_check(f, x, h: float = 1e-5) -> float:
         for sign in (+1.0, -1.0):
             probe = flat.copy()
             probe[i] += sign * h
-            node = GradNode(Tensor(probe.reshape(base.shape), DOUBLE))
             with no_grad():
-                val = f(node).value.item()
+                val = f(constant(probe.reshape(base.shape), DOUBLE)).value.item()
             if sign > 0:
                 plus = val
             else:

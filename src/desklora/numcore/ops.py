@@ -1,9 +1,11 @@
 """Differentiable operations over GradNodes.
 
-Every op computes its value in the storage precision of its inputs ("double"
-when every input is double, else "full") and records one tape node: its
-parents and one backward closure that returns every parent's gradient from a
-single call, so the parents' gradients share their intermediate products.
+Every op computes a plain numpy result from its inputs' values and hands it to
+`op_output`, which stores it as the node value in the inputs' precision
+(float64 when every input is float64, else float32), copying it only when it
+is not C-contiguous or has another dtype. The node records the op's parents
+and one backward closure that returns every parent's gradient from a single
+call, so the parents' gradients share their intermediate products.
 Broadcasting is deliberately narrow: elementwise ops accept exact-match
 shapes or python scalars only. Ops over sequences take leading
 batch axes: `matmul`, `layer_norm`, `gather_rows`, `softmax_cross_entropy` and
@@ -16,17 +18,8 @@ import math
 import numpy as np
 
 from ..errors import ContractError, DimensionError
-from .autograd import GradNode, op_output
+from .autograd import GradNode, op_output, storage_dtype
 from .rng import Rng, RowRngs
-from .tensor import DOUBLE, FULL, Tensor
-
-
-def _out_dtype(*nodes) -> str:
-    return DOUBLE if all(n.value.dtype == DOUBLE for n in nodes) else FULL
-
-
-def _node(arr: np.ndarray, dtype: str, parents, grad_fn) -> GradNode:
-    return op_output(Tensor(arr, dtype), parents, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +31,10 @@ def add(a: GradNode, b) -> GradNode:
     if not isinstance(b, GradNode):
         if np.ndim(b) != 0:
             raise DimensionError("add: second operand must be a GradNode or a scalar")
-        return _node(a.value.data + float(b), a.value.dtype, (a,), lambda g: (g,))
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
-    dtype = _out_dtype(a, b)
-    return _node(a.value.data + b.value.data, dtype, (a, b), lambda g: (g, g))
+        return op_output(a.value + float(b), (a,), lambda g: (g,))
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
+    return op_output(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def mul(a: GradNode, b) -> GradNode:
@@ -50,12 +42,11 @@ def mul(a: GradNode, b) -> GradNode:
         if np.ndim(b) != 0:
             raise DimensionError("mul: second operand must be a GradNode or a scalar")
         s = float(b)
-        return _node(a.value.data * s, a.value.dtype, (a,), lambda g: (g * s,))
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
-    dtype = _out_dtype(a, b)
-    da, db = a.value.data, b.value.data
-    return _node(da * db, dtype, (a, b), lambda g: (g * db, g * da))
+        return op_output(a.value * s, (a,), lambda g: (g * s,))
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
+    da, db = a.value, b.value
+    return op_output(da * db, (a, b), lambda g: (g * db, g * da))
 
 
 def scale(a: GradNode, s: float) -> GradNode:
@@ -70,10 +61,10 @@ def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradN
     stream yields the same mask; a `RowRngs` draws row b's mask from its
     stream b, the mask that stream alone gives for `x[b]`.
     """
-    factor = dropout_factor(x.value.data, rate, rng)
+    factor = dropout_factor(x.value, rate, rng)
     if factor is None:
         return x
-    return _node(x.value.data * factor, x.value.dtype, (x,), lambda g: (g * factor,))
+    return op_output(x.value * factor, (x,), lambda g: (g * factor,))
 
 
 def dropout_factor(x: np.ndarray, rate: float, rng: Rng | RowRngs | None) -> np.ndarray | None:
@@ -86,10 +77,11 @@ def dropout_factor(x: np.ndarray, rate: float, rng: Rng | RowRngs | None) -> np.
 
 
 def astype(x: GradNode, dtype: str) -> GradNode:
-    """Precision boundary: re-tag, or `x` itself if it has `dtype`."""
-    if x.value.dtype == dtype:
+    """Precision boundary: `x` in precision `dtype`, or `x` itself if it has it."""
+    target = storage_dtype(dtype)
+    if x.dtype == target:
         return x
-    return _node(x.value.data, dtype, (x,), lambda g: (g,))
+    return op_output(x.value, (x,), lambda g: (g,), dtype=target)
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +92,11 @@ def astype(x: GradNode, dtype: str) -> GradNode:
 def matmul(a: GradNode, b: GradNode) -> GradNode:
     """`a @ b` for an activation `a` [..., K] and a 2-D weight `b` [K, N]. The
     leading axes of `a` flatten into rows, so `b`'s gradient sums over them all."""
-    if a.value.ndim < 2 or b.value.ndim != 2:
-        raise DimensionError(
-            f"matmul expects [..., K] x [K, N] operands, got {a.value.shape} and {b.value.shape}"
-        )
-    if a.value.shape[-1] != b.value.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ: {a.value.shape} x {b.value.shape}"
-        )
-    da, db = a.value.data, b.value.data
+    da, db = a.value, b.value
+    if da.ndim < 2 or db.ndim != 2:
+        raise DimensionError(f"matmul expects [..., K] x [K, N] operands, got {da.shape} and {db.shape}")
+    if da.shape[-1] != db.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions differ: {da.shape} x {db.shape}")
     (k, n), lead = db.shape, da.shape[:-1]
     rows = da.reshape(-1, k)
     out = (rows @ db).reshape(*lead, n)
@@ -117,13 +105,16 @@ def matmul(a: GradNode, b: GradNode) -> GradNode:
         g = g.reshape(-1, n)
         return (g @ db.T).reshape(da.shape), rows.T @ g
 
-    return _node(out, _out_dtype(a, b), (a, b), grad_fn)
+    return op_output(out, (a, b), grad_fn)
 
 
 def transpose(a: GradNode) -> GradNode:
+    """The 2-D `a` transposed, stored C-contiguous like every node value: the
+    tied head's matmul reads a contiguous Eᵀ, and operand layouts decide a
+    matmul's rounding."""
     if a.value.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got {a.value.shape}")
-    return _node(a.value.data.T, a.value.dtype, (a,), lambda g: (g.T,))
+        raise DimensionError(f"transpose expects a 2-D tensor, got {a.shape}")
+    return op_output(a.value.T, (a,), lambda g: (g.T,))
 
 
 def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
@@ -142,13 +133,12 @@ def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
         np.add.at(acc, ids.reshape(-1), g.reshape(-1, *shape[1:]))
         return (acc,)
 
-    return _node(table.value.data[ids], table.value.dtype, (table,), grad_fn)
+    return op_output(table.value[ids], (table,), grad_fn)
 
 
 def sum_all(x: GradNode) -> GradNode:
-    shape = x.value.shape
-    return _node(np.asarray(x.value.data.sum()), x.value.dtype, (x,),
-                 lambda g: (np.broadcast_to(g, shape).astype(g.dtype),))
+    shape = x.shape
+    return op_output(x.value.sum(), (x,), lambda g: (np.broadcast_to(g, shape).astype(g.dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +149,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: GradNode) -> GradNode:
-    d = x.value.data
+    d = x.value
     inner = _GELU_C * (d + 0.044715 * (d * d * d))
     t = np.tanh(inner)
     out = 0.5 * d * (1.0 + t)
@@ -168,11 +158,11 @@ def gelu(x: GradNode) -> GradNode:
         dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * d * d)
         return (g * (0.5 * (1.0 + t) + 0.5 * d * dt),)
 
-    return _node(out, x.value.dtype, (x,), grad_fn)
+    return op_output(out, (x,), grad_fn)
 
 
 def softmax(x: GradNode, axis: int = -1) -> GradNode:
-    d = x.value.data
+    d = x.value
     m = d.max(axis=axis, keepdims=True)
     e = np.exp(d - m)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -180,29 +170,28 @@ def softmax(x: GradNode, axis: int = -1) -> GradNode:
     def grad_fn(g):
         return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
-    return _node(s, x.value.dtype, (x,), grad_fn)
+    return op_output(s, (x,), grad_fn)
 
 
 def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -> GradNode:
     """Standardize over the last axis, then apply the affine (gain, bias)."""
     if eps <= 0:
         raise ContractError(f"layer_norm eps must be positive, got {eps}")
-    d = x.value.data
+    d = x.value
     n = d.shape[-1]
     if n <= 0:
         raise DimensionError("layer_norm: empty last axis")
-    if gain.value.shape != (n,) or bias.value.shape != (n,):
+    if gain.shape != (n,) or bias.shape != (n,):
         raise DimensionError(
-            f"layer_norm: gain/bias must have shape ({n},), "
-            f"got {gain.value.shape} and {bias.value.shape}"
+            f"layer_norm: gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
     mu = d.mean(axis=-1, keepdims=True)
     xc = d - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    gv = gain.value.data
-    out = xhat * gv + bias.value.data
+    gv = gain.value
+    out = xhat * gv + bias.value
 
     lead = tuple(range(d.ndim - 1))
 
@@ -217,7 +206,7 @@ def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -
             return dx, g * xhat, g
         return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-    return _node(out, _out_dtype(x, gain, bias), (x, gain, bias), grad_fn)
+    return op_output(out, (x, gain, bias), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
     """Mean negative log-likelihood of `targets` [...] under the last-axis
     softmax of `logits` [..., V], over every target: for [B, T, V] logits, the
     mean over all B*T positions, which equals the mean of the B per-sequence means."""
-    d = logits.value.data
+    d = logits.value
     if d.ndim < 2:
         raise DimensionError(f"softmax_cross_entropy expects [..., N, V] logits, got {d.shape}")
     t = np.asarray(targets, dtype=np.int64)
@@ -246,14 +235,14 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
     shifted = flat - flat.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     nll = (lse.reshape(-1) - shifted[np.arange(n), t])
-    loss = np.asarray(nll.mean())
+    loss = nll.mean()
 
     def grad_fn(g):
         p = np.exp(shifted - lse)
         p[np.arange(n), t] -= 1.0
         return (((float(g) / n) * p).reshape(d.shape),)
 
-    return _node(loss, logits.value.dtype, (logits,), grad_fn)
+    return op_output(loss, (logits,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +278,16 @@ def causal_attention(
     sequence), applied to every query and head of its row (the
     diacritic-emphasis hook). Scores and weights are [B, H, T, T] batched matmuls.
     """
-    shape = q.value.shape
-    if shape != k.value.shape or shape != v.value.shape:
-        raise DimensionError(
-            f"attention q/k/v shapes differ: {shape}, {k.value.shape}, {v.value.shape}"
-        )
+    shape = q.shape
+    if shape != k.shape or shape != v.shape:
+        raise DimensionError(f"attention q/k/v shapes differ: {shape}, {k.shape}, {v.shape}")
     if len(shape) not in (2, 3):
         raise DimensionError(f"attention expects [T, d] or [B, T, d] inputs, got {shape}")
     t_len, d = shape[-2:]
     if d % n_heads != 0:
         raise DimensionError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
-    compute = q.value.data.dtype
+    compute = q.dtype
 
     def heads(x: np.ndarray) -> np.ndarray:  # [..., T, d] -> [B, H, T, hd]
         return x.reshape(-1, t_len, n_heads, hd).transpose(0, 2, 1, 3)
@@ -308,7 +295,7 @@ def causal_attention(
     def merge(x: np.ndarray) -> np.ndarray:  # [B, H, T, hd] -> the input's shape
         return x.transpose(0, 2, 1, 3).reshape(shape)
 
-    qh, kh, vh = heads(q.value.data), heads(k.value.data), heads(v.value.data)
+    qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
     if rope is not None:
         cos = rope[0][:t_len].astype(compute)
         sin = rope[1][:t_len].astype(compute)
@@ -342,4 +329,4 @@ def causal_attention(
             dq, dk = _unrotate_grad(dq, cos, sin), _unrotate_grad(dk, cos, sin)
         return merge(dq), merge(dk), merge(dv)
 
-    return _node(out, _out_dtype(q, k, v), (q, k, v), grad_fn)
+    return op_output(out, (q, k, v), grad_fn)

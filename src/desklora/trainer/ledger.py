@@ -106,7 +106,8 @@ class ActivationMeter:
     (checkpointed block recomputation) raise and then lower the water line.
     An op charges its output plus the arrays it declares as `saved`: for
     `lora.forward`, the rank-r product, Aᵀ, Bᵀ and the dropout multiplier. Leaves
-    cost nothing: parameters, constants and `checkpoint`'s view of its input.
+    cost nothing: parameters, constants and the leaf `checkpoint` builds over
+    its input, which holds the input's own read-only array, not a copy.
     The dequantized frozen weights are no nodes at all; `register_static_memory`
     charges them as `dequantized_weights` when training starts. Ops that return
     their input node (dropout off, `astype` to the same precision) cost nothing.

@@ -139,7 +139,7 @@ def register_static_memory(model: TransformerModel, ledger: MemoryLedger):
     one from its first use on), adapter masters, and the other masters."""
     ledger.allocate("quantized_weights", sum(quantized_nbytes(q) for _, q in model.frozen_tensors()))
     ledger.allocate("dequantized_weights", sum(
-        layer.q.numel * np.dtype(storage_dtype(layer.dtype)).itemsize
+        layer.q.numel * storage_dtype(layer.dtype).itemsize
         for blk in model.blocks for layer in blk.frozen()))
     params = model.trainable_parameters()
     ledger.allocate("adapters", sum(p.value.nbytes for name, p in params if ".lora_" in name))
@@ -277,7 +277,7 @@ def train(
                         raise TrainingError(f"non-finite loss at step {t}", step=t)
                     backward(loss)
                 micro_losses.append(loss_value)
-            grads = {name: p.grad.data / cfg.accumulation_steps
+            grads = {name: p.grad / cfg.accumulation_steps
                      for name, p in params if p.grad is not None}
             model.zero_grads()
 

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..binfmt import Reader, Writer
 from ..errors import FormatError, TrainingError
-from ..numcore import Parameter, Tensor
 from ..quant import (
     STATE8_BLOCK_SIZE,
     dequantize_state8,
@@ -109,7 +108,7 @@ class Sgd(_Checkpointable):
             g = grads.get(name)
             if g is None:
                 continue
-            p.assign(Tensor(p.value.data - lr * g, p.value.dtype))
+            p.assign(p.value - lr * g)
 
 
 class AdamW(_Checkpointable):
@@ -164,7 +163,7 @@ class AdamW(_Checkpointable):
             m_hat = m / (1 - b1**t)
             v_hat = np.maximum(v / (1 - b2**t), 0.0)
             update = m_hat / (np.sqrt(v_hat) + EPS)
-            p.assign(Tensor(p.value.data - lr * update, p.value.dtype))
+            p.assign(p.value - lr * update)
             if self.quantized:
                 m, v = quantize_state8(m, self.block_size), quantize_state8(v, self.block_size)
             self.moments[name] = (m, v)

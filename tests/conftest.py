@@ -79,7 +79,7 @@ def merge_agreement(layer, x, y) -> float:
     do: outputs reach |y| ≈ 14, where one float32 ulp is 9.5e-7."""
     x = np.asarray(x, dtype=np.float32).astype(np.float64)
     w = dequantize(layer.q, np.float64)
-    a, b = (p.value.data.astype(np.float64) for p in (layer.adapter.a, layer.adapter.b))
+    a, b = (p.value.astype(np.float64) for p in (layer.adapter.a, layer.adapter.b))
     s = layer.adapter.scaling
     reference = x @ (w + s * (b @ a)).T
     bound = 8 * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(w).T

@@ -54,7 +54,6 @@ from desklora.numcore import (
     GradNode,
     Rng,
     RowRngs,
-    Tensor,
     add,
     backward,
     causal_attention,
@@ -254,7 +253,7 @@ def _attention_score_bound(model, window) -> float:
     blk, cfg = model.blocks[0], model.cfg
     with no_grad():
         h = layer_norm(gather_rows(model.embedding, window), blk.ln1_g, blk.ln1_b)
-        q, k = (lora.forward(layer, h).value.data for layer in (blk.q, blk.k))
+        q, k = (lora.forward(layer, h).value for layer in (blk.q, blk.k))
     shape = (len(window), cfg.n_heads, cfg.head_dim)
     q_norm = np.linalg.norm(q.reshape(shape), axis=-1).max(axis=0)
     k_norm = np.linalg.norm(k.reshape(shape), axis=-1).max(axis=0)
@@ -286,7 +285,7 @@ def _model_fd_check(seed: int) -> float:
     for layer in model.adapted_layers():
         std = 0.3 / layer.adapter.scaling
         layer.adapter.b.assign(
-            Tensor(Rng(seed).split(layer.name, "b").normal(layer.adapter.b.value.shape, std=std), DOUBLE)
+            Rng(seed).split(layer.name, "b").normal(layer.adapter.b.value.shape, std=std)
         )
     window = np.array(Rng(seed).split("win").integers(1, 9, (7,)))
     probe = constant(Rng(seed).split("probe").normal((7, 9)), DOUBLE)
@@ -305,16 +304,16 @@ def _model_fd_check(seed: int) -> float:
 
     model.zero_grads()
     backward(objective())
-    analytic = param.grad.data.copy()
+    analytic = param.grad.copy()
     assert np.max(np.abs(analytic)) >= 1e-3
-    base_vals = param.value.data.copy()
+    base_vals = param.value.copy()
     h = 3e-6
     worst = 0.0
     for i in np.ndindex(*analytic.shape):
         for sign in (1.0, -1.0):
             vals = base_vals.copy()
             vals[i] += sign * h
-            param.assign(Tensor(vals, DOUBLE))
+            param.assign(vals)
             with no_grad():
                 v = objective().value.item()
             if sign > 0:
@@ -323,7 +322,7 @@ def _model_fd_check(seed: int) -> float:
                 fm = v
         fd = (fp - fm) / (2 * h)
         worst = max(worst, abs(analytic[i] - fd) / (abs(analytic[i]) + 1e-8))
-    param.assign(Tensor(base_vals, DOUBLE))
+    param.assign(base_vals)
     return worst
 
 
@@ -404,16 +403,16 @@ def test_c04_lora_identity_and_merge():
     probe_rng = Rng(5)
     for _ in range(20):
         x = probe_rng.normal((3, 16))
-        adapted = lora.forward(layer, constant(x, FULL)).value.data
+        adapted = lora.forward(layer, constant(x, FULL)).value
         plain = x.astype(np.float32) @ quant.dequantize(base).T
         assert np.array_equal(adapted, plain)  # bit-identical at init
 
-    layer.adapter.b.assign(Tensor(Rng(6).normal((24, 8), std=0.1), FULL))
+    layer.adapter.b.assign(Rng(6).normal((24, 8), std=0.1))
     merged = lora.merge(layer)
     worst = 0.0
     for _ in range(100):
         x = probe_rng.normal((1, 16))
-        adapted = lora.forward(layer, constant(x, FULL)).value.data
+        adapted = lora.forward(layer, constant(x, FULL)).value
         direct = x.astype(np.float32) @ merged.T
         worst = max(worst, merge_agreement(layer, x, adapted), merge_agreement(layer, x, direct))
     assert worst < 1.0
@@ -443,7 +442,7 @@ def test_c05_accumulation_equivalence(tmp_path):
     m_batch = run(4, 1, tmp_path / "b")
     worst = 0.0
     for (name, pa), (_, pb) in zip(m_accum.trainable_parameters(), m_batch.trainable_parameters()):
-        worst = max(worst, float(np.abs(pa.value.data - pb.value.data).max()))
+        worst = max(worst, float(np.abs(pa.value - pb.value).max()))
     assert worst < 1e-10
     announce(5, f"(B=1,N=4) vs (B=4,N=1) after 20 plain-SGD macro-steps: max diff {worst:.2e}")
 
@@ -508,7 +507,7 @@ def _grads_with_mode(checkpointing, layers, meter=None):
     else:
         loss = model.loss(window, **kwargs)
         backward(loss)
-    return {n: p.grad.data.copy() for n, p in model.trainable_parameters() if p.grad is not None}
+    return {n: p.grad.copy() for n, p in model.trainable_parameters() if p.grad is not None}
 
 
 def test_c08_checkpointing_exactness():
@@ -668,12 +667,12 @@ def test_c12_metric_oracles():
     from desklora.numcore import Parameter
 
     def quadratic(quantized):
-        p = Parameter(Tensor([1.0], DOUBLE), name="w")
+        p = Parameter([1.0], DOUBLE, name="w")
         opt = AdamW(quantized=quantized)
         trace = []
         for _ in range(200):
-            opt.step([("w", p)], {"w": 2.0 * p.value.data}, lr=0.1)
-            trace.append(float(p.value.data[0]))
+            opt.step([("w", p)], {"w": 2.0 * p.value}, lr=0.1)
+            trace.append(float(p.value[0]))
         return trace
 
     full = quadratic(False)

@@ -7,12 +7,12 @@ from desklora.errors import ContractError, DimensionError
 from desklora.numcore import (
     DOUBLE,
     FULL,
-    GradNode,
+    Parameter,
     Rng,
-    Tensor,
     add,
     backward,
     causal_attention,
+    checkpoint,
     constant,
     dropout,
     finite_diff_check,
@@ -31,7 +31,7 @@ from desklora.numcore import (
 
 
 def leaf(a, dtype=DOUBLE):
-    return GradNode(Tensor(a, dtype), requires_grad=True)
+    return Parameter(a, dtype)
 
 
 def rope_tables(t_len, head_dim, base=10000.0):
@@ -44,15 +44,15 @@ def rope_tables(t_len, head_dim, base=10000.0):
 class TestMatmul:
     def test_identity(self):
         out = matmul(constant(np.eye(2), DOUBLE), constant([[1.0, 2.0], [3.0, 4.0]], DOUBLE))
-        assert np.array_equal(out.value.data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(out.value, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_hand_product(self):
         out = matmul(constant([[1.0, 2.0], [3.0, 4.0]], DOUBLE), constant([[5.0, 6.0], [7.0, 8.0]], DOUBLE))
-        assert np.array_equal(out.value.data, [[19.0, 22.0], [43.0, 50.0]])
+        assert np.array_equal(out.value, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_zero_matrix(self):
         out = matmul(constant(np.zeros((3, 2)), DOUBLE), constant(np.ones((2, 4)), DOUBLE))
-        assert np.all(out.value.data == 0)
+        assert np.all(out.value == 0)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
@@ -62,7 +62,7 @@ class TestMatmul:
 class TestElementwise:
     def test_add(self):
         out = add(constant([1.0, 2.0], DOUBLE), constant([3.0, 4.0], DOUBLE))
-        assert np.array_equal(out.value.data, [4.0, 6.0])
+        assert np.array_equal(out.value, [4.0, 6.0])
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -70,7 +70,7 @@ class TestElementwise:
 
     def test_scalar_broadcast(self):
         out = mul(constant([1.0, 2.0], DOUBLE), 3.0)
-        assert np.array_equal(out.value.data, [3.0, 6.0])
+        assert np.array_equal(out.value, [3.0, 6.0])
 
     def test_dropout_rate_zero_is_identity(self):
         x = constant(np.arange(10.0), DOUBLE)
@@ -86,18 +86,18 @@ class TestElementwise:
         # p < 1e-4 two-sided bound for Binomial(10000, 0.5) is about +-4 sigma
         x = constant(np.ones(10000), DOUBLE)
         out = dropout(x, 0.5, Rng(1234))
-        survivors = int((out.value.data != 0).sum())
+        survivors = int((out.value != 0).sum())
         assert 4600 <= survivors <= 5400
 
     def test_dropout_deterministic_under_seed(self):
         x = constant(np.ones(100), DOUBLE)
         a = dropout(x, 0.3, Rng(5).split("here"))
         b = dropout(x, 0.3, Rng(5).split("here"))
-        assert np.array_equal(a.value.data, b.value.data)
+        assert np.array_equal(a.value, b.value)
 
     def test_dropout_scaling(self):
         x = constant(np.ones(1000), DOUBLE)
-        out = dropout(x, 0.2, Rng(0)).value.data
+        out = dropout(x, 0.2, Rng(0)).value
         kept = out[out != 0]
         assert np.allclose(kept, 1.0 / 0.8)
 
@@ -129,7 +129,7 @@ class TestSoftmaxCrossEntropy:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        s = softmax(constant(rng.normal(size=(50, 17)) * 10, DOUBLE)).value.data
+        s = softmax(constant(rng.normal(size=(50, 17)) * 10, DOUBLE)).value
         assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -140,25 +140,25 @@ class TestLayerNorm:
     def test_constant_vector_zeroed(self):
         g, b = self.gain_bias(6)
         out = layer_norm(constant(np.full((2, 6), 3.3), DOUBLE), g, b)
-        assert np.allclose(out.value.data, 0.0, atol=1e-6)
+        assert np.allclose(out.value, 0.0, atol=1e-6)
 
     def test_two_point_case(self):
         g, b = self.gain_bias(2)
         out = layer_norm(constant([[1.0, 3.0]], DOUBLE), g, b, eps=1e-12)
-        assert np.allclose(out.value.data, [[-1.0, 1.0]], atol=1e-5)
+        assert np.allclose(out.value, [[-1.0, 1.0]], atol=1e-5)
 
     def test_zero_gain_gives_bias(self):
         g = constant(np.zeros(4), DOUBLE)
         b = constant(np.full(4, 7.5), DOUBLE)
         out = layer_norm(constant(np.random.default_rng(0).normal(size=(3, 4)), DOUBLE), g, b)
-        assert np.allclose(out.value.data, 7.5)
+        assert np.allclose(out.value, 7.5)
 
     def test_standardization_moments(self):
         # variance within 1e-5 of 1 requires input variance at least ~1
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 64)) * 2.0
         g, b = self.gain_bias(64)
-        out = layer_norm(constant(x, DOUBLE), g, b).value.data
+        out = layer_norm(constant(x, DOUBLE), g, b).value
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-5
 
@@ -167,12 +167,12 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = leaf(np.arange(6.0).reshape(2, 3))
         backward(sum_all(x))
-        assert np.array_equal(x.grad.data, np.ones((2, 3)))
+        assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic(self):
         x = leaf([1.0, 2.0])
         backward(sum_all(mul(x, x)))
-        assert np.array_equal(x.grad.data, [2.0, 4.0])
+        assert np.array_equal(x.grad, [2.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
         x = leaf([1.0, 2.0])
@@ -183,13 +183,13 @@ class TestBackward:
         x = leaf([1.0, 2.0])
         backward(sum_all(x))
         backward(sum_all(x))
-        assert np.array_equal(x.grad.data, [2.0, 2.0])
+        assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_shared_subexpression_accumulates(self):
         x = leaf([3.0])
         y = mul(x, x)  # used twice below
         backward(add(sum_all(y), sum_all(y)))
-        assert np.allclose(x.grad.data, [12.0])
+        assert np.allclose(x.grad, [12.0])
 
     def test_no_grad_detaches(self):
         x = leaf([1.0, 2.0])
@@ -198,6 +198,21 @@ class TestBackward:
         assert y.parents == ()
         assert y.grad_fn is None
         assert not y.requires_grad
+
+    def test_checkpoint_reaches_parameters_over_an_input_without_gradient(self):
+        """The block's input needs no gradient, but the parameter it reads does."""
+        for run in (lambda fn, x: fn(x), checkpoint):
+            w = leaf([2.0])
+            out = sum_all(run(lambda v: mul(v, w), constant([3.0], DOUBLE)))
+            assert out.requires_grad
+            backward(out)
+            assert w.grad.tolist() == [3.0]
+
+    def test_checkpoint_under_no_grad_records_nothing(self):
+        w = leaf([2.0])
+        with no_grad():
+            out = checkpoint(lambda v: mul(v, w), constant([3.0], DOUBLE))
+        assert out.parents == () and out.grad_fn is None and not out.requires_grad
 
 
 class TestFiniteDifference:
@@ -274,13 +289,13 @@ class TestFiniteDifference:
         table = leaf(rng.normal(size=(3, 5)))
         g = rng.normal(size=(2, 3, 5))
         out = gather_rows(table, ids)
-        assert np.array_equal(out.value.data, table.value.data[ids])
+        assert np.array_equal(out.value, table.value[ids])
         backward(sum_all(mul(out, constant(g, DOUBLE))))
         expected = np.zeros((3, 5))
         for b in range(2):
             for t in range(3):
                 expected[ids[b, t]] += g[b, t]
-        assert np.allclose(table.grad.data, expected, rtol=0, atol=1e-12)
+        assert np.allclose(table.grad, expected, rtol=0, atol=1e-12)
 
 
 class TestAttentionSemantics:
@@ -290,10 +305,10 @@ class TestAttentionSemantics:
         q = rng.normal(size=(t_len, d))
         k = rng.normal(size=(t_len, d))
         v = rng.normal(size=(t_len, d))
-        out1 = causal_attention(constant(q, DOUBLE), constant(k, DOUBLE), constant(v, DOUBLE), heads).value.data
+        out1 = causal_attention(constant(q, DOUBLE), constant(k, DOUBLE), constant(v, DOUBLE), heads).value
         k2, v2 = k.copy(), v.copy()
         k2[4:], v2[4:] = 0.0, 99.0
-        out2 = causal_attention(constant(q, DOUBLE), constant(k2, DOUBLE), constant(v2, DOUBLE), heads).value.data
+        out2 = causal_attention(constant(q, DOUBLE), constant(k2, DOUBLE), constant(v2, DOUBLE), heads).value
         assert np.array_equal(out1[:4], out2[:4])
 
     def test_key_bias_saturation(self):
@@ -306,7 +321,7 @@ class TestAttentionSemantics:
         v = constant(v_data, DOUBLE)
         bias = np.zeros(t_len)
         bias[0] = 1e6
-        out = causal_attention(q, k, v, heads, None, bias).value.data
+        out = causal_attention(q, k, v, heads, None, bias).value
         # every query should put essentially all weight on key 0
         assert np.all(out[:, 0] > 0.999)
 
@@ -320,6 +335,6 @@ class TestDeterminism:
             a = constant(x, FULL)
             b = gelu(matmul(a, a))
             c = dropout(b, 0.4, Rng(99).split("op"))
-            return softmax(c).value.data
+            return softmax(c).value
 
         assert np.array_equal(run(), run())

@@ -18,7 +18,7 @@ from desklora.binfmt import Reader, Writer
 from desklora.errors import FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import ModelConfig, build, load_model, save_model
-from desklora.numcore import DOUBLE, FULL, Parameter, Rng, Tensor
+from desklora.numcore import DOUBLE, FULL, Parameter, Rng
 from desklora.trainer import AdamW, Sgd
 
 
@@ -99,12 +99,12 @@ def _tiny_model(dtype=FULL):
                       diacritic_bias=0.5, dtype=dtype, lora=LoraConfig(r=2, dropout=0.0))
     model = build(cfg, Rng(0), np.arange(16) % 3 == 0)
     for i, layer in enumerate(model.adapted_layers()):
-        layer.adapter.b.assign(Tensor(Rng(10 + i).normal((8, 2), std=0.1), dtype))
+        layer.adapter.b.assign(Rng(10 + i).normal((8, 2), std=0.1))
     return model
 
 
 def _param():
-    return [("w", Parameter(Tensor(np.linspace(-1.0, 1.0, 40), FULL), name="w"))]
+    return [("w", Parameter(np.linspace(-1.0, 1.0, 40), FULL, name="w"))]
 
 
 def _optimizer_blob(opt) -> bytes:

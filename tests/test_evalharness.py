@@ -380,6 +380,25 @@ class TestDialectBreakdown:
         seqs = [encode_text(it["text"], VOCAB, POLICY) for it in msa_items]
         assert report.tables["perplexity"]["MSA"] == pytest.approx(perplexity(model, seqs))
 
+    def test_one_teacher_forced_pass_per_sequence(self, tmp_path):
+        from desklora.arabicprep import encode_text
+
+        class CountingModel(TableModel):
+            calls = 0
+
+            def forward_ids(self, ids):
+                self.calls += 1
+                return super().forward_ids(ids)
+
+        sets = self.eval_sets(tmp_path)
+        model = CountingModel(VOCAB.n_tokens, seed=9)
+        report = dialect_breakdown(model, {"lm": sets["lm"]}, VOCAB, POLICY)
+        assert model.calls == len(sets["lm"].items)  # each sequence fits one window
+        for dialect in ("MSA", "EGY"):
+            seqs = [encode_text(it["text"], VOCAB, POLICY) for it in sets["lm"].subset(dialect)]
+            assert report.tables["perplexity"][dialect] == perplexity(model, seqs)
+            assert report.tables["next_word_accuracy"][dialect] == next_word_accuracy(model, seqs)
+
     def test_zero_item_dialects_warned(self, tmp_path):
         sets = self.eval_sets(tmp_path)
         model = TableModel(VOCAB.n_tokens, seed=9)

@@ -16,7 +16,7 @@ from desklora.lora import (
 )
 from desklora.model import ModelConfig, build
 from desklora.numcore import (
-    FULL, GradNode, Rng, RowRngs, Tensor, add, backward, constant, dropout, matmul, mul, scale,
+    FULL, Parameter, Rng, RowRngs, add, backward, constant, dropout, matmul, mul, scale,
     sum_all, transpose,
 )
 from desklora.numcore.ops import dropout_factor
@@ -59,20 +59,20 @@ class TestConfig:
 class TestIdentityAtInit:
     def test_b_starts_zero(self):
         layer, _ = make_layer()
-        assert np.all(layer.adapter.b.value.data == 0)
+        assert np.all(layer.adapter.b.value == 0)
 
     def test_fresh_adapter_is_identity(self):
         layer, _ = make_layer(seed=3)
         x = Rng(1).normal((5, 16))
-        y = lora.forward(layer, constant(x, FULL)).value.data
+        y = lora.forward(layer, constant(x, FULL)).value
         base = dequantize(layer.q)
         assert np.array_equal(y, x.astype(np.float32) @ base.T)
 
     def test_eval_calls_bit_identical(self):
         layer, _ = make_layer(drop=0.5)
         x = constant(Rng(2).normal((3, 16)), FULL)
-        y1 = lora.forward(layer, x).value.data
-        y2 = lora.forward(layer, x).value.data
+        y1 = lora.forward(layer, x).value
+        y2 = lora.forward(layer, x).value
         assert np.array_equal(y1, y2)
 
 
@@ -82,9 +82,9 @@ class TestForward:
         base = quantize(np.array([[2.0]], dtype=np.float32))
         cfg = LoraConfig(r=1, alpha=4.0, dropout=0.0)
         layer = attach(base, cfg, Rng(0))
-        layer.adapter.a.assign(Tensor([[3.0]], FULL))
-        layer.adapter.b.assign(Tensor([[4.0]], FULL))
-        y = lora.forward(layer, constant([[5.0]], FULL)).value.data
+        layer.adapter.a.assign([[3.0]])
+        layer.adapter.b.assign([[4.0]])
+        y = lora.forward(layer, constant([[5.0]], FULL)).value
         assert y[0, 0] == pytest.approx(250.0)
 
     def test_shape_mismatch(self):
@@ -94,11 +94,11 @@ class TestForward:
 
     def test_dropout_applies_to_adapter_branch_only(self):
         layer, _ = make_layer(d_in=8, d_out=8, r=2, drop=0.99, seed=5)
-        layer.adapter.b.assign(Tensor(Rng(6).normal((8, 2)), FULL))
+        layer.adapter.b.assign(Rng(6).normal((8, 2)))
         x = constant(np.ones((4, 8)), FULL)
         # with dropout killing essentially the whole branch, output approaches base path
-        y = lora.forward(layer, x, rng=Rng(7)).value.data
-        base_only = x.value.data @ dequantize(layer.q).T
+        y = lora.forward(layer, x, rng=Rng(7)).value
+        base_only = x.value @ dequantize(layer.q).T
         # base path must be exactly present; branch contributes only where mask survived
         assert y.shape == base_only.shape
 
@@ -106,13 +106,13 @@ class TestForward:
         # alpha -> k*alpha with B -> B/k leaves outputs unchanged
         layer, cfg = make_layer(r=4, alpha=8.0, seed=8)
         b_vals = Rng(9).normal((16, 4))
-        layer.adapter.b.assign(Tensor(b_vals, FULL))
+        layer.adapter.b.assign(b_vals)
         x = constant(Rng(10).normal((6, 16)), FULL)
-        y1 = lora.forward(layer, x).value.data
+        y1 = lora.forward(layer, x).value
 
         layer2, _ = make_layer(r=4, alpha=16.0, seed=8)
-        layer2.adapter.b.assign(Tensor(b_vals / 2.0, FULL))
-        y2 = lora.forward(layer2, x).value.data
+        layer2.adapter.b.assign(b_vals / 2.0)
+        y2 = lora.forward(layer2, x).value
         assert np.allclose(y1, y2, atol=1e-6)
 
 
@@ -127,7 +127,7 @@ class TestUnfusedGraph:
     def test_bit_identical_to_the_numcore_graph(self, shape, rate):
         layer, _ = make_layer(d_in=16, d_out=8, r=4, drop=rate, seed=18)
         ad = layer.adapter
-        ad.b.assign(Tensor(Rng(19).normal((8, 4)), FULL))
+        ad.b.assign(Rng(19).normal((8, 4)))
         x_value = Rng(20).normal(shape)
         probe = constant(Rng(21).normal((*shape[:-1], 8)), FULL)
 
@@ -146,16 +146,16 @@ class TestUnfusedGraph:
         for f in (fused, unfused):
             ad.a.zero_grad()
             ad.b.zero_grad()
-            x = GradNode(Tensor(x_value, FULL), requires_grad=True)
+            x = Parameter(x_value, FULL)
             y = f(x)
             backward(sum_all(mul(y, probe)))
-            results.append((y.value.data, x.grad.data, ad.a.grad.data, ad.b.grad.data))
+            results.append((y.value, x.grad, ad.a.grad, ad.b.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
         if len(shape) == 3:
             x = constant(x_value, FULL)
-            factor = dropout_factor(x.value.data, rate, streams())
-            assert np.array_equal(dropout(x, rate, streams()).value.data, x.value.data * factor)
+            factor = dropout_factor(x.value, rate, streams())
+            assert np.array_equal(dropout(x, rate, streams()).value, x.value * factor)
 
 
 class TestMerge:
@@ -166,8 +166,8 @@ class TestMerge:
     def test_scalar_merge(self):
         base = quantize(np.array([[2.0]], dtype=np.float32))
         layer = attach(base, LoraConfig(r=1, alpha=4.0, dropout=0.0), Rng(0))
-        layer.adapter.a.assign(Tensor([[3.0]], FULL))
-        layer.adapter.b.assign(Tensor([[4.0]], FULL))
+        layer.adapter.a.assign([[3.0]])
+        layer.adapter.b.assign([[4.0]])
         assert merge(layer)[0, 0] == pytest.approx(50.0)
 
     def test_probe_equivalence_100_random(self):
@@ -175,18 +175,18 @@ class TestMerge:
         to float32 rounding on 100 probes; dropping the scaling or applying the
         layer's dropout mask, which only an rng turns on, does not."""
         layer, _ = make_layer(d_in=24, d_out=16, r=8, alpha=32.0, drop=0.05, seed=11)
-        layer.adapter.b.assign(Tensor(Rng(12).normal((16, 8), std=0.1), FULL))
+        layer.adapter.b.assign(Rng(12).normal((16, 8), std=0.1))
         merged = merge(layer)
         unscaled = FrozenLinear(layer.name, layer.q, FULL, dataclasses.replace(layer.adapter, scaling=1.0))
         rng = Rng(13)
         worst = 0.0
         for i in range(100):
             x = rng.normal((1, 24))
-            adapted = lora.forward(layer, constant(x, FULL)).value.data
+            adapted = lora.forward(layer, constant(x, FULL)).value
             worst = max(worst, merge_agreement(layer, x, adapted),
                         merge_agreement(layer, x, x.astype(np.float32) @ merged.T))
-            wrong = (lora.forward(unscaled, constant(x, FULL)).value.data,
-                     lora.forward(layer, constant(x, FULL), Rng(14).split(i)).value.data)
+            wrong = (lora.forward(unscaled, constant(x, FULL)).value,
+                     lora.forward(layer, constant(x, FULL), Rng(14).split(i)).value)
             assert min(merge_agreement(layer, x, y) for y in wrong) > 1.0
         assert worst < 1.0
 
@@ -196,7 +196,7 @@ class TestGradientFlow:
         m = build(ModelConfig(vocab_size=16, d_model=16, n_heads=2, n_layers=1, d_ffn=32,
                               lora=LoraConfig(r=4)), Rng(14))
         blk = m.blocks[0]
-        blk.q.adapter.b.assign(Tensor(Rng(15).normal((16, 4)), FULL))
+        blk.q.adapter.b.assign(Rng(15).normal((16, 4)))
         before = m.base_bytes()
         x = constant(Rng(16).normal((4, 16)), FULL)
         y, plain = lora.forward(blk.q, x, Rng(17)), lora.forward(blk.w1, x)
@@ -204,8 +204,8 @@ class TestGradientFlow:
         assert y.parents == (x, x, blk.q.adapter.a, blk.q.adapter.b)
         assert plain.parents == (x,)
         backward(sum_all(y))
-        assert np.any(blk.q.adapter.a.grad.data != 0)
-        assert np.any(blk.q.adapter.b.grad.data != 0)
+        assert np.any(blk.q.adapter.a.grad != 0)
+        assert np.any(blk.q.adapter.b.grad != 0)
         assert m.base_bytes() == before
 
     def test_a_grad_zero_while_b_zero(self):
@@ -213,8 +213,8 @@ class TestGradientFlow:
         layer, _ = make_layer(seed=16)
         y = lora.forward(layer, constant(Rng(17).normal((4, 16)), FULL))
         backward(sum_all(y))
-        assert np.all(layer.adapter.a.grad.data == 0)
-        assert np.any(layer.adapter.b.grad.data != 0)
+        assert np.all(layer.adapter.a.grad == 0)
+        assert np.any(layer.adapter.b.grad != 0)
 
 
 class TestCounting:
@@ -235,7 +235,7 @@ class TestCheckpoint:
         for i in range(3):
             base = quantize(Rng(i).normal((16, 16), std=0.02).astype(np.float32))
             layers.append(attach(base, cfg, Rng(100 + i), name=f"layer{i}.q"))
-        layers[1].adapter.b.assign(Tensor(Rng(50).normal((16, 4)), FULL))
+        layers[1].adapter.b.assign(Rng(50).normal((16, 4)))
         blob = dumps_adapters(layers, cfg)
         state = loads_adapters(blob)
         assert state["r"] == 4
@@ -245,8 +245,8 @@ class TestCheckpoint:
             fresh.append(attach(base, cfg, Rng(999 + i), name=f"layer{i}.q"))
         apply_adapter_state(fresh, state)
         for old, new in zip(layers, fresh):
-            assert np.array_equal(old.adapter.a.value.data, new.adapter.a.value.data)
-            assert np.array_equal(old.adapter.b.value.data, new.adapter.b.value.data)
+            assert np.array_equal(old.adapter.a.value, new.adapter.a.value)
+            assert np.array_equal(old.adapter.b.value, new.adapter.b.value)
 
     def test_deterministic_bytes(self):
         layer, cfg = make_layer(seed=20)

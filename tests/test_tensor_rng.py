@@ -1,31 +1,70 @@
 import numpy as np
 import pytest
 
-from desklora.numcore import DOUBLE, FULL, Rng, Tensor
+from desklora.numcore import (
+    DOUBLE, FULL, Parameter, Rng, backward, constant, matmul, mul, storage_dtype, sum_all, transpose,
+)
+from desklora.numcore.autograd import op_output
 
 
-class TestTensor:
-    def test_shape_matches_buffer(self):
-        t = Tensor(np.arange(12.0).reshape(3, 4))
-        assert t.shape == (3, 4)
-        assert t.numel == 12
-        assert t.data.flags.c_contiguous
+def _identity(g):
+    return (g,)
 
-    def test_immutable(self):
-        t = Tensor([1.0, 2.0])
+
+class TestNodeValue:
+    def test_values_read_only_and_c_contiguous(self):
+        w = Parameter(np.arange(12.0).reshape(3, 4), name="w")
+        x = constant(np.ones((2, 3)))
+        nodes = [w, x, transpose(w), matmul(x, w), mul(w, 2.0)]
+        for node in nodes:
+            assert isinstance(node.value, np.ndarray)
+            assert node.value.flags.c_contiguous
+            with pytest.raises(ValueError):
+                node.value[(0,) * node.value.ndim] = 5.0
+        backward(sum_all(mul(w, w)))
+        assert w.grad.flags.c_contiguous and not w.grad.flags.writeable
+
+    def test_precision_tags_map_to_dtypes(self):
+        assert storage_dtype(FULL) == np.float32
+        assert storage_dtype(DOUBLE) == np.float64
+        assert constant([1.0], FULL).dtype == np.float32
+        assert constant([1.0], DOUBLE).dtype == np.float64
+        assert Parameter(np.zeros(2, dtype=np.float32), DOUBLE).dtype == np.float64
         with pytest.raises(ValueError):
-            t.data[0] = 5.0
-        with pytest.raises(AttributeError):
-            t.dtype = DOUBLE
+            storage_dtype("half")
 
-    def test_storage_dtypes(self):
-        assert Tensor([1.0], FULL).data.dtype == np.float32
-        assert Tensor([1.0], DOUBLE).data.dtype == np.float64
+    def test_op_output_keeps_a_contiguous_view(self):
+        x = constant(np.zeros(12))
+        fresh = np.arange(12, dtype=np.float32)
+        view = fresh.reshape(3, 4)
+        node = op_output(view, (x,), _identity)
+        assert np.shares_memory(node.value, fresh)
+        assert node.value.shape == (3, 4) and not node.value.flags.writeable
 
-    def test_scalar_tensor_item(self):
-        assert Tensor(3.5).item() == pytest.approx(3.5)
-        with pytest.raises(ValueError):
-            Tensor([1.0, 2.0]).item()
+    def test_op_output_makes_a_strided_result_contiguous(self):
+        x = constant(np.zeros(12))
+        fresh = np.arange(12, dtype=np.float32).reshape(3, 4)
+        node = op_output(fresh.T, (x,), _identity)
+        assert node.value.flags.c_contiguous
+        assert not np.shares_memory(node.value, fresh)
+        assert np.array_equal(node.value, fresh.T)
+
+    def test_op_output_casts_to_the_parents_precision(self):
+        full, double = constant([1.0, 2.0], FULL), constant([1.0, 2.0], DOUBLE)
+        assert op_output(np.ones(2), (double,), _identity).dtype == np.float64
+        assert op_output(np.ones(2), (full, double), _identity).dtype == np.float32
+
+    def test_leaves_copy_the_callers_array(self):
+        """A leaf never aliases an array its caller can still write."""
+        data = np.arange(4, dtype=np.float32)
+        p, c = Parameter(data, name="p"), constant(data)
+        p2 = Parameter(np.zeros(4, dtype=np.float32), name="p2")
+        p2.assign(data)
+        data[0] = 99.0
+        assert data.flags.writeable
+        for leaf in (p, c, p2):
+            assert not np.shares_memory(leaf.value, data)
+            assert leaf.value[0] == 0.0
 
 
 class TestRng:

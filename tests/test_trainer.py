@@ -9,7 +9,7 @@ from desklora.errors import BudgetError, ConfigError, ContractError, DataError, 
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
 from desklora.numcore import (
-    DOUBLE, FULL, Parameter, Rng, Tensor, astype, backward, constant, dropout, scale,
+    DOUBLE, FULL, Parameter, Rng, astype, backward, constant, dropout, scale,
 )
 from desklora.trainer import (
     ActivationMeter,
@@ -182,7 +182,7 @@ class TestLedger:
     def test_leaves_charge_nothing(self):
         ledger = MemoryLedger()
         with ActivationMeter(ledger).scope():
-            Parameter(Tensor(np.zeros(10), FULL))
+            Parameter(np.zeros(10), FULL)
             constant(np.zeros(10), FULL)
             tiny_model().blocks[0].w1.weight()
         assert ledger.device_high_water == 0
@@ -210,7 +210,7 @@ class TestLedger:
         x = constant(np.zeros(10), FULL)
         ledger = MemoryLedger()
         with ActivationMeter(ledger).scope():
-            for out in (dropout(x, 0.0, Rng(0)), dropout(x, 0.5, None), astype(x, x.dtype)):
+            for out in (dropout(x, 0.0, Rng(0)), dropout(x, 0.5, None), astype(x, FULL)):
                 assert out is x
             assert ledger.device_high_water == 0
             dropout(x, 0.5, Rng(0))
@@ -219,20 +219,20 @@ class TestLedger:
 
 class TestAdam:
     def test_zero_grad_leaves_params(self):
-        p = Parameter(Tensor([1.0, -2.0], FULL), name="w")
+        p = Parameter([1.0, -2.0], FULL, name="w")
         opt = AdamW(quantized=True)
         opt.step([("w", p)], {"w": np.zeros(2)}, lr=0.1)
-        assert np.array_equal(p.value.data, np.array([1.0, -2.0], dtype=np.float32))
+        assert np.array_equal(p.value, np.array([1.0, -2.0], dtype=np.float32))
 
     def quadratic_run(self, quantized):
         # f(w) = w^2, grad = 2w
-        p = Parameter(Tensor([1.0], DOUBLE), name="w")
+        p = Parameter([1.0], DOUBLE, name="w")
         opt = AdamW(quantized=quantized)
         trace = []
         for _ in range(200):
-            g = 2.0 * p.value.data
+            g = 2.0 * p.value
             opt.step([("w", p)], {"w": g}, lr=0.1)
-            trace.append(float(p.value.data[0]))
+            trace.append(float(p.value[0]))
         return trace
 
     def test_full_precision_quadratic_converges(self):
@@ -248,7 +248,7 @@ class TestAdam:
 
     def test_moments_finite_after_steps(self):
         rng = np.random.default_rng(0)
-        p = Parameter(Tensor(rng.normal(size=(16,)), FULL), name="w")
+        p = Parameter(rng.normal(size=(16,)), FULL, name="w")
         opt = AdamW(quantized=True)
         for i in range(20):
             opt.step([("w", p)], {"w": rng.normal(size=(16,)) * 10.0**i}, lr=1e-3)
@@ -259,7 +259,7 @@ class TestAdam:
         assert np.all(np.isfinite(dequantize_state8(v)))
 
     def test_state_serialization_round_trip(self):
-        p = Parameter(Tensor(np.linspace(-1, 1, 32), FULL), name="w")
+        p = Parameter(np.linspace(-1, 1, 32), FULL, name="w")
         opt = AdamW(quantized=True)
         for _ in range(5):
             opt.step([("w", p)], {"w": np.ones(32) * 0.1}, lr=0.01)
@@ -272,7 +272,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("quantized", [True, False])
     def test_non_finite_gradient_is_training_error(self, quantized):
-        p = Parameter(Tensor(np.zeros(4), FULL), name="w")
+        p = Parameter(np.zeros(4), FULL, name="w")
         opt = AdamW(quantized=quantized)
         opt.step([("w", p)], {"w": np.ones(4)}, lr=0.1)
         with pytest.raises(TrainingError) as e:
@@ -281,7 +281,7 @@ class TestAdam:
 
     def test_optimizer_state_charged_to_host_budget(self):
         ledger = MemoryLedger(MemoryBudget(device_bytes=10**9, host_bytes=50))
-        p = Parameter(Tensor(np.zeros(1024), FULL), name="w")
+        p = Parameter(np.zeros(1024), FULL, name="w")
         opt = AdamW(quantized=True, ledger=ledger)
         with pytest.raises(BudgetError):
             opt.step([("w", p)], {"w": np.ones(1024)}, lr=0.1)
@@ -328,9 +328,9 @@ class TestTrainLoop:
 
     def test_params_actually_move(self, tmp_path):
         model = tiny_model(seed=4)
-        emb_before = model.embedding.value.data.copy()
+        emb_before = model.embedding.value.copy()
         train(model, fixture_windows(), tiny_train_cfg(), tmp_path)
-        assert not np.array_equal(model.embedding.value.data, emb_before)
+        assert not np.array_equal(model.embedding.value, emb_before)
 
     def test_determinism_same_seed_same_artifacts(self, tmp_path):
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=4)
@@ -377,7 +377,7 @@ class TestTrainLoop:
         res = train(model, fixture_windows(), tiny_train_cfg(total_steps=6, checkpoint_every=6), tmp_path)
         reloaded, _ = load_checkpoint(res.final_checkpoint)
         for (name, p), (_, q) in zip(model.trainable_parameters(), reloaded.trainable_parameters()):
-            assert q.value.dtype == DOUBLE and np.array_equal(q.value.data, p.value.data), name
+            assert q.value.dtype == np.float64 and np.array_equal(q.value, p.value), name
         ids = fixture_windows()[0]
         assert np.array_equal(reloaded.forward_ids(ids), model.forward_ids(ids))
 
@@ -449,7 +449,7 @@ class TestTrainLoop:
         m_accum = run(1, 4, tmp_path / "accum")
         m_batch = run(4, 1, tmp_path / "batch")
         for (name, pa), (_, pb) in zip(m_accum.trainable_parameters(), m_batch.trainable_parameters()):
-            assert np.max(np.abs(pa.value.data - pb.value.data)) < 1e-10, name
+            assert np.max(np.abs(pa.value - pb.value)) < 1e-10, name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_with_step(self, tmp_path):
@@ -488,7 +488,7 @@ class TestCheckpointedGradients:
         else:
             loss = model.loss(window, rng=rng, checkpointing=checkpointing)
             backward(loss)
-        return {n: p.grad.data.copy() for n, p in model.trainable_parameters() if p.grad is not None}
+        return {n: p.grad.copy() for n, p in model.trainable_parameters() if p.grad is not None}
 
     def test_gradients_bit_identical(self):
         plain = self.grads_for(False)
@@ -496,6 +496,24 @@ class TestCheckpointedGradients:
         assert set(plain) == set(ckpt)
         for name in plain:
             assert np.array_equal(plain[name], ckpt[name]), name
+
+    def test_blocks_over_an_input_without_gradient_train_their_adapters(self):
+        """With the embedding frozen, no block's input needs a gradient; the
+        checkpointed blocks still give their adapters the plain path's gradients."""
+        window = np.array(Rng(0).integers(4, 64, (9,)))
+        grads = {}
+        for mode in (False, True):
+            model = tiny_model(seed=11, dropout=0.1)
+            for layer in model.adapted_layers():  # a nonzero B, so A gets a gradient too
+                layer.adapter.b.assign(Rng(3).split(layer.name).normal(layer.adapter.b.shape, std=0.1))
+            model.embedding.requires_grad = False
+            backward(model.loss(window, rng=Rng(1).split("drop"), checkpointing=mode))
+            grads[mode] = {n: p.grad for n, p in model.trainable_parameters() if p.grad is not None}
+        names = {n for n, _ in tiny_model().trainable_parameters()} - {"embedding"}
+        assert set(grads[True]) == set(grads[False]) == names
+        for name in names:
+            assert np.array_equal(grads[True][name], grads[False][name]), name
+            assert np.any(grads[True][name] != 0), name
 
     def test_activation_high_water_strictly_lower(self):
         ledgers = {}
