@@ -7,6 +7,14 @@ extreme levels are exactly +-1. The quantile probabilities run from
 OFFSET = 1 - (1/32 + 1/30)/2 down to 0.5 on each side, which avoids a
 duplicated zero level. The constants below were produced once from a normal
 inverse-CDF oracle and are frozen; a golden test re-derives them.
+
+Both codebooks map a block-scaled value to its nearest level, the lower code
+on a tie. NF4 binary-searches its 15 midpoints. The 8-bit codebook, which
+the optimizer requantizes every step, looks the code up instead: a table
+keyed on a float64's bits >> 45 (exponent and top 7 mantissa bits) holds at
+most one midpoint per bucket, so one comparison finishes the search.
+`encode_blocks8`/`decode_blocks8` apply it to whole [n, STATE8_BLOCK_SIZE]
+rows, which is how `trainer.optim.AdamW` keeps its flat state.
 """
 
 import math
@@ -72,14 +80,76 @@ def max_half_gap(codebook: np.ndarray) -> float:
 def _nearest_codes(normalized: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     """Nearest level per element; ties at midpoints resolve to the lower code."""
     mids = (codebook[:-1] + codebook[1:]) / 2.0
-    return np.searchsorted(mids, normalized, side="left")
+    return np.searchsorted(mids, normalized, side="left").astype(np.uint8)
 
 
-def _encode_blocks(x: np.ndarray, block_size: int, codebook: np.ndarray,
+_KEY_SHIFT = 45  # a float64's bits >> 45: sign, 11 exponent bits, top 7 mantissa bits
+_KEY_MAX = (1 << 18) - 1  # the largest key of a non-negative float64
+
+
+def _key(x: float) -> int:
+    return int(np.float64(x).view(np.uint64)) >> _KEY_SHIFT
+
+
+def _dynamic8_table():
+    """The lookup behind `_nearest_dynamic8`. A bucket is the float64 range of
+    one key, from the smallest positive midpoint's key `first` to 1.0's:
+    2,797 buckets, each holding at most one midpoint. For x >= 0 the code is
+    ZERO + (positive midpoints below the bucket) + (x > the bucket's midpoint).
+    A negative x mirrors it: the midpoints are symmetric, and the tie goes the
+    other way (x > -midpoint), so the lower code still wins. Key k's row is
+    k - first for x >= 0 and _KEY_MAX - k - first for x < 0; a bucket
+    without a midpoint compares against +inf. Returns first, codes, midpoints."""
+    zero = DYNAMIC8_ZERO_CODE
+    pos = ((DYNAMIC8_VALUES[:-1] + DYNAMIC8_VALUES[1:]) / 2.0)[zero:]
+    first = _key(pos[0])
+    keys = np.arange(first, _key(1.0) + 1, dtype=np.uint64)
+    lo = (keys << np.uint64(_KEY_SHIFT)).view(np.float64)
+    hi = ((keys + np.uint64(1)) << np.uint64(_KEY_SHIFT)).view(np.float64)
+    below = np.searchsorted(pos, lo, side="left")
+    inside = np.searchsorted(pos, hi, side="left") - below
+    assert inside.max() <= 1, "a bucket holds two midpoints"
+    mid = pos[np.minimum(below, pos.size - 1)]
+    base = np.zeros(_KEY_MAX - 2 * first + 1, dtype=np.uint8)
+    threshold = np.full(base.size, np.inf)
+    rows = keys.astype(np.int64) - first
+    base[rows], threshold[rows] = zero + below, np.where(inside, mid, np.inf)
+    rows = _KEY_MAX - 2 * first - rows
+    base[rows], threshold[rows] = zero - below - inside, np.where(inside, -mid, np.inf)
+    return first, base, threshold
+
+
+_DYN8_FIRST, _DYN8_BASE, _DYN8_THRESHOLD = _dynamic8_table()
+
+
+def _nearest_dynamic8(normalized: np.ndarray) -> np.ndarray:
+    """`_nearest_codes(normalized, DYNAMIC8_VALUES)` by table lookup, for
+    float64 values in [-1, 1]."""
+    key = normalized.view(np.int64) >> _KEY_SHIFT
+    key ^= key >> 63  # a negative value's key becomes _KEY_MAX - its magnitude's
+    np.clip(key, _DYN8_FIRST, _KEY_MAX - _DYN8_FIRST, out=key)
+    key -= _DYN8_FIRST
+    codes = np.take(_DYN8_BASE, key)
+    codes += normalized > np.take(_DYN8_THRESHOLD, key)
+    return codes
+
+
+def _scale_and_code(blocks: np.ndarray, nearest, zero_code: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of float64 [n, block] `blocks` scaled by its absmax onto its
+    nearest level: uint8 codes [n, block] and float32 absmax [n]. An all-zero
+    row gets `zero_code` throughout."""
+    absmax = np.abs(blocks).max(axis=1)
+    safe = np.where(absmax == 0.0, 1.0, absmax)
+    codes = nearest(blocks / safe[:, None])
+    codes[absmax == 0.0, :] = zero_code
+    return codes, absmax.astype(np.float32)
+
+
+def _encode_blocks(x: np.ndarray, block_size: int, nearest,
                    zero_code: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Blockwise absmax scaling onto the nearest `codebook` level: x's shape,
-    one uint8 code per element and one float32 absmax per block. The tail
-    block is zero-padded; an all-zero block gets `zero_code` throughout."""
+    """Blockwise absmax scaling onto the nearest level: x's shape, one uint8
+    code per element and one float32 absmax per block. The tail block is
+    zero-padded; an all-zero block gets `zero_code` throughout."""
     x = np.asarray(x, dtype=np.float64)
     _check_finite(x)
     flat = x.reshape(-1)
@@ -88,12 +158,8 @@ def _encode_blocks(x: np.ndarray, block_size: int, codebook: np.ndarray,
 
     padded = np.zeros(n_blocks * block_size, dtype=np.float64)
     padded[:numel] = flat
-    blocks = padded.reshape(n_blocks, block_size)
-    absmax = np.abs(blocks).max(axis=1)
-    safe = np.where(absmax == 0.0, 1.0, absmax)
-    codes = _nearest_codes(blocks / safe[:, None], codebook).astype(np.uint8)
-    codes[absmax == 0.0, :] = zero_code
-    return tuple(x.shape), codes.reshape(-1)[:numel], absmax.astype(np.float32)
+    codes, absmax = _scale_and_code(padded.reshape(n_blocks, block_size), nearest, zero_code)
+    return tuple(x.shape), codes.reshape(-1)[:numel], absmax
 
 
 def _decode_blocks(codes: np.ndarray, absmax: np.ndarray, block_size: int,
@@ -199,7 +265,8 @@ def quantize(
     dq_group: int = DEFAULT_DQ_GROUP,
 ) -> QuantizedTensor:
     """Blockwise absmax-scaled nearest-level 4-bit quantization."""
-    shape, codes, absmax32 = _encode_blocks(x, block_size, NF4_VALUES, NF4_ZERO_CODE)
+    shape, codes, absmax32 = _encode_blocks(
+        x, block_size, lambda u: _nearest_codes(u, NF4_VALUES), NF4_ZERO_CODE)
     packed = _pack4(codes)
     if double_quant:
         dq = _quantize_absmax(absmax32, dq_group)
@@ -258,12 +325,26 @@ class Quantized8bitState:
 
 
 def quantize_state8(x: np.ndarray, block_size: int = STATE8_BLOCK_SIZE) -> Quantized8bitState:
-    shape, codes, absmax = _encode_blocks(x, block_size, DYNAMIC8_VALUES, DYNAMIC8_ZERO_CODE)
+    shape, codes, absmax = _encode_blocks(x, block_size, _nearest_dynamic8, DYNAMIC8_ZERO_CODE)
     return Quantized8bitState(shape, codes, absmax, block_size)
 
 
 def dequantize_state8(q: Quantized8bitState, out_dtype=np.float32) -> np.ndarray:
     return _decode_blocks(q.codes, q.absmax, q.block_size, DYNAMIC8_VALUES, q.shape, out_dtype)
+
+
+def encode_blocks8(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`quantize_state8` of whole blocks: finite float64 [n, block] rows to
+    uint8 codes [n, block] and float32 absmax [n], with no padding or copy."""
+    return _scale_and_code(blocks, _nearest_dynamic8, DYNAMIC8_ZERO_CODE)
+
+
+def decode_blocks8(codes: np.ndarray, absmax: np.ndarray) -> np.ndarray:
+    """`dequantize_state8` of whole blocks, in float64: codes [n, block] and
+    absmax [n] to [n, block]."""
+    out = np.take(DYNAMIC8_VALUES, codes)
+    out *= absmax.astype(np.float64)[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

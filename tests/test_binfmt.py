@@ -104,13 +104,14 @@ def _tiny_model(dtype=FULL):
 
 
 def _param():
-    return [("w", Parameter(np.linspace(-1.0, 1.0, 40), FULL, name="w"))]
+    # 600 elements: three 256-element blocks per 8-bit moment, the last one partial
+    return [("w", Parameter(np.linspace(-1.0, 1.0, 600), FULL, name="w"))]
 
 
 def _optimizer_blob(opt) -> bytes:
     params = _param()
     for k in range(2):
-        opt.step(params, {"w": np.linspace(0.5, 1.5, 40) * (k + 1)}, lr=0.01)
+        opt.step(params, {"w": np.linspace(0.5, 1.5, 600) * (k + 1)}, lr=0.01)
     return opt.dumps()
 
 
@@ -118,7 +119,7 @@ def _use_optimizer(make):
     def use(data, _):
         opt = make()
         opt.loads(data)
-        opt.step(_param(), {"w": np.full(40, 0.1)}, lr=0.01)
+        opt.step(_param(), {"w": np.full(600, 0.1)}, lr=0.01)
     return use
 
 
@@ -159,8 +160,8 @@ def artifacts(tmp_dir):
         "lora_double": (dumps_adapters(double.adapted_layers(), double.cfg.lora),
                         lambda data, _: apply_adapter_state(double_target.adapted_layers(),
                                                             loads_adapters(data))),
-        "opt8_adamw8": (_optimizer_blob(AdamW(quantized=True, block_size=16)),
-                        _use_optimizer(lambda: AdamW(quantized=True, block_size=16))),
+        "opt8_adamw8": (_optimizer_blob(AdamW(quantized=True)),
+                        _use_optimizer(lambda: AdamW(quantized=True))),
         "opt8_adamw": (_optimizer_blob(AdamW(quantized=False)),
                        _use_optimizer(lambda: AdamW(quantized=False))),
         "opt8_sgd": (_optimizer_blob(Sgd()), _use_optimizer(Sgd)),

@@ -8,7 +8,8 @@ import pytest
 from desklora import cli
 from desklora.arabicprep import BpeVocab, ShardReader, encode_text
 from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
-from desklora.trainer import MemoryBudget, load_checkpoint, read_trainer_state
+from desklora.numcore import Parameter
+from desklora.trainer import AdamW, MemoryBudget, load_checkpoint, read_trainer_state
 from desklora.util import sha256_file
 from tests.conftest import synth_raw_docs, write_jsonl
 
@@ -213,6 +214,24 @@ class TestTrain:
             assert cli.main(argv) == 3, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and "trainer_state" in err, err
+
+    @pytest.mark.parametrize("swap", ["shape", "name"])
+    def test_resume_with_another_models_optimizer_state_exits_3(self, shards_dir, tmp_path,
+                                                               capsys, swap):
+        every = ["--checkpoint-every", "4"]  # step 4 of 5, so the resume takes a step
+        assert run_train(shards_dir, tmp_path / "run", extra=every) == 0
+        ckpt = tmp_path / "run" / "step_000004"
+        name, p = load_checkpoint(ckpt)[0].trainable_parameters()[0]
+        shape = (p.value.shape[0] + 1, *p.value.shape[1:]) if swap == "shape" else p.value.shape
+        foreign = AdamW()
+        foreign.step([(name if swap == "shape" else "elsewhere", Parameter(np.zeros(shape)))],
+                     {name if swap == "shape" else "elsewhere": np.ones(shape)}, lr=0.1)
+        (ckpt / "optimizer.st8").write_bytes(foreign.dumps())
+        capsys.readouterr()
+        rc = run_train(shards_dir, tmp_path / "again", extra=[*every, "--resume", str(ckpt)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: optimizer state for "), err
 
     def test_precision_is_not_a_setting(self, shards_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -255,6 +255,47 @@ class TestState8:
         assert rel.max() < 0.01
 
 
+class TestNearestCodeTable:
+    """The 8-bit lookup against the binary search it replaces, on every input
+    where they could part: midpoints, their neighbours, signed zeros,
+    subnormals and the extremes, then random draws."""
+
+    @staticmethod
+    def assert_same(x):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        assert np.array_equal(quant._nearest_dynamic8(x), quant._nearest_codes(x, DYNAMIC8_VALUES))
+
+    def test_midpoints_and_their_neighbours(self):
+        mids = (DYNAMIC8_VALUES[:-1] + DYNAMIC8_VALUES[1:]) / 2.0
+        for x in (mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf), DYNAMIC8_VALUES):
+            self.assert_same(x)
+
+    def test_edges(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        self.assert_same([0.0, -0.0, 1.0, -1.0, tiny, -tiny, 1e-310, -1e-310,
+                          np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)])
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(14)
+        magnitude = np.exp(rng.uniform(-40.0, 0.0, 200_000))
+        self.assert_same(rng.uniform(-1.0, 1.0, 200_000))
+        self.assert_same(np.where(rng.random(200_000) < 0.5, -magnitude, magnitude))
+
+    def test_each_bucket_holds_at_most_one_midpoint(self):
+        assert quant._DYN8_BASE.size == 2 * 2797 + 254  # both signs, and the gap between them
+        mids = (DYNAMIC8_VALUES[:-1] + DYNAMIC8_VALUES[1:]) / 2.0
+        keys = mids[quant.DYNAMIC8_ZERO_CODE:].view(np.uint64) >> np.uint64(45)
+        assert np.all(np.diff(keys) >= 1)
+
+    def test_blocks8_round_trip_matches_the_state8_functions(self):
+        x = np.random.default_rng(15).normal(size=(3, 256)) * [[1.0], [0.0], [1e-6]]
+        codes, absmax = quant.encode_blocks8(x)
+        q = quantize_state8(x.reshape(-1))
+        assert np.array_equal(codes.reshape(-1), q.codes) and np.array_equal(absmax, q.absmax)
+        assert np.array_equal(quant.decode_blocks8(codes, absmax).reshape(-1),
+                              dequantize_state8(q, np.float64))
+
+
 class TestSerialization:
     def test_qnf4_round_trip(self):
         rng = np.random.default_rng(11)
