@@ -6,7 +6,7 @@ from .bpe import BOS_ID, EOS_ID, PAD_ID, SEP_ID, SPECIALS, BpeVocab, bpe_train
 from .dialect import DEFAULT_THRESHOLD, DIALECTS, DialectLexicon, tag_dialect
 from .morph import BOUNDARY, morph_presegment, strip_boundaries
 from .pipeline import encode_text, prepare_documents, preprocess_text, read_jsonl
-from .shards import DIALECT_TAGS, SOURCES, Document, ShardReader, write_shards
+from .shards import DIALECT_TAGS, SOURCES, Document, ShardReader, loads_shard, write_shards
 from .textops import (
     DIACRITICS,
     NormalizationPolicy,
@@ -37,6 +37,7 @@ __all__ = [
     "clean",
     "encode_text",
     "handle_diacritics",
+    "loads_shard",
     "morph_presegment",
     "normalize",
     "prepare_documents",

@@ -1,21 +1,21 @@
 """Tokenized corpus storage: binary shards plus a JSON manifest.
 
-Shard layout (little-endian): magic "SHRD", u16 version, u16 doc count, then
-per document a u32 token count followed by that many u32 token ids. The
-manifest records the normalization policy, the tokenizer hash, per-shard
-checksums, per-source/dialect counts, and a per-document index so readers
-can seek without scanning.
+A shard is a binfmt container, magic "SHRD" version 2: a u32 doc count, a
+u32 token count per document, then all documents' u32 token ids end to end,
+last in the file. The manifest records the normalization policy, the
+tokenizer hash, per-shard checksums, per-source/dialect counts, and a
+per-document index so readers can seek without scanning.
 """
 
 import hashlib
 import json
 import os
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..binfmt import Reader, Writer
 from ..errors import ConfigError, DataError, FormatError
 from ..util import sha256_bytes
 from .textops import NormalizationPolicy
@@ -23,9 +23,7 @@ from .textops import NormalizationPolicy
 SOURCES = ("bactrian", "openassistant", "wikipedia", "other")
 DIALECT_TAGS = ("MSA", "EGY", "GLF", "LEV", "MGR", "UNK")
 
-SHARD_MAGIC = b"SHRD"
-SHARD_VERSION = 1
-SHARD_HEADER = struct.Struct("<4sHH")
+_SHRD = (b"SHRD", 2)
 MANIFEST_NAME = "manifest.json"
 DEFAULT_SHARD_DOCS = 4096
 
@@ -51,12 +49,24 @@ def _shard_file(n: int) -> str:
     return f"shard_{n:04d}.bin"
 
 
-def _shard_bytes(token_lists: list[list[int]]) -> bytes:
-    parts = [SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(token_lists))]
+def dumps_shard(token_lists: list[list[int]]) -> bytes:
+    w = Writer(*_SHRD)
+    w.pack("I", len(token_lists))
+    w.array([len(ids) for ids in token_lists], "<u4")
     for ids in token_lists:
-        parts.append(struct.pack("<I", len(ids)))
-        parts.append(np.asarray(ids, dtype="<u4").tobytes())
-    return b"".join(parts)
+        w.array(ids, "<u4")
+    return w.getvalue()
+
+
+def loads_shard(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """A shard's per-document token counts and its read-only flat token ids."""
+    r = Reader(data, *_SHRD)
+    (n_docs,) = r.unpack("I")
+    counts = r.array("<u4", n_docs)
+    ids = r.array("<u4", int(counts.sum(dtype=np.uint64)))
+    r.done()
+    ids.flags.writeable = False
+    return counts, ids
 
 
 def write_shards(
@@ -67,16 +77,14 @@ def write_shards(
     shard_docs: int = DEFAULT_SHARD_DOCS,
 ) -> str:
     """Tokenize documents into shards; returns the manifest path."""
-    if not 1 <= shard_docs <= 0xFFFF:  # the shard header stores the doc count as a u16
-        raise ConfigError(f"shard_docs must be in [1, 65535], got {shard_docs}")
+    if shard_docs < 1:
+        raise ConfigError(f"shard_docs must be >= 1, got {shard_docs}")
     if not docs:
         raise DataError("no documents to write")
     os.makedirs(out_dir, exist_ok=True)
 
     doc_index = []
     shard_files = []
-    counts_source: dict[str, int] = {}
-    counts_dialect: dict[str, int] = {}
 
     for shard_no in range(0, len(docs), shard_docs):
         chunk = docs[shard_no : shard_no + shard_docs]
@@ -96,9 +104,7 @@ def write_shards(
                     "tokens": len(ids),
                 }
             )
-            counts_source[doc.source] = counts_source.get(doc.source, 0) + 1
-            counts_dialect[doc.dialect] = counts_dialect.get(doc.dialect, 0) + 1
-        blob = _shard_bytes(token_lists)
+        blob = dumps_shard(token_lists)
         fname = _shard_file(len(shard_files))
         with open(os.path.join(out_dir, fname), "wb") as f:
             f.write(blob)
@@ -110,7 +116,7 @@ def write_shards(
         "policy": policy.to_dict(),
         "vocab_hash": tokenizer.vocab_hash(),
         "shards": shard_files,
-        "counts": {"source": counts_source, "dialect": counts_dialect},
+        "counts": {key: Counter(d[key] for d in doc_index) for key in ("source", "dialect")},
         "docs": doc_index,
     }
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
@@ -171,31 +177,21 @@ class ShardReader:
         self.vocab_hash = self.manifest["vocab_hash"]
         self.docs = self.manifest["docs"]
 
-        self._buffers: list[bytes] = []
-        self._offsets: list[list[tuple[int, int]]] = []  # per shard: (offset, count)
+        self._shards = []  # per shard: (each doc's start offset and the end, flat ids)
+        first = 0  # the shard's first doc in the doc index
         for entry in self.manifest["shards"]:
             with open(os.path.join(shard_dir, entry["file"]), "rb") as f:
                 blob = f.read()
             if sha256_bytes(blob) != entry["sha256"]:
                 raise DataError(f"{entry['file']}: checksum mismatch, shard is corrupt")
-            magic, version, count = SHARD_HEADER.unpack_from(blob, 0)
-            if magic != SHARD_MAGIC or version != SHARD_VERSION:
-                raise FormatError(f"{entry['file']}: bad shard header")
-            if count != entry["count"]:
-                raise DataError(f"{entry['file']}: doc count mismatch")
-            offsets = []
-            off = SHARD_HEADER.size
-            for _ in range(count):
-                (n,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                offsets.append((off, n))
-                off += 4 * n
-            if off != len(blob):
-                raise FormatError(f"{entry['file']}: trailing bytes")
-            self._buffers.append(blob)
-            self._offsets.append(offsets)
-        if any(self._offsets[d["shard"]][d["index"]][1] != d["tokens"] for d in self.docs):
-            raise FormatError(f"{path}: a doc's token count disagrees with its shard")
+            try:
+                counts, ids = loads_shard(blob)
+            except FormatError as e:
+                raise FormatError(f"{entry['file']}: {e}") from e
+            if counts.tolist() != [d["tokens"] for d in self.docs[first:first + entry["count"]]]:
+                raise FormatError(f"{path}: the doc index disagrees with {entry['file']}")
+            first += entry["count"]
+            self._shards.append((np.concatenate(([0], np.cumsum(counts, dtype=np.int64))), ids))
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -205,8 +201,8 @@ class ShardReader:
 
     def doc_tokens(self, i: int) -> np.ndarray:
         meta = self.docs[i]
-        off, n = self._offsets[meta["shard"]][meta["index"]]
-        return np.frombuffer(self._buffers[meta["shard"]], dtype="<u4", count=n, offset=off)
+        bounds, ids = self._shards[meta["shard"]]
+        return ids[bounds[meta["index"]]:bounds[meta["index"] + 1]]
 
     def iter_tokens(self, dialect: str | None = None):
         for i, meta in enumerate(self.docs):

@@ -1,4 +1,4 @@
-"""The one binary container behind QNF4, QST8, LORA, OPT8 and DMDL files.
+"""The one binary container behind QNF4, QST8, LORA, OPT8, DMDL and SHRD files.
 
 Layout, little-endian: a 4-byte magic, a u16 version, then the format's
 fields in the order its writer emits them: packed scalars; blobs (u32 length
@@ -14,7 +14,8 @@ There is no checksum trailer, so the last bytes of a file are the last
 elements of its last array. The container makes a file parse exactly or fail;
 it does not detect an edited value. deskbench's training check relies on
 this: it overwrites the last f32 of `adapters.lora` and expects the file to
-load and give different logits. Token shards keep their own zero-copy format.
+load and give different logits. Its prep check likewise flips a shard's last
+token id and expects the shard to load and decode to other text.
 """
 
 import math

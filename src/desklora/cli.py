@@ -56,8 +56,8 @@ class PrepCommand:
 
     def __post_init__(self):  # bpe_train and write_shards check these too, after reading
         check_vocab_size(self.vocab_size)
-        if not 1 <= self.shard_docs <= 0xFFFF:  # the shard header stores the doc count as a u16
-            raise ConfigError(f"shard_docs must be in [1, 65535], got {self.shard_docs}")
+        if self.shard_docs < 1:
+            raise ConfigError(f"shard_docs must be >= 1, got {self.shard_docs}")
 
 
 @dataclass
@@ -298,7 +298,7 @@ def cmd_train(args) -> int:
         model = build(model_cfg, Rng(run.train.seed), flags)
     run.model = model.cfg
 
-    docs = [d.tolist() for d in reader.iter_tokens(run.dialect)]
+    docs = list(reader.iter_tokens(run.dialect))
     if run.dialect is not None and not docs:
         raise DataError(f"no documents tagged {run.dialect!r} in the shard set")
     windows = pack_windows(docs, run.train.seq_len, SEP_ID)

@@ -1,10 +1,10 @@
-"""`desklora inspect`: one line or three per artifact, read from its header.
-Each artifact is loaded, so a damaged one fails as its loader does."""
+"""`desklora inspect`: one line or three per artifact. Each artifact is
+loaded whole, so a damaged one fails as its loader does."""
 
 import json
 import os
 
-from .arabicprep import BpeVocab, ShardReader
+from .arabicprep import BpeVocab, ShardReader, loads_shard
 from .evalharness import validate_report
 from .lora import loads_adapters
 from .model import load_model
@@ -55,7 +55,8 @@ def describe(path):
         opt = loads_optimizer(data)
         print(f"{path}: {opt.kind} optimizer state at step {opt.step_count}")
     elif head == b"SHRD":
-        print(f"{path}: token shard, sha256 {sha256_file(path)[:12]}")
+        counts, ids = loads_shard(data)
+        print(f"{path}: token shard, {counts.size} docs, {ids.size} tokens")
     else:
         try:
             with open(path, "r", encoding="utf-8") as f:

@@ -145,21 +145,30 @@ class EvalReport:
         )
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; a JSON true is no number, though `bool` is an `int`."""
+    return (isinstance(x, int) and not isinstance(x, bool)) or (
+        isinstance(x, float) and bool(np.isfinite(x)))
+
+
 def validate_report(d: dict):
     if not isinstance(d, dict) or d.get("format") != "desklora-report":
         raise FormatError("not a report object")
     for key in ("metadata", "tables", "curves", "warnings"):
         if key not in d:
             raise FormatError(f"report missing {key!r}")
-    for metric, row in d["tables"].items():
-        if not isinstance(row, dict):
-            raise FormatError(f"table {metric!r} is not a dialect map")
+    tables, curves = d["tables"], d["curves"]
+    if not (isinstance(tables, dict) and all(isinstance(row, dict) for row in tables.values())):
+        raise FormatError("tables must map each metric to a dialect map")
+    for metric, row in tables.items():
         for dialect, value in row.items():
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
-                raise FormatError(f"non-finite value for {metric}/{dialect}")
-    for name, pts in d["curves"].items():
+            if not _is_number(value):
+                raise FormatError(f"{metric}/{dialect} is not a finite number: {value!r}")
+    if not (isinstance(curves, dict) and all(isinstance(pts, list) for pts in curves.values())):
+        raise FormatError("curves must map each name to a list of points")
+    for name, pts in curves.items():
         for pt in pts:
-            if len(pt) != 2 or not all(np.isfinite(x) for x in pt):
+            if not (isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))):
                 raise FormatError(f"bad curve point in {name!r}: {pt}")
 
 

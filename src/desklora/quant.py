@@ -53,6 +53,7 @@ NF4_ZERO_CODE = 8
 DEFAULT_BLOCK_SIZE = 64
 DEFAULT_DQ_GROUP = 256
 STATE8_BLOCK_SIZE = 256
+F32_OVERFLOW = 2.0**128 - 2.0**103  # the smallest float64 that a float32 cast turns into inf
 
 
 def _dynamic8_values() -> np.ndarray:
@@ -137,8 +138,11 @@ def _nearest_dynamic8(normalized: np.ndarray) -> np.ndarray:
 def _scale_and_code(blocks: np.ndarray, nearest, zero_code: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row of float64 [n, block] `blocks` scaled by its absmax onto its
     nearest level: uint8 codes [n, block] and float32 absmax [n]. An all-zero
-    row gets `zero_code` throughout."""
+    row gets `zero_code` throughout; an absmax float32 cannot hold is a ValueError."""
     absmax = np.abs(blocks).max(axis=1)
+    if absmax.size and not absmax.max() < F32_OVERFLOW:
+        bad = int(np.argmax(absmax))
+        raise ValueError(f"block {bad} has absmax {absmax[bad]:.3g}, beyond float32")
     safe = np.where(absmax == 0.0, 1.0, absmax)
     codes = nearest(blocks / safe[:, None])
     codes[absmax == 0.0, :] = zero_code
@@ -370,6 +374,11 @@ def dumps_qnf4(q: QuantizedTensor) -> bytes:
     return w.getvalue()
 
 
+def _expect_scales(r: Reader, scales: np.ndarray, what: str):
+    """A block scale is finite and non-negative; NaN fails both comparisons."""
+    r.expect(bool(np.all((scales >= 0) & (scales < np.inf))), f"{what} NaN, infinite or negative")
+
+
 def loads_qnf4(data: bytes) -> QuantizedTensor:
     r = Reader(data, *_QNF4)
     block_size, dq_flag = r.unpack("IB")
@@ -383,11 +392,15 @@ def loads_qnf4(data: bytes) -> QuantizedTensor:
         r.expect(group_size >= 1, "double-quant group size 0")
         n_groups = -(-n_blocks // group_size)
         scale = r.array("<f4", n_groups)
+        _expect_scales(r, scale, "double-quant group scale")
         offset = r.array("<f4", n_groups)
+        _expect_scales(r, offset, "double-quant group offset")
         dq = DoubleQuantState(r.array("u1", n_blocks), group_size, scale, offset)
         q = QuantizedTensor(shape, codes, None, dq, block_size)
     else:
-        q = QuantizedTensor(shape, codes, r.array("<f4", n_blocks), None, block_size)
+        absmax = r.array("<f4", n_blocks)
+        _expect_scales(r, absmax, "block absmax")
+        q = QuantizedTensor(shape, codes, absmax, None, block_size)
     r.done()
     return q
 
@@ -410,5 +423,6 @@ def loads_state8(data: bytes) -> Quantized8bitState:
     codes = r.array("u1", numel)
     r.expect(codes.size == 0 or codes.max() < DYNAMIC8_VALUES.size, "code outside the 8-bit codebook")
     absmax = r.array("<f4", -(-numel // block_size))
+    _expect_scales(r, absmax, "block absmax")
     r.done()
     return Quantized8bitState(shape, codes, absmax, block_size)

@@ -97,17 +97,18 @@ class MetricsRecord:
 
 def pack_windows(doc_token_lists, seq_len: int, sep_id: int) -> np.ndarray:
     """Concatenate documents with a separator and cut (seq_len+1)-long windows."""
-    stream: list[int] = []
+    sep = np.array([sep_id], dtype=np.int64)
+    parts = [np.empty(0, dtype=np.int64)]
     for ids in doc_token_lists:
-        stream.extend(int(i) for i in ids)
-        stream.append(sep_id)
+        parts += (np.asarray(ids, dtype=np.int64), sep)
+    stream = np.concatenate(parts)
     width = seq_len + 1
-    n = len(stream) // width
+    n = stream.size // width
     if n == 0:
         raise DataError(
-            f"corpus too small: {len(stream)} tokens cannot fill one window of {width}"
+            f"corpus too small: {stream.size} tokens cannot fill one window of {width}"
         )
-    return np.asarray(stream[: n * width], dtype=np.int64).reshape(n, width)
+    return stream[: n * width].reshape(n, width)
 
 
 @dataclass

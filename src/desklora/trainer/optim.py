@@ -19,7 +19,8 @@ full precision.
 - **Chunked step.** The layout is cut into chunks of at most `CHUNK_BLOCKS`
   blocks: a parameter larger than that gets chunks of its own, smaller ones
   share one. Per chunk the step dequantizes both moments, runs Adam in
-  float64, checks the moments finite, writes the parameters' new values and
+  float64, checks the moments finite (for `adamw8`, within float32, which
+  holds each block's absmax), writes the parameters' new values and
   requantizes. Every operation is elementwise or per block, so the result is
   bit for bit the per-parameter step's, and the float64 temporaries are
   O(chunk). A parameter absent from the gradients keeps its value and state.
@@ -40,6 +41,7 @@ from ..errors import ContractError, FormatError, TrainingError
 from ..numcore.autograd import node_value
 from ..quant import (
     DYNAMIC8_ZERO_CODE,
+    F32_OVERFLOW,
     STATE8_BLOCK_SIZE,
     Quantized8bitState,
     decode_blocks8,
@@ -314,12 +316,15 @@ class AdamW(_Checkpointable):
         term *= g
         v += term
         del g, term  # each `del` here keeps the step's peak within WORKING_BYTES
-        finite = np.isfinite(m)
-        finite &= np.isfinite(v)
+        limit = F32_OVERFLOW if self.quantized else np.inf  # an 8-bit block keeps a float32 absmax
+        finite = np.abs(m) < limit
+        finite &= np.abs(v) < limit
         if not finite.all():
             bad = e0 + int(np.argmin(finite))
             i = next(i for i, _, _, f0, f1 in run if f0 <= bad < f1)
-            raise TrainingError(f"non-finite moments for {params[i][0]!r} at step {t}", step=t)
+            beyond = " (an 8-bit block's absmax must fit float32)" if self.quantized else ""
+            raise TrainingError(f"non-finite moments for {params[i][0]!r} at step {t}{beyond}",
+                                step=t)
         del finite
 
         update = np.divide(v, 1 - b2**t)

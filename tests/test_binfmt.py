@@ -1,4 +1,4 @@
-"""The binary container shared by QNF4, QST8, LORA, OPT8 and DMDL.
+"""The binary container shared by QNF4, QST8, LORA, OPT8, DMDL and SHRD.
 
 Every truncation and every single-byte flip of an artifact either loads and
 survives first use, or raises FormatError; no other exception gets out.
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import desklora
 from desklora import quant
+from desklora.arabicprep.shards import dumps_shard, loads_shard
 from desklora.binfmt import Reader, Writer
+from desklora.describe import describe
 from desklora.errors import FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import ModelConfig, build, load_model, save_model
@@ -75,18 +77,18 @@ class TestReader:
             r.array("<f4", r.shape())
 
 
-def test_struct_confined_to_the_container_and_shards():
-    """Binary layouts live in binfmt (and the zero-copy shard reader), so no
-    other module imports `struct` to unpack bytes by hand."""
+def _sources():
     root = pathlib.Path(desklora.__file__).parent
-    allowed = {"binfmt.py", "arabicprep/shards.py"}
-    offenders = [
-        path.relative_to(root).as_posix()
-        for path in sorted(root.rglob("*.py"))
-        if path.relative_to(root).as_posix() not in allowed
-        and re.search(r"^\s*(import struct\b|from struct import)", path.read_text(encoding="utf-8"), re.M)
-    ]
-    assert offenders == []
+    return {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+            for path in sorted(root.rglob("*.py"))}
+
+
+def test_struct_confined_to_the_container():
+    """Binary layouts live in binfmt, so no other module imports `struct` to
+    unpack bytes by hand."""
+    offenders = [name for name, text in _sources().items()
+                 if re.search(r"^\s*(import struct\b|from struct import)", text, re.M)]
+    assert offenders == ["binfmt.py"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,7 @@ def artifacts(tmp_dir):
         quant.dequantize(quant.loads_qnf4(data))
 
     return {
+        "shrd": (dumps_shard([[5, 6, 7], [], [300, 4]]), lambda data, _: loads_shard(data)),
         "qnf4": (quant.dumps_qnf4(quant.quantize(x, 16)), use_qnf4),
         "qnf4_double_quant": (
             quant.dumps_qnf4(quant.quantize(x, 8, double_quant=True, dq_group=2)), use_qnf4),
@@ -171,7 +174,24 @@ def artifacts(tmp_dir):
 
 
 KINDS = ["dmdl", "dmdl_double", "lora", "lora_double", "opt8_adamw", "opt8_adamw8", "opt8_sgd",
-         "qnf4", "qnf4_double_quant", "qst8"]
+         "qnf4", "qnf4_double_quant", "qst8", "shrd"]
+
+
+def test_every_container_format_is_fuzzed_and_described(artifacts, tmp_dir, capsys):
+    """Each `(b"XXXX", version)` tuple in the package names a format with a
+    kind in KINDS, whose intact artifact `inspect` describes."""
+    magics = {m for text in _sources().values()
+              for m in re.findall(r'\(b"([A-Z0-9]{4})", \d+\)', text)}
+    assert magics >= {"DMDL", "LORA", "OPT8", "QNF4", "QST8", "SHRD"}
+    for magic in sorted(magics):
+        kinds = [k for k in KINDS if k.split("_")[0] == magic.lower()]
+        assert kinds, f"no fuzz entry for {magic}"
+        for kind in kinds:
+            path = tmp_dir / f"described.{kind}"
+            path.write_bytes(artifacts[kind][0])
+            describe(path)
+            out = capsys.readouterr().out
+            assert out.startswith(f"{path}: ") and "unrecognized" not in out, (magic, out)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -17,6 +17,7 @@ from desklora.arabicprep import (
     prepare_documents,
     write_shards,
 )
+from desklora.arabicprep.shards import dumps_shard, loads_shard
 from desklora.errors import ConfigError, DataError, FormatError
 from tests.conftest import synth_raw_docs
 
@@ -153,15 +154,20 @@ class TestBpeTraining:
             assert vocab.encode(text) == oracle_encode(vocab, text)
 
     def test_golden_vocab_and_shards(self, tmp_path):
-        """Pins the tokenizer's output: a speedup must not change a merge or an id."""
+        """Pins the tokenizer's output: a speedup must not change a merge or an id.
+        The ids digest holds across shard format versions; the file hash pins the layout."""
         policy = NormalizationPolicy()
         docs = prepare_documents(synth_raw_docs(200, seed=31), policy)
         vocab = bpe_train([d.text for d in docs], vocab_size=512)
         assert vocab.vocab_hash() == (
             "1f4db2d2c56b6fd99341a23caae923f66e6d545120eef3ba1b18997ef2ee9f6c")
         write_shards(docs, vocab, policy, tmp_path)
+        reader = ShardReader(tmp_path)
+        ids = json.dumps([reader.doc_tokens(i).tolist() for i in range(len(reader))])
+        assert hashlib.sha256(ids.encode()).hexdigest() == (
+            "c3d1b10e5948639c778bddeb956bcf0b0317330607a31713900ed112ae6e95be")
         assert hashlib.sha256((tmp_path / "shard_0000.bin").read_bytes()).hexdigest() == (
-            "12d7e95b099228d0ec8414e1b45c0da6c931bc2599d94de31558618add6ee9ca")
+            "3afd342af8be1b8f1a57125383b167a7c3715dbdb5a3cf23a82c0049d69c06ca")
 
 
 class TestBpeEncodeDecode:
@@ -319,8 +325,25 @@ class TestShards:
         policy, docs, vocab = prepared
         write_shards(docs, vocab, policy, tmp_path, shard_docs=len(docs))
         lens = [len(vocab.encode(d.text)) for d in docs]
-        expected = 8 + sum(4 + 4 * n for n in lens)
+        expected = 6 + 4 + 4 * len(docs) + 4 * sum(lens)
         assert (tmp_path / "shard_0000.bin").stat().st_size == expected
+
+    def test_more_docs_than_a_u16_counts(self):
+        counts, ids = loads_shard(dumps_shard([[5]] * 70_000 + [[6, 7]]))
+        assert counts.size == 70_001 and ids.size == 70_002 and ids[-1] == 7
+        assert not ids.flags.writeable
+
+    def test_v1_shard_set_needs_a_new_prep(self, prepared, tmp_path):
+        policy, docs, vocab = prepared
+        write_shards(docs, vocab, policy, tmp_path)
+        shard = tmp_path / "shard_0000.bin"
+        blob = shard.read_bytes()[:4] + b"\x01\x00" + shard.read_bytes()[6:]
+        shard.write_bytes(blob)
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        manifest["shards"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FormatError, match="unsupported version 1, expected 2"):
+            ShardReader(tmp_path)
 
     def test_corruption_detected(self, prepared, tmp_path):
         policy, docs, vocab = prepared

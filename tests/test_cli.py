@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from desklora import cli
 from desklora.arabicprep import BpeVocab, ShardReader, encode_text
+from desklora.errors import FormatError
 from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
 from desklora.numcore import Parameter
 from desklora.trainer import AdamW, MemoryBudget, load_checkpoint, read_trainer_state
@@ -233,6 +235,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("data error: optimizer state for "), err
 
+    def test_resume_with_a_nan_absmax_exits_3(self, shards_dir, tmp_path, capsys):
+        assert run_train(shards_dir, tmp_path / "run") == 0
+        path = tmp_path / "run" / "step_000005" / "optimizer.st8"
+        blob = path.read_bytes()
+        opt = AdamW()
+        opt.loads(blob)
+        m = next(iter(opt.moments.values()))[0]
+        absmax = m.absmax.copy()
+        absmax[0] = np.nan
+        bad = dumps_state8(dataclasses.replace(m, absmax=absmax))
+        assert blob.count(dumps_state8(m)) == 1
+        path.write_bytes(blob.replace(dumps_state8(m), bad))
+        with pytest.raises(FormatError, match="absmax NaN, infinite or negative"):
+            AdamW().loads(path.read_bytes())
+        capsys.readouterr()
+        rc = run_train(shards_dir, tmp_path / "again", extra=["--resume", str(path.parent)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("data error: QST8: block absmax NaN")
+
     def test_precision_is_not_a_setting(self, shards_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train": {"train": {"precision": "full"}}}))
@@ -420,15 +441,16 @@ class TestPerturbInspect:
         assert capsys.readouterr().out == f"{path}: unrecognized format\n"
 
     @staticmethod
-    def artifacts(trained_ckpt, tmp_path):
-        """One file of each container kind: QNF4, QST8, LORA, DMDL and OPT8."""
+    def artifacts(trained_ckpt, shards_dir, tmp_path):
+        """One file of each container kind: QNF4, QST8, LORA, DMDL, OPT8 and SHRD."""
         (tmp_path / "w.qnf4").write_bytes(dumps_qnf4(quantize(np.linspace(-1, 1, 40))))
         (tmp_path / "m.qst8").write_bytes(dumps_state8(quantize_state8(np.linspace(-1, 1, 40))))
         return [tmp_path / "w.qnf4", tmp_path / "m.qst8", trained_ckpt / "adapters.lora",
-                trained_ckpt / "model.qnf4", trained_ckpt / "optimizer.st8"]
+                trained_ckpt / "model.qnf4", trained_ckpt / "optimizer.st8",
+                shards_dir / "shard_0000.bin"]
 
-    def test_inspect_loads_every_artifact_kind(self, trained_ckpt, tmp_path, capsys):
-        rc = cli.main(["inspect", *map(str, self.artifacts(trained_ckpt, tmp_path))])
+    def test_inspect_loads_every_artifact_kind(self, trained_ckpt, shards_dir, tmp_path, capsys):
+        rc = cli.main(["inspect", *map(str, self.artifacts(trained_ckpt, shards_dir, tmp_path))])
         assert rc == 0
         out = capsys.readouterr().out
         assert "QNF4 tensor shape (40,)" in out
@@ -436,9 +458,50 @@ class TestPerturbInspect:
         assert "adapter checkpoint r=2" in out
         assert "model checkpoint, 1 layers, d_model 16" in out
         assert "adamw8 optimizer state at step 5" in out
+        reader = ShardReader(shards_dir)
+        tokens = sum(d["tokens"] for d in reader.docs)
+        assert f"token shard, {len(reader)} docs, {tokens} tokens" in out
 
-    def test_inspect_truncated_artifacts_are_data_errors(self, trained_ckpt, tmp_path, capsys):
-        for path in self.artifacts(trained_ckpt, tmp_path):
+    @pytest.mark.parametrize("keep", [6, 14])
+    def test_truncated_shard_with_its_checksum_is_a_data_error(self, shards_dir, tmp_path, keep,
+                                                               capsys):
+        for f in shards_dir.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        blob = (shards_dir / "shard_0000.bin").read_bytes()[:keep]
+        (tmp_path / "shard_0000.bin").write_bytes(blob)
+        manifest = json.loads((shards_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest["shards"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FormatError, match="shard_0000.bin: SHRD: truncated"):
+            ShardReader(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["inspect", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("edit", [
+        {"tables": []},
+        {"tables": {"perplexity": {"MSA": True}}},
+        {"curves": {"robustness": 5}},
+        {"curves": {"robustness": [1]}},
+        {"curves": {"robustness": [["a", "b"]]}},
+    ])
+    def test_inspect_damaged_report_is_a_data_error(self, tmp_path, capsys, edit):
+        report = {"format": "desklora-report", "version": 1, "metadata": {},
+                  "tables": {"perplexity": {"MSA": 3.5}}, "curves": {"robustness": [[0, 1.0]]},
+                  "warnings": []}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["inspect", str(path)]) == 0
+        path.write_text(json.dumps(report | edit))
+        capsys.readouterr()
+        assert cli.main(["inspect", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+
+    def test_inspect_truncated_artifacts_are_data_errors(self, trained_ckpt, shards_dir, tmp_path,
+                                                         capsys):
+        for path in self.artifacts(trained_ckpt, shards_dir, tmp_path):
             cut = tmp_path / f"cut_{path.name}"
             cut.write_bytes(path.read_bytes()[:20])
             assert cli.main(["inspect", str(cut)]) == 3, path.name

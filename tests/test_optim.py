@@ -185,6 +185,20 @@ def test_non_finite_moment_names_the_parameter_and_step(quantized, bad):
     assert e.value.step == 2
 
 
+@pytest.mark.parametrize("quantized", [True, False])
+def test_a_moment_beyond_float32_stops_only_the_8bit_state(quantized):
+    """v = 0.001·g² = 1e39 is a float64 but no float32 absmax."""
+    p = Parameter(np.zeros(600), DOUBLE, name="w")
+    opt = AdamW(quantized=quantized)
+    step = lambda: opt.step([("w", p)], {"w": np.full(600, 1e21)}, lr=0.1)
+    if not quantized:
+        step()
+        return
+    with pytest.raises(TrainingError, match="non-finite moments for 'w' at step 1 .* fit float32"):
+        step()
+    assert not p.value.any()
+
+
 def opt8_blob(moments: dict, block_size=STATE8_BLOCK_SIZE) -> bytes:
     w = Writer(b"OPT8", 2)
     w.text("adamw8")
@@ -211,6 +225,16 @@ def test_state_that_does_not_fit_the_model_is_format_error(moments, params, matc
 def test_state_in_other_blocks_is_format_error():
     blob = opt8_blob({"w": np.linspace(-1, 1, 600)}, block_size=16)
     with pytest.raises(FormatError, match="blocks of 16, expected 256"):
+        AdamW().loads(blob)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_state_with_a_damaged_absmax_is_format_error(value):
+    blob = opt8_blob({"w": np.linspace(-1, 1, 600)})
+    q = quantize_state8(np.linspace(-1, 1, 600))
+    q.absmax[2] = value
+    blob = blob.replace(dumps_state8(quantize_state8(np.linspace(-1, 1, 600))), dumps_state8(q), 1)
+    with pytest.raises(FormatError, match="QST8: block absmax NaN, infinite or negative"):
         AdamW().loads(blob)
 
 

@@ -112,6 +112,15 @@ class TestQuantizeRoundTrip:
         with pytest.raises(ValueError):
             quantize(x)
 
+    @pytest.mark.parametrize("block_size", [1, 64])
+    def test_absmax_beyond_float32_rejected(self, block_size):
+        with pytest.raises(ValueError, match="block 0 has absmax 1e\\+39, beyond float32"):
+            quantize(np.array([1e39, 1.0]), block_size)
+        with pytest.raises(ValueError, match="beyond float32"):
+            quantize_state8(np.array([1e39, 1.0]), block_size)
+        largest = float(np.finfo(np.float32).max)
+        assert np.isfinite(quantize_state8(np.array([largest, 1.0]), block_size).absmax).all()
+
     def test_scale_equivariance_power_of_two(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(512)
@@ -332,6 +341,21 @@ class TestSerialization:
         data = dumps_qnf4(q)
         with pytest.raises(FormatError):
             loads_qnf4(data[:-2])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("field", ["absmax", "group_scale", "group_offset", "state8"])
+    def test_damaged_scale_rejected(self, field, value):
+        x = np.linspace(-1.0, 1.0, 40)
+        if field == "state8":
+            q = quantize_state8(x, 16)
+            q.absmax[1] = value
+            with pytest.raises(FormatError, match="absmax NaN, infinite or negative"):
+                loads_state8(dumps_state8(q))
+            return
+        q = quantize(x, 8, double_quant=field != "absmax", dq_group=2)
+        getattr(q if field == "absmax" else q.dq, field)[1] = value
+        with pytest.raises(FormatError, match=f"{field.replace('_', ' ')} NaN, infinite or negative"):
+            loads_qnf4(dumps_qnf4(q))
 
     def test_state8_round_trip(self):
         x = np.random.default_rng(13).standard_normal((40, 9))

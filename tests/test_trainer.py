@@ -299,6 +299,18 @@ class TestPackWindows:
         with pytest.raises(DataError):
             pack_windows([[1]], seq_len=8, sep_id=0)
 
+    def test_matches_the_list_stream_it_replaced(self):
+        rng = np.random.default_rng(0)
+        docs = [rng.integers(4, 1 << 21, rng.integers(0, 40)).astype("<u4") for _ in range(50)]
+        stream = []
+        for ids in docs:
+            stream.extend(int(i) for i in ids)
+            stream.append(3)
+        n = len(stream) // 17
+        expected = np.asarray(stream[: n * 17], dtype=np.int64).reshape(n, 17)
+        windows = pack_windows(docs, seq_len=16, sep_id=3)
+        assert windows.dtype == np.int64 and np.array_equal(windows, expected)
+
 
 class TestTrainLoop:
     def test_metrics_one_row_per_step(self, tmp_path):
