@@ -1,7 +1,15 @@
 """Evaluation pipeline: eval-set loading, greedy generation, robustness
 curves, per-dialect metric tables, and report emission (JSON + text + CSV).
+
+Greedy generation decodes all of a section's prompts in lockstep
+(`greedy_batch`): a row whose context fits the model's window extends a K/V
+cache by one token per step, in one batched forward with the other such rows,
+and a row whose context has outgrown the window recomputes its slid window
+alone. Cached logits agree with a full-window recompute up to float rounding,
+so the continuations are the ids that recomputing every step gives.
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -55,24 +63,60 @@ def load_eval_set(path, kind: str) -> EvalSet:
 # ---------------------------------------------------------------------------
 
 
-def greedy_continue(model, prompt_ids, max_new: int = MAX_NEW_TOKENS) -> list[int]:
-    """Temperature-0 continuation; context slides within max_seq_len."""
-    ids = [int(i) for i in prompt_ids]
-    out: list[int] = []
+def greedy_batch(model, prompts, max_new: int = MAX_NEW_TOKENS) -> list[list[int]]:
+    """Temperature-0 continuations of `prompts`, decoded in lockstep.
+
+    A context slides within `max_seq_len`, and a slid window numbers its
+    positions from 0 again. At each step a row is treated by the state of
+    its context: rows not yet cached are prefilled into the K/V cache, one
+    forward per group of equal prompt length; cached rows still inside the
+    window take one batched one-token step; a row whose context has outgrown
+    the window recomputes its slid window alone, without the cache. Argmax
+    ties resolve to the lowest id.
+    """
     limit = model.cfg.max_seq_len
-    for _ in range(max_new):
-        window = ids[-limit:]
-        logits = model.forward_ids(np.asarray(window, dtype=np.int64))
-        nxt = int(logits[-1].argmax())  # ties: lowest id
-        out.append(nxt)
-        ids.append(nxt)
-    return out
+    contexts = [[int(i) for i in p] for p in prompts]
+    # Cached rows sorted by prompt length: equal lengths are neighbours, and
+    # the rows still inside the window are a prefix, so each forward reads
+    # a slice of the cache, never a copy.
+    cached = sorted((b for b, ctx in enumerate(contexts) if len(ctx) <= limit),
+                    key=lambda b: len(contexts[b]))
+    cache = model.kv_cache(len(cached)) if cached else None
+    for step in range(max_new):
+        logits = {}
+        if step == 0:
+            start = 0
+            for _, group in itertools.groupby(cached, key=lambda b: len(contexts[b])):
+                group = list(group)
+                ids = np.asarray([contexts[b] for b in group], dtype=np.int64)
+                logits.update(zip(group, model.forward_ids(ids, cache.rows(start, start + len(group)))))
+                start += len(group)
+        else:
+            growing = [b for b in cached if len(contexts[b]) <= limit]
+            if growing:
+                ids = np.asarray([contexts[b][-1:] for b in growing], dtype=np.int64)
+                logits.update(zip(growing, model.forward_ids(ids, cache.rows(0, len(growing)))))
+        for b, ctx in enumerate(contexts):
+            if b not in logits:
+                logits[b] = model.forward_ids(np.asarray(ctx[-limit:], dtype=np.int64))[-1]
+        for b, row in logits.items():
+            contexts[b].append(int(row.argmax()))
+    return [ctx[len(p):] for ctx, p in zip(contexts, prompts)]
+
+
+def greedy_continue(model, prompt_ids, max_new: int = MAX_NEW_TOKENS) -> list[int]:
+    """Temperature-0 continuation of one prompt: `greedy_batch` of one row."""
+    return greedy_batch(model, [prompt_ids], max_new)[0]
+
+
+def _prompt(text: str, vocab, policy: NormalizationPolicy) -> list[int]:
+    """A question or source text as a generation prompt: BOS, its tokens, SEP."""
+    return [BOS_ID, *encode_text(text, vocab, policy), SEP_ID]
 
 
 def answer_question(model, question: str, vocab, policy: NormalizationPolicy,
                     max_new: int = MAX_NEW_TOKENS) -> str:
-    prompt = [BOS_ID, *encode_text(question, vocab, policy), SEP_ID]
-    return vocab.decode(greedy_continue(model, prompt, max_new))
+    return vocab.decode(greedy_continue(model, _prompt(question, vocab, policy), max_new))
 
 
 # ---------------------------------------------------------------------------
@@ -88,23 +132,18 @@ def robustness_curve(
     pcfg: PerturbationConfig,
     max_new: int = MAX_NEW_TOKENS,
 ) -> list[tuple[float, float]]:
-    """Mean continuation token-F1 between clean and perturbed inputs per level."""
+    """Mean continuation token-F1 between clean and perturbed inputs per level.
+    The clean prompts and every level's noisy ones decode in one batch."""
     if not texts:
         raise ContractError("robustness_curve needs at least one text")
-    clean_continuations = []
-    for text in texts:
-        ids = [BOS_ID, *encode_text(text, vocab, policy)]
-        clean_continuations.append(greedy_continue(model, ids, max_new))
-    curve = []
-    for level in pcfg.levels:
-        sims = []
-        for text, base in zip(texts, clean_continuations):
-            noisy = perturb(text, level, pcfg.ops, pcfg.seed)
-            ids = [BOS_ID, *encode_text(noisy, vocab, policy)]
-            cont = greedy_continue(model, ids, max_new)
-            sims.append(token_f1(base, cont))
-        curve.append((float(level), float(np.mean(sims))))
-    return curve
+    n = len(texts)
+    inputs = list(texts) + [perturb(text, level, pcfg.ops, pcfg.seed)
+                            for level in pcfg.levels for text in texts]
+    conts = greedy_batch(model, [[BOS_ID, *encode_text(t, vocab, policy)] for t in inputs], max_new)
+    clean = conts[:n]
+    return [(float(level), float(np.mean([token_f1(base, cont) for base, cont
+                                          in zip(clean, conts[(j + 1) * n:(j + 2) * n])])))
+            for j, level in enumerate(pcfg.levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +211,18 @@ def validate_report(d: dict):
                 raise FormatError(f"bad curve point in {name!r}: {pt}")
 
 
+def _by_dialect(eval_set: EvalSet, report: EvalReport) -> dict:
+    """{dialect: items} in DIALECT_ORDER, warning in `report` of each dialect without items."""
+    subsets = {}
+    for dialect in DIALECT_ORDER:
+        items = eval_set.subset(dialect)
+        if items:
+            subsets[dialect] = items
+        else:
+            report.warnings.append(f"{eval_set.kind}: no items for dialect {dialect}; omitted")
+    return subsets
+
+
 def dialect_breakdown(
     model,
     eval_sets: dict,
@@ -179,16 +230,13 @@ def dialect_breakdown(
     policy: NormalizationPolicy,
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Per-dialect perplexity/accuracy (lm), BLEU (mt), and F1/EM (qa) tables."""
+    """Per-dialect perplexity/accuracy (lm), BLEU (mt), and F1/EM (qa) tables.
+    The mt prompts of every dialect decode in one batch, and the qa prompts in another."""
     report = EvalReport(metadata=dict(metadata or {}))
 
     lm = eval_sets.get("lm")
     if lm is not None:
-        for dialect in DIALECT_ORDER:
-            items = lm.subset(dialect)
-            if not items:
-                report.warnings.append(f"lm: no items for dialect {dialect}; omitted")
-                continue
+        for dialect, items in _by_dialect(lm, report).items():
             seqs = [encode_text(it["text"], vocab, policy) for it in items]
             seqs = [s for s in seqs if s]
             if not seqs:
@@ -198,32 +246,25 @@ def dialect_breakdown(
             report.tables.setdefault("perplexity", {})[dialect] = ppl
             report.tables.setdefault("next_word_accuracy", {})[dialect] = accuracy
 
+    def decode_section(eval_set: EvalSet, key: str):
+        """{dialect: [(item, decoded prediction)]} over one batch of every dialect's prompts."""
+        subsets = _by_dialect(eval_set, report)
+        prompts = [_prompt(it[key], vocab, policy) for items in subsets.values() for it in items]
+        preds = iter(greedy_batch(model, prompts))
+        return {dialect: [(it, vocab.decode(next(preds))) for it in items]
+                for dialect, items in subsets.items()}
+
     mt = eval_sets.get("mt")
     if mt is not None:
-        for dialect in DIALECT_ORDER:
-            items = mt.subset(dialect)
-            if not items:
-                report.warnings.append(f"mt: no items for dialect {dialect}; omitted")
-                continue
-            scores = []
-            for it in items:
-                prompt = [BOS_ID, *encode_text(it["source"], vocab, policy), SEP_ID]
-                pred = vocab.decode(greedy_continue(model, prompt))
-                scores.append(bleu(pred, it["references"]))
+        for dialect, pairs in decode_section(mt, "source").items():
+            scores = [bleu(pred, it["references"]) for it, pred in pairs]
             report.tables.setdefault("bleu", {})[dialect] = float(np.mean(scores))
 
     qa = eval_sets.get("qa")
     if qa is not None:
-        for dialect in DIALECT_ORDER:
-            items = qa.subset(dialect)
-            if not items:
-                report.warnings.append(f"qa: no items for dialect {dialect}; omitted")
-                continue
-            f1s, ems = [], []
-            for it in items:
-                pred = answer_question(model, it["question"], vocab, policy)
-                f1s.append(qa_f1(pred, it["answers"]))
-                ems.append(exact_match(pred, it["answers"]))
+        for dialect, pairs in decode_section(qa, "question").items():
+            f1s = [qa_f1(pred, it["answers"]) for it, pred in pairs]
+            ems = [exact_match(pred, it["answers"]) for it, pred in pairs]
             report.tables.setdefault("qa_f1", {})[dialect] = float(np.mean(f1s))
             report.tables.setdefault("qa_exact_match", {})[dialect] = float(np.mean(ems))
 

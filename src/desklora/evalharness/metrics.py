@@ -39,7 +39,8 @@ def _teacher_forced(model, seq, bos_id: int) -> tuple[float, int]:
 
     A sequence longer than the model's window is scored in consecutive
     windows of at most `max_seq_len` inputs, each starting again at position
-    0, as `greedy_continue`'s slide does. Argmax ties resolve to the lowest id.
+    0, as a slid window does in greedy decoding (`harness.greedy_batch`).
+    Argmax ties resolve to the lowest id.
     """
     ids = np.asarray([bos_id, *seq], dtype=np.int64)
     inputs, targets = ids[:-1], ids[1:]

@@ -8,7 +8,9 @@ mixing, pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
 emphasize keys whose token carries a combining diacritic: the model keeps one
 diacritic flag per token id, and its precision is fixed when it is built or
 loaded. `forward` and `loss` take one sequence or a batch of equal-length
-sequences; dropout runs exactly when they get an rng.
+sequences; dropout runs exactly when they get an rng. Under `no_grad`,
+`forward` also continues the rows of a `KVCache` (`kv_cache`), which holds
+each layer's rotated keys and values, so greedy decoding feeds only new tokens.
 
 `_assemble` alone lays out, names and freezes a model's tensors: `build` and
 `load_model` supply the values, and the inventory reads the objects' names.
@@ -27,14 +29,17 @@ from .numcore import (
     DOUBLE,
     FULL,
     GradNode,
+    KVCache,
     Parameter,
     Rng,
     RowRngs,
     add,
     causal_attention,
     checkpoint,
+    constant,
     gather_rows,
     gelu,
+    grad_enabled,
     layer_norm,
     matmul,
     no_grad,
@@ -168,9 +173,7 @@ class TransformerModel:
 
     # -- forward --------------------------------------------------------------
 
-    def _block_fn(self, blk: Block, i: int, t_len: int, key_bias, rng):
-        cos, sin = self.rope
-        rope = (cos[:t_len], sin[:t_len])
+    def _block_fn(self, blk: Block, i: int, key_bias, rng, cache: KVCache | None):
         cfg = self.cfg
 
         def run(x: GradNode) -> GradNode:
@@ -179,7 +182,7 @@ class TransformerModel:
             q = lora.forward(blk.q, h, sub.split("q") if sub else None)
             k = lora.forward(blk.k, h, sub.split("k") if sub else None)
             v = lora.forward(blk.v, h, sub.split("v") if sub else None)
-            attn = causal_attention(q, k, v, cfg.n_heads, rope, key_bias)
+            attn = causal_attention(q, k, v, cfg.n_heads, self.rope, key_bias, cache)
             x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
             h2 = layer_norm(x, blk.ln2_g, blk.ln2_b)
             return add(x, lora.forward(blk.w2, gelu(lora.forward(blk.w1, h2))))
@@ -193,26 +196,52 @@ class TransformerModel:
         flagged = self.diacritic_flags[ids]
         return self.cfg.diacritic_bias * flagged if flagged.any() else None
 
+    def kv_cache(self, batch: int) -> KVCache:
+        """An empty cache for `batch` rows of tape-free decoding (see `forward`):
+        per layer the rotated keys and the values [batch, H, max_seq_len,
+        head_dim] and, at a nonzero diacritic bias, the key bias, all in the
+        model's precision."""
+        cfg = self.cfg
+        dtype = storage_dtype(cfg.dtype)
+        shape = (cfg.n_layers, batch, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
+        bias = np.zeros(shape[:2] + shape[3:4], dtype) if cfg.diacritic_bias else None
+        return KVCache(np.zeros(shape, dtype), np.zeros(shape, dtype), bias,
+                       np.zeros(batch, dtype=np.int64))
+
     def forward(self, tokens, rng: Rng | RowRngs | None = None,
-                checkpointing: bool = False) -> GradNode:
+                checkpointing: bool = False, cache: KVCache | None = None) -> GradNode:
         """Logits [T x vocab] for token ids [T], or [B x T x vocab] for a batch
         [B x T]. Dropout only when `rng` is given; with a `RowRngs` of one
-        stream per row, row b's masks are those its stream gives the [T] row alone."""
+        stream per row, row b's masks are those its stream gives the [T] row alone.
+
+        With a `cache` of B rows (under `no_grad` only), ids [B x T] continue
+        them: row b's tokens take positions `cache.lengths[b]` onwards, attend
+        over what the row holds, and are added to it. The result is then
+        each row's last-position logits [B x vocab]."""
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim not in (1, 2) or ids.size == 0:
             raise ContractError(f"forward expects non-empty [T] or [B x T] ids, got shape {ids.shape}")
         t_len = ids.shape[-1]
-        if t_len > self.cfg.max_seq_len:
-            raise ContractError(f"sequence length {t_len} exceeds max_seq_len {self.cfg.max_seq_len}")
+        held = 0 if cache is None else cache.lengths.max(initial=0)
+        if held + t_len > self.cfg.max_seq_len:
+            raise ContractError(f"sequence length {held + t_len} exceeds max_seq_len {self.cfg.max_seq_len}")
+        if cache is not None:
+            if grad_enabled():
+                raise ContractError("a K/V cache is for tape-free decoding: run forward under no_grad")
+            if ids.shape[:-1] != cache.lengths.shape:
+                raise ContractError(f"ids {ids.shape} do not continue a cache of {cache.lengths.size} rows")
 
         x = gather_rows(self.embedding, ids)  # rejects ids outside the vocab
         key_bias = self.key_bias(ids)
 
         for i, blk in enumerate(self.blocks):
-            fn = self._block_fn(blk, i, t_len, key_bias, rng)
+            fn = self._block_fn(blk, i, key_bias, rng, None if cache is None else cache.layer(i))
             x = checkpoint(fn, x) if checkpointing else fn(x)
 
         x = layer_norm(x, self.lnf_g, self.lnf_b)
+        if cache is not None:
+            cache.lengths += t_len
+            x = constant(x.value[:, -1], self.cfg.dtype)  # the tied head reads last positions only
         return matmul(x, transpose(self.embedding))
 
     def loss(self, window, rng: Rng | RowRngs | None = None,
@@ -225,10 +254,12 @@ class TransformerModel:
         logits = self.forward(window[..., :-1], rng=rng, checkpointing=checkpointing)
         return softmax_cross_entropy(logits, window[..., 1:])
 
-    def forward_ids(self, ids) -> np.ndarray:
-        """Evaluation-mode logits [T x vocab] for ids [T] as a plain array; no tape is built."""
+    def forward_ids(self, ids, cache: KVCache | None = None) -> np.ndarray:
+        """Evaluation-mode logits as a plain array, with no tape built: [T x vocab]
+        for ids [T], or with a `cache` each row's last-position logits [B x vocab]
+        for the ids [B x T] that continue it (see `forward`)."""
         with no_grad():
-            return self.forward(ids).value
+            return self.forward(ids, cache=cache).value
 
 
 def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerModel:

@@ -78,6 +78,11 @@ def no_grad():
     return _taping(False, False)
 
 
+def grad_enabled() -> bool:
+    """False inside `no_grad`, where ops neither record the tape nor track gradients."""
+    return _track
+
+
 class GradNode:
     """One tape node: a node value (see `node_value`), the nodes it came from
     and the closure `grad_fn(g)` that returns one gradient per parent. Under

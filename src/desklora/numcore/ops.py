@@ -10,10 +10,13 @@ Broadcasting is deliberately narrow: elementwise ops accept exact-match
 shapes or python scalars only. Ops over sequences take leading
 batch axes: `matmul`, `layer_norm`, `gather_rows`, `softmax_cross_entropy` and
 `causal_attention` read a `[B, T, d]` activation as B sequences of `[T, d]`,
-and a `[T, d]` one as a batch of one.
+and a `[T, d]` one as a batch of one. `causal_attention` alone can also
+continue B rows from a `KVCache` of their earlier keys and values, for
+tape-free decoding.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,7 +254,8 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary position mix over half-dimension pairs. x: [B, H, T, hd]; cos, sin: [T, hd/2]."""
+    """Rotary position mix over half-dimension pairs. x: [B, H, T, hd]; cos, sin
+    broadcast to [B, 1, T, hd/2]."""
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
@@ -263,6 +267,31 @@ def _unrotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarra
     return np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
 
 
+@dataclass
+class KVCache:
+    """What causal attention keeps of B rows between calls: the rotated keys and
+    the values [..., B, H, L, hd], the pre-softmax key bias [..., B, L] (None
+    when there is none) and the positions each row holds [B]. Leading axes
+    index layers; `layer` and `rows` give views that write through. Attention
+    writes a call's keys, values and bias at each row's next positions; the
+    caller advances `lengths` once every layer has run."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    bias: np.ndarray | None
+    lengths: np.ndarray
+
+    def layer(self, i: int) -> "KVCache":
+        bias = None if self.bias is None else self.bias[i]
+        return KVCache(self.keys[i], self.values[i], bias, self.lengths)
+
+    def rows(self, start: int, stop: int) -> "KVCache":
+        rows = slice(start, stop)
+        bias = None if self.bias is None else self.bias[..., rows, :]
+        return KVCache(self.keys[..., rows, :, :, :], self.values[..., rows, :, :, :], bias,
+                       self.lengths[rows])
+
+
 def causal_attention(
     q: GradNode,
     k: GradNode,
@@ -270,13 +299,18 @@ def causal_attention(
     n_heads: int,
     rope: tuple[np.ndarray, np.ndarray] | None = None,
     key_bias: np.ndarray | None = None,
+    cache: KVCache | None = None,
 ) -> GradNode:
     """Multi-head causal attention over [B, T, d] sequences, or one [T, d] sequence.
 
-    `rope` is the (cos, sin) table for the first T positions; `key_bias` is an
-    additive pre-softmax logit bias per key position ([B, T], or [T] for one
+    `rope` is a (cos, sin) table over positions; `key_bias` is an additive
+    pre-softmax logit bias per key position ([B, T], or [T] for one
     sequence), applied to every query and head of its row (the
-    diacritic-emphasis hook). Scores and weights are [B, H, T, T] batched matmuls.
+    diacritic-emphasis hook). Without a `cache`, a row's queries and keys sit
+    at positions 0..T-1 and scores and weights are [B, H, T, T] batched
+    matmuls. With one (one layer's, B rows), row b's T new positions follow
+    the `cache.lengths[b]` it holds: they are rotated there, written into the
+    cache, and attend over every key the row holds up to their own position.
     """
     shape = q.shape
     if shape != k.shape or shape != v.shape:
@@ -296,22 +330,34 @@ def causal_attention(
         return x.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
+    offset = np.zeros(1, dtype=np.int64) if cache is None else cache.lengths
+    positions = offset[:, None] + np.arange(t_len)  # [B or 1, T]
     if rope is not None:
-        cos = rope[0][:t_len].astype(compute)
-        sin = rope[1][:t_len].astype(compute)
+        cos = rope[0][positions][:, None].astype(compute)  # [B or 1, 1, T, hd/2]
+        sin = rope[1][positions][:, None].astype(compute)
         qr = _rotate(qh, cos, sin)
         kr = _rotate(kh, cos, sin)
     else:
         cos = sin = None
         qr, kr = qh, kh
 
+    n_keys = int(positions.max()) + 1
+    if cache is not None:
+        rows = np.arange(qh.shape[0])[:, None]
+        cache.keys[rows, :, positions] = kr.transpose(0, 2, 1, 3)
+        cache.values[rows, :, positions] = vh.transpose(0, 2, 1, 3)
+        if key_bias is not None:
+            cache.bias[rows, positions] = np.reshape(key_bias, positions.shape)
+        kr, vh = cache.keys[:, :, :n_keys], cache.values[:, :, :n_keys]
+        key_bias = None if cache.bias is None else cache.bias[:, :n_keys]
+
     inv_sqrt = 1.0 / math.sqrt(hd)
     scores = np.matmul(qr, kr.swapaxes(-1, -2)) * inv_sqrt
     if key_bias is not None:
-        bias = np.asarray(key_bias, dtype=compute).reshape(-1, 1, 1, t_len)
+        bias = np.asarray(key_bias, dtype=compute).reshape(-1, 1, 1, n_keys)
         scores = scores + bias
-    mask = np.triu(np.full((t_len, t_len), -np.inf, dtype=compute), k=1)
-    scores = scores + mask
+    visible = np.arange(n_keys) <= positions[..., None]  # [B or 1, T, n_keys]
+    scores = scores + np.where(visible, 0.0, -np.inf).astype(compute)[:, None]
 
     m = scores.max(axis=-1, keepdims=True)
     w = np.exp(scores - m)

@@ -395,6 +395,9 @@ def loads_qnf4(data: bytes) -> QuantizedTensor:
         _expect_scales(r, scale, "double-quant group scale")
         offset = r.array("<f4", n_groups)
         _expect_scales(r, offset, "double-quant group offset")
+        with np.errstate(over="ignore"):  # code 255's absmax, in the float32 steps of the rebuild
+            top = offset + np.float32(255) * scale
+        r.expect(bool(np.all(np.isfinite(top))), "double-quant group rebuilds an absmax beyond float32")
         dq = DoubleQuantState(r.array("u1", n_blocks), group_size, scale, offset)
         q = QuantizedTensor(shape, codes, None, dq, block_size)
     else:

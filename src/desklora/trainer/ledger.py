@@ -111,6 +111,8 @@ class ActivationMeter:
     The dequantized frozen weights are no nodes at all; `register_static_memory`
     charges them as `dequantized_weights` when training starts. Ops that return
     their input node (dropout off, `astype` to the same precision) cost nothing.
+    Evaluation installs no meter, so nothing on the eval path is charged: not
+    its op outputs, and not the greedy decoder's K/V cache, which is no node.
     """
 
     def __init__(self, ledger: MemoryLedger):

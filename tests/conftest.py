@@ -1,12 +1,15 @@
 """Shared fixtures: a deterministic synthetic Arabic corpus generator used by
-preprocessing sweeps, the training-loop tests, and the acceptance suite; and
-the merge-agreement check that `test_lora` and C04 share."""
+preprocessing sweeps, the training-loop tests, and the acceptance suite; the
+merge-agreement check that `test_lora` and C04 share; the base of the stub
+models that the evaluation tests score and decode with; and the full-window
+greedy loop that the batched decoder is checked against."""
 
 import json
 
 import numpy as np
 import pytest
 
+from desklora.numcore import KVCache
 from desklora.quant import dequantize
 
 MSA_WORDS = [
@@ -85,6 +88,36 @@ def merge_agreement(layer, x, y) -> float:
     bound = 8 * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(w).T
                                             + s * (np.abs(x) @ np.abs(a).T) @ np.abs(b).T)
     return float(np.max(np.abs(np.asarray(y, dtype=np.float64) - reference) / bound))
+
+
+class PositionLogitsModel:
+    """A stub model whose logits depend on positions alone: a subclass's
+    `logits_at(positions)` gives one row per position. It serves the greedy
+    decoder as a built model does: `kv_cache` holds each row's length only,
+    and `forward_ids` with a cache returns each row's last-position logits."""
+
+    class cfg:
+        max_seq_len = 64
+
+    def kv_cache(self, batch):
+        empty = np.zeros((0, batch, 0, 0, 0))
+        return KVCache(empty, empty, None, np.zeros(batch, dtype=np.int64))
+
+    def forward_ids(self, ids, cache=None):
+        t_len = np.shape(ids)[-1]
+        if cache is None:
+            return self.logits_at(np.arange(t_len))
+        last = cache.lengths + t_len - 1
+        cache.lengths += t_len
+        return self.logits_at(last)
+
+
+def reference_greedy(model, prompt, max_new):
+    """Greedy decoding that recomputes the full slid window for every token."""
+    ids, limit = [int(i) for i in prompt], model.cfg.max_seq_len
+    for _ in range(max_new):
+        ids.append(int(np.argmax(model.forward_ids(np.asarray(ids[-limit:]))[-1])))
+    return ids[len(prompt):]
 
 
 @pytest.fixture(scope="session")

@@ -86,7 +86,7 @@ from desklora.trainer import (
     train,
 )
 from desklora.util import sha256_file
-from tests.conftest import merge_agreement, synth_raw_docs, write_jsonl
+from tests.conftest import PositionLogitsModel, merge_agreement, synth_raw_docs, write_jsonl
 
 POLICY = NormalizationPolicy()
 
@@ -617,15 +617,12 @@ def test_c11_preprocessing_goldens(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-class _UniformModel:
-    class cfg:
-        max_seq_len = 64
-
+class _UniformModel(PositionLogitsModel):
     def __init__(self, v):
         self.v = v
 
-    def forward_ids(self, ids):
-        return np.zeros((len(ids), self.v))
+    def logits_at(self, positions):
+        return np.zeros((len(positions), self.v))
 
 
 class _TableModel(_UniformModel):
@@ -633,8 +630,8 @@ class _TableModel(_UniformModel):
         super().__init__(v)
         self.table = np.random.default_rng(seed).normal(size=(64, v))
 
-    def forward_ids(self, ids):
-        return self.table[: len(ids)]
+    def logits_at(self, positions):
+        return self.table[positions]
 
 
 def test_c12_metric_oracles():

@@ -8,12 +8,17 @@ import pytest
 
 from desklora import cli
 from desklora.arabicprep import BpeVocab, ShardReader, encode_text
+from desklora.arabicprep.bpe import BOS_ID, SEP_ID
+from desklora.evalharness import (
+    MAX_NEW_TOKENS, OPS, bleu, exact_match, lm_scores, perturb, qa_f1, token_f1,
+)
+from desklora.evalharness.harness import DIALECT_ORDER
 from desklora.errors import FormatError
 from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
 from desklora.numcore import Parameter
 from desklora.trainer import AdamW, MemoryBudget, load_checkpoint, read_trainer_state
 from desklora.util import sha256_file
-from tests.conftest import synth_raw_docs, write_jsonl
+from tests.conftest import reference_greedy, synth_raw_docs, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +338,78 @@ class TestEval:
         model, _ = load_checkpoint(ckpt)
         assert model.cfg.diacritic_bias == 0.5 and model.diacritic_flags.any()
         assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 0
+
+    def test_report_equals_a_full_window_reference(self, trained_ckpt, shards_dir, tmp_path):
+        """Every section, several dialects and the compare side, checked against
+        a per-prompt greedy loop that recomputes the full window for every
+        token: the values that argmax gives are exactly the reference's."""
+        # 40 steps at a high rate: continuations that differ from prompt to prompt
+        extra = ["--steps", "40", "--lr", "1e-2", "--checkpoint-every", "40"]
+        assert run_train(shards_dir, tmp_path / "run", extra=extra) == 0
+        ckpt, base_ckpt = tmp_path / "run" / "step_000040", trained_ckpt
+        long = " ".join(["الطقس جميل اليوم"] * 4)  # longer than the 24-token window
+        sets = {
+            "lm": [{"text": "الطقس جميل اليوم", "dialect": "MSA"},
+                   {"text": "الدنيا حر النهاردة", "dialect": "EGY"}],
+            "qa": [{"question": "كيف الطقس", "answers": ["ماء مرحبا"], "dialect": "MSA"},
+                   {"question": long, "answers": ["قصيرة"], "dialect": "EGY"},
+                   {"question": "ذهب الولد", "answers": ["مرحبا"], "dialect": "EGY"}],
+            "mt": [{"source": "مرحبا بكم", "references": ["قصيرة ماء حرف"], "dialect": "LEV"},
+                   {"source": long, "references": ["قصيرة ماء مرحبا"], "dialect": "MSA"},
+                   {"source": "كتاب جديد", "references": ["مرحبا"], "dialect": "MSA"}],
+            "robustness": [{"text": "الطقس جميل اليوم"}, {"text": long},
+                           {"text": "ذهب الولد الي المدرسة"}],
+        }
+        paths = {}
+        for kind, rows in sets.items():
+            paths[kind] = write_jsonl(tmp_path / f"{kind}.jsonl", rows)
+        levels, max_new, seed = (0.0, 0.3, 0.6), 30, 5
+        assert cli.main([
+            "eval", "--checkpoint", str(ckpt), "--shards", str(shards_dir),
+            "--out", str(tmp_path / "rep"), "--lm", str(paths["lm"]), "--qa", str(paths["qa"]),
+            "--mt", str(paths["mt"]), "--robustness", str(paths["robustness"]),
+            "--levels", ",".join(map(str, levels)), "--max-new", str(max_new), "--seed", str(seed),
+            "--compare", str(base_ckpt),
+        ]) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+
+        vocab = BpeVocab.load(shards_dir / "vocab.json")
+        policy = ShardReader(shards_dir).policy
+        encode = lambda text: encode_text(text, vocab, policy)
+
+        def reference_tables(model):
+            decode = lambda prompt: vocab.decode(reference_greedy(model, prompt, MAX_NEW_TOKENS))
+            tables = {}
+            for dialect in DIALECT_ORDER:
+                pick = lambda kind: [it for it in sets[kind] if it["dialect"] == dialect]
+                if lm := pick("lm"):
+                    ppl, acc = lm_scores(model, [encode(it["text"]) for it in lm])
+                    tables.setdefault("perplexity", {})[dialect] = ppl
+                    tables.setdefault("next_word_accuracy", {})[dialect] = acc
+                if mt := pick("mt"):
+                    preds = [decode([BOS_ID, *encode(it["source"]), SEP_ID]) for it in mt]
+                    tables.setdefault("bleu", {})[dialect] = float(np.mean(
+                        [bleu(p, it["references"]) for p, it in zip(preds, mt)]))
+                if qa := pick("qa"):
+                    preds = [decode([BOS_ID, *encode(it["question"]), SEP_ID]) for it in qa]
+                    tables.setdefault("qa_f1", {})[dialect] = float(np.mean(
+                        [qa_f1(p, it["answers"]) for p, it in zip(preds, qa)]))
+                    tables.setdefault("qa_exact_match", {})[dialect] = float(np.mean(
+                        [exact_match(p, it["answers"]) for p, it in zip(preds, qa)]))
+            return tables
+
+        model, _ = load_checkpoint(ckpt)
+        base, _ = load_checkpoint(base_ckpt)
+        assert report["tables"] == reference_tables(model)
+        assert {metric: {d: cells["base"] for d, cells in row.items()}
+                for metric, row in report["comparison"].items()} == reference_tables(base)
+        texts = [it["text"] for it in sets["robustness"]]
+        clean = [reference_greedy(model, [BOS_ID, *encode(t)], max_new) for t in texts]
+        curve = [[level, float(np.mean([
+            token_f1(c, reference_greedy(model, [BOS_ID, *encode(perturb(t, level, OPS, seed))],
+                                         max_new)) for t, c in zip(texts, clean)]))]
+            for level in levels]
+        assert report["curves"]["robustness"] == curve
 
     def test_lm_text_longer_than_the_window(self, trained_ckpt, shards_dir, tmp_path):
         model, _ = load_checkpoint(trained_ckpt)

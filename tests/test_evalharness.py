@@ -15,6 +15,7 @@ from desklora.evalharness import (
     dialect_breakdown,
     emit_report,
     exact_match,
+    greedy_batch,
     greedy_continue,
     load_eval_set,
     next_word_accuracy,
@@ -29,67 +30,55 @@ from desklora.evalharness import (
 from desklora.evalharness.perturb import CONFUSABLE_GROUPS, _GROUP_OF
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
-from desklora.numcore import Rng
-from tests.conftest import synth_raw_docs
+from desklora.numcore import DOUBLE, FULL, KVCache, Rng
+from tests.conftest import PositionLogitsModel, reference_greedy, synth_raw_docs
 
 
-class FakeCfg:
-    max_seq_len = 64
-
-
-class UniformModel:
-    cfg = FakeCfg()
-
+class UniformModel(PositionLogitsModel):
     def __init__(self, vocab_size):
         self.v = vocab_size
 
-    def forward_ids(self, ids):
-        return np.zeros((len(ids), self.v))
+    def logits_at(self, positions):
+        return np.zeros((len(positions), self.v))
 
 
-class ScriptedModel:
+class ScriptedModel(PositionLogitsModel):
     """Emits a saturated one-hot for a fixed script, position by position."""
-
-    cfg = FakeCfg()
 
     def __init__(self, script, vocab_size):
         self.script = list(script)
         self.v = vocab_size
 
-    def forward_ids(self, ids):
-        out = np.zeros((len(ids), self.v))
-        for i in range(len(ids)):
-            out[i, self.script[min(i, len(self.script) - 1)]] = 1000.0
+    def logits_at(self, positions):
+        out = np.zeros((len(positions), self.v))
+        for i, pos in enumerate(positions):
+            out[i, self.script[min(pos, len(self.script) - 1)]] = 1000.0
         return out
 
 
-class ConstantModel:
+class ConstantModel(PositionLogitsModel):
     """Ignores input entirely; always argmaxes the same token."""
-
-    cfg = FakeCfg()
 
     def __init__(self, token, vocab_size):
         self.token = token
         self.v = vocab_size
 
-    def forward_ids(self, ids):
-        out = np.zeros((len(ids), self.v))
+    def logits_at(self, positions):
+        out = np.zeros((len(positions), self.v))
         out[:, self.token] = 5.0
         return out
 
 
-class TableModel:
+class TableModel(PositionLogitsModel):
     """Deterministic random logit table keyed by position; an oracle fixture."""
-
-    cfg = FakeCfg()
 
     def __init__(self, vocab_size, seed=0):
         self.v = vocab_size
         self.rng = np.random.default_rng(seed)
         self.table = self.rng.normal(size=(64, vocab_size))
 
-    def forward_ids(self, ids):
-        return self.table[: len(ids)]
+    def logits_at(self, positions):
+        return self.table[positions]
 
 
 class TestPerplexity:
@@ -274,6 +263,129 @@ VOCAB = bpe_train([d["text"] for d in synth_raw_docs(60, seed=20)], vocab_size=3
 POLICY = NormalizationPolicy()
 
 
+class CheckedCache(KVCache):
+    """A cache that also keeps each row's tokens, so every cached forward can
+    be recomputed over the row's full window."""
+
+    def __init__(self, cache, tokens):
+        super().__init__(cache.keys, cache.values, cache.bias, cache.lengths)
+        self.tokens = tokens
+
+    def rows(self, start, stop):
+        return CheckedCache(super().rows(start, stop), self.tokens[start:stop])
+
+
+class OracleModel:
+    """A built model whose cached forwards are each checked against
+    `forward_ids` over the row's whole window; counts forwards by kind."""
+
+    def __init__(self, model):
+        self.model, self.cfg = model, model.cfg
+        self.worst = 0.0
+        self.calls = {"prefill": 0, "step": 0, "slide": 0}
+        self.mixed = False  # one cached forward over rows that hold different lengths
+
+    def kv_cache(self, batch):
+        return CheckedCache(self.model.kv_cache(batch), [[] for _ in range(batch)])
+
+    def forward_ids(self, ids, cache=None):
+        if cache is None:
+            self.calls["slide"] += 1
+            return self.model.forward_ids(ids)
+        held = cache.lengths.copy()
+        self.calls["step" if held.any() else "prefill"] += 1
+        self.mixed |= len(set(held.tolist())) > 1
+        out = self.model.forward_ids(ids, cache)
+        assert np.array_equal(cache.lengths, held + ids.shape[1])
+        for row, new, logits in zip(cache.tokens, ids, out):
+            row.extend(int(i) for i in new)
+            full = self.model.forward_ids(np.asarray(row))[-1]
+            self.worst = max(self.worst, float(np.abs(logits - full).max()))
+        return out
+
+
+def decoder_model(dtype=FULL, bias=0.0, max_seq_len=8, vocab=40):
+    cfg = ModelConfig(vocab_size=vocab, d_model=16, n_heads=2, n_layers=2, d_ffn=32,
+                      max_seq_len=max_seq_len, diacritic_bias=bias, dtype=dtype,
+                      lora=LoraConfig(r=2, dropout=0.0))
+    model = build(cfg, Rng(5), np.arange(vocab) % 3 == 0)
+    # a wide embedding spreads the logits, so the tied head's argmax is decisive,
+    # and nonzero adapters make attention (positions, mask, bias) move them
+    model.embedding.assign(Rng(6).normal(model.embedding.shape, std=0.5))
+    for i, layer in enumerate(model.adapted_layers()):
+        layer.adapter.b.assign(Rng(7).split(i).normal(layer.adapter.b.shape, std=0.03))
+    return model
+
+
+class TestCachedDecoder:
+    """`greedy_batch` against a per-prompt full-window recompute of every step."""
+
+    @pytest.mark.parametrize("dtype, bias", [(FULL, 0.0), (FULL, 1.5), (DOUBLE, 0.7)])
+    def test_same_ids_and_logits_as_full_window(self, dtype, bias):
+        model = decoder_model(dtype, bias)
+        limit = model.cfg.max_seq_len
+        g = np.random.default_rng(3)
+        # short, equal, window-1, window, window+1 and over twice the window;
+        # every third id is flagged, so flagged tokens enter and leave the window
+        lengths = (1, 3, 3, limit - 1, limit, limit + 1, 2 * limit + 3)
+        prompts = [[int(t) for t in g.integers(0, 40, n)] for n in lengths]
+        oracle = OracleModel(model)
+        got = greedy_batch(oracle, prompts, 2 * limit)
+        assert got == [reference_greedy(model, p, 2 * limit) for p in prompts]
+        assert oracle.worst < 1e-5
+        assert oracle.mixed
+        # one batch mixes prefilling, growing and sliding rows
+        assert min(oracle.calls.values()) > 0
+
+    def test_flagged_tokens_leave_the_window(self):
+        model = decoder_model(FULL, 2.0)
+        limit = model.cfg.max_seq_len
+        prompts = [[3, 1, 6, 2], [0, 1, 2, 4, 5, 7, 8]]  # flagged: multiples of 3
+        assert any(model.diacritic_flags[prompts[0]])
+        oracle = OracleModel(model)
+        assert greedy_batch(oracle, prompts, 2 * limit) == [
+            reference_greedy(model, p, 2 * limit) for p in prompts]
+        assert oracle.worst < 1e-5
+
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    def test_one_new_token(self, dtype):
+        model = decoder_model(dtype, 0.5)
+        limit = model.cfg.max_seq_len
+        prompts = [[4, 5], [7] * limit, [9] * (limit + 2), [1, 2]]
+        assert greedy_batch(model, prompts, 1) == [reference_greedy(model, p, 1) for p in prompts]
+        assert greedy_continue(model, prompts[2], 1) == reference_greedy(model, prompts[2], 1)
+        assert greedy_batch(model, prompts, 0) == [[]] * 4
+
+    def test_greedy_continue_is_the_one_prompt_case(self):
+        model = decoder_model()
+        for prompt in ([2], [5, 6, 7, 8, 9, 10, 11], list(range(20))):
+            assert greedy_continue(model, prompt, 12) == reference_greedy(model, prompt, 12)
+
+    def test_prompts_that_never_slide_take_one_batched_step_per_token(self):
+        """N prompts inside the window: one prefill per distinct prompt length,
+        then one forward per further token, whatever N is."""
+        model = decoder_model(max_seq_len=32)
+        prompts = [[1, 2, 3], [4, 5, 6, 7, 8], [9, 10, 11], [1] * 5, [2] * 9, [3, 4]]
+        max_new = 10
+        oracle = OracleModel(model)
+        got = greedy_batch(oracle, prompts, max_new)
+        assert got == [reference_greedy(model, p, max_new) for p in prompts]
+        assert oracle.calls == {"prefill": 4, "step": max_new - 1, "slide": 0}
+        assert sum(oracle.calls.values()) <= 4 + max_new - 1
+
+    def test_cache_refused_while_the_tape_records(self):
+        model = decoder_model()
+        ids = np.asarray([[1, 2, 3]])
+        with pytest.raises(ContractError, match="no_grad"):
+            model.forward(ids, cache=model.kv_cache(1))
+        cache = model.kv_cache(2)
+        with pytest.raises(ContractError):
+            model.forward_ids(ids, cache)  # one row of ids for a two-row cache
+        model.forward_ids(np.asarray([[1] * 8, [2] * 8]), cache)
+        with pytest.raises(ContractError, match="exceeds max_seq_len"):
+            model.forward_ids(np.asarray([[1], [2]]), cache)  # the window is full
+
+
 class TestRobustnessCurve:
     def test_level_zero_similarity_exactly_one(self):
         model = TableModel(VOCAB.n_tokens, seed=6)
@@ -386,9 +498,9 @@ class TestDialectBreakdown:
         class CountingModel(TableModel):
             calls = 0
 
-            def forward_ids(self, ids):
+            def forward_ids(self, ids, cache=None):
                 self.calls += 1
-                return super().forward_ids(ids)
+                return super().forward_ids(ids, cache)
 
         sets = self.eval_sets(tmp_path)
         model = CountingModel(VOCAB.n_tokens, seed=9)

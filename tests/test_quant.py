@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from desklora import quant
+from desklora import cli, quant
 from desklora.quant import (
     DYNAMIC8_VALUES,
     NF4_OFFSET,
@@ -356,6 +356,18 @@ class TestSerialization:
         getattr(q if field == "absmax" else q.dq, field)[1] = value
         with pytest.raises(FormatError, match=f"{field.replace('_', ' ')} NaN, infinite or negative"):
             loads_qnf4(dumps_qnf4(q))
+
+    def test_rebuilt_absmax_beyond_float32_rejected(self, tmp_path, capsys):
+        """A finite, non-negative group scale can still rebuild an infinite absmax."""
+        q = quantize(np.linspace(-1.0, 1.0, 40), 8, double_quant=True, dq_group=2)
+        q.dq.group_scale[0] = 1e37
+        data = dumps_qnf4(q)
+        with pytest.raises(FormatError, match="rebuilds an absmax beyond float32"):
+            loads_qnf4(data)
+        path = tmp_path / "w.qnf4"
+        path.write_bytes(data)
+        assert cli.main(["inspect", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_state8_round_trip(self):
         x = np.random.default_rng(13).standard_normal((40, 9))
