@@ -254,8 +254,8 @@ def softmax_cross_entropy(logits: GradNode, targets) -> GradNode:
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary position mix over half-dimension pairs. x: [B, H, T, hd]; cos, sin
-    broadcast to [B, 1, T, hd/2]."""
+    """Rotary position mix over half-dimension pairs. x: [B, H, T, hd]; cos, sin:
+    [T, hd/2], or [B, 1, T, hd/2] for per-row positions."""
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
@@ -330,18 +330,22 @@ def causal_attention(
         return x.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
-    offset = np.zeros(1, dtype=np.int64) if cache is None else cache.lengths
-    positions = offset[:, None] + np.arange(t_len)  # [B or 1, T]
+    if cache is None:  # every row at positions 0..T-1
+        at, n_keys = slice(t_len), t_len
+        mask = np.triu(np.full((t_len, t_len), -np.inf, dtype=compute), k=1)
+    else:  # row b at positions cache.lengths[b] onwards
+        positions = cache.lengths[:, None] + np.arange(t_len)  # [B, T]
+        at, n_keys = positions[:, None], int(positions.max()) + 1  # at: [B, 1, T]
+        mask = np.where(np.arange(n_keys) <= at[..., None], compute.type(0), compute.type(-np.inf))
     if rope is not None:
-        cos = rope[0][positions][:, None].astype(compute)  # [B or 1, 1, T, hd/2]
-        sin = rope[1][positions][:, None].astype(compute)
+        cos = rope[0][at].astype(compute)  # [T, hd/2], or [B, 1, T, hd/2] with a cache
+        sin = rope[1][at].astype(compute)
         qr = _rotate(qh, cos, sin)
         kr = _rotate(kh, cos, sin)
     else:
         cos = sin = None
         qr, kr = qh, kh
 
-    n_keys = int(positions.max()) + 1
     if cache is not None:
         rows = np.arange(qh.shape[0])[:, None]
         cache.keys[rows, :, positions] = kr.transpose(0, 2, 1, 3)
@@ -356,8 +360,7 @@ def causal_attention(
     if key_bias is not None:
         bias = np.asarray(key_bias, dtype=compute).reshape(-1, 1, 1, n_keys)
         scores = scores + bias
-    visible = np.arange(n_keys) <= positions[..., None]  # [B or 1, T, n_keys]
-    scores = scores + np.where(visible, 0.0, -np.inf).astype(compute)[:, None]
+    scores = scores + mask
 
     m = scores.max(axis=-1, keepdims=True)
     w = np.exp(scores - m)
