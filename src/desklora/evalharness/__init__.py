@@ -5,7 +5,6 @@ from .harness import (
     MAX_NEW_TOKENS,
     EvalReport,
     EvalSet,
-    answer_question,
     dialect_breakdown,
     emit_report,
     greedy_batch,
@@ -35,7 +34,6 @@ __all__ = [
     "MAX_NEW_TOKENS",
     "OPS",
     "PerturbationConfig",
-    "answer_question",
     "bleu",
     "dialect_breakdown",
     "emit_report",

@@ -2,11 +2,12 @@
 curves, per-dialect metric tables, and report emission (JSON + text + CSV).
 
 Greedy generation decodes all of a section's prompts in lockstep
-(`greedy_batch`): a row whose context fits the model's window extends a K/V
-cache by one token per step, in one batched forward with the other such rows,
-and a row whose context has outgrown the window recomputes its slid window
-alone. Cached logits agree with a full-window recompute up to float rounding,
-so the continuations are the ids that recomputing every step gives.
+(`greedy_batch`) over one K/V cache row per prompt: a row whose context fits
+the model's window extends its row by one token per step, and a row whose
+context has outgrown the window refills its row with the slid window from
+position 0. Rows fed alike share one batched forward. Cached logits agree
+with a full-window recompute up to float rounding, so the continuations are
+the ids that recomputing every step gives.
 """
 
 import itertools
@@ -40,14 +41,6 @@ class EvalSet:
     kind: str
     items: list
 
-    def dialects(self) -> list[str]:
-        seen = []
-        for item in self.items:
-            d = item.get("dialect", "MSA")
-            if d not in seen:
-                seen.append(d)
-        return seen
-
     def subset(self, dialect: str) -> list:
         return [it for it in self.items if it.get("dialect", "MSA") == dialect]
 
@@ -67,56 +60,44 @@ def greedy_batch(model, prompts, max_new: int = MAX_NEW_TOKENS) -> list[list[int
     """Temperature-0 continuations of `prompts`, decoded in lockstep.
 
     A context slides within `max_seq_len`, and a slid window numbers its
-    positions from 0 again. At each step a row is treated by the state of
-    its context: rows not yet cached are prefilled into the K/V cache, one
-    forward per group of equal prompt length; cached rows still inside the
-    window take one batched one-token step; a row whose context has outgrown
-    the window recomputes its slid window alone, without the cache. Argmax
-    ties resolve to the lowest id.
+    positions from 0 again. Every prompt has a K/V cache row. At each step a
+    row that holds its context feeds its newest id; a row that holds nothing
+    yet, or whose context has outgrown the window, is reset to length 0 and
+    feeds its whole window, which refills it from position 0. Neighbouring
+    rows fed the same number of ids share one forward. Argmax ties resolve to
+    the lowest id.
     """
     limit = model.cfg.max_seq_len
-    contexts = [[int(i) for i in p] for p in prompts]
-    # Cached rows sorted by prompt length: equal lengths are neighbours, and
-    # the rows still inside the window are a prefix, so each forward reads
-    # a slice of the cache, never a copy.
-    cached = sorted((b for b, ctx in enumerate(contexts) if len(ctx) <= limit),
-                    key=lambda b: len(contexts[b]))
-    cache = model.kv_cache(len(cached)) if cached else None
-    for step in range(max_new):
-        logits = {}
-        if step == 0:
-            start = 0
-            for _, group in itertools.groupby(cached, key=lambda b: len(contexts[b])):
-                group = list(group)
-                ids = np.asarray([contexts[b] for b in group], dtype=np.int64)
-                logits.update(zip(group, model.forward_ids(ids, cache.rows(start, start + len(group)))))
-                start += len(group)
-        else:
-            growing = [b for b in cached if len(contexts[b]) <= limit]
-            if growing:
-                ids = np.asarray([contexts[b][-1:] for b in growing], dtype=np.int64)
-                logits.update(zip(growing, model.forward_ids(ids, cache.rows(0, len(growing)))))
-        for b, ctx in enumerate(contexts):
-            if b not in logits:
-                logits[b] = model.forward_ids(np.asarray(ctx[-limit:], dtype=np.int64))[-1]
-        for b, row in logits.items():
-            contexts[b].append(int(row.argmax()))
-    return [ctx[len(p):] for ctx, p in zip(contexts, prompts)]
+    # Rows sorted by prompt length: contexts grow in step, so the rows fed
+    # the same number of ids stay neighbours and each forward reads a slice
+    # of the cache, never a copy.
+    order = sorted(range(len(prompts)), key=lambda b: len(prompts[b]))
+    contexts = [[int(i) for i in prompts[b]] for b in order]
+    cache = model.kv_cache(len(contexts))
+    for _ in range(max_new):
+        cache.lengths[[len(ctx) > limit for ctx in contexts]] = 0  # refill slid windows
+        feeds = [ctx[-1:] if held else ctx[-limit:] for held, ctx in zip(cache.lengths, contexts)]
+        start = 0
+        for _, group in itertools.groupby(feeds, key=len):
+            ids = np.asarray(list(group), dtype=np.int64)
+            stop = start + len(ids)
+            for ctx, row in zip(contexts[start:stop], model.forward_ids(ids, cache.rows(start, stop))):
+                ctx.append(int(row.argmax()))
+            start = stop
+    continuations = dict(zip(order, contexts))
+    return [continuations[b][len(p):] for b, p in enumerate(prompts)]
 
 
 def greedy_continue(model, prompt_ids, max_new: int = MAX_NEW_TOKENS) -> list[int]:
-    """Temperature-0 continuation of one prompt: `greedy_batch` of one row."""
+    """Temperature-0 continuation of one prompt: `greedy_batch` of one row.
+    The eval sections call `greedy_batch`; this stays public because
+    deskbench's tracer wraps it by name."""
     return greedy_batch(model, [prompt_ids], max_new)[0]
 
 
 def _prompt(text: str, vocab, policy: NormalizationPolicy) -> list[int]:
     """A question or source text as a generation prompt: BOS, its tokens, SEP."""
     return [BOS_ID, *encode_text(text, vocab, policy), SEP_ID]
-
-
-def answer_question(model, question: str, vocab, policy: NormalizationPolicy,
-                    max_new: int = MAX_NEW_TOKENS) -> str:
-    return vocab.decode(greedy_continue(model, _prompt(question, vocab, policy), max_new))
 
 
 # ---------------------------------------------------------------------------

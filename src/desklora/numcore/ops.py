@@ -274,7 +274,9 @@ class KVCache:
     when there is none) and the positions each row holds [B]. Leading axes
     index layers; `layer` and `rows` give views that write through. Attention
     writes a call's keys, values and bias at each row's next positions; the
-    caller advances `lengths` once every layer has run."""
+    caller advances `lengths` once every layer has run. A caller may set a
+    row's length to 0 to refill it from position 0: attention then overwrites
+    that row's keys, values and bias (0 where the new ids carry none)."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -350,8 +352,8 @@ def causal_attention(
         rows = np.arange(qh.shape[0])[:, None]
         cache.keys[rows, :, positions] = kr.transpose(0, 2, 1, 3)
         cache.values[rows, :, positions] = vh.transpose(0, 2, 1, 3)
-        if key_bias is not None:
-            cache.bias[rows, positions] = np.reshape(key_bias, positions.shape)
+        if cache.bias is not None:  # a refilled row's old bias must not outlive it
+            cache.bias[rows, positions] = 0 if key_bias is None else np.reshape(key_bias, positions.shape)
         kr, vh = cache.keys[:, :, :n_keys], cache.values[:, :, :n_keys]
         key_bias = None if cache.bias is None else cache.bias[:, :n_keys]
 
