@@ -13,11 +13,24 @@ once. A merge finds its hits h with one vectorized scan, subtracts the pairs
 at {h-1, h, h+1}, writes the new id, deletes h+1 and adds the pairs around
 each new token (all new, as they hold the new id): one pass, not a recount.
 
-Encoding applies a piece's lowest-rank present merge until none is. The
+Encoding merges, in each piece, every occurrence of the lowest-rank present
+pair left to right without overlap, until no pair has a rank. It does so in
+one pass per piece. The ids form a doubly linked list (next/prev positions; a
+removed id holds -1), and a heap holds (rank, position) for every adjacent
+pair that has a rank. The smallest entry pops. It is stale, and skipped, if
+its position no longer holds that rank's pair; otherwise the left id becomes
+the merged id, the right one is unlinked and the pairs on either side are
+pushed. This yields the rule's ids:
+- a merged id only appears in merges of higher rank, so popped ranks never
+  decrease;
+- entries of equal rank pop in position order, which is the left-to-right,
+  non-overlapping rule, runs such as "aaaa" included.
+The heap needs one rank per pair, so `load` rejects a repeated merge. The
 morphological boundary marker splits pieces: merges never cross it and it is
 dropped from the encoded stream, so decoding returns the text unmarked.
 """
 
+import heapq
 import json
 
 import numpy as np
@@ -55,44 +68,32 @@ class BpeVocab:
     def n_tokens(self) -> int:
         return len(self.token_bytes)
 
-    def token_bytes_of(self, token_id: int) -> bytes:
-        return self.token_bytes[token_id]
-
-    def token_strings(self) -> dict:
-        """Decodable token strings to ids (first id wins on byte collisions)."""
-        out: dict[str, int] = {}
-        for i, bs in enumerate(self.token_bytes):
-            if not bs:
-                continue
-            try:
-                s = bs.decode("utf-8")
-            except UnicodeDecodeError:
-                continue
-            out.setdefault(s, i)
-        return out
-
     # -- encode / decode ------------------------------------------------------
 
     def encode(self, text: str) -> list[int]:
         out: list[int] = []
-        no_merge = len(self.merges)
+        rank_of, merges = self._rank.get, self.merges
         for piece in text.split(BOUNDARY):
             ids = [b + BYTE_OFFSET for b in piece.encode("utf-8")]
-            while len(ids) >= 2:
-                rank = min(self._rank.get(pair, no_merge) for pair in zip(ids, ids[1:]))
-                if rank == no_merge:
-                    break
-                a, b = self.merges[rank]
-                merged, i, n = [], 0, len(ids)
-                while i < n:
-                    if ids[i] == a and i + 1 < n and ids[i + 1] == b:
-                        merged.append(FIRST_MERGE_ID + rank)
-                        i += 2
-                    else:
-                        merged.append(ids[i])
-                        i += 1
-                ids = merged
-            out.extend(ids)
+            heap = [(rank, i) for i, pair in enumerate(zip(ids, ids[1:]))
+                    if (rank := rank_of(pair)) is not None]
+            heapq.heapify(heap)
+            n = len(ids)
+            nxt, prv = list(range(1, n + 1)), list(range(-1, n - 1))
+            while heap:
+                rank, i = heapq.heappop(heap)
+                j = nxt[i]  # a removed i holds -1, so its stale pair never matches
+                if j == n or merges[rank] != (ids[i], ids[j]):
+                    continue
+                ids[i], ids[j] = FIRST_MERGE_ID + rank, -1
+                nxt[i] = k = nxt[j]
+                if k < n:
+                    prv[k] = i
+                    if (r := rank_of((ids[i], ids[k]))) is not None:
+                        heapq.heappush(heap, (r, i))
+                if (h := prv[i]) >= 0 and (r := rank_of((ids[h], ids[i]))) is not None:
+                    heapq.heappush(heap, (r, h))
+            out.extend(x for x in ids if x >= 0)
         return out
 
     def decode(self, ids) -> str:
@@ -137,6 +138,8 @@ class BpeVocab:
             if not (isinstance(m, list) and len(m) == 2
                     and all(type(x) is int and 0 <= x < new_id for x in m)):
                 raise FormatError(f"{path}: merge {rank} must be two ids below {new_id}, got {m!r}")
+        if len({tuple(m) for m in merges}) != len(merges):
+            raise FormatError(f"{path}: a merge pair is listed twice")
         if not (type(vocab_size) is int
                 and FIRST_MERGE_ID + len(merges) <= vocab_size <= MAX_VOCAB_SIZE):
             raise FormatError(f"{path}: vocab_size {vocab_size!r} does not hold "

@@ -87,6 +87,20 @@ def oracle_encode(vocab, text):
     return out
 
 
+def token_strings(vocab):
+    """Decodable token strings to ids (first id wins on byte collisions)."""
+    out = {}
+    for i, bs in enumerate(vocab.token_bytes):
+        if not bs:
+            continue
+        try:
+            s = bs.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        out.setdefault(s, i)
+    return out
+
+
 def _pieces(texts):
     return [p for t in texts for p in t.split(BOUNDARY) if p]
 
@@ -224,14 +238,33 @@ class TestBpeEncodeDecode:
         assert again.encode(text) == vocab.encode(text)
 
     def test_token_strings_maps_to_ids(self, vocab):
-        strings = vocab.token_strings()
+        strings = token_strings(vocab)
         assert strings["ا"] == 4 + "ا".encode("utf-8")[0] or "ا" in strings
         for s, i in list(strings.items())[:50]:
-            assert vocab.token_bytes_of(i).decode("utf-8") == s
+            assert vocab.token_bytes[i].decode("utf-8") == s
+
+    @pytest.mark.parametrize("vocab_size", [512, 2048])
+    def test_encode_matches_the_oracle_on_the_golden_corpus(self, vocab_size):
+        """At vocab 2048 the merges run out (586 of them) and chain deep."""
+        docs = prepare_documents(synth_raw_docs(200, seed=31), NormalizationPolicy())
+        vocab = bpe_train([d.text for d in docs], vocab_size=vocab_size)
+        assert len(vocab.merges) == {512: 252, 2048: 586}[vocab_size]
+        for doc in docs:
+            assert vocab.encode(doc.text) == oracle_encode(vocab, doc.text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "ab", "b", "ba", BOUNDARY]),
+                              st.integers(1, 40)), max_size=6))
+    def test_long_runs_match_the_oracle(self, runs):
+        """Runs merge merged ids: (a, a), then (aa, aa), then (aaaa, aaaa), ..."""
+        assert sum(a >= 260 and b >= 260 for a, b in _RUNS_VOCAB.merges) >= 10
+        text = "".join(unit * count for unit, count in runs)
+        assert _RUNS_VOCAB.encode(text) == oracle_encode(_RUNS_VOCAB, text)
 
 
 _SHARED_VOCAB = bpe_train(["مرحبا بكم في المدرسة اليوم", "abc abc"], vocab_size=300)
 _SYNTH_VOCAB = bpe_train([d["text"] for d in synth_raw_docs(100, seed=2)], vocab_size=512)
+_RUNS_VOCAB = bpe_train(["a" * 100, "ab" * 50, "ba" * 30, "aab" * 20], vocab_size=300)
 
 
 def _vocab_dict(merges):
@@ -251,6 +284,7 @@ class TestVocabFile:
         json.dumps(_vocab_dict([[5]])),
         json.dumps(_vocab_dict([["a", "b"]])),
         json.dumps(_vocab_dict([[True, 5]])),
+        json.dumps(_vocab_dict([[101, 102], [101, 102]])),  # one pair, two ranks
         json.dumps(_vocab_dict([[101, 102]]) | {"vocab_size": "300"}),
         json.dumps(_vocab_dict([[101, 102]]) | {"vocab_size": 260}),  # holds no merge
         json.dumps(_vocab_dict([[101, 102]]) | {"version": 2}),

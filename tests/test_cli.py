@@ -124,7 +124,7 @@ class TestPrep:
         "[]",
         *(json.dumps({"format": "desklora-bpe", "version": 1, "vocab_size": 300,
                       "specials": ["<pad>", "<bos>", "<eos>", "<sep>"], "merges": merges})
-          for merges in ([[-3, 5]], [[900, 5]], [[5]], [["a", "b"]])),
+          for merges in ([[-3, 5]], [[900, 5]], [[5]], [["a", "b"]], [[101, 102], [101, 102]])),
     ])
     def test_damaged_vocab_is_data_error(self, corpus_path, tmp_path, content):
         (tmp_path / "vocab.json").write_text(content)
