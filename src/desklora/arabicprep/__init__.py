@@ -2,7 +2,7 @@
 segmentation, dialect tagging, clitic pre-segmentation, byte-level BPE,
 and shard serialization."""
 
-from .bpe import BOS_ID, EOS_ID, PAD_ID, SEP_ID, SPECIALS, BpeVocab, bpe_train
+from .bpe import BOS_ID, EOS_ID, PAD_ID, SEP_ID, SPECIALS, BpeVocab, bpe_train, bpe_train_encode
 from .dialect import DEFAULT_THRESHOLD, DIALECTS, DialectLexicon, tag_dialect
 from .morph import BOUNDARY, morph_presegment, strip_boundaries
 from .pipeline import encode_text, prepare_documents, preprocess_text, read_jsonl
@@ -34,6 +34,7 @@ __all__ = [
     "SPECIALS",
     "ShardReader",
     "bpe_train",
+    "bpe_train_encode",
     "clean",
     "encode_text",
     "handle_diacritics",

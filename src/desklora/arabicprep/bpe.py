@@ -12,6 +12,14 @@ before each piece and at the end, and the pair counts in sorted arrays built
 once. A merge finds its hits h with one vectorized scan, subtracts the pairs
 at {h-1, h, h+1}, writes the new id, deletes h+1 and adds the pairs around
 each new token (all new, as they hold the new id): one pass, not a recount.
+The hits are sorted and at least 2 apart, so the positions {h-1, h, h+1}
+laid out hit by hit are sorted already, and a duplicate sits next to its twin.
+
+Training's final stream is the encoding of its corpus, so `bpe_train_encode`
+returns it split per text. The encoder below applies the merges in rank
+order, each one left to right without overlap; training applied the same
+merges in the same order, with the same rule for runs (the 1st, 3rd, ... hit
+of an a == b run).
 
 Encoding merges, in each piece, every occurrence of the lowest-rank present
 pair left to right without overlap, until no pair has a rank. It does so in
@@ -147,6 +155,11 @@ class BpeVocab:
         return cls(merges=[tuple(m) for m in merges], vocab_size=vocab_size)
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, in order."""
+    return x[np.diff(x, prepend=x[:1] - 1) != 0]
+
+
 def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Keys of the pairs (left[i], right[i]) that hold no -1 separator."""
     real = (left >= 0) & (right >= 0)
@@ -155,8 +168,19 @@ def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def bpe_train(corpus, vocab_size: int = 8192) -> BpeVocab:
     """Learn merges from an iterable of texts."""
+    return bpe_train_encode(corpus, vocab_size)[0]
+
+
+def bpe_train_encode(texts, vocab_size: int = 8192) -> tuple[BpeVocab, list[np.ndarray]]:
+    """Learn merges from an iterable of texts, and return them with each
+    text's ids: what `BpeVocab.encode` gives for it, as an int32 array."""
     check_vocab_size(vocab_size)
-    pieces = [p.encode("utf-8") for text in corpus for p in text.split(BOUNDARY) if p]
+    pieces: list[bytes] = []
+    n_pieces = []  # per text
+    for text in texts:
+        text_pieces = [p.encode("utf-8") for p in text.split(BOUNDARY) if p]
+        pieces += text_pieces
+        n_pieces.append(len(text_pieces))
     if not pieces:
         raise ConfigError("cannot train a tokenizer on an empty corpus")
     byte_ids = np.frombuffer(b"".join(pieces), dtype=np.uint8).astype(np.int32) + BYTE_OFFSET
@@ -174,21 +198,26 @@ def bpe_train(corpus, vocab_size: int = 8192) -> BpeVocab:
         merges.append((a, b))
         token_bytes.append(token_bytes[a] + token_bytes[b])
 
-        hits = np.flatnonzero((stream[:-1] == a) & (stream[1:] == b))
+        hits = np.flatnonzero(stream[:-1] == a)
+        hits = hits[stream[hits + 1] == b]
         # Only a == b gives adjacent hits: in each run of them keep the 1st, 3rd, ...
         run_start = np.maximum.accumulate(np.where(np.diff(hits, prepend=-2) != 1, hits, 0))
         hits = hits[(hits - run_start) % 2 == 0]
         # The stream starts and ends with -1, so h - 1 and h + 2 are in range.
-        at = np.unique(np.concatenate([hits - 1, hits, hits + 1]))
+        at = _sorted_distinct(np.stack([hits - 1, hits, hits + 1], 1).ravel())
         gone, gone_counts = np.unique(_pair_keys(stream[at], stream[at + 1]), return_counts=True)
         counts[np.searchsorted(keys, gone)] -= gone_counts
         stream[hits] = new_id
         stream = np.delete(stream, hits + 1)
         placed = hits - np.arange(hits.size)  # the new tokens' positions after the deletions
-        at = np.unique(np.concatenate([placed - 1, placed]))
+        at = _sorted_distinct(np.stack([placed - 1, placed], 1).ravel())
         born, born_counts = np.unique(_pair_keys(stream[at], stream[at + 1]), return_counts=True)
         keys, counts = keys[counts > 0], counts[counts > 0]
         where = np.searchsorted(keys, born)
         keys, counts = np.insert(keys, where, born), np.insert(counts, where, born_counts)
 
-    return BpeVocab(merges=merges, vocab_size=vocab_size)
+    # Separator k opens piece k, so text t ends at separator ends[t], and the
+    # ends[t] separators before it are not ids.
+    ends = np.cumsum(n_pieces)
+    ids = np.split(stream[stream >= 0], (np.flatnonzero(stream < 0)[ends] - ends)[:-1])
+    return BpeVocab(merges=merges, vocab_size=vocab_size), ids

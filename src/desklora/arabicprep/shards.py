@@ -1,4 +1,5 @@
-"""Tokenized corpus storage: binary shards plus a JSON manifest.
+"""Tokenized corpus storage: binary shards plus a JSON manifest. The caller
+tokenizes; `write_shards` stores the ids it is given.
 
 A shard is a binfmt container, magic "SHRD" version 2: a u32 doc count, a
 u32 token count per document, then all documents' u32 token ids end to end,
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..binfmt import Reader, Writer
-from ..errors import ConfigError, DataError, FormatError
+from ..errors import ConfigError, ContractError, DataError, FormatError
 from ..util import sha256_bytes
 from .textops import NormalizationPolicy
 
@@ -49,7 +50,8 @@ def _shard_file(n: int) -> str:
     return f"shard_{n:04d}.bin"
 
 
-def dumps_shard(token_lists: list[list[int]]) -> bytes:
+def dumps_shard(token_lists) -> bytes:
+    """One shard holding each document's ids, a list or an array per document."""
     w = Writer(*_SHRD)
     w.pack("I", len(token_lists))
     w.array([len(ids) for ids in token_lists], "<u4")
@@ -71,29 +73,31 @@ def loads_shard(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 def write_shards(
     docs: list[Document],
-    tokenizer,
+    ids,
+    vocab_hash: str,
     policy: NormalizationPolicy,
     out_dir,
     shard_docs: int = DEFAULT_SHARD_DOCS,
 ) -> str:
-    """Tokenize documents into shards; returns the manifest path."""
+    """Store tokenized documents in shards; returns the manifest path. The
+    caller tokenizes: ids[i] holds docs[i]'s token ids under the tokenizer
+    whose hash is vocab_hash."""
     if shard_docs < 1:
         raise ConfigError(f"shard_docs must be >= 1, got {shard_docs}")
     if not docs:
         raise DataError("no documents to write")
+    if len(ids) != len(docs):
+        raise ContractError(f"{len(ids)} token id lists for {len(docs)} documents")
+    for doc in docs:
+        if not doc.text:
+            raise DataError(f"document {doc.id} is empty; drop it before writing")
     os.makedirs(out_dir, exist_ok=True)
 
     doc_index = []
     shard_files = []
-
-    for shard_no in range(0, len(docs), shard_docs):
-        chunk = docs[shard_no : shard_no + shard_docs]
-        token_lists = []
-        for local, doc in enumerate(chunk):
-            if not doc.text:
-                raise DataError(f"document {doc.id} is empty; drop it before writing")
-            ids = tokenizer.encode(doc.text)
-            token_lists.append(ids)
+    for start in range(0, len(docs), shard_docs):
+        token_lists = ids[start : start + shard_docs]
+        for local, (doc, doc_ids) in enumerate(zip(docs[start : start + shard_docs], token_lists)):
             doc_index.append(
                 {
                     "id": doc.id,
@@ -101,20 +105,20 @@ def write_shards(
                     "dialect": doc.dialect,
                     "shard": len(shard_files),
                     "index": local,
-                    "tokens": len(ids),
+                    "tokens": len(doc_ids),
                 }
             )
         blob = dumps_shard(token_lists)
         fname = _shard_file(len(shard_files))
         with open(os.path.join(out_dir, fname), "wb") as f:
             f.write(blob)
-        shard_files.append({"file": fname, "sha256": sha256_bytes(blob), "count": len(chunk)})
+        shard_files.append({"file": fname, "sha256": sha256_bytes(blob), "count": len(token_lists)})
 
     manifest = {
         "format": "desklora-shards",
         "version": 1,
         "policy": policy.to_dict(),
-        "vocab_hash": tokenizer.vocab_hash(),
+        "vocab_hash": vocab_hash,
         "shards": shard_files,
         "counts": {key: Counter(d[key] for d in doc_index) for key in ("source", "dialect")},
         "docs": doc_index,
@@ -195,9 +199,6 @@ class ShardReader:
 
     def __len__(self) -> int:
         return len(self.docs)
-
-    def doc_meta(self, i: int) -> dict:
-        return self.docs[i]
 
     def doc_tokens(self, i: int) -> np.ndarray:
         meta = self.docs[i]

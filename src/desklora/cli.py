@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 from .arabicprep import (
-    BpeVocab, DialectLexicon, NormalizationPolicy, ShardReader, bpe_train, prepare_documents,
-    read_jsonl, write_shards,
+    BpeVocab, DialectLexicon, NormalizationPolicy, ShardReader, bpe_train_encode,
+    prepare_documents, read_jsonl, write_shards,
 )
 from .arabicprep.bpe import SEP_ID, check_vocab_size
 from .arabicprep.shards import DEFAULT_SHARD_DOCS
@@ -54,7 +54,7 @@ class PrepCommand:
     shard_docs: int = DEFAULT_SHARD_DOCS
     policy: NormalizationPolicy = field(default_factory=NormalizationPolicy)
 
-    def __post_init__(self):  # bpe_train and write_shards check these too, after reading
+    def __post_init__(self):  # bpe_train_encode and write_shards check these too, after reading
         check_vocab_size(self.vocab_size)
         if self.shard_docs < 1:
             raise ConfigError(f"shard_docs must be >= 1, got {self.shard_docs}")
@@ -255,11 +255,14 @@ def cmd_prep(args) -> int:
     if not docs:
         raise DataError("all documents were dropped by cleaning; nothing to write")
 
-    vocab = (BpeVocab.load(run.vocab) if run.vocab
-             else bpe_train((d.text for d in docs), vocab_size=run.vocab_size))
+    if run.vocab:
+        vocab = BpeVocab.load(run.vocab)
+        ids = [vocab.encode(d.text) for d in docs]
+    else:  # training's final stream is the corpus' encoding
+        vocab, ids = bpe_train_encode([d.text for d in docs], vocab_size=run.vocab_size)
     os.makedirs(run.out, exist_ok=True)
     vocab.save(os.path.join(run.out, "vocab.json"))
-    write_shards(docs, vocab, run.policy, run.out, shard_docs=run.shard_docs)
+    write_shards(docs, ids, vocab.vocab_hash(), run.policy, run.out, shard_docs=run.shard_docs)
 
     reader = ShardReader(run.out)
     counts = reader.manifest["counts"]

@@ -1,14 +1,17 @@
 """Shared fixtures: a deterministic synthetic Arabic corpus generator used by
-preprocessing sweeps, the training-loop tests, and the acceptance suite; the
-merge-agreement check that `test_lora` and C04 share; the base of the stub
-models that the evaluation tests score and decode with; and the full-window
-greedy loop that the batched decoder is checked against."""
+preprocessing sweeps, the training-loop tests, and the acceptance suite;
+shards written with the ids a tokenizer's `encode` gives; the merge-agreement
+check that `test_lora` and C04 share; the base of the stub models that the
+evaluation tests score and decode with; and the full-window greedy loop that
+the batched decoder is checked against."""
 
 import json
 
 import numpy as np
 import pytest
 
+from desklora.arabicprep import write_shards
+from desklora.arabicprep.shards import DEFAULT_SHARD_DOCS
 from desklora.numcore import KVCache
 from desklora.quant import dequantize
 
@@ -72,6 +75,12 @@ def write_jsonl(path, docs):
         for d in docs:
             f.write(json.dumps(d, ensure_ascii=False) + "\n")
     return path
+
+
+def write_encoded_shards(docs, vocab, policy, out_dir, shard_docs=DEFAULT_SHARD_DOCS):
+    """`write_shards` with the ids `vocab.encode` gives, as `desklora prep --vocab` writes."""
+    ids = [vocab.encode(d.text) for d in docs]
+    return write_shards(docs, ids, vocab.vocab_hash(), policy, out_dir, shard_docs)
 
 
 def merge_agreement(layer, x, y) -> float:

@@ -29,7 +29,6 @@ from desklora.arabicprep import (
     prepare_documents,
     preprocess_text,
     segment_sentences,
-    write_shards,
 )
 from desklora.arabicprep.bpe import SEP_ID
 from desklora.errors import BudgetError
@@ -86,7 +85,9 @@ from desklora.trainer import (
     train,
 )
 from desklora.util import sha256_file
-from tests.conftest import PositionLogitsModel, merge_agreement, synth_raw_docs, write_jsonl
+from tests.conftest import (
+    PositionLogitsModel, merge_agreement, synth_raw_docs, write_encoded_shards, write_jsonl,
+)
 
 POLICY = NormalizationPolicy()
 
@@ -604,7 +605,7 @@ def test_c11_preprocessing_goldens(tmp_path):
     # shard round trip is exact
     docs = prepare_documents(synth_raw_docs(40, seed=14), POLICY)
     vocab = bpe_train((d.text for d in docs), vocab_size=384)
-    write_shards(docs, vocab, POLICY, tmp_path)
+    write_encoded_shards(docs, vocab, POLICY, tmp_path)
     reader = ShardReader(tmp_path)
     for i, doc in enumerate(docs):
         assert reader.doc_tokens(i).tolist() == vocab.encode(doc.text)

@@ -13,13 +13,14 @@ from desklora.arabicprep import (
     NormalizationPolicy,
     ShardReader,
     bpe_train,
+    bpe_train_encode,
     encode_text,
     prepare_documents,
     write_shards,
 )
 from desklora.arabicprep.shards import dumps_shard, loads_shard
-from desklora.errors import ConfigError, DataError, FormatError
-from tests.conftest import synth_raw_docs
+from desklora.errors import ConfigError, ContractError, DataError, FormatError
+from tests.conftest import synth_raw_docs, write_encoded_shards
 
 
 def oracle_merges(texts, max_merges):
@@ -172,16 +173,45 @@ class TestBpeTraining:
         The ids digest holds across shard format versions; the file hash pins the layout."""
         policy = NormalizationPolicy()
         docs = prepare_documents(synth_raw_docs(200, seed=31), policy)
-        vocab = bpe_train([d.text for d in docs], vocab_size=512)
+        vocab, trained_ids = bpe_train_encode([d.text for d in docs], vocab_size=512)
         assert vocab.vocab_hash() == (
             "1f4db2d2c56b6fd99341a23caae923f66e6d545120eef3ba1b18997ef2ee9f6c")
-        write_shards(docs, vocab, policy, tmp_path)
+        write_shards(docs, trained_ids, vocab.vocab_hash(), policy, tmp_path)
         reader = ShardReader(tmp_path)
         ids = json.dumps([reader.doc_tokens(i).tolist() for i in range(len(reader))])
         assert hashlib.sha256(ids.encode()).hexdigest() == (
             "c3d1b10e5948639c778bddeb956bcf0b0317330607a31713900ed112ae6e95be")
         assert hashlib.sha256((tmp_path / "shard_0000.bin").read_bytes()).hexdigest() == (
             "3afd342af8be1b8f1a57125383b167a7c3715dbdb5a3cf23a82c0049d69c06ca")
+
+
+_RUN_TEXTS = st.lists(st.tuples(st.sampled_from(["a", "ab", "b", "ba", "c", BOUNDARY]),
+                                st.integers(0, 30)), max_size=5).map(
+    lambda runs: "".join(unit * count for unit, count in runs))
+
+
+class TestTrainedIds:
+    """bpe_train_encode's ids are the ids BpeVocab.encode gives each text."""
+
+    @staticmethod
+    def assert_same_ids(texts, vocab_size):
+        vocab, ids = bpe_train_encode(texts, vocab_size)
+        for text, got in zip(texts, ids, strict=True):
+            assert got.tolist() == vocab.encode(text), text
+        return vocab
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_RUN_TEXTS, min_size=1, max_size=6), st.sampled_from([262, 290, 400]))
+    def test_runs_across_pieces(self, texts, vocab_size):
+        """Runs such as "aaaa" and "abab" split over pieces, with empty texts
+        and texts of boundary markers only."""
+        assume(_pieces(texts))
+        self.assert_same_ids(["", *texts, BOUNDARY * 2], vocab_size)
+
+    def test_merged_ids_merge_again(self):
+        vocab = self.assert_same_ids(
+            ["a" * 100, "", "ab" * 50 + BOUNDARY + "ab" * 7, BOUNDARY, "ba" * 30, "aab" * 20], 300)
+        assert sum(a >= 260 and b >= 260 for a, b in vocab.merges) >= 10
 
 
 class TestBpeEncodeDecode:
@@ -245,12 +275,13 @@ class TestBpeEncodeDecode:
 
     @pytest.mark.parametrize("vocab_size", [512, 2048])
     def test_encode_matches_the_oracle_on_the_golden_corpus(self, vocab_size):
-        """At vocab 2048 the merges run out (586 of them) and chain deep."""
+        """At vocab 2048 the merges run out (586 of them) and chain deep.
+        Training's own ids for the corpus are the same ids."""
         docs = prepare_documents(synth_raw_docs(200, seed=31), NormalizationPolicy())
-        vocab = bpe_train([d.text for d in docs], vocab_size=vocab_size)
+        vocab, trained_ids = bpe_train_encode([d.text for d in docs], vocab_size=vocab_size)
         assert len(vocab.merges) == {512: 252, 2048: 586}[vocab_size]
-        for doc in docs:
-            assert vocab.encode(doc.text) == oracle_encode(vocab, doc.text)
+        for doc, ids in zip(docs, trained_ids, strict=True):
+            assert vocab.encode(doc.text) == oracle_encode(vocab, doc.text) == ids.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["a", "ab", "b", "ba", BOUNDARY]),
@@ -338,16 +369,16 @@ class TestShards:
 
     def test_write_read_round_trip(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path, shard_docs=25)
+        write_encoded_shards(docs, vocab, policy, tmp_path, shard_docs=25)
         reader = ShardReader(tmp_path)
         assert len(reader) == len(docs)
         for i, doc in enumerate(docs):
             assert reader.doc_tokens(i).tolist() == vocab.encode(doc.text)
-            assert reader.doc_meta(i)["dialect"] == doc.dialect
+            assert reader.docs[i]["dialect"] == doc.dialect
 
     def test_manifest_counts(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path)
+        write_encoded_shards(docs, vocab, policy, tmp_path)
         reader = ShardReader(tmp_path)
         counts = reader.manifest["counts"]
         assert sum(counts["source"].values()) == len(docs)
@@ -357,7 +388,7 @@ class TestShards:
 
     def test_shard_byte_size_formula(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path, shard_docs=len(docs))
+        write_encoded_shards(docs, vocab, policy, tmp_path, shard_docs=len(docs))
         lens = [len(vocab.encode(d.text)) for d in docs]
         expected = 6 + 4 + 4 * len(docs) + 4 * sum(lens)
         assert (tmp_path / "shard_0000.bin").stat().st_size == expected
@@ -369,7 +400,7 @@ class TestShards:
 
     def test_v1_shard_set_needs_a_new_prep(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path)
+        write_encoded_shards(docs, vocab, policy, tmp_path)
         shard = tmp_path / "shard_0000.bin"
         blob = shard.read_bytes()[:4] + b"\x01\x00" + shard.read_bytes()[6:]
         shard.write_bytes(blob)
@@ -381,7 +412,7 @@ class TestShards:
 
     def test_corruption_detected(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path)
+        write_encoded_shards(docs, vocab, policy, tmp_path)
         shard = tmp_path / "shard_0000.bin"
         blob = bytearray(shard.read_bytes())
         blob[20] ^= 0xFF
@@ -392,12 +423,19 @@ class TestShards:
     def test_empty_doc_rejected(self, prepared, tmp_path):
         policy, _, vocab = prepared
         with pytest.raises(DataError):
-            write_shards([Document(text="", id="x")], vocab, policy, tmp_path)
+            write_encoded_shards([Document(text="", id="x")], vocab, policy, tmp_path)
+
+    def test_one_id_list_per_document(self, prepared, tmp_path):
+        policy, docs, vocab = prepared
+        ids = [vocab.encode(d.text) for d in docs]
+        with pytest.raises(ContractError, match="token id lists"):
+            write_shards(docs, ids[:-1], vocab.vocab_hash(), policy, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_bytes(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path / "a")
-        write_shards(docs, vocab, policy, tmp_path / "b")
+        write_encoded_shards(docs, vocab, policy, tmp_path / "a")
+        write_encoded_shards(docs, vocab, policy, tmp_path / "b")
         assert (tmp_path / "a" / "shard_0000.bin").read_bytes() == (
             tmp_path / "b" / "shard_0000.bin"
         ).read_bytes()
@@ -408,7 +446,7 @@ class TestShards:
     def test_policy_consistency_reencode(self, prepared, tmp_path):
         """Decoded shard text re-tokenized under the same policy gives identical ids."""
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path)
+        write_encoded_shards(docs, vocab, policy, tmp_path)
         reader = ShardReader(tmp_path)
         for i in range(0, len(docs), 7):
             ids = reader.doc_tokens(i).tolist()
@@ -417,7 +455,7 @@ class TestShards:
 
     def test_dialect_filtered_iteration(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_shards(docs, vocab, policy, tmp_path)
+        write_encoded_shards(docs, vocab, policy, tmp_path)
         reader = ShardReader(tmp_path)
         want = sum(1 for d in docs if d.dialect == "MSA")
         got = sum(1 for _ in reader.iter_tokens("MSA"))
@@ -433,7 +471,7 @@ class TestManifest:
         policy = NormalizationPolicy()
         docs = prepare_documents(synth_raw_docs(12, seed=6), policy)
         out = tmp_path_factory.mktemp("manifest")
-        write_shards(docs, _SHARED_VOCAB, policy, out, shard_docs=5)
+        write_encoded_shards(docs, _SHARED_VOCAB, policy, out, shard_docs=5)
         return out
 
     @staticmethod

@@ -97,6 +97,20 @@ class TestPrep:
         for fname in ("manifest.json", "shard_0000.bin", "vocab.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
+    def test_trained_ids_match_a_reused_vocab(self, corpus_path, tmp_path):
+        """Training's ids and `--vocab`'s encoded ids write the same shards."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prep": {"shard_docs": 40}}))
+        trained, reused = tmp_path / "trained", tmp_path / "reused"
+        assert cli.main(["prep", "--config", str(cfg), "--input", str(corpus_path),
+                         "--out", str(trained), "--vocab-size", "384"]) == 0
+        assert cli.main(["prep", "--config", str(cfg), "--input", str(corpus_path),
+                         "--out", str(reused), "--vocab", str(trained / "vocab.json")]) == 0
+        manifest = json.loads((trained / "manifest.json").read_text(encoding="utf-8"))
+        assert len(manifest["shards"]) == 3
+        same_bytes(trained, reused,
+                   ["manifest.json", "vocab.json", *(e["file"] for e in manifest["shards"])])
+
     def test_missing_input_is_config_error(self, tmp_path):
         assert cli.main(["prep", "--out", str(tmp_path / "o")]) == 2
 
