@@ -78,10 +78,10 @@ def write_shards(
     policy: NormalizationPolicy,
     out_dir,
     shard_docs: int = DEFAULT_SHARD_DOCS,
-) -> str:
-    """Store tokenized documents in shards; returns the manifest path. The
-    caller tokenizes: ids[i] holds docs[i]'s token ids under the tokenizer
-    whose hash is vocab_hash."""
+) -> dict:
+    """Store tokenized documents in shards; returns the manifest it wrote.
+    The caller tokenizes: ids[i] holds docs[i]'s token ids under the
+    tokenizer whose hash is vocab_hash."""
     if shard_docs < 1:
         raise ConfigError(f"shard_docs must be >= 1, got {shard_docs}")
     if not docs:
@@ -123,11 +123,10 @@ def write_shards(
         "counts": {key: Counter(d[key] for d in doc_index) for key in ("source", "dialect")},
         "docs": doc_index,
     }
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(manifest_path, "w", encoding="utf-8") as f:
+    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
         json.dump(manifest, f, ensure_ascii=False, sort_keys=True)
         f.write("\n")
-    return manifest_path
+    return manifest
 
 
 def _is_count(x) -> bool:

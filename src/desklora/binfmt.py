@@ -1,8 +1,8 @@
-"""The one binary container behind QNF4, QST8, LORA, OPT8, DMDL and SHRD files.
+"""The one binary container behind QNF4, LORA, OPT8, DMDL and SHRD files.
 
 Layout, little-endian: a 4-byte magic, a u16 version, then the format's
 fields in the order its writer emits them: packed scalars; blobs (u32 length
-and the bytes; text is a UTF-8 blob, a nested QNF4 or QST8 artifact is a
+and the bytes; text is a UTF-8 blob, and DMDL nests each QNF4 tensor as a
 blob); shapes (u32 rank and one u32 per dimension); and raw arrays whose
 element count the reader derives from a shape or count it has already read.
 

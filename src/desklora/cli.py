@@ -262,10 +262,8 @@ def cmd_prep(args) -> int:
         vocab, ids = bpe_train_encode([d.text for d in docs], vocab_size=run.vocab_size)
     os.makedirs(run.out, exist_ok=True)
     vocab.save(os.path.join(run.out, "vocab.json"))
-    write_shards(docs, ids, vocab.vocab_hash(), run.policy, run.out, shard_docs=run.shard_docs)
-
-    reader = ShardReader(run.out)
-    counts = reader.manifest["counts"]
+    counts = write_shards(docs, ids, vocab.vocab_hash(), run.policy, run.out,
+                          shard_docs=run.shard_docs)["counts"]
     print(f"prepared {len(docs)} documents ({len(raw) - len(docs)} dropped) -> {run.out}")
     for label, table in (("source", counts["source"]), ("dialect", counts["dialect"])):
         rendered = "  ".join(f"{k}={v}" for k, v in sorted(table.items()))

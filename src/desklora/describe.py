@@ -8,7 +8,7 @@ from .arabicprep import BpeVocab, ShardReader, loads_shard
 from .evalharness import validate_report
 from .lora import loads_adapters
 from .model import load_model
-from .quant import loads_qnf4, loads_state8
+from .quant import loads_qnf4
 from .trainer import checkpoint_hash, loads_optimizer, read_trainer_state
 from .util import sha256_file
 
@@ -40,9 +40,6 @@ def describe(path):
         q = loads_qnf4(data)
         print(f"{path}: QNF4 tensor shape {q.shape}, block {q.block_size}, "
               f"double-quant {q.dq is not None}")
-    elif head == b"QST8":
-        s = loads_state8(data)
-        print(f"{path}: QST8 optimizer moment shape {s.shape}, block {s.block_size}")
     elif head == b"LORA":
         state = loads_adapters(data)
         print(f"{path}: adapter checkpoint r={state['r']} alpha={state['alpha']} "

@@ -199,12 +199,12 @@ class TransformerModel:
     def kv_cache(self, batch: int) -> KVCache:
         """An empty cache for `batch` rows of tape-free decoding (see `forward`):
         per layer the rotated keys and the values [batch, H, max_seq_len,
-        head_dim] and, at a nonzero diacritic bias, the key bias, all in the
-        model's precision."""
+        head_dim] and, at a nonzero diacritic bias, one key bias [batch,
+        max_seq_len] that every layer shares, all in the model's precision."""
         cfg = self.cfg
         dtype = storage_dtype(cfg.dtype)
         shape = (cfg.n_layers, batch, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
-        bias = np.zeros(shape[:2] + shape[3:4], dtype) if cfg.diacritic_bias else None
+        bias = np.zeros((batch, cfg.max_seq_len), dtype) if cfg.diacritic_bias else None
         return KVCache(np.zeros(shape, dtype), np.zeros(shape, dtype), bias,
                        np.zeros(batch, dtype=np.int64))
 

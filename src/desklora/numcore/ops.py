@@ -270,13 +270,15 @@ def _unrotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarra
 @dataclass
 class KVCache:
     """What causal attention keeps of B rows between calls: the rotated keys and
-    the values [..., B, H, L, hd], the pre-softmax key bias [..., B, L] (None
-    when there is none) and the positions each row holds [B]. Leading axes
-    index layers; `layer` and `rows` give views that write through. Attention
-    writes a call's keys, values and bias at each row's next positions; the
-    caller advances `lengths` once every layer has run. A caller may set a
-    row's length to 0 to refill it from position 0: attention then overwrites
-    that row's keys, values and bias (0 where the new ids carry none)."""
+    the values [..., B, H, L, hd], the pre-softmax key bias [B, L] (None when
+    there is none) and the positions each row holds [B]. The keys' and
+    values' leading axes index layers; every layer shares the one key bias,
+    which depends on the ids alone. `layer` and `rows` give views that write
+    through. Attention writes a call's keys, values and bias at each row's
+    next positions; the caller advances `lengths` once every layer has run. A
+    caller may set a row's length to 0 to refill it from position 0:
+    attention then overwrites that row's keys, values and bias (0 where the
+    new ids carry none)."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -284,8 +286,7 @@ class KVCache:
     lengths: np.ndarray
 
     def layer(self, i: int) -> "KVCache":
-        bias = None if self.bias is None else self.bias[i]
-        return KVCache(self.keys[i], self.values[i], bias, self.lengths)
+        return KVCache(self.keys[i], self.values[i], self.bias, self.lengths)
 
     def rows(self, start: int, stop: int) -> "KVCache":
         rows = slice(start, stop)

@@ -356,7 +356,6 @@ def decode_blocks8(codes: np.ndarray, absmax: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _QNF4 = (b"QNF4", 2)
-_QST8 = (b"QST8", 2)
 
 
 def dumps_qnf4(q: QuantizedTensor) -> bytes:
@@ -374,7 +373,7 @@ def dumps_qnf4(q: QuantizedTensor) -> bytes:
     return w.getvalue()
 
 
-def _expect_scales(r: Reader, scales: np.ndarray, what: str):
+def expect_scales(r: Reader, scales: np.ndarray, what: str):
     """A block scale is finite and non-negative; NaN fails both comparisons."""
     r.expect(bool(np.all((scales >= 0) & (scales < np.inf))), f"{what} NaN, infinite or negative")
 
@@ -392,9 +391,9 @@ def loads_qnf4(data: bytes) -> QuantizedTensor:
         r.expect(group_size >= 1, "double-quant group size 0")
         n_groups = -(-n_blocks // group_size)
         scale = r.array("<f4", n_groups)
-        _expect_scales(r, scale, "double-quant group scale")
+        expect_scales(r, scale, "double-quant group scale")
         offset = r.array("<f4", n_groups)
-        _expect_scales(r, offset, "double-quant group offset")
+        expect_scales(r, offset, "double-quant group offset")
         with np.errstate(over="ignore"):  # code 255's absmax, in the float32 steps of the rebuild
             top = offset + np.float32(255) * scale
         r.expect(bool(np.all(np.isfinite(top))), "double-quant group rebuilds an absmax beyond float32")
@@ -402,30 +401,7 @@ def loads_qnf4(data: bytes) -> QuantizedTensor:
         q = QuantizedTensor(shape, codes, None, dq, block_size)
     else:
         absmax = r.array("<f4", n_blocks)
-        _expect_scales(r, absmax, "block absmax")
+        expect_scales(r, absmax, "block absmax")
         q = QuantizedTensor(shape, codes, absmax, None, block_size)
     r.done()
     return q
-
-
-def dumps_state8(q: Quantized8bitState) -> bytes:
-    w = Writer(*_QST8)
-    w.pack("I", q.block_size)
-    w.shape(q.shape)
-    w.array(q.codes, "u1")
-    w.array(q.absmax, "<f4")
-    return w.getvalue()
-
-
-def loads_state8(data: bytes) -> Quantized8bitState:
-    r = Reader(data, *_QST8)
-    (block_size,) = r.unpack("I")
-    r.expect(block_size >= 1, "block size 0")
-    shape = r.shape()
-    numel = math.prod(shape)
-    codes = r.array("u1", numel)
-    r.expect(codes.size == 0 or codes.max() < DYNAMIC8_VALUES.size, "code outside the 8-bit codebook")
-    absmax = r.array("<f4", -(-numel // block_size))
-    _expect_scales(r, absmax, "block absmax")
-    r.done()
-    return Quantized8bitState(shape, codes, absmax, block_size)

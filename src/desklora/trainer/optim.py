@@ -11,11 +11,16 @@ full precision.
   blocks, laid end to end in parameter order. A moment is one array over
   that layout: uint8 codes plus one float32 absmax per block for `adamw8`,
   float64 values for `adamw`. A parameter's blocks are the ones
-  `quantize_state8` makes of it, so the OPT8 file, one QST8 moment (or one
-  float64 array) per parameter, is what a per-parameter step would write.
-  `loads` only parses, so `inspect` needs no model; the loaded moments enter
-  the layout when it binds, and one that names no parameter, has another
-  shape or another block size is a `FormatError`.
+  `quantize_state8` makes of it, so its stretch of the layout holds what a
+  per-parameter step would.
+- **Checkpoint.** The OPT8 file is this layout as it stands: each
+  parameter's name and shape, then both moments over every padded element.
+  `loads` only parses, so `inspect` needs no model. It rejects a repeated
+  name, a code outside the codebook, an absmax that is NaN, infinite or
+  negative, a float64 moment value that is not finite, and a padding
+  element that is not zero: at the next step a padding value would enter
+  its block's absmax. The loaded moments are adopted when the layout binds,
+  and a state laid out for other parameters is a `FormatError`.
 - **Chunked step.** The layout is cut into chunks of at most `CHUNK_BLOCKS`
   blocks: a parameter larger than that gets chunks of its own, smaller ones
   share one. Per chunk the step dequantizes both moments, runs Adam in
@@ -40,14 +45,13 @@ from ..binfmt import Reader, Writer
 from ..errors import ContractError, FormatError, TrainingError
 from ..numcore.autograd import node_value
 from ..quant import (
+    DYNAMIC8_VALUES,
     DYNAMIC8_ZERO_CODE,
     F32_OVERFLOW,
     STATE8_BLOCK_SIZE,
-    Quantized8bitState,
     decode_blocks8,
-    dumps_state8,
     encode_blocks8,
-    loads_state8,
+    expect_scales,
 )
 
 BETAS = (0.9, 0.999)
@@ -84,28 +88,46 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     return scale
 
 
-_OPT8 = (b"OPT8", 2)
+_OPT8 = (b"OPT8", 3)
+
+
+def _spans(layout: list) -> tuple[list, int]:
+    """Each parameter's (flat start, element count, padded end) in the layout,
+    and the padded total: arithmetic only, so a damaged shape allocates nothing."""
+    spans, total = [], 0
+    for _, shape in layout:
+        numel = math.prod(shape)
+        end = total + -(-numel // STATE8_BLOCK_SIZE) * STATE8_BLOCK_SIZE
+        spans.append((total, numel, end))
+        total = end
+    return spans, total
+
+
+def _expect_zero_padding(r: Reader, flat: np.ndarray, layout: list, zero):
+    """A padding element enters its block's absmax at the next step, so it
+    must hold the zero a step writes there."""
+    for (name, _), (start, numel, end) in zip(layout, _spans(layout)[0]):
+        r.expect(bool(np.all(flat[start + numel:end] == zero)), f"padding of {name!r} is not zero")
 
 
 class _Checkpointable:
-    """OPT8 state: kind text, u32 step, u32 count, then per parameter its name
-    and (m, v), as nested QST8 blobs when quantized, else shaped f64 arrays."""
+    """OPT8 state: kind text, u32 step, u32 count, each parameter's name and
+    shape in layout order, then m and v, each over the whole padded layout
+    (`_Codes8.dump` or `_Values64.dump`). A stateless kind writes count 0."""
 
-    quantized = False
+    store = None  # the moment type; None when the optimizer keeps no moments
+    _layout: list = []  # [(name, shape)] the moments are laid out for
+    _state: tuple = ()  # (m, v), each a `store`
 
     def dumps(self) -> bytes:
-        moments = self.moments
         w = Writer(*_OPT8)
         w.text(self.kind)
-        w.pack("II", self.step_count, len(moments))
-        for name in sorted(moments):
+        w.pack("II", self.step_count, len(self._layout))
+        for name, shape in self._layout:
             w.text(name)
-            for state in moments[name]:
-                if self.quantized:
-                    w.blob(dumps_state8(state))
-                else:
-                    w.shape(state.shape)
-                    w.array(state, "<f8")
+            w.shape(shape)
+        for moment in self._state:
+            moment.dump(w)
         return w.getvalue()
 
     def loads(self, data: bytes):
@@ -113,33 +135,27 @@ class _Checkpointable:
         found = r.text()
         r.expect(found == self.kind, f"holds {found!r} state, expected {self.kind!r}")
         step, count = r.unpack("II")
-        moments = {}
+        r.expect(count == 0 or self.store is not None, f"{self.kind} state lists {count} parameters")
+        layout, names = [], set()
         for _ in range(count):
             name = r.text()
-            if not self.quantized:
-                moments[name] = tuple(r.array("<f8", r.shape()) for _ in range(2))
-                continue
-            moments[name] = tuple(loads_state8(r.blob()) for _ in range(2))
-            for state in moments[name]:
-                r.expect(state.block_size == STATE8_BLOCK_SIZE,
-                         f"moment of {name!r} in blocks of {state.block_size}, "
-                         f"expected {STATE8_BLOCK_SIZE}")
+            r.expect(name not in names, f"parameter {name!r} listed twice")
+            names.add(name)
+            layout.append((name, r.shape()))
+        state = tuple(self.store.load(r, layout) for _ in range(2)) if self.store else ()
         r.done()
-        self._restore(step, moments)
+        self._restore(step, layout, state)
 
 
 class Sgd(_Checkpointable):
     """Plain gradient descent; stateless."""
 
     kind = "sgd"
-    moments: dict = {}  # always empty
 
     def __init__(self, **_):
         self.step_count = 0
 
-    def _restore(self, step: int, moments: dict):
-        if moments:
-            raise FormatError(f"sgd state holds moments for {sorted(moments)}")
+    def _restore(self, step: int, layout: list, state: tuple):
         self.step_count = step
 
     def step(self, params: list, grads: dict, lr: float):
@@ -154,9 +170,13 @@ class Sgd(_Checkpointable):
 class _Codes8:
     """One moment over the flat layout: uint8 codes, one float32 absmax per block."""
 
-    def __init__(self, n_blocks: int):
-        self.codes = np.full(n_blocks * STATE8_BLOCK_SIZE, DYNAMIC8_ZERO_CODE, dtype=np.uint8)
-        self.absmax = np.zeros(n_blocks, dtype=np.float32)
+    def __init__(self, codes: np.ndarray, absmax: np.ndarray):
+        self.codes, self.absmax = codes, absmax
+
+    @classmethod
+    def zeros(cls, n_blocks: int) -> "_Codes8":
+        return cls(np.full(n_blocks * STATE8_BLOCK_SIZE, DYNAMIC8_ZERO_CODE, dtype=np.uint8),
+                   np.zeros(n_blocks, dtype=np.float32))
 
     def read(self, e0: int, e1: int) -> np.ndarray:
         b = STATE8_BLOCK_SIZE
@@ -168,22 +188,30 @@ class _Codes8:
         self.codes[e0:e1] = codes.reshape(-1)
         self.absmax[e0 // b:e1 // b] = absmax
 
-    def get(self, e0: int, shape: tuple) -> Quantized8bitState:
-        numel, b = math.prod(shape), STATE8_BLOCK_SIZE
-        return Quantized8bitState(shape, self.codes[e0:e0 + numel].copy(),
-                                  self.absmax[e0 // b:(e0 + numel + b - 1) // b].copy(), b)
+    def dump(self, w: Writer):
+        w.array(self.codes, "u1")
+        w.array(self.absmax, "<f4")
 
-    def put(self, e0: int, state: Quantized8bitState):
-        b0 = e0 // STATE8_BLOCK_SIZE
-        self.codes[e0:e0 + state.codes.size] = state.codes
-        self.absmax[b0:b0 + state.absmax.size] = state.absmax
+    @classmethod
+    def load(cls, r: Reader, layout: list) -> "_Codes8":
+        total = _spans(layout)[1]
+        codes = r.array("u1", total)
+        r.expect(codes.size == 0 or codes.max() < DYNAMIC8_VALUES.size, "code outside the 8-bit codebook")
+        absmax = r.array("<f4", total // STATE8_BLOCK_SIZE)
+        expect_scales(r, absmax, "block absmax")
+        _expect_zero_padding(r, codes, layout, DYNAMIC8_ZERO_CODE)
+        return cls(codes, absmax)
 
 
 class _Values64:
     """One moment over the flat layout as float64 values."""
 
-    def __init__(self, n_blocks: int):
-        self.values = np.zeros(n_blocks * STATE8_BLOCK_SIZE, dtype=np.float64)
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    @classmethod
+    def zeros(cls, n_blocks: int) -> "_Values64":
+        return cls(np.zeros(n_blocks * STATE8_BLOCK_SIZE, dtype=np.float64))
 
     def read(self, e0: int, e1: int) -> np.ndarray:
         return self.values[e0:e1].copy()
@@ -191,11 +219,22 @@ class _Values64:
     def write(self, e0: int, e1: int, x: np.ndarray):
         self.values[e0:e1] = x
 
-    def get(self, e0: int, shape: tuple) -> np.ndarray:
-        return self.values[e0:e0 + math.prod(shape)].reshape(shape).copy()
+    def dump(self, w: Writer):
+        w.array(self.values, "<f8")
 
-    def put(self, e0: int, state: np.ndarray):
-        self.values[e0:e0 + state.size] = state.reshape(-1)
+    @classmethod
+    def load(cls, r: Reader, layout: list) -> "_Values64":
+        values = r.array("<f8", _spans(layout)[1])
+        r.expect(bool(np.isfinite(values).all()), "moment value NaN or infinite")
+        _expect_zero_padding(r, values, layout, 0.0)
+        return cls(values)
+
+
+def _first_difference(saved: list, signature: list) -> str:
+    for i, (a, b) in enumerate(zip(saved, signature)):
+        if a != b:
+            return f"parameter {i} is {a}, the model's {b}"
+    return f"it lists {len(saved)} parameters, the model {len(signature)}"
 
 
 class AdamW(_Checkpointable):
@@ -206,77 +245,56 @@ class AdamW(_Checkpointable):
 
     def __init__(self, quantized: bool = True, ledger=None):
         self.quantized = quantized
+        self.store = _Codes8 if quantized else _Values64
         self.ledger = ledger
         self.step_count = 0
-        self._loaded: dict = {}  # name -> (m, v) from `loads`, until the layout binds
-        self._bound = None  # [(name, shape)] the layout was bound to
+        self._chunks = None  # cut when the layout binds to the parameters
         self._charged = 0
 
     @property
     def kind(self) -> str:
         return "adamw8" if self.quantized else "adamw"
 
-    @property
-    def moments(self) -> dict:
-        """name -> (m, v) for every parameter with state: `Quantized8bitState`s,
-        or float64 arrays of the parameter's shape. Copies."""
-        if self._bound is None:
-            return self._loaded
-        return {name: tuple(s.get(self._starts[i], shape) for s in self._state)
-                for i, (name, shape) in enumerate(self._bound) if self._has[i]}
-
-    def _restore(self, step: int, moments: dict):
+    def _restore(self, step: int, layout: list, state: tuple):
         if self._charged:
             self.ledger.release("optimizer_states", self._charged)
             self._charged = 0
-        self.step_count, self._loaded, self._bound = step, moments, None
+        self.step_count, self._layout, self._state, self._chunks = step, layout, state, None
 
     def _bind(self, signature: list):
-        """Lay the parameters out, cut the chunks, charge the ledger and move
-        the loaded moments in."""
-        index = {name: i for i, (name, _) in enumerate(signature)}
-        extra = sorted(set(self._loaded) - set(index))
-        if extra:
-            raise FormatError(f"optimizer state for {extra}, which the model lacks")
-        for name, states in self._loaded.items():
-            shape = signature[index[name]][1]
-            for state in states:
-                if tuple(state.shape) != shape:
-                    raise FormatError(f"optimizer state for {name!r} has shape "
-                                      f"{tuple(state.shape)}, the parameter {shape}")
+        """Check the loaded state is laid out for these parameters (a state for
+        none is fresh), cut the chunks, charge the ledger and adopt the loaded
+        moments or allocate zeroed ones."""
+        if self._layout and self._layout != signature:
+            raise FormatError(f"optimizer state for {len(self._layout)} parameters does not fit "
+                              f"the model: {_first_difference(self._layout, signature)}")
         b = STATE8_BLOCK_SIZE
-        starts, chunks, total, filled = [], [], 0, 0
-        for i, (_, shape) in enumerate(signature):
-            numel = math.prod(shape)
-            starts.append(total)
+        spans, total = _spans(signature)
+        chunks, filled = [], 0
+        for i, (start, numel, _) in enumerate(spans):
             for lo in range(0, max(numel, 1), CHUNK_ELEMENTS):
                 hi = min(lo + CHUNK_ELEMENTS, numel)
                 blocks = -(-hi // b) - lo // b
                 if not chunks or filled + blocks > CHUNK_BLOCKS:
                     chunks.append([])
                     filled = 0
-                chunks[-1].append((i, lo, hi, total + lo, total + (hi + b - 1) // b * b))
+                chunks[-1].append((i, lo, hi, start + lo, start + (hi + b - 1) // b * b))
                 filled += blocks
-            total += -(-numel // b) * b
-        store, per_block = (_Codes8, b + 4) if self.quantized else (_Values64, b * 8)
+        per_block = b + 4 if self.quantized else b * 8
         charge = 2 * per_block * (total // b) + WORKING_BYTES
         if self.ledger is not None:
             self.ledger.allocate("optimizer_states", charge)
             self._charged = charge
-        self._state = (store(total // b), store(total // b))
-        self._starts, self._chunks = starts, chunks
-        self._has = [name in self._loaded for name, _ in signature]
-        for name, states in self._loaded.items():
-            for s, state in zip(self._state, states):
-                s.put(starts[index[name]], state)
-        self._loaded, self._bound = {}, signature
+        if not self._layout:
+            self._state = (self.store.zeros(total // b), self.store.zeros(total // b))
+        self._layout, self._chunks = signature, chunks
 
     def step(self, params: list, grads: dict, lr: float):
         self.step_count += 1
         signature = [(name, p.value.shape) for name, p in params]
-        if self._bound is None:
+        if self._chunks is None:
             self._bind(signature)
-        elif signature != self._bound:
+        elif signature != self._layout:
             raise ContractError("the parameters differ from those the optimizer state is laid out for")
         fresh: dict = {}  # parameter index -> its new value, filled chunk by chunk
         for chunk in self._chunks:
@@ -337,7 +355,6 @@ class AdamW(_Checkpointable):
             if lo == 0:
                 fresh[i] = np.empty(p.value.size, dtype=p.value.dtype)
             fresh[i][lo:hi] = p.value.reshape(-1)[lo:hi] - lr * update[f0 - e0:f0 - e0 + hi - lo]
-            self._has[i] = True
             if hi == p.value.size:  # hand the new value over; `assign` would copy it
                 p.value = node_value(fresh.pop(i).reshape(p.value.shape), p.value.dtype)
         del update

@@ -2,18 +2,22 @@
 preprocessing sweeps, the training-loop tests, and the acceptance suite;
 shards written with the ids a tokenizer's `encode` gives; the merge-agreement
 check that `test_lora` and C04 share; the base of the stub models that the
-evaluation tests score and decode with; and the full-window greedy loop that
-the batched decoder is checked against."""
+evaluation tests score and decode with; the full-window greedy loop that
+the batched decoder is checked against; and a reader that cuts an OPT8 file
+back into per-parameter moments."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from desklora.arabicprep import write_shards
 from desklora.arabicprep.shards import DEFAULT_SHARD_DOCS
+from desklora.binfmt import Reader
 from desklora.numcore import KVCache
-from desklora.quant import dequantize
+from desklora.quant import STATE8_BLOCK_SIZE, Quantized8bitState, dequantize
 
 MSA_WORDS = [
     "مرحبا", "كتاب", "مدرسة", "الطقس", "اليوم", "جميل", "قال", "ذهب", "البيت",
@@ -97,6 +101,31 @@ def merge_agreement(layer, x, y) -> float:
     bound = 8 * np.finfo(np.float32).eps * (np.abs(x) @ np.abs(w).T
                                             + s * (np.abs(x) @ np.abs(a).T) @ np.abs(b).T)
     return float(np.max(np.abs(np.asarray(y, dtype=np.float64) - reference) / bound))
+
+
+def opt8_moments(blob: bytes) -> dict:
+    """name -> (m, v) of an OPT8 file, cut by its documented layout: each
+    parameter's elements padded to whole 8-bit blocks, end to end in file
+    order. `Quantized8bitState`s for `adamw8`, float64 arrays of the
+    parameter's shape for `adamw`; padding dropped."""
+    r, b = Reader(blob, b"OPT8", 3), STATE8_BLOCK_SIZE
+    kind = r.text()
+    _, count = r.unpack("II")
+    layout = [(r.text(), r.shape()) for _ in range(count)]
+    starts = list(itertools.accumulate((-(-math.prod(s) // b) * b for _, s in layout), initial=0))
+    moments = []
+    for _ in range(2):
+        if kind == "adamw8":
+            codes, absmax = r.array("u1", starts[-1]), r.array("<f4", starts[-1] // b)
+            moments.append([Quantized8bitState(shape, codes[s:s + math.prod(shape)],
+                                               absmax[s // b:-(-(s + math.prod(shape)) // b)], b)
+                            for (_, shape), s in zip(layout, starts)])
+        else:
+            values = r.array("<f8", starts[-1])
+            moments.append([values[s:s + math.prod(shape)].reshape(shape)
+                            for (_, shape), s in zip(layout, starts)])
+    r.done()
+    return {name: (m, v) for (name, _), m, v in zip(layout, *moments)}
 
 
 class PositionLogitsModel:

@@ -1,4 +1,4 @@
-"""The binary container shared by QNF4, QST8, LORA, OPT8, DMDL and SHRD.
+"""The binary container shared by QNF4, LORA, OPT8, DMDL and SHRD.
 
 Every truncation and every single-byte flip of an artifact either loads and
 survives first use, or raises FormatError; no other exception gets out.
@@ -156,8 +156,6 @@ def artifacts(tmp_dir):
         "qnf4": (quant.dumps_qnf4(quant.quantize(x, 16)), use_qnf4),
         "qnf4_double_quant": (
             quant.dumps_qnf4(quant.quantize(x, 8, double_quant=True, dq_group=2)), use_qnf4),
-        "qst8": (quant.dumps_state8(quant.quantize_state8(x, 16)),
-                 lambda data, _: quant.dequantize_state8(quant.loads_state8(data))),
         "lora": (dumps_adapters(model.adapted_layers(), model.cfg.lora),
                  lambda data, _: apply_adapter_state(target.adapted_layers(), loads_adapters(data))),
         "lora_double": (dumps_adapters(double.adapted_layers(), double.cfg.lora),
@@ -174,7 +172,7 @@ def artifacts(tmp_dir):
 
 
 KINDS = ["dmdl", "dmdl_double", "lora", "lora_double", "opt8_adamw", "opt8_adamw8", "opt8_sgd",
-         "qnf4", "qnf4_double_quant", "qst8", "shrd"]
+         "qnf4", "qnf4_double_quant", "shrd"]
 
 
 def test_every_container_format_is_fuzzed_and_described(artifacts, tmp_dir, capsys):
@@ -182,7 +180,7 @@ def test_every_container_format_is_fuzzed_and_described(artifacts, tmp_dir, caps
     kind in KINDS, whose intact artifact `inspect` describes."""
     magics = {m for text in _sources().values()
               for m in re.findall(r'\(b"([A-Z0-9]{4})", \d+\)', text)}
-    assert magics >= {"DMDL", "LORA", "OPT8", "QNF4", "QST8", "SHRD"}
+    assert magics >= {"DMDL", "LORA", "OPT8", "QNF4", "SHRD"}
     for magic in sorted(magics):
         kinds = [k for k in KINDS if k.split("_")[0] == magic.lower()]
         assert kinds, f"no fuzz entry for {magic}"

@@ -14,11 +14,11 @@ from desklora.evalharness import (
 )
 from desklora.evalharness.harness import DIALECT_ORDER
 from desklora.errors import FormatError
-from desklora.quant import dumps_qnf4, dumps_state8, quantize, quantize_state8
+from desklora.quant import dumps_qnf4, quantize
 from desklora.numcore import Parameter
 from desklora.trainer import AdamW, MemoryBudget, load_checkpoint, read_trainer_state
 from desklora.util import sha256_file
-from tests.conftest import reference_greedy, synth_raw_docs, write_jsonl
+from tests.conftest import opt8_moments, reference_greedy, synth_raw_docs, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,18 @@ class TestPrep:
         assert rc == 0
         reader = ShardReader(tmp_path / "o")
         assert len(reader) == 3
+
+    def test_printed_counts_are_the_written_manifests(self, corpus_path, tmp_path, capsys):
+        assert cli.main(["prep", "--input", str(corpus_path), "--out", str(tmp_path / "o"),
+                         "--vocab-size", "300"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  by "):
+                label, table = line[len("  by "):].split(": ")
+                printed[label] = {k: int(v) for k, v in (kv.split("=") for kv in table.split("  "))}
+        counts = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))["counts"]
+        assert len(counts["source"]) > 1 and len(counts["dialect"]) > 1
+        assert printed == counts
 
     def test_empty_after_cleaning_dropped(self, tmp_path):
         src = tmp_path / "drop.jsonl"
@@ -258,20 +270,16 @@ class TestTrain:
         assert run_train(shards_dir, tmp_path / "run") == 0
         path = tmp_path / "run" / "step_000005" / "optimizer.st8"
         blob = path.read_bytes()
-        opt = AdamW()
-        opt.loads(blob)
-        m = next(iter(opt.moments.values()))[0]
-        absmax = m.absmax.copy()
-        absmax[0] = np.nan
-        bad = dumps_state8(dataclasses.replace(m, absmax=absmax))
-        assert blob.count(dumps_state8(m)) == 1
-        path.write_bytes(blob.replace(dumps_state8(m), bad))
+        m = next(iter(opt8_moments(blob).values()))[0]
+        absmax = m.absmax.astype("<f4").tobytes()  # the first parameter's m blocks
+        assert blob.count(absmax) == 1
+        path.write_bytes(blob.replace(absmax, np.array(np.nan, "<f4").tobytes() + absmax[4:]))
         with pytest.raises(FormatError, match="absmax NaN, infinite or negative"):
             AdamW().loads(path.read_bytes())
         capsys.readouterr()
         rc = run_train(shards_dir, tmp_path / "again", extra=["--resume", str(path.parent)])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("data error: QST8: block absmax NaN")
+        assert capsys.readouterr().err.startswith("data error: OPT8: block absmax NaN")
 
     def test_precision_is_not_a_setting(self, shards_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -533,10 +541,9 @@ class TestPerturbInspect:
 
     @staticmethod
     def artifacts(trained_ckpt, shards_dir, tmp_path):
-        """One file of each container kind: QNF4, QST8, LORA, DMDL, OPT8 and SHRD."""
+        """One file of each container kind: QNF4, LORA, DMDL, OPT8 and SHRD."""
         (tmp_path / "w.qnf4").write_bytes(dumps_qnf4(quantize(np.linspace(-1, 1, 40))))
-        (tmp_path / "m.qst8").write_bytes(dumps_state8(quantize_state8(np.linspace(-1, 1, 40))))
-        return [tmp_path / "w.qnf4", tmp_path / "m.qst8", trained_ckpt / "adapters.lora",
+        return [tmp_path / "w.qnf4", trained_ckpt / "adapters.lora",
                 trained_ckpt / "model.qnf4", trained_ckpt / "optimizer.st8",
                 shards_dir / "shard_0000.bin"]
 
@@ -545,7 +552,6 @@ class TestPerturbInspect:
         assert rc == 0
         out = capsys.readouterr().out
         assert "QNF4 tensor shape (40,)" in out
-        assert "QST8 optimizer moment shape (40,)" in out
         assert "adapter checkpoint r=2" in out
         assert "model checkpoint, 1 layers, d_model 16" in out
         assert "adamw8 optimizer state at step 5" in out

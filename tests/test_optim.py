@@ -1,6 +1,6 @@
 """AdamW's flat, chunked step against the per-parameter step it replaced,
-its golden OPT8 bytes, the checks that bind a loaded state to a model, its
-ledger charge and its traced memory."""
+its golden OPT8 bytes, the checks that load a saved state and bind it to a
+model, its ledger charge and its traced memory."""
 
 import hashlib
 import tracemalloc
@@ -20,11 +20,11 @@ from desklora.quant import (
     Quantized8bitState,
     _nearest_codes,
     dequantize_state8,
-    dumps_state8,
     quantize_state8,
 )
-from desklora.trainer import AdamW, MemoryLedger
+from desklora.trainer import AdamW, MemoryLedger, Sgd
 from desklora.trainer.optim import BETAS, CHUNK_ELEMENTS, EPS, WORKING_BYTES
+from tests.conftest import opt8_moments
 
 
 def oracle_quantize8(x) -> Quantized8bitState:
@@ -101,7 +101,10 @@ def make_grads(params, rng, scale):
 
 
 def state_bytes(state, quantized) -> bytes:
-    return dumps_state8(state) if quantized else np.asarray(state, dtype="<f8").tobytes()
+    """One per-parameter moment: codes then absmax bytes, or its float64 values."""
+    if quantized:
+        return state.codes.tobytes() + state.absmax.astype("<f4").tobytes()
+    return np.asarray(state, dtype="<f8").tobytes()
 
 
 @pytest.mark.parametrize("quantized", [True, False])
@@ -114,18 +117,19 @@ def test_flat_step_equals_the_per_parameter_step(quantized, dtype):
         grads = make_grads(params, rng, 10.0 ** (k - 3))
         if k == 3:
             del grads["odd"]  # absent for one step: value and moments untouched
-        before = opt.moments.get("odd") if k == 3 else None
+        before = opt8_moments(opt.dumps())["odd"] if k == 3 else None
         opt.step(params, grads, lr=0.01)
         oracle.step(oracle_params, grads, lr=0.01)
+        moments = opt8_moments(opt.dumps())
         for (name, p), (_, q) in zip(params, oracle_params):
             assert p.value.tobytes() == q.value.tobytes(), (k, name)
-            for mine, theirs in zip(opt.moments[name], oracle.moments[name]):
+            for mine, theirs in zip(moments[name], oracle.moments[name]):
                 assert state_bytes(mine, quantized) == state_bytes(theirs, quantized), (k, name)
         if before is not None:
-            for old, new in zip(before, opt.moments["odd"]):
+            for old, new in zip(before, moments["odd"]):
                 assert state_bytes(old, quantized) == state_bytes(new, quantized)
     if quantized:
-        gap_m = opt.moments["gap"][0]  # the fixture did make an all-zero block
+        gap_m = moments["gap"][0]  # the fixture did make an all-zero block
         assert gap_m.absmax[0] != 0 and gap_m.absmax[1] == 0
         assert np.all(gap_m.codes[256:512] == DYNAMIC8_ZERO_CODE)
 
@@ -139,7 +143,9 @@ def test_small_parameters_share_a_chunk_and_big_ones_have_their_own():
     assert names == [["a"], ["big"], ["big", "b", "c"]]
 
 
-def golden_run(quantized) -> str:
+def golden_run(quantized) -> tuple[str, str, str]:
+    """sha256 of the parameters' bytes in order; of each parameter's name and
+    per-parameter moments (`state_bytes`), names sorted; and of the OPT8 file."""
     rng = np.random.default_rng(2412)
     shapes = {"big": ((129, 131), FULL), "odd": ((7, 5), DOUBLE), "zero": ((40,), FULL),
               "ln": ((64,), FULL)}
@@ -155,19 +161,29 @@ def golden_run(quantized) -> str:
         if k == 2:
             del grads["odd"]
         opt.step(params, grads, lr=0.01)
-    h = hashlib.sha256(opt.dumps())
+    blob = opt.dumps()
+    values, moments = hashlib.sha256(), hashlib.sha256()
     for _, p in params:
-        h.update(p.value.tobytes())
-    return h.hexdigest()
+        values.update(p.value.tobytes())
+    for name, states in sorted(opt8_moments(blob).items()):
+        moments.update(name.encode())
+        for state in states:
+            moments.update(state_bytes(state, quantized))
+    return values.hexdigest(), moments.hexdigest(), hashlib.sha256(blob).hexdigest()
 
 
-@pytest.mark.parametrize("quantized, digest", [
-    (True, "b70ad27ab8036d645654c835e8e8f775720c5da724b8727c2398dfc7f7f1e983"),
-    (False, "dd25b29037c2de0ec92d415c881c3008da93c9364b9a48bc65f751092fb210b5"),
+@pytest.mark.parametrize("quantized, digests", [
+    (True, ("40a7b7aa3943f72427d82f19c67dcde3c036e7141ae48228bcbbf852cf5dc876",
+            "58f9fc7ad011a44e037253d57f1344636956fb5a19587ad9944b7b96bca778fc",
+            "b9906534ab7a1c51b2c61dd1445949802b2123cbdc69ca5d000c4d635588ca06")),
+    (False, ("98af42eff2a0a9b59f3b3bf9980df55b8338be840b008452f9d746760fb2f625",
+             "76e0b9b04a13a03922034cc0720c739283064ce8b258300b45aa5a7ad7fcda6a",
+             "ca0c6bef11c5e4d39eb38249153197412698c2c844d925dc7081e3c9664e8882")),
 ])
-def test_golden_opt8_and_parameters(quantized, digest):
-    """Digests the per-parameter step produced; the flat step must keep them."""
-    assert golden_run(quantized) == digest
+def test_golden_opt8_and_parameters(quantized, digests):
+    """The parameter and moment digests are the ones the per-parameter step
+    produced, and the flat step must keep them; the third pins the OPT8 bytes."""
+    assert golden_run(quantized) == digests
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -199,43 +215,122 @@ def test_a_moment_beyond_float32_stops_only_the_8bit_state(quantized):
     assert not p.value.any()
 
 
-def opt8_blob(moments: dict, block_size=STATE8_BLOCK_SIZE) -> bytes:
-    w = Writer(b"OPT8", 2)
-    w.text("adamw8")
+def opt8_blob(moments: list, quantized=True, edit=None, kind=None) -> bytes:
+    """An OPT8 file written here by its documented layout: m and v both hold
+    `moments` [(name, values)], each parameter padded to whole blocks and laid
+    end to end. `edit` may change m's flat arrays before they are written."""
+    b = STATE8_BLOCK_SIZE
+    w = Writer(b"OPT8", 3)
+    w.text(kind or ("adamw8" if quantized else "adamw"))
     w.pack("II", 1, len(moments))
-    for name, x in moments.items():
+    for name, x in moments:
         w.text(name)
-        for _ in range(2):
-            w.blob(dumps_state8(quantize_state8(x, block_size)))
+        w.shape(np.shape(x))
+    if quantized:
+        states = [quantize_state8(x) for _, x in moments]
+        m = {"u1": np.concatenate([np.pad(q.codes, (0, -q.codes.size % b),
+                                          constant_values=DYNAMIC8_ZERO_CODE) for q in states]),
+             "<f4": np.concatenate([q.absmax for q in states])}
+    else:
+        m = {"<f8": np.concatenate([np.pad(np.ravel(x), (0, -np.size(x) % b)) for _, x in moments])}
+    v = {dtype: arr.copy() for dtype, arr in m.items()}
+    if edit is not None:
+        edit(m)
+    for moment in (m, v):
+        for dtype, arr in moment.items():
+            w.array(arr, dtype)
     return w.getvalue()
 
 
-@pytest.mark.parametrize("moments, params, match", [
-    ({"w": np.ones((4, 4))}, {"w": (5, 4)}, r"'w' has shape \(4, 4\), the parameter \(5, 4\)"),
-    ({"w": np.ones((4, 4)), "gone": np.ones(3)}, {"w": (4, 4)}, r"\['gone'\], which the model lacks"),
+W600 = [("w", np.linspace(-1, 1, 600))]  # three blocks, the last one 88 elements and 168 padding
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_a_file_written_by_the_documented_layout_round_trips(quantized):
+    """The file layout is the stepped one: the optimizer saves, to the byte,
+    what this module writes from per-parameter moments."""
+    p = Parameter(np.zeros(600), DOUBLE, name="w")
+    opt = AdamW(quantized=quantized)
+    opt.loads(opt8_blob(W600, quantized))
+    assert opt.dumps() == opt8_blob(W600, quantized)
+    opt.step([("w", p)], {"w": np.ones(600)}, lr=0.1)
+    assert p.value.any()
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+@pytest.mark.parametrize("saved, params", [
+    ([("w", np.ones((4, 4)))], {"w": (5, 4)}),
+    ([("w", np.ones((4, 4))), ("gone", np.ones(3))], {"w": (4, 4)}),
+    ([("w", np.ones((4, 4)))], {"w": (4, 4), "new": (3,)}),
+    ([("a", np.ones(3)), ("b", np.ones(3))], {"b": (3,), "a": (3,)}),
 ])
-def test_state_that_does_not_fit_the_model_is_format_error(moments, params, match):
-    opt = AdamW()
-    opt.loads(opt8_blob(moments))
+def test_state_laid_out_for_other_parameters_is_format_error(quantized, saved, params):
+    opt = AdamW(quantized=quantized)
+    opt.loads(opt8_blob(saved, quantized))
     params = [(n, Parameter(np.zeros(s), name=n)) for n, s in params.items()]
-    with pytest.raises(FormatError, match=match):
+    with pytest.raises(FormatError, match="^optimizer state for "):
         opt.step(params, {n: np.ones(p.value.shape) for n, p in params}, lr=0.1)
 
 
-def test_state_in_other_blocks_is_format_error():
-    blob = opt8_blob({"w": np.linspace(-1, 1, 600)}, block_size=16)
-    with pytest.raises(FormatError, match="blocks of 16, expected 256"):
-        AdamW().loads(blob)
+def _set(key, index, value):
+    def edit(m):
+        m[key][index] = value
+    return edit
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-def test_state_with_a_damaged_absmax_is_format_error(value):
-    blob = opt8_blob({"w": np.linspace(-1, 1, 600)})
-    q = quantize_state8(np.linspace(-1, 1, 600))
-    q.absmax[2] = value
-    blob = blob.replace(dumps_state8(quantize_state8(np.linspace(-1, 1, 600))), dumps_state8(q), 1)
-    with pytest.raises(FormatError, match="QST8: block absmax NaN, infinite or negative"):
-        AdamW().loads(blob)
+@pytest.mark.parametrize("quantized, edit, match", [
+    (True, _set("u1", 599, 200), None),  # the last real element: no padding
+    (True, _set("u1", 600, DYNAMIC8_ZERO_CODE + 1), "padding of 'w' is not zero"),
+    (True, _set("u1", 767, 0), "padding of 'w' is not zero"),
+    (False, _set("<f8", 700, 1e-30), "padding of 'w' is not zero"),
+    (True, _set("u1", 5, 255), "code outside the 8-bit codebook"),
+    (True, _set("<f4", 2, np.nan), "block absmax NaN, infinite or negative"),
+    (True, _set("<f4", 0, np.inf), "block absmax NaN, infinite or negative"),
+    (True, _set("<f4", 1, -1.0), "block absmax NaN, infinite or negative"),
+    (False, _set("<f8", 3, np.nan), "moment value NaN or infinite"),
+    (False, _set("<f8", 599, -np.inf), "moment value NaN or infinite"),
+])
+def test_a_damaged_state_is_format_error(quantized, edit, match):
+    blob = opt8_blob(W600, quantized, edit)
+    if match is None:
+        AdamW(quantized=quantized).loads(blob)
+        return
+    with pytest.raises(FormatError, match=f"^OPT8: {match}"):
+        AdamW(quantized=quantized).loads(blob)
+
+
+def test_a_repeated_name_is_format_error():
+    with pytest.raises(FormatError, match="parameter 'w' listed twice"):
+        AdamW().loads(opt8_blob(W600 * 2))
+
+
+def test_sgd_state_with_parameters_is_format_error():
+    with pytest.raises(FormatError, match="sgd state lists 1 parameters"):
+        Sgd().loads(opt8_blob(W600, quantized=False, kind="sgd"))
+
+
+def test_a_version_2_file_is_format_error():
+    w = Writer(b"OPT8", 2)
+    w.text("adamw8")
+    w.pack("II", 1, 0)
+    with pytest.raises(FormatError, match="unsupported version 2, expected 3"):
+        AdamW().loads(w.getvalue())
+
+
+@pytest.mark.parametrize("make", [lambda: AdamW(quantized=True), lambda: AdamW(quantized=False),
+                                  Sgd])
+def test_loads_then_dumps_gives_the_same_bytes(make):
+    params = [("a", Parameter(np.linspace(-1, 1, 300))), ("b", Parameter(np.ones((2, 3))))]
+    opt = make()
+    for k in range(3):
+        opt.step(params, {"a": np.full(300, 0.1 * k), "b": np.ones((2, 3))}, lr=0.1)
+    blob = opt.dumps()
+    loaded = make()
+    loaded.loads(blob)
+    assert loaded.step_count == 3 and loaded.dumps() == blob
+    loaded.step(params, {"a": np.ones(300)}, lr=0.1)
+    opt.step(params, {"a": np.ones(300)}, lr=0.1)
+    assert loaded.dumps() == opt.dumps()
 
 
 def test_a_changed_parameter_list_is_contract_error():

@@ -14,9 +14,7 @@ from desklora.quant import (
     dequantize,
     dequantize_state8,
     dumps_qnf4,
-    dumps_state8,
     loads_qnf4,
-    loads_state8,
     max_half_gap,
     quantize,
     quantize_state8,
@@ -319,14 +317,16 @@ class TestSerialization:
 
     def test_golden_bytes(self):
         """Pinned bytes of both quantizers, all-zero blocks included; any change
-        to padding, scaling, nearest-level choice or the zero code shows here."""
+        to padding, scaling, nearest-level choice or the zero code shows here.
+        The 8-bit pin covers the codec's codes and absmax, with no file around them."""
         x = np.random.default_rng(7).normal(size=(37, 29))
         x.reshape(-1)[256:512] = 0.0  # whole blocks of zeros in both block sizes
         digest = lambda b: hashlib.sha256(b).hexdigest()
         assert digest(dumps_qnf4(quantize(x, 64, double_quant=True))) == (
             "c6faba167d345a59c6ae239b0a01b132ecf8022338276be63d6d1c818e589fca")
-        assert digest(dumps_state8(quantize_state8(x))) == (
-            "947dcd3ce1d2e00b4685b0ce246f0c3a4e67c9f686a5ad48bf45bd4cbbc886d4")
+        q = quantize_state8(x)
+        assert digest(q.codes.tobytes() + q.absmax.astype("<f4").tobytes()) == (
+            "7542415843a6acf07571197da05f1bcf7b23bf6f219d225f80ffc9898a6747ef")
 
     def test_qnf4_deterministic_bytes(self):
         x = np.random.default_rng(12).standard_normal(500)
@@ -343,15 +343,9 @@ class TestSerialization:
             loads_qnf4(data[:-2])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-    @pytest.mark.parametrize("field", ["absmax", "group_scale", "group_offset", "state8"])
+    @pytest.mark.parametrize("field", ["absmax", "group_scale", "group_offset"])
     def test_damaged_scale_rejected(self, field, value):
         x = np.linspace(-1.0, 1.0, 40)
-        if field == "state8":
-            q = quantize_state8(x, 16)
-            q.absmax[1] = value
-            with pytest.raises(FormatError, match="absmax NaN, infinite or negative"):
-                loads_state8(dumps_state8(q))
-            return
         q = quantize(x, 8, double_quant=field != "absmax", dq_group=2)
         getattr(q if field == "absmax" else q.dq, field)[1] = value
         with pytest.raises(FormatError, match=f"{field.replace('_', ' ')} NaN, infinite or negative"):
@@ -368,11 +362,3 @@ class TestSerialization:
         path.write_bytes(data)
         assert cli.main(["inspect", str(path)]) == 3
         assert capsys.readouterr().err.startswith("data error: ")
-
-    def test_state8_round_trip(self):
-        x = np.random.default_rng(13).standard_normal((40, 9))
-        q = quantize_state8(x)
-        q2 = loads_state8(dumps_state8(q))
-        assert q2.shape == q.shape
-        assert np.array_equal(q2.codes, q.codes)
-        assert np.array_equal(dequantize_state8(q2), dequantize_state8(q))

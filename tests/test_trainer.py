@@ -29,6 +29,7 @@ from desklora.trainer import (
     save_checkpoint,
     train,
 )
+from tests.conftest import opt8_moments
 
 
 def tiny_model(seed=0, dtype=FULL, layers=2, d=32, vocab=64, max_len=24, dropout=0.0, bias=0.0):
@@ -254,7 +255,7 @@ class TestAdam:
             opt.step([("w", p)], {"w": rng.normal(size=(16,)) * 10.0**i}, lr=1e-3)
         from desklora.quant import dequantize_state8
 
-        m, v = opt.moments["w"]
+        m, v = opt8_moments(opt.dumps())["w"]
         assert np.all(np.isfinite(dequantize_state8(m)))
         assert np.all(np.isfinite(dequantize_state8(v)))
 
@@ -267,8 +268,8 @@ class TestAdam:
         opt2 = AdamW(quantized=True)
         opt2.loads(blob)
         assert opt2.step_count == opt.step_count
-        assert np.array_equal(opt2.moments["w"][0].codes, opt.moments["w"][0].codes)
         assert opt2.dumps() == blob
+        assert opt8_moments(blob)["w"][0].absmax.all()  # not the zeros of a fresh state
 
     @pytest.mark.parametrize("quantized", [True, False])
     def test_non_finite_gradient_is_training_error(self, quantized):
