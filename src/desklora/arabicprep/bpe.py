@@ -167,7 +167,8 @@ def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def bpe_train(corpus, vocab_size: int = 8192) -> BpeVocab:
-    """Learn merges from an iterable of texts."""
+    """Learn merges from an iterable of texts. `prep` calls `bpe_train_encode`;
+    this stays public because deskbench's tracer wraps it by name."""
     return bpe_train_encode(corpus, vocab_size)[0]
 
 

@@ -37,7 +37,7 @@ from .evalharness import (
 )
 from .model import ModelConfig, build, token_has_diacritic
 from .numcore import Rng
-from .trainer import TrainConfig, checkpoint_hash, load_checkpoint, pack_windows, train
+from .trainer import TrainConfig, checkpoint_hash, effective_batch, load_checkpoint, pack_windows, train
 from .util import from_known_keys, sha256_file
 
 
@@ -305,7 +305,7 @@ def cmd_train(args) -> int:
     windows = pack_windows(docs, run.train.seq_len, SEP_ID)
     frac = model.trainable_fraction()
     print(f"training: {windows.shape[0]} windows of {run.train.seq_len + 1} tokens, "
-          f"effective batch {run.train.micro_batch * run.train.accumulation_steps}, "
+          f"effective batch {effective_batch(run.train)}, "
           f"trainable fraction {frac:.4%}")
     _write_resolved(out_dir, "train", run)
 

@@ -153,17 +153,6 @@ class EvalReport:
             d["comparison"] = self.comparison
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        validate_report(d)
-        return cls(
-            tables=d["tables"],
-            curves={k: [(l, v) for l, v in pts] for k, pts in d["curves"].items()},
-            warnings=d.get("warnings", []),
-            metadata=d.get("metadata", {}),
-            comparison=d.get("comparison"),
-        )
-
 
 def _is_number(x) -> bool:
     """A finite JSON number; a JSON true is no number, though `bool` is an `int`."""

@@ -73,12 +73,16 @@ def lm_scores(model, sequences, bos_id: int = BOS_ID) -> tuple[float, float]:
 
 
 def perplexity(model, sequences, bos_id: int = BOS_ID) -> float:
-    """exp(total NLL / total predicted tokens) over tokenized sequences."""
+    """exp(total NLL / total predicted tokens) over tokenized sequences.
+    `dialect_breakdown` calls `lm_scores`; this stays public because
+    deskbench's tracer wraps it by name."""
     return lm_scores(model, sequences, bos_id)[0]
 
 
 def next_word_accuracy(model, sequences, bos_id: int = BOS_ID) -> float:
-    """Fraction of positions where argmax(logits) hits the actual next token."""
+    """Fraction of positions where argmax(logits) hits the actual next token.
+    `dialect_breakdown` calls `lm_scores`; this stays public because
+    deskbench's tracer wraps it by name."""
     return lm_scores(model, sequences, bos_id)[1]
 
 

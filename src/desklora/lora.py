@@ -55,10 +55,6 @@ class LoraAdapter:
     scaling: float
     dropout: float
 
-    @property
-    def n_params(self) -> int:
-        return self.a.value.size + self.b.value.size
-
 
 @dataclass
 class FrozenLinear:
@@ -80,6 +76,16 @@ class FrozenLinear:
         return self._weight
 
 
+def with_adapter(base: QuantizedTensor, cfg: LoraConfig, a_init: np.ndarray, name: str = "",
+                 dtype: str = FULL) -> FrozenLinear:
+    """The frozen layer `name` over `base` with A = `a_init` and B = 0 in precision
+    `dtype`, named `{name}.lora_a` and `{name}.lora_b`."""
+    prefix = f"{name}." if name else ""
+    a = Parameter(a_init, dtype, name=prefix + "lora_a")
+    b = Parameter(np.zeros((base.shape[0], cfg.r)), dtype, name=prefix + "lora_b")
+    return FrozenLinear(name, base, dtype, LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout))
+
+
 def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
            dtype: str = FULL) -> FrozenLinear:
     """Give a frozen quantized weight a zero-initialized adapter in precision
@@ -90,9 +96,7 @@ def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
     if cfg.r > min(d_in, d_out):
         raise ConfigError(f"rank {cfg.r} exceeds min(d_in={d_in}, d_out={d_out})")
     a_init = rng.split("lora_a").normal((cfg.r, d_in), std=1.0 / np.sqrt(cfg.r)).astype(np.float32)
-    a = Parameter(a_init, dtype, name=f"{name}.lora_a" if name else "lora_a")
-    b = Parameter(np.zeros((d_out, cfg.r)), dtype, name=f"{name}.lora_b" if name else "lora_b")
-    return FrozenLinear(name, base, dtype, LoraAdapter(a=a, b=b, scaling=cfg.scaling, dropout=cfg.dropout))
+    return with_adapter(base, cfg, a_init, name, dtype)
 
 
 def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) -> GradNode:
@@ -180,13 +184,24 @@ def loads_adapters(data: bytes) -> dict:
     return {"r": rank, "alpha": alpha, "weights": weights}
 
 
-def apply_adapter_state(layers: list[FrozenLinear], state: dict):
-    """Load saved A/B matrices into matching layers by name, in each layer's precision."""
+def apply_adapter_state(layers: list[FrozenLinear], cfg: LoraConfig, state: dict):
+    """Load saved A/B matrices into the adapters `cfg` configures, layer by layer.
+    The file must hold the same rank, alpha (as its f32), layers and precision:
+    anything else would run at another scaling or round the saved values."""
+    if state["r"] != cfg.r or state["alpha"] != float(np.float32(cfg.alpha)):
+        raise FormatError(f"adapter checkpoint has rank {state['r']}, alpha {state['alpha']}; "
+                          f"the model expects rank {cfg.r}, alpha {cfg.alpha}")
     weights = state["weights"]
+    extra = sorted(set(weights) - {layer.name for layer in layers})
+    if extra:
+        raise FormatError(f"adapter checkpoint has layers the model lacks: {extra}")
     for layer in layers:
         if layer.name not in weights:
             raise FormatError(f"adapter checkpoint missing layer {layer.name!r}")
         a, b = weights[layer.name]
+        if a.dtype != storage_dtype(layer.dtype):
+            raise FormatError(f"adapter checkpoint layer {layer.name!r} is {a.dtype}; "
+                              f"the model is {layer.dtype}")
         ad = layer.adapter
         if a.shape != ad.a.value.shape or b.shape != ad.b.value.shape:
             raise FormatError(f"adapter checkpoint layer {layer.name!r} has A {a.shape}, B {b.shape}; "

@@ -24,7 +24,7 @@ import numpy as np
 from . import lora
 from .binfmt import Reader, Writer
 from .errors import ConfigError, ContractError, FormatError
-from .lora import FrozenLinear, LoraAdapter, LoraConfig
+from .lora import FrozenLinear, LoraConfig
 from .numcore import (
     DOUBLE,
     FULL,
@@ -387,10 +387,7 @@ def load_model(path) -> TransformerModel:
         return x
 
     def adapted(name, q, _i, _tag) -> FrozenLinear:
-        (d_out, d_in), lcfg = q.shape, cfg.lora
-        a = Parameter(np.zeros((lcfg.r, d_in)), cfg.dtype, name=f"{name}.lora_a")
-        b = Parameter(np.zeros((d_out, lcfg.r)), cfg.dtype, name=f"{name}.lora_b")
-        return FrozenLinear(name, q, cfg.dtype, LoraAdapter(a, b, lcfg.scaling, lcfg.dropout))
+        return lora.with_adapter(q, cfg.lora, np.zeros((cfg.lora.r, q.shape[1])), name, cfg.dtype)
 
     model = _assemble(cfg, flags, lambda name, shape: take(frozen, name, shape),
                       lambda name, shape, _fill: take(masters, name, shape), adapted)

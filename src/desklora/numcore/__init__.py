@@ -14,7 +14,6 @@ from .autograd import (
     no_grad,
     storage_dtype,
 )
-from .gradcheck import finite_diff_check
 from .ops import (
     KVCache,
     add,
@@ -25,11 +24,8 @@ from .ops import (
     gelu,
     layer_norm,
     matmul,
-    mul,
     scale,
-    softmax,
     softmax_cross_entropy,
-    sum_all,
     transpose,
 )
 from .rng import Rng, RowRngs
@@ -49,19 +45,15 @@ __all__ = [
     "checkpoint",
     "constant",
     "dropout",
-    "finite_diff_check",
     "gather_rows",
     "gelu",
     "grad_enabled",
     "layer_norm",
     "matmul",
     "metering",
-    "mul",
     "no_grad",
     "scale",
-    "softmax",
     "softmax_cross_entropy",
     "storage_dtype",
-    "sum_all",
     "transpose",
 ]

@@ -6,8 +6,8 @@ Every op computes a plain numpy result from its inputs' values and hands it to
 is not C-contiguous or has another dtype. The node records the op's parents
 and one backward closure that returns every parent's gradient from a single
 call, so the parents' gradients share their intermediate products.
-Broadcasting is deliberately narrow: elementwise ops accept exact-match
-shapes or python scalars only. Ops over sequences take leading
+Broadcasting is deliberately narrow: `add` takes exact-match shapes only,
+and `scale` alone takes a python scalar. Ops over sequences take leading
 batch axes: `matmul`, `layer_norm`, `gather_rows`, `softmax_cross_entropy` and
 `causal_attention` read a `[B, T, d]` activation as B sequences of `[T, d]`,
 and a `[T, d]` one as a batch of one. `causal_attention` alone can also
@@ -30,30 +30,17 @@ from .rng import Rng, RowRngs
 # ---------------------------------------------------------------------------
 
 
-def add(a: GradNode, b) -> GradNode:
-    if not isinstance(b, GradNode):
-        if np.ndim(b) != 0:
-            raise DimensionError("add: second operand must be a GradNode or a scalar")
-        return op_output(a.value + float(b), (a,), lambda g: (g,))
+def add(a: GradNode, b: GradNode) -> GradNode:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
     return op_output(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def mul(a: GradNode, b) -> GradNode:
-    if not isinstance(b, GradNode):
-        if np.ndim(b) != 0:
-            raise DimensionError("mul: second operand must be a GradNode or a scalar")
-        s = float(b)
-        return op_output(a.value * s, (a,), lambda g: (g * s,))
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
-    da, db = a.value, b.value
-    return op_output(da * db, (a, b), lambda g: (g * db, g * da))
-
-
 def scale(a: GradNode, s: float) -> GradNode:
-    return mul(a, float(s))
+    """`a` times the python scalar `s`. The engine path never calls it; it stays
+    for the tests and because deskbench's tracer wraps it by name."""
+    s = float(s)
+    return op_output(a.value * s, (a,), lambda g: (g * s,))
 
 
 def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradNode:
@@ -62,7 +49,9 @@ def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradN
     Dropout is on exactly when an `rng` is passed; without one, or at rate 0,
     it returns `x` itself. Mask draws come from the given stream, so the same
     stream yields the same mask; a `RowRngs` draws row b's mask from its
-    stream b, the mask that stream alone gives for `x[b]`.
+    stream b, the mask that stream alone gives for `x[b]`. `lora.forward` draws
+    the same mask through `dropout_factor`; this op stays for the tests and
+    because deskbench's tracer wraps it by name.
     """
     factor = dropout_factor(x.value, rate, rng)
     if factor is None:
@@ -80,7 +69,9 @@ def dropout_factor(x: np.ndarray, rate: float, rng: Rng | RowRngs | None) -> np.
 
 
 def astype(x: GradNode, dtype: str) -> GradNode:
-    """Precision boundary: `x` in precision `dtype`, or `x` itself if it has it."""
+    """Precision boundary: `x` in precision `dtype`, or `x` itself if it has it.
+    No engine path calls it; it stays for the tests and because deskbench's
+    tracer wraps it by name."""
     target = storage_dtype(dtype)
     if x.dtype == target:
         return x
@@ -139,11 +130,6 @@ def gather_rows(table: GradNode, ids: np.ndarray) -> GradNode:
     return op_output(table.value[ids], (table,), grad_fn)
 
 
-def sum_all(x: GradNode) -> GradNode:
-    shape = x.shape
-    return op_output(x.value.sum(), (x,), lambda g: (np.broadcast_to(g, shape).astype(g.dtype),))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 # ---------------------------------------------------------------------------
@@ -162,18 +148,6 @@ def gelu(x: GradNode) -> GradNode:
         return (g * (0.5 * (1.0 + t) + 0.5 * d * dt),)
 
     return op_output(out, (x,), grad_fn)
-
-
-def softmax(x: GradNode, axis: int = -1) -> GradNode:
-    d = x.value
-    m = d.max(axis=axis, keepdims=True)
-    e = np.exp(d - m)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
-
-    return op_output(s, (x,), grad_fn)
 
 
 def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -> GradNode:

@@ -40,8 +40,6 @@ class Rng:
 
     __slots__ = ("seed", "_key", "_generator")
 
-    algorithm = "philox4x64"
-
     def __init__(self, seed: int, _key: int | None = None):
         self.seed = int(seed) & _MASK
         self._key = self.seed if _key is None else (_key & _MASK)
@@ -71,9 +69,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]
 
 
 class RowRngs:

@@ -329,11 +329,15 @@ class Quantized8bitState:
 
 
 def quantize_state8(x: np.ndarray, block_size: int = STATE8_BLOCK_SIZE) -> Quantized8bitState:
+    """`x` as 8-bit dynamic codes in blocks. The optimizer calls `encode_blocks8`;
+    this stays for the tests and because deskbench's tracer wraps it by name."""
     shape, codes, absmax = _encode_blocks(x, block_size, _nearest_dynamic8, DYNAMIC8_ZERO_CODE)
     return Quantized8bitState(shape, codes, absmax, block_size)
 
 
 def dequantize_state8(q: Quantized8bitState, out_dtype=np.float32) -> np.ndarray:
+    """`quantize_state8`'s inverse. The optimizer calls `decode_blocks8`; this
+    stays for the tests and because deskbench's tracer wraps it by name."""
     return _decode_blocks(q.codes, q.absmax, q.block_size, DYNAMIC8_VALUES, q.shape, out_dtype)
 
 

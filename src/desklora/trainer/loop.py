@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
         if self.micro_batch < 1 or self.accumulation_steps < 1:
             raise ConfigError("micro_batch and accumulation_steps must be >= 1")
+        if self.checkpoint_every < 1 or self.keep_checkpoints < 1:
+            raise ConfigError("checkpoint_every and keep_checkpoints must be >= 1")
         if self.seq_len < 2:
             raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
         if self.optimizer not in ("adamw8", "adamw", "sgd"):
@@ -115,7 +117,6 @@ def pack_windows(doc_token_lists, seq_len: int, sep_id: int) -> np.ndarray:
 class TrainResult:
     final_checkpoint: str
     metrics: list
-    model: TransformerModel
 
 
 class _WindowOrder:
@@ -142,9 +143,9 @@ def register_static_memory(model: TransformerModel, ledger: MemoryLedger):
     ledger.allocate("dequantized_weights", sum(
         layer.q.numel * storage_dtype(layer.dtype).itemsize
         for blk in model.blocks for layer in blk.frozen()))
-    params = model.trainable_parameters()
-    ledger.allocate("adapters", sum(p.value.nbytes for name, p in params if ".lora_" in name))
-    ledger.allocate("other", sum(p.value.nbytes for name, p in params if ".lora_" not in name))
+    ledger.allocate("adapters", sum(p.value.nbytes for layer in model.adapted_layers()
+                                    for p in (layer.adapter.a, layer.adapter.b)))
+    ledger.allocate("other", sum(p.value.nbytes for p in model.masters()))
 
 
 def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
@@ -196,7 +197,7 @@ def load_checkpoint(ckpt_dir):
     """Rebuild the model (bases + masters + adapters) and the trainer state."""
     model = load_model(os.path.join(ckpt_dir, "model.qnf4"))
     with open(os.path.join(ckpt_dir, "adapters.lora"), "rb") as f:
-        apply_adapter_state(model.adapted_layers(), loads_adapters(f.read()))
+        apply_adapter_state(model.adapted_layers(), model.cfg.lora, loads_adapters(f.read()))
     return model, read_trainer_state(ckpt_dir)
 
 
@@ -312,4 +313,4 @@ def train(
     finally:
         metrics_file.close()
 
-    return TrainResult(final_checkpoint=final_dir, metrics=metrics, model=model)
+    return TrainResult(final_checkpoint=final_dir, metrics=metrics)

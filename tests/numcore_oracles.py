@@ -1,9 +1,29 @@
-"""Central finite-difference oracle for gradient verification."""
+"""Test-only numcore helpers: `mul` and `sum_all` turn an op's output into the
+scalar a gradient probe differentiates, and `finite_diff_check` compares an
+analytic gradient with central differences. The engine never calls them."""
 
 import numpy as np
 
-from ..errors import ContractError
-from .autograd import DOUBLE, GradNode, Parameter, backward, constant, no_grad
+from desklora.errors import ContractError, DimensionError
+from desklora.numcore import DOUBLE, GradNode, Parameter, backward, constant, no_grad
+from desklora.numcore.autograd import op_output
+
+
+def mul(a: GradNode, b) -> GradNode:
+    if not isinstance(b, GradNode):
+        if np.ndim(b) != 0:
+            raise DimensionError("mul: second operand must be a GradNode or a scalar")
+        s = float(b)
+        return op_output(a.value * s, (a,), lambda g: (g * s,))
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
+    da, db = a.value, b.value
+    return op_output(da * db, (a, b), lambda g: (g * db, g * da))
+
+
+def sum_all(x: GradNode) -> GradNode:
+    shape = x.shape
+    return op_output(x.value.sum(), (x,), lambda g: (np.broadcast_to(g, shape).astype(g.dtype),))
 
 
 def finite_diff_check(f, x, h: float = 1e-5) -> float:

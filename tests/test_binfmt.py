@@ -157,9 +157,11 @@ def artifacts(tmp_dir):
         "qnf4_double_quant": (
             quant.dumps_qnf4(quant.quantize(x, 8, double_quant=True, dq_group=2)), use_qnf4),
         "lora": (dumps_adapters(model.adapted_layers(), model.cfg.lora),
-                 lambda data, _: apply_adapter_state(target.adapted_layers(), loads_adapters(data))),
+                 lambda data, _: apply_adapter_state(target.adapted_layers(), target.cfg.lora,
+                                                     loads_adapters(data))),
         "lora_double": (dumps_adapters(double.adapted_layers(), double.cfg.lora),
                         lambda data, _: apply_adapter_state(double_target.adapted_layers(),
+                                                            double_target.cfg.lora,
                                                             loads_adapters(data))),
         "opt8_adamw8": (_optimizer_blob(AdamW(quantized=True)),
                         _use_optimizer(lambda: AdamW(quantized=True))),

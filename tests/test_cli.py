@@ -14,6 +14,7 @@ from desklora.evalharness import (
 )
 from desklora.evalharness.harness import DIALECT_ORDER
 from desklora.errors import FormatError
+from desklora.lora import dumps_adapters
 from desklora.quant import dumps_qnf4, quantize
 from desklora.numcore import Parameter
 from desklora.trainer import AdamW, MemoryBudget, load_checkpoint, read_trainer_state
@@ -497,6 +498,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert "lm.jsonl:2: invalid JSON" in err and "Traceback" not in err
 
+    def test_adapters_at_another_alpha_exit_3(self, trained_ckpt, shards_dir, eval_files, tmp_path,
+                                              capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in os.listdir(trained_ckpt):
+            (ckpt / name).write_bytes((trained_ckpt / name).read_bytes())
+        model, _ = load_checkpoint(ckpt)
+        half = dataclasses.replace(model.cfg.lora, alpha=model.cfg.lora.alpha / 2)
+        (ckpt / "adapters.lora").write_bytes(dumps_adapters(model.adapted_layers(), half))
+        assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 3
+        err = capsys.readouterr().err
+        assert "data error: adapter checkpoint has rank" in err and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
     def test_eval_deterministic(self, trained_ckpt, shards_dir, eval_files, tmp_path):
         for name in ("a", "b"):
             assert self.run_eval(trained_ckpt, shards_dir, eval_files, tmp_path / name) == 0
@@ -663,6 +678,19 @@ class TestConfigFile:
         assert rc == 2  # reading the missing input, shards or checkpoint first would exit 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("section, extra", [
+        ({}, ["--checkpoint-every", "0"]), ({"train": {"keep_checkpoints": 0}}, []),
+    ])
+    def test_no_checkpoints_exits_2_before_reading(self, tmp_path, capsys, section, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": section}))
+        rc = cli.main(["train", "--config", str(cfg), "--shards", str(tmp_path / "no_shards"),
+                       "--out", str(tmp_path / "out"), *extra])
+        assert rc == 2  # reading the missing shards first would exit 3
+        err = capsys.readouterr().err
+        assert err == "config error: checkpoint_every and keep_checkpoints must be >= 1\n", err
+        assert not (tmp_path / "out").exists()
 
     def test_prep_has_no_seed_flag(self):
         with pytest.raises(SystemExit) as e:

@@ -115,6 +115,8 @@ def test_flag_lands_in_its_field_and_beats_the_file(row, tmp_path):
     (cli.PrepCommand, {"policy": {"unify_ya": "no"}}, False),  # nested configs are checked too
     (TrainConfig, {"budget": {"host_bytes": 0}}, False),
     (TrainConfig, {"budget": {}}, True),
+    (TrainConfig, {"checkpoint_every": 0}, False),
+    (TrainConfig, {"keep_checkpoints": 0}, False),
 ])
 def test_from_known_keys_checks_scalar_types(cls, d, ok):
     if ok:

@@ -571,10 +571,8 @@ class TestEmitReport:
         paths = emit_report(report, tmp_path)
         with open(paths["json"], "r", encoding="utf-8") as f:
             parsed = json.load(f)
-        again = EvalReport.from_dict(parsed)
-        assert again.tables == report.tables
-        assert again.curves == report.curves
-        assert again.metadata == report.metadata
+        validate_report(parsed)
+        assert parsed == json.loads(json.dumps(report.to_dict()))
 
     def test_csv_rows(self, tmp_path):
         paths = emit_report(self.sample_report(), tmp_path)

@@ -324,7 +324,8 @@ class TestCheckpointIO:
         (tmp_path / "adapters.lora").write_bytes(dumps_adapters(m.adapted_layers(), cfg.lora))
 
         m2 = load_model(tmp_path / "model.qnf4")
-        apply_adapter_state(m2.adapted_layers(), loads_adapters((tmp_path / "adapters.lora").read_bytes()))
+        apply_adapter_state(m2.adapted_layers(), m2.cfg.lora,
+                            loads_adapters((tmp_path / "adapters.lora").read_bytes()))
         assert np.array_equal(m2.forward_ids(ids), expected)
         assert m2.base_bytes() == m.base_bytes()
 
@@ -343,7 +344,7 @@ class TestCheckpointIO:
         save_model(m, tmp_path / "model.qnf4")
         m2 = load_model(tmp_path / "model.qnf4")
         state = loads_adapters(dumps_adapters(m.adapted_layers(), m.cfg.lora))
-        apply_adapter_state(m2.adapted_layers(), state)
+        apply_adapter_state(m2.adapted_layers(), m2.cfg.lora, state)
         ids = np.array([1, 5, 7, 2, 9, 4])
         assert np.array_equal(m2.diacritic_flags, flags)
         assert np.array_equal(m2.forward_ids(ids), m.forward_ids(ids))
@@ -357,7 +358,7 @@ class TestCheckpointIO:
         save_model(m, tmp_path / "model.qnf4")
         m2 = load_model(tmp_path / "model.qnf4")
         state = loads_adapters(dumps_adapters(m.adapted_layers(), m.cfg.lora))
-        apply_adapter_state(m2.adapted_layers(), state)
+        apply_adapter_state(m2.adapted_layers(), m2.cfg.lora, state)
         for old, new in zip(m.adapted_layers(), m2.adapted_layers()):
             for p_old, p_new in ((old.adapter.a, new.adapter.a), (old.adapter.b, new.adapter.b)):
                 assert p_new.value.dtype == np.float64

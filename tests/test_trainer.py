@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from desklora.errors import BudgetError, ConfigError, ContractError, DataError, FormatError, TrainingError
-from desklora.lora import LoraConfig
+from desklora.lora import LoraConfig, dumps_adapters
 from desklora.model import ModelConfig, build
 from desklora.numcore import (
     DOUBLE, FULL, Parameter, Rng, astype, backward, constant, dropout, scale,
@@ -424,6 +425,30 @@ class TestTrainLoop:
         reloaded, state = load_checkpoint(target)
         assert state["step"] == 3
         assert reloaded.base_bytes() == model.base_bytes()
+
+    @pytest.mark.parametrize("case, match", [
+        ("alpha 16", "alpha 16.0; the model expects rank 4, alpha 32.0"),
+        ("rank 2", "rank 2, alpha 32.0; the model expects rank 4"),
+        ("a layer the model lacks", r"lacks: \['layer2\.k', 'layer2\.o', 'layer2\.q', 'layer2\.v'\]"),
+        ("double adapters", "'layer0.q' is float64; the model is full"),
+    ])
+    def test_adapters_that_do_not_fit_the_model_are_format_error(self, tmp_path, case, match):
+        model = tiny_model()
+        ckpt = tmp_path / "step_000003"
+        save_checkpoint(ckpt, model, AdamW(), 3, tiny_train_cfg())
+        layers, lcfg = model.adapted_layers(), model.cfg.lora
+        if case == "alpha 16":  # scaling 4 where the model runs at 8
+            lcfg = dataclasses.replace(lcfg, alpha=16.0)
+        elif case == "rank 2":
+            other = build(dataclasses.replace(model.cfg, lora=LoraConfig(r=2)), Rng(0))
+            layers, lcfg = other.adapted_layers(), other.cfg.lora
+        elif case == "a layer the model lacks":
+            layers = tiny_model(layers=3).adapted_layers()
+        else:
+            layers = tiny_model(dtype=DOUBLE).adapted_layers()
+        (ckpt / "adapters.lora").write_bytes(dumps_adapters(layers, lcfg))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("content", ['{"step": 2, "se', '{"step": 2}', "[]", "\udcff"])
     def test_damaged_trainer_state_is_format_error(self, tmp_path, content):
