@@ -124,8 +124,7 @@ class BpeVocab:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")  # C encoder, as in write_shards
 
     @classmethod
     def load(cls, path) -> "BpeVocab":

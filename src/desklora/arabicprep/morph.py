@@ -37,9 +37,24 @@ def _split_word(word: str) -> str:
     return BOUNDARY.join(parts)
 
 
+class _Splits(dict):
+    """Each word's clitic split, computed on first lookup."""
+
+    def __missing__(self, word: str) -> str:
+        split = self[word] = _split_word(word)
+        return split
+
+
+def presegmenter():
+    """A `morph_presegment` that splits each distinct word once, remembering
+    the words for as long as the returned function lives."""
+    lookup = _Splits().__getitem__
+    return lambda text: " ".join(map(lookup, text.split(" ")))
+
+
 def morph_presegment(text: str) -> str:
     """Insert clitic boundaries into words longer than four letters."""
-    return " ".join(_split_word(w) for w in text.split(" "))
+    return presegmenter()(text)
 
 
 def strip_boundaries(text: str) -> str:

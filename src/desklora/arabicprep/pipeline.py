@@ -1,20 +1,26 @@
 """End-to-end corpus preparation: clean, normalize, diacritics, segment,
 dialect-tag, clitic-presegment; plus the matching text encoder used at
 evaluation time so shards and eval inputs share one policy.
+
+Before segmentation a text takes `clean`'s regex and split, then the
+policy's `text_replacements`, which normalize letters and strip diacritics
+in one list of `str.replace` passes. Per call, `prepare_documents` builds
+that list and the dialect lexicon's index once, and splits each distinct
+word into clitics once.
 """
 
 import json
 
 from ..errors import DataError
 from .bpe import BpeVocab
-from .dialect import DialectLexicon, tag_dialect
-from .morph import morph_presegment
+from .dialect import DialectLexicon, dialect_tagger
+from .morph import morph_presegment, presegmenter
 from .shards import Document
-from .textops import NormalizationPolicy, clean, handle_diacritics, normalize, segment_sentences
+from .textops import NormalizationPolicy, clean, replace_chars, segment_sentences, text_replacements
 
 
 def preprocess_text(text: str, policy: NormalizationPolicy) -> str:
-    return handle_diacritics(normalize(clean(text), policy), policy)
+    return replace_chars(clean(text), text_replacements(policy))
 
 
 def prepare_documents(
@@ -30,17 +36,20 @@ def prepare_documents(
     per sentence depending on `per_sentence`.
     """
     lexicon = lexicon or DialectLexicon.default(policy)
+    pairs = text_replacements(policy)
+    tag = dialect_tagger(lexicon)
+    presegment = presegmenter()
     out: list[Document] = []
     for raw in raw_docs:
-        text = preprocess_text(raw.get("text", ""), policy)
+        text = replace_chars(clean(raw.get("text", "")), pairs)
         if not text:
             continue
         source = raw.get("source", "other")
         given = raw.get("dialect")
         units = segment_sentences(text) if per_sentence else [text]
         for unit in units:
-            dialect = given if given else tag_dialect(unit, lexicon)[0]
-            out.append(Document(text=morph_presegment(unit), source=source, dialect=dialect))
+            dialect = given if given else tag(unit)[0]
+            out.append(Document(text=presegment(unit), source=source, dialect=dialect))
     return out
 
 

@@ -124,8 +124,8 @@ def write_shards(
         "docs": doc_index,
     }
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, ensure_ascii=False, sort_keys=True)
-        f.write("\n")
+        # dumps, not dump: only a one-shot encode runs json's C encoder
+        f.write(json.dumps(manifest, ensure_ascii=False, sort_keys=True) + "\n")
     return manifest
 
 

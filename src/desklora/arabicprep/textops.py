@@ -1,11 +1,26 @@
 """Arabic text cleaning, letter normalization, diacritics handling, and
-sentence segmentation.
+sentence segmentation, each as whole-string passes in C.
 
-Cleaning keeps the Arabic letter block, combining diacritics, Arabic and a
-small set of neutral punctuation, and digits; everything else becomes a
-space so unrelated words never fuse, then whitespace runs collapse.
+- `clean` keeps the Arabic letter block, alef wasla, combining diacritics,
+  Arabic and a small set of neutral punctuation, and digits. One regex turns
+  each run of any other character into one space, so unrelated words never
+  fuse; `split` and `join` then collapse whitespace and trim. Every character
+  outside the kept set becomes whitespace, and none inside it is whitespace,
+  so the words are the maximal runs of kept characters, as when each dropped
+  character becomes its own space.
+- `normalize` and `handle_diacritics` replace characters: one `str.replace`
+  per (character, replacement) pair the policy enables. Letters and digits
+  map to their unified form; tatweel and diacritics map to "". No
+  replacement is a character that another pair replaces, so the passes
+  equal mapping each character once, in any order, and `text_replacements`
+  joins both steps' pairs into one list. (`str.translate` gives the same
+  text, but looks up each non-ASCII character in a dict: about ten times
+  slower on Arabic text.)
+- `segment_sentences` splits with one regex: at each newline, and after each
+  run of terminators, so "؟!" ends one sentence.
 """
 
+import re
 from dataclasses import dataclass
 
 from ..util import from_known_keys
@@ -56,71 +71,53 @@ class NormalizationPolicy:
         return from_known_keys(cls, d)
 
 
+_DROPPED_RUN = re.compile("[^" + "".join(re.escape(ch) for ch in sorted(_KEEP)) + "]+")
+
+
 def clean(text: str) -> str:
     """Drop foreign scripts and symbols, collapse whitespace runs, trim."""
-    out = []
-    for ch in text:
-        if ch in _KEEP:
-            out.append(ch)
-        else:
-            out.append(" ")
-    return " ".join("".join(out).split())
+    return " ".join(_DROPPED_RUN.sub(" ", text).split())
+
+
+def _letter_pairs(policy: NormalizationPolicy) -> list[tuple[str, str]]:
+    pairs: list[tuple[str, str]] = []
+    for on, mapping in ((policy.unify_alif, _ALIF_MAP), (policy.unify_ya, _YA_MAP),
+                        (policy.unify_ta_marbuta, _TA_MAP), (policy.normalize_digits, _DIGIT_MAP)):
+        if on:
+            pairs += mapping.items()
+    if policy.strip_tatweel:
+        pairs.append((TATWEEL, ""))
+    return pairs
+
+
+_NO_DIACRITICS = [(ch, "") for ch in sorted(DIACRITICS)]
+
+
+def text_replacements(policy: NormalizationPolicy) -> list[tuple[str, str]]:
+    """The (character, replacement) pairs of `normalize` then `handle_diacritics`."""
+    return _letter_pairs(policy) + (_NO_DIACRITICS if policy.strip_diacritics else [])
+
+
+def replace_chars(text: str, pairs) -> str:
+    """Apply each (character, replacement) pair of `text_replacements` to the whole text."""
+    for old, new in pairs:
+        text = text.replace(old, new)
+    return text
 
 
 def normalize(text: str, policy: NormalizationPolicy) -> str:
     """Unify letter variants per policy; idempotent."""
-    table: dict[str, str] = {}
-    if policy.unify_alif:
-        table.update(_ALIF_MAP)
-    if policy.unify_ya:
-        table.update(_YA_MAP)
-    if policy.unify_ta_marbuta:
-        table.update(_TA_MAP)
-    if policy.normalize_digits:
-        table.update(_DIGIT_MAP)
-    out = []
-    for ch in text:
-        if policy.strip_tatweel and ch == TATWEEL:
-            continue
-        out.append(table.get(ch, ch))
-    return "".join(out)
+    return replace_chars(text, _letter_pairs(policy))
 
 
 def handle_diacritics(text: str, policy: NormalizationPolicy) -> str:
     """Remove combining diacritics (U+064B..U+065F, U+0670) when configured."""
-    if not policy.strip_diacritics:
-        return text
-    return "".join(ch for ch in text if ch not in DIACRITICS)
+    return replace_chars(text, _NO_DIACRITICS) if policy.strip_diacritics else text
 
 
-_TERMINATORS = frozenset(".!؟؛")
+_SENTENCE_END = re.compile(r"\n|(?<=[.!؟؛])(?![.!؟؛])")
 
 
 def segment_sentences(text: str) -> list[str]:
     """Split after sentence terminators (runs like ؟! stay together) and newlines."""
-    sentences: list[str] = []
-    buf: list[str] = []
-
-    def flush():
-        s = "".join(buf).strip()
-        buf.clear()
-        if s:
-            sentences.append(s)
-
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            flush()
-            i += 1
-            continue
-        buf.append(ch)
-        if ch in _TERMINATORS:
-            while i + 1 < n and text[i + 1] in _TERMINATORS:
-                i += 1
-                buf.append(text[i])
-            flush()
-        i += 1
-    flush()
-    return sentences
+    return [s for s in map(str.strip, _SENTENCE_END.split(text)) if s]

@@ -10,8 +10,9 @@ from collections import Counter
 
 import numpy as np
 
-from ..arabicprep import NormalizationPolicy, handle_diacritics, normalize
+from ..arabicprep import NormalizationPolicy
 from ..arabicprep.bpe import BOS_ID
+from ..arabicprep.textops import replace_chars, text_replacements
 from ..errors import ContractError
 
 _MATCH_POLICY = NormalizationPolicy(
@@ -22,10 +23,11 @@ _MATCH_POLICY = NormalizationPolicy(
     strip_diacritics=True,
     normalize_digits=False,
 )
+_MATCH_PAIRS = text_replacements(_MATCH_POLICY)
 
 
 def normalize_for_match(text: str) -> str:
-    return " ".join(handle_diacritics(normalize(text, _MATCH_POLICY), _MATCH_POLICY).split())
+    return " ".join(replace_chars(text, _MATCH_PAIRS).split())
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

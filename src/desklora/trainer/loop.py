@@ -10,6 +10,7 @@ finds the activation meter through autograd.
 import json
 import math
 import os
+import re
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
@@ -211,6 +212,34 @@ def checkpoint_hash(ckpt_dir) -> str:
     )
 
 
+def _rows_up_to(metrics_path, step: int) -> list[str]:
+    """The rows of an earlier run's metrics.csv for steps up to `step`; a
+    resume rewrites the file with these, so a step it repeats appears once."""
+    try:
+        with open(metrics_path, "r", encoding="utf-8") as f:
+            lines = f.readlines()[1:]
+    except FileNotFoundError:
+        return []
+    rows = []
+    for line in lines:
+        head = line.split(",", 1)[0]
+        if head.isdecimal() and int(head) <= step:
+            rows.append(line if line.endswith("\n") else line + "\n")
+    return rows
+
+
+def _checkpoints_up_to(out_dir, step: int) -> list[str]:
+    """The `step_*` checkpoint directories in `out_dir` up to `step`, in step
+    order, so a resumed run prunes them under `keep_checkpoints` too."""
+    found = []
+    for name in os.listdir(out_dir):
+        m = re.fullmatch(r"step_(\d+)", name)
+        path = os.path.join(out_dir, name)
+        if m and int(m.group(1)) <= step and os.path.isdir(path):
+            found.append((int(m.group(1)), path))
+    return [path for _, path in sorted(found)]
+
+
 def train(
     model: TransformerModel,
     windows: np.ndarray,
@@ -254,12 +283,11 @@ def train(
 
     metrics: list[MetricsRecord] = []
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    mode = "a" if (resume_from is not None and os.path.exists(metrics_path)) else "w"
-    metrics_file = open(metrics_path, mode, encoding="utf-8")
-    if mode == "w":
-        metrics_file.write(METRICS_HEADER + "\n")
+    earlier_rows = _rows_up_to(metrics_path, start_step) if resume_from is not None else []
+    metrics_file = open(metrics_path, "w", encoding="utf-8")
+    metrics_file.write("".join([METRICS_HEADER + "\n", *earlier_rows]))
 
-    kept_checkpoints: list[str] = []
+    kept_checkpoints = _checkpoints_up_to(out_dir, start_step)
     micro_idx = start_step * cfg.accumulation_steps * cfg.micro_batch
     final_dir = os.path.join(out_dir, f"step_{cfg.total_steps:06d}")
 

@@ -15,6 +15,7 @@ from desklora.arabicprep import (
     strip_boundaries,
     tag_dialect,
 )
+from desklora.errors import DataError
 from tests.conftest import DIALECT_WORDS, synth_raw_docs
 
 
@@ -150,6 +151,11 @@ class TestDialect:
                 normalized = preprocess_text(sent, DEFAULTS)
                 got, _ = tag_dialect(normalized, lex)
                 assert got == dialect, (marker, got)
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
+    def test_a_weight_that_is_not_finite_is_data_error(self, weight):
+        with pytest.raises(DataError, match="weights must be finite"):
+            DialectLexicon.from_mapping({"EGY": [{"term": "أيه", "weight": weight}]}, DEFAULTS)
 
     def test_markers_normalized_under_policy(self):
         # markers written with alif hamza still match normalized text

@@ -170,7 +170,8 @@ class TestBpeTraining:
 
     def test_golden_vocab_and_shards(self, tmp_path):
         """Pins the tokenizer's output: a speedup must not change a merge or an id.
-        The ids digest holds across shard format versions; the file hash pins the layout."""
+        The ids digest holds across shard format versions; the file hashes pin
+        the shard layout and the bytes of manifest.json and vocab.json."""
         policy = NormalizationPolicy()
         docs = prepare_documents(synth_raw_docs(200, seed=31), policy)
         vocab, trained_ids = bpe_train_encode([d.text for d in docs], vocab_size=512)
@@ -183,6 +184,11 @@ class TestBpeTraining:
             "c3d1b10e5948639c778bddeb956bcf0b0317330607a31713900ed112ae6e95be")
         assert hashlib.sha256((tmp_path / "shard_0000.bin").read_bytes()).hexdigest() == (
             "3afd342af8be1b8f1a57125383b167a7c3715dbdb5a3cf23a82c0049d69c06ca")
+        assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == (
+            "e8eb6955f3b0b7e29c409006945237fbef84af58085163103b9d59f3d79b0312")
+        vocab.save(tmp_path / "vocab.json")
+        assert hashlib.sha256((tmp_path / "vocab.json").read_bytes()).hexdigest() == (
+            "e5819c70fc38a431d0d0a724fbd44a53de66567220f812a7d05963397190845b")
 
 
 _RUN_TEXTS = st.lists(st.tuples(st.sampled_from(["a", "ab", "b", "ba", "c", BOUNDARY]),

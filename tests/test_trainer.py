@@ -386,6 +386,34 @@ class TestTrainLoop:
         for step in (3, 4):
             assert resumed_rows[step] == full_rows[step]
 
+    @staticmethod
+    def crash_at_5_and_resume(tmp_path):
+        """Train toward 8 steps, raise from `log` at step 5, resume in the same
+        directory from step 4."""
+        cfg = tiny_train_cfg(total_steps=8, checkpoint_every=2, keep_checkpoints=2)
+
+        def log(line):
+            if line.startswith("step 5/"):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            train(tiny_model(seed=6), fixture_windows(), cfg, tmp_path, log=log)
+        assert sorted(d for d in os.listdir(tmp_path) if d.startswith("step_")) == [
+            "step_000002", "step_000004"]
+        model, _ = load_checkpoint(tmp_path / "step_000004")
+        train(model, fixture_windows(), cfg, tmp_path, resume_from=tmp_path / "step_000004")
+
+    def test_resume_keeps_only_keep_checkpoints(self, tmp_path):
+        self.crash_at_5_and_resume(tmp_path)
+        dirs = sorted(d for d in os.listdir(tmp_path) if d.startswith("step_"))
+        assert dirs == ["step_000006", "step_000008"]
+
+    def test_resume_writes_each_step_once(self, tmp_path):
+        self.crash_at_5_and_resume(tmp_path)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "step,loss,lr,grad_norm,device_hw_bytes,host_hw_bytes,wall_ms"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 9))
+
     def test_trained_double_model_reloads_exactly(self, tmp_path):
         model = tiny_model(seed=7, dtype=DOUBLE, dropout=0.05)
         res = train(model, fixture_windows(), tiny_train_cfg(total_steps=6, checkpoint_every=6), tmp_path)
