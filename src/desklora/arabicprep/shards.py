@@ -55,8 +55,7 @@ def dumps_shard(token_lists) -> bytes:
     w = Writer(*_SHRD)
     w.pack("I", len(token_lists))
     w.array([len(ids) for ids in token_lists], "<u4")
-    for ids in token_lists:
-        w.array(ids, "<u4")
+    w.array(np.concatenate(token_lists) if len(token_lists) else [], "<u4")
     return w.getvalue()
 
 

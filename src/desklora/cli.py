@@ -35,7 +35,7 @@ from .errors import BudgetError, ConfigError, DataError, DeskloraError, Training
 from .evalharness import (
     PerturbationConfig, dialect_breakdown, emit_report, load_eval_set, perturb, robustness_curve,
 )
-from .model import ModelConfig, build, token_has_diacritic
+from .model import ModelConfig, build
 from .numcore import Rng
 from .trainer import TrainConfig, checkpoint_hash, effective_batch, load_checkpoint, pack_windows, train
 from .util import from_known_keys, sha256_file
@@ -139,7 +139,6 @@ FLAGS = (
     Flag("train", "--n-layers", ("model", "n_layers"), int),
     Flag("train", "--d-ffn", ("model", "d_ffn"), int),
     Flag("train", "--max-seq-len", ("model", "max_seq_len"), int, "default max(seq_len, 16)"),
-    Flag("train", "--diacritic-bias", ("model", "diacritic_bias"), float),
     Flag("train", "--rank", ("model", "lora", "r"), int),
     Flag("train", "--alpha", ("model", "lora", "alpha"), float),
     Flag("train", "--lora-dropout", ("model", "lora", "dropout"), float),
@@ -295,8 +294,7 @@ def cmd_train(args) -> int:
     else:
         model_cfg = replace(run.model, vocab_size=vocab.n_tokens)
         _must_match(section.get("model", {}), model_cfg.to_dict(), "the shard set's vocabulary")
-        flags = [token_has_diacritic(bs) for bs in vocab.token_bytes]
-        model = build(model_cfg, Rng(run.train.seed), flags)
+        model = build(model_cfg, Rng(run.train.seed))
     run.model = model.cfg
 
     docs = list(reader.iter_tokens(run.dialect))

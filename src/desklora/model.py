@@ -4,13 +4,12 @@ A block's six linear layers are `lora.FrozenLinear`s, frozen 4-bit bases that
 each run as one `lora.forward` node; Q/K/V/O carry trainable low-rank adapters,
 the MLP's two none. The token embedding (tied to the output head), layer-norm
 gains and biases remain trainable in the model's precision. Rotary position
-mixing, pre-norm blocks, GELU MLP. An additive pre-softmax attention bias can
-emphasize keys whose token carries a combining diacritic: the model keeps one
-diacritic flag per token id, and its precision is fixed when it is built or
-loaded. `forward` and `loss` take one sequence or a batch of equal-length
-sequences; dropout runs exactly when they get an rng. Under `no_grad`,
-`forward` also continues the rows of a `KVCache` (`kv_cache`), which holds
-each layer's rotated keys and values, so greedy decoding feeds only new tokens.
+mixing, pre-norm blocks, GELU MLP. The model's precision is fixed when it is
+built or loaded. `forward` and `loss` take one sequence or a batch of
+equal-length sequences; dropout runs exactly when they get an rng. Under
+`no_grad`, `forward` also continues the rows of a `KVCache` (`kv_cache`),
+which holds each layer's rotated keys and values, so greedy decoding feeds
+only new tokens.
 
 `_assemble` alone lays out, names and freezes a model's tensors: `build` and
 `load_model` supply the values, and the inventory reads the objects' names.
@@ -64,7 +63,6 @@ class ModelConfig:
     n_layers: int = 2
     d_ffn: int = 256
     max_seq_len: int = 128
-    diacritic_bias: float = 0.0
     dtype: str = FULL
     lora: LoraConfig = field(default_factory=LoraConfig)
 
@@ -124,15 +122,12 @@ def _rope_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 class TransformerModel:
     def __init__(self, cfg: ModelConfig, embedding: Parameter, blocks: list[Block],
-                 lnf_g: Parameter, lnf_b: Parameter, diacritic_flags):
+                 lnf_g: Parameter, lnf_b: Parameter):
         self.cfg = cfg
         self.embedding = embedding
         self.blocks = blocks
         self.lnf_g = lnf_g
         self.lnf_b = lnf_b
-        self.diacritic_flags = np.asarray(diacritic_flags, dtype=bool)
-        if self.diacritic_flags.shape != (cfg.vocab_size,):
-            raise ConfigError(f"{self.diacritic_flags.shape} diacritic flags for vocab {cfg.vocab_size}")
         self.rope = _rope_tables(cfg.max_seq_len, cfg.head_dim)
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -173,7 +168,7 @@ class TransformerModel:
 
     # -- forward --------------------------------------------------------------
 
-    def _block_fn(self, blk: Block, i: int, key_bias, rng, cache: KVCache | None):
+    def _block_fn(self, blk: Block, i: int, rng, cache: KVCache | None):
         cfg = self.cfg
 
         def run(x: GradNode) -> GradNode:
@@ -182,30 +177,21 @@ class TransformerModel:
             q = lora.forward(blk.q, h, sub.split("q") if sub else None)
             k = lora.forward(blk.k, h, sub.split("k") if sub else None)
             v = lora.forward(blk.v, h, sub.split("v") if sub else None)
-            attn = causal_attention(q, k, v, cfg.n_heads, self.rope, key_bias, cache)
+            attn = causal_attention(q, k, v, cfg.n_heads, self.rope, cache)
             x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
             h2 = layer_norm(x, blk.ln2_g, blk.ln2_b)
             return add(x, lora.forward(blk.w2, gelu(lora.forward(blk.w1, h2))))
 
         return run
 
-    def key_bias(self, ids: np.ndarray) -> np.ndarray | None:
-        """Pre-softmax bias per key position (ids' shape), or None when no position gets one."""
-        if self.cfg.diacritic_bias == 0.0:
-            return None
-        flagged = self.diacritic_flags[ids]
-        return self.cfg.diacritic_bias * flagged if flagged.any() else None
-
     def kv_cache(self, batch: int) -> KVCache:
         """An empty cache for `batch` rows of tape-free decoding (see `forward`):
         per layer the rotated keys and the values [batch, H, max_seq_len,
-        head_dim] and, at a nonzero diacritic bias, one key bias [batch,
-        max_seq_len] that every layer shares, all in the model's precision."""
+        head_dim] in the model's precision, and no positions held yet."""
         cfg = self.cfg
         dtype = storage_dtype(cfg.dtype)
         shape = (cfg.n_layers, batch, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
-        bias = np.zeros((batch, cfg.max_seq_len), dtype) if cfg.diacritic_bias else None
-        return KVCache(np.zeros(shape, dtype), np.zeros(shape, dtype), bias,
+        return KVCache(np.zeros(shape, dtype), np.zeros(shape, dtype),
                        np.zeros(batch, dtype=np.int64))
 
     def forward(self, tokens, rng: Rng | RowRngs | None = None,
@@ -232,10 +218,8 @@ class TransformerModel:
                 raise ContractError(f"ids {ids.shape} do not continue a cache of {cache.lengths.size} rows")
 
         x = gather_rows(self.embedding, ids)  # rejects ids outside the vocab
-        key_bias = self.key_bias(ids)
-
         for i, blk in enumerate(self.blocks):
-            fn = self._block_fn(blk, i, key_bias, rng, None if cache is None else cache.layer(i))
+            fn = self._block_fn(blk, i, rng, None if cache is None else cache.layer(i))
             x = checkpoint(fn, x) if checkpointing else fn(x)
 
         x = layer_norm(x, self.lnf_g, self.lnf_b)
@@ -262,7 +246,7 @@ class TransformerModel:
             return self.forward(ids, cache=cache).value
 
 
-def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerModel:
+def _assemble(cfg: ModelConfig, base, master, adapted) -> TransformerModel:
     """Lay out a model's named tensors in its precision. `base(name, shape)` gives a
     frozen QuantizedTensor; `master(name, shape, fill)` the values of a trainable
     non-adapter tensor, `fill` being the constant a fresh norm starts at (None for
@@ -286,16 +270,11 @@ def _assemble(cfg: ModelConfig, flags, base, master, adapted) -> TransformerMode
             param(pre + "ln2_g", (d,), 1.0), param(pre + "ln2_b", (d,), 0.0),
         ))
     return TransformerModel(cfg, param("embedding", (cfg.vocab_size, d)), blocks,
-                            param("lnf_g", (d,), 1.0), param("lnf_b", (d,), 0.0), flags)
+                            param("lnf_g", (d,), 1.0), param("lnf_b", (d,), 0.0))
 
 
-def build(cfg: ModelConfig, rng: Rng, diacritic_flags=None) -> TransformerModel:
-    """Initialize, quantize the linear bases, and wrap Q/K/V/O with adapters.
-    `diacritic_flags` (one per token id) may be omitted at zero bias."""
-    if diacritic_flags is None:
-        if cfg.diacritic_bias != 0.0:
-            raise ConfigError("a nonzero diacritic_bias needs the vocabulary's diacritic flags")
-        diacritic_flags = np.zeros(cfg.vocab_size, dtype=bool)
+def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
+    """Initialize, quantize the linear bases, and wrap Q/K/V/O with adapters."""
 
     def base(name, shape) -> QuantizedTensor:
         w = rng.split("init", name).normal(shape, std=INIT_STD).astype(np.float32)
@@ -307,37 +286,20 @@ def build(cfg: ModelConfig, rng: Rng, diacritic_flags=None) -> TransformerModel:
     def adapted(name, q, i, tag) -> FrozenLinear:
         return lora.attach(q, cfg.lora, rng.split("lora", i, tag), name=name, dtype=cfg.dtype)
 
-    return _assemble(cfg, diacritic_flags, base, master, adapted)
+    return _assemble(cfg, base, master, adapted)
 
 
-# ---------------------------------------------------------------------------
-# diacritic flags
-# ---------------------------------------------------------------------------
+# model checkpoint: config JSON, a u32 count and that many (name, QNF4 blob)
+# frozen weights, then a u32 count and that many (name, shape, array) masters
+# in the model's storage precision (f32 for full, f64 for double). Adapters
+# live in their own LORA file.
 
-# U+064B..U+065F encode as 0xD9 0x8B..0x9F; U+0670 as 0xD9 0xB0. 0xD9 is always
-# a lead byte in UTF-8, so a byte-pair scan is exact.
-def token_has_diacritic(token_bytes: bytes) -> bool:
-    for j in range(len(token_bytes) - 1):
-        if token_bytes[j] == 0xD9:
-            nxt = token_bytes[j + 1]
-            if 0x8B <= nxt <= 0x9F or nxt == 0xB0:
-                return True
-    return False
-
-
-
-# model checkpoint: config JSON, one u8 diacritic flag per token id, a u32
-# count and that many (name, QNF4 blob) frozen weights, then a u32 count and
-# that many (name, shape, array) masters in the model's storage precision (f32
-# for full, f64 for double). Adapters live in their own LORA file.
-
-_DMDL = (b"DMDL", 4)
+_DMDL = (b"DMDL", 5)
 
 
 def save_model(model: TransformerModel, path):
     w = Writer(*_DMDL)
     w.text(json.dumps(model.cfg.to_dict(), sort_keys=True))
-    w.array(model.diacritic_flags, "u1")
     frozen = model.frozen_tensors()
     w.pack("I", len(frozen))
     for name, q in frozen:
@@ -363,8 +325,6 @@ def load_model(path) -> TransformerModel:
         cfg = ModelConfig.from_dict(json.loads(r.text()))
     except (ValueError, ConfigError) as e:
         raise FormatError(f"{path}: bad model config: {e}") from e
-    flags = r.array("u1", cfg.vocab_size)
-    r.expect(int(flags.max()) <= 1, "diacritic flags must be 0 or 1")
 
     def named(read) -> dict:
         (count,) = r.unpack("I")
@@ -389,7 +349,7 @@ def load_model(path) -> TransformerModel:
     def adapted(name, q, _i, _tag) -> FrozenLinear:
         return lora.with_adapter(q, cfg.lora, np.zeros((cfg.lora.r, q.shape[1])), name, cfg.dtype)
 
-    model = _assemble(cfg, flags, lambda name, shape: take(frozen, name, shape),
+    model = _assemble(cfg, lambda name, shape: take(frozen, name, shape),
                       lambda name, shape, _fill: take(masters, name, shape), adapted)
     r.expect(not frozen and not masters, f"unexpected tensors {sorted([*frozen, *masters])}")
     return model

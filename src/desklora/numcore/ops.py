@@ -244,28 +244,24 @@ def _unrotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarra
 @dataclass
 class KVCache:
     """What causal attention keeps of B rows between calls: the rotated keys and
-    the values [..., B, H, L, hd], the pre-softmax key bias [B, L] (None when
-    there is none) and the positions each row holds [B]. The keys' and
-    values' leading axes index layers; every layer shares the one key bias,
-    which depends on the ids alone. `layer` and `rows` give views that write
-    through. Attention writes a call's keys, values and bias at each row's
-    next positions; the caller advances `lengths` once every layer has run. A
-    caller may set a row's length to 0 to refill it from position 0:
-    attention then overwrites that row's keys, values and bias (0 where the
-    new ids carry none)."""
+    the values [..., B, H, L, hd] and the positions each row holds [B]. The
+    keys' and values' leading axes index layers. `layer` and `rows` give
+    views that write through. Attention writes a call's keys and values at
+    each row's next positions; the caller advances `lengths` once every layer
+    has run. A caller may set a row's length to 0 to refill it from position
+    0: attention then masks every key past the row's new positions, so what
+    the earlier fill left there is never read."""
 
     keys: np.ndarray
     values: np.ndarray
-    bias: np.ndarray | None
     lengths: np.ndarray
 
     def layer(self, i: int) -> "KVCache":
-        return KVCache(self.keys[i], self.values[i], self.bias, self.lengths)
+        return KVCache(self.keys[i], self.values[i], self.lengths)
 
     def rows(self, start: int, stop: int) -> "KVCache":
         rows = slice(start, stop)
-        bias = None if self.bias is None else self.bias[..., rows, :]
-        return KVCache(self.keys[..., rows, :, :, :], self.values[..., rows, :, :, :], bias,
+        return KVCache(self.keys[..., rows, :, :, :], self.values[..., rows, :, :, :],
                        self.lengths[rows])
 
 
@@ -274,16 +270,13 @@ def causal_attention(
     k: GradNode,
     v: GradNode,
     n_heads: int,
-    rope: tuple[np.ndarray, np.ndarray] | None = None,
-    key_bias: np.ndarray | None = None,
+    rope: tuple[np.ndarray, np.ndarray],
     cache: KVCache | None = None,
 ) -> GradNode:
     """Multi-head causal attention over [B, T, d] sequences, or one [T, d] sequence.
 
-    `rope` is a (cos, sin) table over positions; `key_bias` is an additive
-    pre-softmax logit bias per key position ([B, T], or [T] for one
-    sequence), applied to every query and head of its row (the
-    diacritic-emphasis hook). Without a `cache`, a row's queries and keys sit
+    `rope` is a (cos, sin) table over positions, at least as long as the
+    positions the call reaches. Without a `cache`, a row's queries and keys sit
     at positions 0..T-1 and scores and weights are [B, H, T, T] batched
     matmuls. With one (one layer's, B rows), row b's T new positions follow
     the `cache.lengths[b]` it holds: they are rotated there, written into the
@@ -314,30 +307,18 @@ def causal_attention(
         positions = cache.lengths[:, None] + np.arange(t_len)  # [B, T]
         at, n_keys = positions[:, None], int(positions.max()) + 1  # at: [B, 1, T]
         mask = np.where(np.arange(n_keys) <= at[..., None], compute.type(0), compute.type(-np.inf))
-    if rope is not None:
-        cos = rope[0][at].astype(compute)  # [T, hd/2], or [B, 1, T, hd/2] with a cache
-        sin = rope[1][at].astype(compute)
-        qr = _rotate(qh, cos, sin)
-        kr = _rotate(kh, cos, sin)
-    else:
-        cos = sin = None
-        qr, kr = qh, kh
+    cos = rope[0][at].astype(compute)  # [T, hd/2], or [B, 1, T, hd/2] with a cache
+    sin = rope[1][at].astype(compute)
+    qr, kr = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
 
     if cache is not None:
         rows = np.arange(qh.shape[0])[:, None]
         cache.keys[rows, :, positions] = kr.transpose(0, 2, 1, 3)
         cache.values[rows, :, positions] = vh.transpose(0, 2, 1, 3)
-        if cache.bias is not None:  # a refilled row's old bias must not outlive it
-            cache.bias[rows, positions] = 0 if key_bias is None else np.reshape(key_bias, positions.shape)
         kr, vh = cache.keys[:, :, :n_keys], cache.values[:, :, :n_keys]
-        key_bias = None if cache.bias is None else cache.bias[:, :n_keys]
 
     inv_sqrt = 1.0 / math.sqrt(hd)
-    scores = np.matmul(qr, kr.swapaxes(-1, -2)) * inv_sqrt
-    if key_bias is not None:
-        bias = np.asarray(key_bias, dtype=compute).reshape(-1, 1, 1, n_keys)
-        scores = scores + bias
-    scores = scores + mask
+    scores = np.matmul(qr, kr.swapaxes(-1, -2)) * inv_sqrt + mask
 
     m = scores.max(axis=-1, keepdims=True)
     w = np.exp(scores - m)
@@ -351,8 +332,6 @@ def causal_attention(
         dq = np.matmul(ds, kr) * inv_sqrt
         dk = np.matmul(ds.swapaxes(-1, -2), qr) * inv_sqrt
         dv = np.matmul(w.swapaxes(-1, -2), gh)
-        if rope is not None:
-            dq, dk = _unrotate_grad(dq, cos, sin), _unrotate_grad(dk, cos, sin)
-        return merge(dq), merge(dk), merge(dv)
+        return merge(_unrotate_grad(dq, cos, sin)), merge(_unrotate_grad(dk, cos, sin)), merge(dv)
 
     return op_output(out, (q, k, v), grad_fn)

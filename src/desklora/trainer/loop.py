@@ -2,9 +2,9 @@
 8-bit-state AdamW, optional gradient checkpointing, a memory ledger with
 budget enforcement, per-step metrics, and deterministic checkpoint/resume.
 Each micro-batch runs as one [micro_batch x seq_len+1] graph with one dropout
-stream per row. The model derives its diacritic bias and precision itself,
-`backward` sums micro-batch gradients into each `grad`, and `checkpoint`
-finds the activation meter through autograd.
+stream per row. The model derives its precision itself, `backward` sums
+micro-batch gradients into each `grad`, and `checkpoint` finds the activation
+meter through autograd.
 """
 
 import json

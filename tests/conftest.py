@@ -139,7 +139,7 @@ class PositionLogitsModel:
 
     def kv_cache(self, batch):
         empty = np.zeros((0, batch, 0, 0, 0))
-        return KVCache(empty, empty, None, np.zeros(batch, dtype=np.int64))
+        return KVCache(empty, empty, np.zeros(batch, dtype=np.int64))
 
     def forward_ids(self, ids, cache=None):
         t_len = np.shape(ids)[-1]

@@ -183,14 +183,13 @@ def _op_battery(seed: int) -> float:
     idx = np.arange(d // heads // 2)[None, :]
     theta = pos / (10000.0 ** (2 * idx / (d // heads)))
     rope = (np.cos(theta), np.sin(theta))
-    bias = rng.normal(size=t_len)
     qv, kv, vv = (rng.normal(size=(t_len, d)) for _ in range(3))
     wa = constant(rng.normal(size=(t_len, d)), DOUBLE)
     kn, vn, qn = constant(kv, DOUBLE), constant(vv, DOUBLE), constant(qv, DOUBLE)
     attn_checks = [
-        lambda x: sum_all(mul(causal_attention(x, kn, vn, heads, rope, bias), wa)),
-        lambda x: sum_all(mul(causal_attention(qn, x, vn, heads, rope, bias), wa)),
-        lambda x: sum_all(mul(causal_attention(qn, kn, x, heads, rope, bias), wa)),
+        lambda x: sum_all(mul(causal_attention(x, kn, vn, heads, rope), wa)),
+        lambda x: sum_all(mul(causal_attention(qn, x, vn, heads, rope), wa)),
+        lambda x: sum_all(mul(causal_attention(qn, kn, x, heads, rope), wa)),
     ]
     worst = max(worst, max(finite_diff_check(f, rng.normal(size=(t_len, d))) for f in attn_checks))
 
@@ -201,21 +200,20 @@ def _op_battery(seed: int) -> float:
         lambda t: sum_all(mul(gather_rows(t, ids), wg)), rng.normal(size=(3, 4))
     ))
 
-    # a leading batch axis: two [T, d] sequences, attention with a per-row key bias
+    # a leading batch axis: two [T, d] sequences
     xb = rng.normal(size=(2, t_len, d))
     xb_node = constant(xb, DOUBLE)
     w_right = constant(rng.normal(size=(d, 5)), DOUBLE)
     c_pb = constant(rng.normal(size=(2, t_len, 5)), DOUBLE)
     targets_b = rng.integers(0, 5, size=(2, t_len))
-    bias_b = rng.normal(size=(2, t_len))
     qb, kb, vb, wb = (constant(rng.normal(size=(2, t_len, d)), DOUBLE) for _ in range(4))
     batch_checks = [
         (lambda x: sum_all(mul(matmul(x, w_right), c_pb)), xb),
         (lambda w: sum_all(mul(matmul(xb_node, w), c_pb)), rng.normal(size=(d, 5))),
         (lambda x: softmax_cross_entropy(matmul(x, w_right), targets_b), xb),
-        (lambda x: sum_all(mul(causal_attention(x, kb, vb, heads, rope, bias_b), wb)), xb),
-        (lambda x: sum_all(mul(causal_attention(qb, x, vb, heads, rope, bias_b), wb)), xb),
-        (lambda x: sum_all(mul(causal_attention(qb, kb, x, heads, rope, bias_b), wb)), xb),
+        (lambda x: sum_all(mul(causal_attention(x, kb, vb, heads, rope), wb)), xb),
+        (lambda x: sum_all(mul(causal_attention(qb, x, vb, heads, rope), wb)), xb),
+        (lambda x: sum_all(mul(causal_attention(qb, kb, x, heads, rope), wb)), xb),
     ]
     worst = max(worst, max(finite_diff_check(f, x) for f, x in batch_checks))
 

@@ -254,13 +254,12 @@ class TestFiniteDifference:
         rng = np.random.default_rng(1000 + seed)
         t_len, heads, d = 5, 2, 8
         cos, sin = rope_tables(t_len, d // heads)
-        bias = rng.normal(size=t_len)
         kv = constant(rng.normal(size=(t_len, d)), DOUBLE)
         vv = constant(rng.normal(size=(t_len, d)), DOUBLE)
         w = constant(rng.normal(size=(t_len, d)), DOUBLE)
 
         def f(x):
-            return sum_all(mul(causal_attention(x, kv, vv, heads, (cos, sin), bias), w))
+            return sum_all(mul(causal_attention(x, kv, vv, heads, (cos, sin)), w))
 
         assert finite_diff_check(f, rng.normal(size=(t_len, d))) < 1e-4
 
@@ -296,25 +295,23 @@ class TestAttentionSemantics:
         q = rng.normal(size=(t_len, d))
         k = rng.normal(size=(t_len, d))
         v = rng.normal(size=(t_len, d))
-        out1 = causal_attention(constant(q, DOUBLE), constant(k, DOUBLE), constant(v, DOUBLE), heads).value
+        rope = rope_tables(t_len, d // heads)
+
+        def attend(k, v):
+            return causal_attention(constant(q, DOUBLE), constant(k, DOUBLE), constant(v, DOUBLE),
+                                    heads, rope).value
+
+        out1 = attend(k, v)
         k2, v2 = k.copy(), v.copy()
         k2[4:], v2[4:] = 0.0, 99.0
-        out2 = causal_attention(constant(q, DOUBLE), constant(k2, DOUBLE), constant(v2, DOUBLE), heads).value
-        assert np.array_equal(out1[:4], out2[:4])
+        assert np.array_equal(out1[:4], attend(k2, v2)[:4])
 
-    def test_key_bias_saturation(self):
-        rng = np.random.default_rng(1)
-        t_len, heads, d = 5, 1, 4
-        q = constant(rng.normal(size=(t_len, d)), DOUBLE)
-        k = constant(rng.normal(size=(t_len, d)), DOUBLE)
-        v_data = np.zeros((t_len, d))
-        v_data[0] = 1.0  # only key 0 carries signal
-        v = constant(v_data, DOUBLE)
-        bias = np.zeros(t_len)
-        bias[0] = 1e6
-        out = causal_attention(q, k, v, heads, None, bias).value
-        # every query should put essentially all weight on key 0
-        assert np.all(out[:, 0] > 0.999)
+    def test_rope_table_is_required(self):
+        """Attention always rotates its queries and keys; there is no call
+        without a rope table."""
+        x = constant(np.random.default_rng(1).normal(size=(4, 8)), DOUBLE)
+        with pytest.raises(TypeError, match="rope"):
+            causal_attention(x, x, x, 2)
 
 
 class TestDeterminism:

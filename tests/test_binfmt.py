@@ -98,8 +98,8 @@ def test_struct_confined_to_the_container():
 
 def _tiny_model(dtype=FULL):
     cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, n_layers=1, d_ffn=16, max_seq_len=8,
-                      diacritic_bias=0.5, dtype=dtype, lora=LoraConfig(r=2, dropout=0.0))
-    model = build(cfg, Rng(0), np.arange(16) % 3 == 0)
+                      dtype=dtype, lora=LoraConfig(r=2, dropout=0.0))
+    model = build(cfg, Rng(0))
     for i, layer in enumerate(model.adapted_layers()):
         layer.adapter.b.assign(Rng(10 + i).normal((8, 2), std=0.1))
     return model

@@ -19,6 +19,7 @@ from desklora.arabicprep import (
     write_shards,
 )
 from desklora.arabicprep.shards import dumps_shard, loads_shard
+from desklora.binfmt import Writer
 from desklora.errors import ConfigError, ContractError, DataError, FormatError
 from tests.conftest import synth_raw_docs, write_encoded_shards
 
@@ -403,6 +404,26 @@ class TestShards:
         counts, ids = loads_shard(dumps_shard([[5]] * 70_000 + [[6, 7]]))
         assert counts.size == 70_001 and ids.size == 70_002 and ids[-1] == 7
         assert not ids.flags.writeable
+
+    @pytest.mark.parametrize("token_lists", [[], [[]], [np.array([3, 4], np.int32), [], [9]]])
+    def test_shard_round_trip_with_empty_documents_or_none(self, token_lists):
+        blob = dumps_shard(token_lists)
+        assert blob[6:10] == len(token_lists).to_bytes(4, "little")
+        counts, ids = loads_shard(blob)
+        assert counts.tolist() == [len(t) for t in token_lists]
+        assert ids.tolist() == [int(i) for t in token_lists for i in t]
+
+    def test_one_id_array_has_the_bytes_of_one_array_per_document(self):
+        """Documents of lists and arrays of mixed integer types, the largest
+        u32 id among them, give the bytes a write per document gives."""
+        token_lists = [np.array([3, 4], np.int32), [], [2**32 - 1, 0],
+                       np.array([7], np.uint32), [], np.array([], np.int64)]
+        w = Writer(b"SHRD", 2)
+        w.pack("I", len(token_lists))
+        w.array([len(t) for t in token_lists], "<u4")
+        for ids in token_lists:
+            w.array(ids, "<u4")
+        assert dumps_shard(token_lists) == w.getvalue()
 
     def test_v1_shard_set_needs_a_new_prep(self, prepared, tmp_path):
         policy, docs, vocab = prepared

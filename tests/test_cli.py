@@ -355,12 +355,24 @@ class TestEval:
             for dialect, cells in row.items():
                 assert cells["base"] == cells["finetuned"], (metric, dialect)
 
-    def test_diacritic_bias_trains_and_evaluates(self, shards_dir, eval_files, tmp_path):
-        assert run_train(shards_dir, tmp_path / "run", extra=["--diacritic-bias", "0.5"]) == 0
-        ckpt = tmp_path / "run" / "step_000005"
-        model, _ = load_checkpoint(ckpt)
-        assert model.cfg.diacritic_bias == 0.5 and model.diacritic_flags.any()
-        assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 0
+    def test_a_version_4_model_file_exits_3(self, trained_ckpt, shards_dir, eval_files, tmp_path,
+                                            capsys):
+        """A checkpoint whose model file is DMDL 4, which held one diacritic
+        flag per token id after the config, is refused by its version."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in os.listdir(trained_ckpt):
+            (ckpt / name).write_bytes((trained_ckpt / name).read_bytes())
+        data = (ckpt / "model.qnf4").read_bytes()
+        assert data[:6] == b"DMDL" + (5).to_bytes(2, "little")
+        end = 10 + int.from_bytes(data[6:10], "little")  # the config text's blob
+        vocab = json.loads(data[10:end])["vocab_size"]
+        (ckpt / "model.qnf4").write_bytes(
+            b"DMDL" + (4).to_bytes(2, "little") + data[6:end] + bytes(vocab) + data[end:])
+        assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 3
+        err = capsys.readouterr().err
+        assert "unsupported version 4, expected 5" in err and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
 
     def test_report_equals_a_full_window_reference(self, trained_ckpt, shards_dir, tmp_path):
         """Every section, several dialects and the compare side, checked against
@@ -651,6 +663,15 @@ class TestConfigFile:
         p.write_text(json.dumps({"prep": {"frobnicate": 1}}))
         assert cli.main(["prep", "--config", str(p), "--input", "x", "--out", "y"]) == 2
 
+    def test_diacritic_bias_is_an_unknown_model_key(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"train": {"model": {"diacritic_bias": 0.0}}}))
+        rc = cli.main(["train", "--config", str(p), "--shards", str(tmp_path / "no_shards"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2  # reading the missing shards first would exit 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "diacritic_bias" in err, err
+
     @pytest.mark.parametrize("cfg", [{"global": {"seed": 1}}, {"global": {"out": "o"}},
                                      {"prep": {"seed": 1}}, {"train": {"seed": 1}},
                                      {"eval": {"seed": 1}}, {"train": {"lora": {"r": 2}}},
@@ -690,6 +711,13 @@ class TestConfigFile:
         assert rc == 2  # reading the missing shards first would exit 3
         err = capsys.readouterr().err
         assert err == "config error: checkpoint_every and keep_checkpoints must be >= 1\n", err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_has_no_diacritic_bias_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["train", "--shards", str(tmp_path / "no_shards"),
+                      "--out", str(tmp_path / "out"), "--diacritic-bias", "0.5"])
+        assert e.value.code == 2
         assert not (tmp_path / "out").exists()
 
     def test_prep_has_no_seed_flag(self):

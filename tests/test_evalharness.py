@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,7 @@ from desklora.evalharness import (
 from desklora.evalharness.perturb import CONFUSABLE_GROUPS, _GROUP_OF
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
-from desklora.numcore import DOUBLE, FULL, KVCache, Rng
+from desklora.numcore import DOUBLE, FULL, KVCache, Rng, storage_dtype
 from tests.conftest import PositionLogitsModel, reference_greedy, synth_raw_docs
 
 
@@ -268,7 +269,7 @@ class CheckedCache(KVCache):
     be recomputed over the row's full window."""
 
     def __init__(self, cache, tokens):
-        super().__init__(cache.keys, cache.values, cache.bias, cache.lengths)
+        super().__init__(cache.keys, cache.values, cache.lengths)
         self.tokens = tokens
 
     def rows(self, start, stop):
@@ -304,13 +305,12 @@ class OracleModel:
         return out
 
 
-def decoder_model(dtype=FULL, bias=0.0, max_seq_len=8, vocab=40):
+def decoder_model(dtype=FULL, max_seq_len=8, vocab=40):
     cfg = ModelConfig(vocab_size=vocab, d_model=16, n_heads=2, n_layers=2, d_ffn=32,
-                      max_seq_len=max_seq_len, diacritic_bias=bias, dtype=dtype,
-                      lora=LoraConfig(r=2, dropout=0.0))
-    model = build(cfg, Rng(5), np.arange(vocab) % 3 == 0)
+                      max_seq_len=max_seq_len, dtype=dtype, lora=LoraConfig(r=2, dropout=0.0))
+    model = build(cfg, Rng(5))
     # a wide embedding spreads the logits, so the tied head's argmax is decisive,
-    # and nonzero adapters make attention (positions, mask, bias) move them
+    # and nonzero adapters make attention (positions, mask) move them
     model.embedding.assign(Rng(6).normal(model.embedding.shape, std=0.5))
     for i, layer in enumerate(model.adapted_layers()):
         layer.adapter.b.assign(Rng(7).split(i).normal(layer.adapter.b.shape, std=0.03))
@@ -320,13 +320,12 @@ def decoder_model(dtype=FULL, bias=0.0, max_seq_len=8, vocab=40):
 class TestCachedDecoder:
     """`greedy_batch` against a per-prompt full-window recompute of every step."""
 
-    @pytest.mark.parametrize("dtype, bias", [(FULL, 0.0), (FULL, 1.5), (DOUBLE, 0.7)])
-    def test_same_ids_and_logits_as_full_window(self, dtype, bias):
-        model = decoder_model(dtype, bias)
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    def test_same_ids_and_logits_as_full_window(self, dtype):
+        model = decoder_model(dtype)
         limit = model.cfg.max_seq_len
         g = np.random.default_rng(3)
-        # short, equal, window-1, window, window+1 and over twice the window;
-        # every third id is flagged, so flagged tokens enter and leave the window
+        # short, equal, window-1, window, window+1 and over twice the window
         lengths = (1, 3, 3, limit - 1, limit, limit + 1, 2 * limit + 3)
         prompts = [[int(t) for t in g.integers(0, 40, n)] for n in lengths]
         oracle = OracleModel(model)
@@ -337,19 +336,9 @@ class TestCachedDecoder:
         # one batch mixes prefilling, growing and sliding rows
         assert min(oracle.calls.values()) > 0
 
-    def test_flagged_tokens_leave_the_window(self):
-        model = decoder_model(FULL, 2.0)
-        limit = model.cfg.max_seq_len
-        prompts = [[3, 1, 6, 2], [0, 1, 2, 4, 5, 7, 8]]  # flagged: multiples of 3
-        assert any(model.diacritic_flags[prompts[0]])
-        oracle = OracleModel(model)
-        assert greedy_batch(oracle, prompts, 2 * limit) == [
-            reference_greedy(model, p, 2 * limit) for p in prompts]
-        assert oracle.worst < 1e-5
-
     @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
     def test_one_new_token(self, dtype):
-        model = decoder_model(dtype, 0.5)
+        model = decoder_model(dtype)
         limit = model.cfg.max_seq_len
         prompts = [[4, 5], [7] * limit, [9] * (limit + 2), [1, 2]]
         assert greedy_batch(model, prompts, 1) == [reference_greedy(model, p, 1) for p in prompts]
@@ -386,19 +375,39 @@ class TestCachedDecoder:
         assert oracle.calls == {"prefill": 1, "step": 0, "slide": max_new - 1}
         assert oracle.worst < 1e-5
 
-    def test_refilled_row_drops_the_old_key_bias(self):
-        """A row reset to length 0 and refilled with unflagged ids attends as a
-        fresh row does: no bias of its earlier, partly flagged fill is left."""
-        model = decoder_model(FULL, 2.0)
-        flagged = np.asarray([[3, 1, 6, 2, 9, 4, 12, 5]])  # multiples of 3 are flagged
-        plain = np.asarray([[1, 2, 4, 5, 7, 8, 10, 11]])
-        assert model.diacritic_flags[flagged].any() and not model.diacritic_flags[flagged].all()
-        assert not model.diacritic_flags[plain].any()
-        cache = model.kv_cache(1)
-        model.forward_ids(flagged, cache)
-        cache.lengths[:] = 0
-        got = model.forward_ids(plain, cache)[0]
-        assert np.abs(got - model.forward_ids(plain[0])[-1]).max() < 1e-5
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    def test_refilled_row_attends_as_a_fresh_row(self, dtype):
+        """A row reset to length 0 and refilled with other ids gives a fresh
+        row's logits, while the row beside it grows: the keys and values its
+        earlier fill left past the refill are masked, never read."""
+        model = decoder_model(dtype)
+        first = np.asarray([[3, 1, 6, 2, 9], [0, 7, 5, 4, 11]])
+        cache = model.kv_cache(2)
+        model.forward_ids(first, cache)
+        cache.lengths[0] = 0
+        refill = np.asarray([[1, 2, 4], [8, 10, 13]])
+        got = model.forward_ids(refill, cache)
+        assert cache.lengths.tolist() == [3, 8]
+        assert np.abs(got[0] - model.forward_ids(refill[0])[-1]).max() < 1e-5
+        grown = np.concatenate([first[1], refill[1]])
+        assert np.abs(got[1] - model.forward_ids(grown)[-1]).max() < 1e-5
+
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    def test_cache_holds_keys_values_and_lengths(self, dtype):
+        """The cache holds per layer the rotated keys and the values in the
+        model's precision, and one length per row; layer and row views write
+        through to it."""
+        model = decoder_model(dtype)
+        cfg = model.cfg
+        cache = model.kv_cache(3)
+        assert [f.name for f in dataclasses.fields(cache)] == ["keys", "values", "lengths"]
+        shape = (cfg.n_layers, 3, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
+        for a in (cache.keys, cache.values):
+            assert a.shape == shape and a.dtype == storage_dtype(dtype) and not a.any()
+        assert cache.lengths.tolist() == [0, 0, 0]
+        view = cache.layer(1).rows(1, 3)
+        assert view.keys.shape == (2, *shape[2:]) and np.shares_memory(view.keys, cache.keys)
+        assert view.lengths.tolist() == [0, 0]
 
     def test_cache_refused_while_the_tape_records(self):
         model = decoder_model()

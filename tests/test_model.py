@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from desklora.binfmt import Writer
 from desklora.errors import ConfigError, ContractError, DimensionError, FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import (
@@ -9,7 +12,6 @@ from desklora.model import (
     build,
     load_model,
     save_model,
-    token_has_diacritic,
 )
 from desklora.numcore import (
     DOUBLE, FULL, Parameter, Rng, RowRngs, backward, metering, no_grad,
@@ -44,7 +46,7 @@ class TestConfig:
                 ModelConfig.from_dict({"vocab_size": 16, constant_key: 1})
 
     def test_round_trip_dict(self):
-        cfg = tiny_cfg(diacritic_bias=0.5)
+        cfg = tiny_cfg(dtype=DOUBLE, lora=LoraConfig(r=2, alpha=4.0, dropout=0.1))
         again = ModelConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
@@ -111,30 +113,6 @@ class TestForwardSemantics:
         ids2 = ids.copy()
         ids2[7:] = 3
         assert np.array_equal(m.forward_ids(ids2)[:7], full[:7])
-
-    def test_zero_bias_matches_unbiased_model(self):
-        ids = np.arange(10)
-        flags = np.zeros(256, dtype=bool)
-        flags[3] = True
-        m0 = build(tiny_cfg(diacritic_bias=0.0), Rng(3), flags)
-        plain = build(tiny_cfg(diacritic_bias=0.0), Rng(3))
-        assert np.array_equal(m0.forward_ids(ids), plain.forward_ids(ids))
-
-    def test_bias_shifts_attention(self):
-        ids = np.arange(10)
-        flags = np.zeros(256, dtype=bool)
-        flags[0] = True
-        biased = build(tiny_cfg(diacritic_bias=5.0), Rng(3), flags)
-        plain = build(tiny_cfg(diacritic_bias=0.0), Rng(3), flags)
-        out_b = biased.forward_ids(ids)
-        out_p = plain.forward_ids(ids)
-        assert not np.array_equal(out_b, out_p)
-
-    def test_nonzero_bias_needs_one_flag_per_token(self):
-        with pytest.raises(ConfigError):
-            build(tiny_cfg(diacritic_bias=0.5), Rng(3))
-        with pytest.raises(ConfigError):
-            build(tiny_cfg(diacritic_bias=0.5), Rng(3), np.zeros(255, dtype=bool))
 
     def test_logit_finiteness_many_seeds(self):
         m = build(tiny_cfg(n_layers=1, d_model=16, d_ffn=32, lora=LoraConfig(r=2, dropout=0.0)), Rng(4))
@@ -238,9 +216,7 @@ class TestBatch:
 
     @staticmethod
     def model(dtype):
-        flags = np.arange(256) % 3 == 0
-        m = build(tiny_cfg(dtype=dtype, diacritic_bias=0.5, lora=LoraConfig(r=4, dropout=0.05)),
-                  Rng(6), flags)
+        m = build(tiny_cfg(dtype=dtype, lora=LoraConfig(r=4, dropout=0.05)), Rng(6))
         for layer in m.adapted_layers():  # a nonzero B, so every adapter gets a gradient
             b = Rng(7).split(layer.name).normal(layer.adapter.b.value.shape, std=0.02)
             layer.adapter.b.assign(b)
@@ -285,31 +261,6 @@ class TestBatch:
             m.loss(np.zeros((3, 9), dtype=np.int64), rng=RowRngs([Rng(0), Rng(1)]))
 
 
-class TestDiacriticMask:
-    def test_byte_scan_matches_codepoint_rule(self):
-        cases = {
-            "كَتَبَ".encode("utf-8"): True,
-            "كتب".encode("utf-8"): False,
-            "ٰ".encode("utf-8"): True,
-            "ً".encode("utf-8"): True,
-            "ٟ".encode("utf-8"): True,
-            "٠".encode("utf-8"): False,  # digit just past the range
-            b"": False,
-        }
-        for bs, expected in cases.items():
-            assert token_has_diacritic(bs) == expected
-            decoded = bs.decode("utf-8", errors="ignore")
-            by_codepoint = any(0x064B <= ord(c) <= 0x065F or ord(c) == 0x0670 for c in decoded)
-            assert token_has_diacritic(bs) == by_codepoint
-
-    def test_mask_independent_of_position(self):
-        table = ["كَ".encode("utf-8"), b"abc"] + [b"x"] * 254
-        flags = [token_has_diacritic(bs) for bs in table]
-        m = build(tiny_cfg(diacritic_bias=0.5), Rng(0), flags)
-        assert m.key_bias(np.array([0, 1, 0])).tolist() == [0.5, 0.0, 0.5]
-        assert m.key_bias(np.array([1, 2])) is None
-
-
 class TestCheckpointIO:
     def test_full_round_trip(self, tmp_path):
         cfg = tiny_cfg()
@@ -329,26 +280,28 @@ class TestCheckpointIO:
         assert np.array_equal(m2.forward_ids(ids), expected)
         assert m2.base_bytes() == m.base_bytes()
 
-    def test_biased_model_reloads_with_its_flags(self, tmp_path):
-        flags = np.zeros(256, dtype=bool)
-        flags[[2, 5]] = True
-
-        def trained(bias):
-            m = build(tiny_cfg(diacritic_bias=bias), Rng(10), flags)
-            for layer in m.adapted_layers():
-                b = Rng(11).split(layer.name).normal((32, 4), std=0.1)
-                layer.adapter.b.assign(b)
-            return m
-
-        m = trained(2.0)
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    def test_model_reloads_with_its_logits(self, tmp_path, dtype):
+        m = build(tiny_cfg(dtype=dtype), Rng(10))
+        for layer in m.adapted_layers():
+            layer.adapter.b.assign(Rng(11).split(layer.name).normal((32, 4), std=0.1))
         save_model(m, tmp_path / "model.qnf4")
         m2 = load_model(tmp_path / "model.qnf4")
         state = loads_adapters(dumps_adapters(m.adapted_layers(), m.cfg.lora))
         apply_adapter_state(m2.adapted_layers(), m2.cfg.lora, state)
         ids = np.array([1, 5, 7, 2, 9, 4])
-        assert np.array_equal(m2.diacritic_flags, flags)
+        assert m2.cfg == m.cfg
         assert np.array_equal(m2.forward_ids(ids), m.forward_ids(ids))
-        assert not np.array_equal(m2.forward_ids(ids), trained(0.0).forward_ids(ids))
+
+    def test_version_4_file_is_format_error(self, tmp_path):
+        """DMDL 4 held a diacritic flag per token id after the config; such a
+        file is refused by its version, before any of its layout is read."""
+        w = Writer(b"DMDL", 4)
+        w.text(json.dumps(tiny_cfg().to_dict()))
+        w.array(np.zeros(256), "u1")
+        (tmp_path / "model.qnf4").write_bytes(w.getvalue())
+        with pytest.raises(FormatError, match="unsupported version 4, expected 5"):
+            load_model(tmp_path / "model.qnf4")
 
     def test_double_model_reloads_with_double_adapters(self, tmp_path):
         m = build(tiny_cfg(dtype=DOUBLE), Rng(10))

@@ -33,11 +33,10 @@ from desklora.trainer import (
 from tests.conftest import opt8_moments
 
 
-def tiny_model(seed=0, dtype=FULL, layers=2, d=32, vocab=64, max_len=24, dropout=0.0, bias=0.0):
+def tiny_model(seed=0, dtype=FULL, layers=2, d=32, vocab=64, max_len=24, dropout=0.0):
     cfg = ModelConfig(
         vocab_size=vocab, d_model=d, n_heads=4, n_layers=layers, d_ffn=2 * d,
-        max_seq_len=max_len, dtype=dtype, diacritic_bias=bias,
-        lora=LoraConfig(r=4, dropout=dropout),
+        max_seq_len=max_len, dtype=dtype, lora=LoraConfig(r=4, dropout=dropout),
     )
     return build(cfg, Rng(seed))
 
