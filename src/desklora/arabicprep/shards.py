@@ -51,11 +51,15 @@ def _shard_file(n: int) -> str:
 
 
 def dumps_shard(token_lists) -> bytes:
-    """One shard holding each document's ids, a list or an array per document."""
+    """One shard holding each document's ids, a list or an array per document.
+    An id outside u32, the type the file holds, is a ContractError."""
+    flat = np.concatenate(token_lists) if len(token_lists) else np.zeros(0, np.uint32)
+    if flat.size and (flat.min() < 0 or flat.max() > 0xFFFFFFFF):
+        raise ContractError(f"shard ids must fit u32; they span {flat.min()} to {flat.max()}")
     w = Writer(*_SHRD)
     w.pack("I", len(token_lists))
     w.array([len(ids) for ids in token_lists], "<u4")
-    w.array(np.concatenate(token_lists) if len(token_lists) else [], "<u4")
+    w.array(flat, "<u4")
     return w.getvalue()
 
 

@@ -21,7 +21,7 @@ sentence segmentation, each as whole-string passes in C.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..util import from_known_keys
 
@@ -56,14 +56,7 @@ class NormalizationPolicy:
     normalize_digits: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "unify_alif": self.unify_alif,
-            "unify_ya": self.unify_ya,
-            "unify_ta_marbuta": self.unify_ta_marbuta,
-            "strip_tatweel": self.strip_tatweel,
-            "strip_diacritics": self.strip_diacritics,
-            "normalize_digits": self.normalize_digits,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationPolicy":

@@ -2,14 +2,15 @@
 
 A block's six linear layers are `lora.FrozenLinear`s, frozen 4-bit bases that
 each run as one `lora.forward` node; Q/K/V/O carry trainable low-rank adapters,
-the MLP's two none. The token embedding (tied to the output head), layer-norm
-gains and biases remain trainable in the model's precision. Rotary position
-mixing, pre-norm blocks, GELU MLP. The model's precision is fixed when it is
-built or loaded. `forward` and `loss` take one sequence or a batch of
-equal-length sequences; dropout runs exactly when they get an rng. Under
-`no_grad`, `forward` also continues the rows of a `KVCache` (`kv_cache`),
-which holds each layer's rotated keys and values, so greedy decoding feeds
-only new tokens.
+the MLP's two none. The token embedding (tied to the output head) and the
+norms' gains remain trainable in the model's precision. Rotary position
+mixing, pre-norm blocks, GELU MLP. Each norm is RMS layer normalization with a
+gain and no bias, as in Qwen2, at eps 1e-5 where Qwen2 uses 1e-6. The model's
+precision is fixed when it is built or loaded. `forward` and `loss` take one
+sequence or a batch of equal-length sequences; dropout runs exactly when they
+get an rng. Under `no_grad`, `forward` also continues the rows of a `KVCache`
+(`kv_cache`), which holds each layer's rotated keys and values, so greedy
+decoding feeds only new tokens.
 
 `_assemble` alone lays out, names and freezes a model's tensors: `build` and
 `load_model` supply the values, and the inventory reads the objects' names.
@@ -99,9 +100,7 @@ class Block:
     w1: FrozenLinear  # [d_ffn x d_model], no adapter
     w2: FrozenLinear  # [d_model x d_ffn], no adapter
     ln1_g: Parameter
-    ln1_b: Parameter
     ln2_g: Parameter
-    ln2_b: Parameter
 
     def frozen(self) -> tuple[FrozenLinear, ...]:
         return (self.q, self.k, self.v, self.o, self.w1, self.w2)
@@ -110,7 +109,7 @@ class Block:
         return tuple(layer for layer in self.frozen() if layer.adapter is not None)
 
     def norms(self) -> tuple[Parameter, ...]:
-        return (self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b)
+        return (self.ln1_g, self.ln2_g)
 
 
 def _rope_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,12 +121,11 @@ def _rope_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 class TransformerModel:
     def __init__(self, cfg: ModelConfig, embedding: Parameter, blocks: list[Block],
-                 lnf_g: Parameter, lnf_b: Parameter):
+                 lnf_g: Parameter):
         self.cfg = cfg
         self.embedding = embedding
         self.blocks = blocks
         self.lnf_g = lnf_g
-        self.lnf_b = lnf_b
         self.rope = _rope_tables(cfg.max_seq_len, cfg.head_dim)
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -140,8 +138,7 @@ class TransformerModel:
 
     def masters(self) -> list[Parameter]:
         """Trainable parameters other than the adapters: embedding and norms."""
-        return [self.embedding, *(p for blk in self.blocks for p in blk.norms()),
-                self.lnf_g, self.lnf_b]
+        return [self.embedding, *(p for blk in self.blocks for p in blk.norms()), self.lnf_g]
 
     def trainable_parameters(self) -> list[tuple[str, Parameter]]:
         """(name, parameter) in the order the optimizer and the gradient-norm sum follow."""
@@ -149,7 +146,7 @@ class TransformerModel:
         for blk in self.blocks:
             params += blk.norms()
             params += [p for layer in blk.adapted() for p in (layer.adapter.a, layer.adapter.b)]
-        params += [self.lnf_g, self.lnf_b]
+        params.append(self.lnf_g)
         return [(p.name, p) for p in params]
 
     def trainable_fraction(self) -> float:
@@ -172,14 +169,14 @@ class TransformerModel:
         cfg = self.cfg
 
         def run(x: GradNode) -> GradNode:
-            h = layer_norm(x, blk.ln1_g, blk.ln1_b)
+            h = layer_norm(x, blk.ln1_g)
             sub = rng.split("block", i) if rng is not None else None
             q = lora.forward(blk.q, h, sub.split("q") if sub else None)
             k = lora.forward(blk.k, h, sub.split("k") if sub else None)
             v = lora.forward(blk.v, h, sub.split("v") if sub else None)
             attn = causal_attention(q, k, v, cfg.n_heads, self.rope, cache)
             x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
-            h2 = layer_norm(x, blk.ln2_g, blk.ln2_b)
+            h2 = layer_norm(x, blk.ln2_g)
             return add(x, lora.forward(blk.w2, gelu(lora.forward(blk.w1, h2))))
 
         return run
@@ -222,7 +219,7 @@ class TransformerModel:
             fn = self._block_fn(blk, i, rng, None if cache is None else cache.layer(i))
             x = checkpoint(fn, x) if checkpointing else fn(x)
 
-        x = layer_norm(x, self.lnf_g, self.lnf_b)
+        x = layer_norm(x, self.lnf_g)
         if cache is not None:
             cache.lengths += t_len
             x = constant(x.value[:, -1], self.cfg.dtype)  # the tied head reads last positions only
@@ -266,11 +263,10 @@ def _assemble(cfg: ModelConfig, base, master, adapted) -> TransformerModel:
         q, k, v, o = (adapted(pre + tag, base(pre + tag, (d, d)), i, tag) for tag in "qkvo")
         blocks.append(Block(
             q, k, v, o, frozen(pre + "w1", (cfg.d_ffn, d)), frozen(pre + "w2", (d, cfg.d_ffn)),
-            param(pre + "ln1_g", (d,), 1.0), param(pre + "ln1_b", (d,), 0.0),
-            param(pre + "ln2_g", (d,), 1.0), param(pre + "ln2_b", (d,), 0.0),
+            param(pre + "ln1_g", (d,), 1.0), param(pre + "ln2_g", (d,), 1.0),
         ))
     return TransformerModel(cfg, param("embedding", (cfg.vocab_size, d)), blocks,
-                            param("lnf_g", (d,), 1.0), param("lnf_b", (d,), 0.0))
+                            param("lnf_g", (d,), 1.0))
 
 
 def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
@@ -294,7 +290,7 @@ def build(cfg: ModelConfig, rng: Rng) -> TransformerModel:
 # in the model's storage precision (f32 for full, f64 for double). Adapters
 # live in their own LORA file.
 
-_DMDL = (b"DMDL", 5)
+_DMDL = (b"DMDL", 6)
 
 
 def save_model(model: TransformerModel, path):

@@ -8,11 +8,11 @@ and one backward closure that returns every parent's gradient from a single
 call, so the parents' gradients share their intermediate products.
 Broadcasting is deliberately narrow: `add` takes exact-match shapes only,
 and `scale` alone takes a python scalar. Ops over sequences take leading
-batch axes: `matmul`, `layer_norm`, `gather_rows`, `softmax_cross_entropy` and
-`causal_attention` read a `[B, T, d]` activation as B sequences of `[T, d]`,
-and a `[T, d]` one as a batch of one. `causal_attention` alone can also
-continue B rows from a `KVCache` of their earlier keys and values, for
-tape-free decoding.
+batch axes: `matmul`, `layer_norm` (RMS layer normalization),
+`gather_rows`, `softmax_cross_entropy` and `causal_attention` read a
+`[B, T, d]` activation as B sequences of `[T, d]`, and a `[T, d]` one as a
+batch of one. `causal_attention` alone can also continue B rows from a
+`KVCache` of their earlier keys and values, for tape-free decoding.
 """
 
 import math
@@ -150,40 +150,30 @@ def gelu(x: GradNode) -> GradNode:
     return op_output(out, (x,), grad_fn)
 
 
-def layer_norm(x: GradNode, gain: GradNode, bias: GradNode, eps: float = 1e-5) -> GradNode:
-    """Standardize over the last axis, then apply the affine (gain, bias)."""
+def layer_norm(x: GradNode, gain: GradNode, eps: float = 1e-5) -> GradNode:
+    """RMS layer normalization (Zhang and Sennrich 2019): scale each vector over
+    the last axis to unit root mean square, `x * rsqrt(mean(x^2) + eps)`, then
+    by `gain`. There is no centring and no bias. The mean square accumulates in
+    float64, so a float32 row whose squares overflow float32 still normalizes."""
     if eps <= 0:
         raise ContractError(f"layer_norm eps must be positive, got {eps}")
     d = x.value
     n = d.shape[-1]
     if n <= 0:
         raise DimensionError("layer_norm: empty last axis")
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise DimensionError(
-            f"layer_norm: gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
-        )
-    mu = d.mean(axis=-1, keepdims=True)
-    xc = d - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    if gain.shape != (n,):
+        raise DimensionError(f"layer_norm: gain must have shape ({n},), got {gain.shape}")
+    ms = np.einsum("...i,...i->...", d, d, dtype=np.float64)[..., None] / n
+    inv = (1.0 / np.sqrt(ms + eps)).astype(d.dtype)
+    xhat = d * inv
     gv = gain.value
-    out = xhat * gv + bias.value
-
-    lead = tuple(range(d.ndim - 1))
 
     def grad_fn(g):
-        dxhat = g * gv
-        dvar = (dxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        dmu = -(dxhat.sum(axis=-1, keepdims=True)) * inv + dvar * (-2.0) * xc.mean(
-            axis=-1, keepdims=True
-        )
-        dx = dxhat * inv + dvar * (2.0 / n) * xc + dmu / n
-        if not lead:
-            return dx, g * xhat, g
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        ghat = g * gv
+        dx = inv * (ghat - xhat * (np.einsum("...i,...i->...", ghat, xhat)[..., None] / n))
+        return dx, np.einsum("ti,ti->i", g.reshape(-1, n), xhat.reshape(-1, n))
 
-    return op_output(out, (x, gain, bias), grad_fn)
+    return op_output(xhat * gv, (x, gain), grad_fn)
 
 
 # ---------------------------------------------------------------------------

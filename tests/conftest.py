@@ -3,8 +3,9 @@ preprocessing sweeps, the training-loop tests, and the acceptance suite;
 shards written with the ids a tokenizer's `encode` gives; the merge-agreement
 check that `test_lora` and C04 share; the base of the stub models that the
 evaluation tests score and decode with; the full-window greedy loop that
-the batched decoder is checked against; and a reader that cuts an OPT8 file
-back into per-parameter moments."""
+the batched decoder is checked against; a reader that cuts an OPT8 file
+back into per-parameter moments; and a writer of the retired DMDL 5 model
+layout."""
 
 import itertools
 import json
@@ -15,9 +16,9 @@ import pytest
 
 from desklora.arabicprep import write_shards
 from desklora.arabicprep.shards import DEFAULT_SHARD_DOCS
-from desklora.binfmt import Reader
+from desklora.binfmt import Reader, Writer
 from desklora.numcore import KVCache
-from desklora.quant import STATE8_BLOCK_SIZE, Quantized8bitState, dequantize
+from desklora.quant import STATE8_BLOCK_SIZE, Quantized8bitState, dequantize, dumps_qnf4
 
 MSA_WORDS = [
     "مرحبا", "كتاب", "مدرسة", "الطقس", "اليوم", "جميل", "قال", "ذهب", "البيت",
@@ -126,6 +127,29 @@ def opt8_moments(blob: bytes) -> dict:
                             for (_, shape), s in zip(layout, starts)])
     r.done()
     return {name: (m, v) for (name, _), m, v in zip(layout, *moments)}
+
+
+def dmdl5_bytes(model) -> bytes:
+    """`model` as a DMDL 5 file, the LayerNorm layout: DMDL 6's fields, with a
+    zero bias master after each norm gain (`ln1_b`, `ln2_b`, `lnf_b`)."""
+    w = Writer(b"DMDL", 5)
+    w.text(json.dumps(model.cfg.to_dict(), sort_keys=True))
+    frozen = model.frozen_tensors()
+    w.pack("I", len(frozen))
+    for name, q in frozen:
+        w.text(name)
+        w.blob(dumps_qnf4(q))
+    masters = []
+    for p in model.masters():
+        masters.append((p.name, p.value))
+        if p.name.endswith("_g"):
+            masters.append((p.name[:-1] + "b", np.zeros_like(p.value)))
+    w.pack("I", len(masters))
+    for name, value in masters:
+        w.text(name)
+        w.shape(value.shape)
+        w.array(value, value.dtype)
+    return w.getvalue()
 
 
 class PositionLogitsModel:

@@ -157,7 +157,7 @@ def _op_battery(seed: int) -> float:
     c_add = constant(rng.normal(size=(4, 6)), DOUBLE)
     c_mul = constant(rng.normal(size=(4, 6)), DOUBLE)
     c_gain = constant(rng.normal(size=6), DOUBLE)
-    c_bias = constant(rng.normal(size=6), DOUBLE)
+    gain0 = rng.normal(size=6)
     c_right = constant(rng.normal(size=(6, 5)), DOUBLE)
     c_p45 = constant(rng.normal(size=(4, 5)), DOUBLE)
     c_p64 = constant(rng.normal(size=(6, 4)), DOUBLE)
@@ -169,13 +169,15 @@ def _op_battery(seed: int) -> float:
         lambda x: probe(mul(x, c_mul)),
         lambda x: probe(scale(x, -2.5)),
         lambda x: probe(gelu(x)),
-        lambda x: probe(layer_norm(x, c_gain, c_bias)),
+        lambda x: probe(layer_norm(x, c_gain)),
         lambda x: probe(dropout(x, 0.4, drop_rng.split("fd"))),
         lambda x: sum_all(mul(matmul(x, c_right), c_p45)),
         lambda x: sum_all(mul(transpose(x), c_p64)),
         lambda x: softmax_cross_entropy(matmul(x, c_right), targets[:4] % 5),
     ]
     worst = max(finite_diff_check(f, x0) for f in checks)
+    c_x = constant(x0, DOUBLE)
+    worst = max(worst, finite_diff_check(lambda gain: probe(layer_norm(c_x, gain)), gain0))
 
     # fused attention, each operand
     t_len, heads, d = 5, 2, 8
@@ -207,6 +209,8 @@ def _op_battery(seed: int) -> float:
     c_pb = constant(rng.normal(size=(2, t_len, 5)), DOUBLE)
     targets_b = rng.integers(0, 5, size=(2, t_len))
     qb, kb, vb, wb = (constant(rng.normal(size=(2, t_len, d)), DOUBLE) for _ in range(4))
+    gain_b = rng.normal(size=d)
+    c_gain_b = constant(gain_b, DOUBLE)
     batch_checks = [
         (lambda x: sum_all(mul(matmul(x, w_right), c_pb)), xb),
         (lambda w: sum_all(mul(matmul(xb_node, w), c_pb)), rng.normal(size=(d, 5))),
@@ -214,6 +218,8 @@ def _op_battery(seed: int) -> float:
         (lambda x: sum_all(mul(causal_attention(x, kb, vb, heads, rope), wb)), xb),
         (lambda x: sum_all(mul(causal_attention(qb, x, vb, heads, rope), wb)), xb),
         (lambda x: sum_all(mul(causal_attention(qb, kb, x, heads, rope), wb)), xb),
+        (lambda x: sum_all(mul(layer_norm(x, c_gain_b), wb)), xb),
+        (lambda gain: sum_all(mul(layer_norm(xb_node, gain), wb)), gain_b),
     ]
     worst = max(worst, max(finite_diff_check(f, x) for f, x in batch_checks))
 
@@ -247,7 +253,7 @@ def _attention_score_bound(model, window) -> float:
     RoPE only rotates q and k, so the bound holds for every rotated score."""
     blk, cfg = model.blocks[0], model.cfg
     with no_grad():
-        h = layer_norm(gather_rows(model.embedding, window), blk.ln1_g, blk.ln1_b)
+        h = layer_norm(gather_rows(model.embedding, window), blk.ln1_g)
         q, k = (lora.forward(layer, h).value for layer in (blk.q, blk.k))
     shape = (len(window), cfg.n_heads, cfg.head_dim)
     q_norm = np.linalg.norm(q.reshape(shape), axis=-1).max(axis=0)

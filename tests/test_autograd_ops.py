@@ -126,33 +126,42 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestLayerNorm:
-    def gain_bias(self, d):
-        return constant(np.ones(d), DOUBLE), constant(np.zeros(d), DOUBLE)
+    """`layer_norm` is RMS layer normalization: no centring and no bias."""
 
-    def test_constant_vector_zeroed(self):
-        g, b = self.gain_bias(6)
-        out = layer_norm(constant(np.full((2, 6), 3.3), DOUBLE), g, b)
-        assert np.allclose(out.value, 0.0, atol=1e-6)
+    def test_row_rms_equals_the_gain(self):
+        x = np.random.default_rng(1).normal(size=(20, 64)) * 10.0
+        out = layer_norm(constant(x, DOUBLE), constant(np.full(64, 1.7), DOUBLE)).value
+        assert np.abs(np.sqrt((out * out).mean(axis=-1)) - 1.7).max() < 1e-6
+
+    def test_positive_scale_invariance(self):
+        rng = np.random.default_rng(2)
+        x, gain = rng.normal(size=(5, 16)), constant(rng.normal(size=16), DOUBLE)
+        out = layer_norm(constant(x, DOUBLE), gain, eps=1e-30).value
+        for c in (1e-3, 0.37, 5.0, 1e4):
+            scaled = layer_norm(constant(c * x, DOUBLE), gain, eps=1e-30).value
+            assert np.allclose(scaled, out, rtol=1e-14, atol=0)
+
+    def test_constant_row_maps_to_sign_times_gain(self):
+        gain = np.random.default_rng(3).normal(size=6)
+        x = np.array([[3.3] * 6, [-0.8] * 6, [1e-2] * 6])
+        out = layer_norm(constant(x, DOUBLE), constant(gain, DOUBLE), eps=1e-15).value
+        assert np.allclose(out, np.sign(x) * gain, rtol=0, atol=1e-9)
 
     def test_two_point_case(self):
-        g, b = self.gain_bias(2)
-        out = layer_norm(constant([[1.0, 3.0]], DOUBLE), g, b, eps=1e-12)
-        assert np.allclose(out.value, [[-1.0, 1.0]], atol=1e-5)
+        """[1, 7] has root mean square 5, so it maps to [0.2, 1.4] times the gain."""
+        out = layer_norm(constant([[1.0, 7.0]], DOUBLE), constant([2.0, -1.0], DOUBLE), eps=1e-12)
+        assert np.allclose(out.value, [[0.4, -1.4]], rtol=0, atol=1e-12)
 
-    def test_zero_gain_gives_bias(self):
-        g = constant(np.zeros(4), DOUBLE)
-        b = constant(np.full(4, 7.5), DOUBLE)
-        out = layer_norm(constant(np.random.default_rng(0).normal(size=(3, 4)), DOUBLE), g, b)
-        assert np.allclose(out.value, 7.5)
+    def test_float32_row_whose_squares_overflow_still_normalizes(self):
+        """1e24² overflows float32; the row must not collapse to zeros."""
+        x = np.array([[1e24, -3e24, 2e24, 0.0]], np.float32)
+        out = layer_norm(constant(x, FULL), constant(np.ones(4), FULL)).value
+        assert out.dtype == np.float32
+        assert np.allclose(out, x / np.sqrt((x.astype(np.float64) ** 2).mean()), rtol=1e-6)
 
-    def test_standardization_moments(self):
-        # variance within 1e-5 of 1 requires input variance at least ~1
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(20, 64)) * 2.0
-        g, b = self.gain_bias(64)
-        out = layer_norm(constant(x, DOUBLE), g, b).value
-        assert np.abs(out.mean(axis=-1)).max() < 1e-6
-        assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-5
+    def test_gain_of_another_width_rejected(self):
+        with pytest.raises(DimensionError, match="gain"):
+            layer_norm(constant(np.ones((2, 4)), DOUBLE), constant(np.ones(5), DOUBLE))
 
 
 class TestBackward:
@@ -233,7 +242,6 @@ class TestFiniteDifference:
         c_add = constant(rng.normal(size=(4, 6)), DOUBLE)
         c_mul = constant(rng.normal(size=(4, 6)), DOUBLE)
         c_gain = constant(rng.normal(size=6), DOUBLE)
-        c_bias = constant(np.zeros(6), DOUBLE)
         c_right = constant(rng.normal(size=(6, 5)), DOUBLE)
         c_probe45 = constant(rng.normal(size=(4, 5)), DOUBLE)
         c_probe64 = constant(rng.normal(size=(6, 4)), DOUBLE)
@@ -242,12 +250,14 @@ class TestFiniteDifference:
             lambda x: probe(mul(x, c_mul)),
             lambda x: probe(scale(x, 1.7)),
             lambda x: probe(gelu(x)),
-            lambda x: probe(layer_norm(x, c_gain, c_bias)),
+            lambda x: probe(layer_norm(x, c_gain)),
             lambda x: sum_all(mul(matmul(x, c_right), c_probe45)),
             lambda x: sum_all(mul(transpose(x), c_probe64)),
         ]
         for f in checks:
             assert finite_diff_check(f, x0) < 1e-4
+        c_x = constant(x0, DOUBLE)  # the gain's gradient sums over the rows
+        assert finite_diff_check(lambda gain: probe(layer_norm(c_x, gain)), rng.normal(size=6)) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_attention_gradients(self, seed):

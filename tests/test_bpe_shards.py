@@ -425,6 +425,12 @@ class TestShards:
             w.array(ids, "<u4")
         assert dumps_shard(token_lists) == w.getvalue()
 
+    @pytest.mark.parametrize("token_lists", [[np.array([-1])], [[2**32]], [[5], [0, -3]]])
+    def test_id_outside_u32_is_refused(self, token_lists):
+        """An id the file's u32 cannot hold is refused, not wrapped into another id."""
+        with pytest.raises(ContractError, match="fit u32"):
+            dumps_shard(token_lists)
+
     def test_v1_shard_set_needs_a_new_prep(self, prepared, tmp_path):
         policy, docs, vocab = prepared
         write_encoded_shards(docs, vocab, policy, tmp_path)

@@ -15,11 +15,12 @@ from desklora.evalharness import (
 from desklora.evalharness.harness import DIALECT_ORDER
 from desklora.errors import FormatError
 from desklora.lora import dumps_adapters
+from desklora.model import load_model
 from desklora.quant import dumps_qnf4, quantize
 from desklora.numcore import Parameter
 from desklora.trainer import AdamW, MemoryBudget, load_checkpoint, read_trainer_state
 from desklora.util import sha256_file
-from tests.conftest import opt8_moments, reference_greedy, synth_raw_docs, write_jsonl
+from tests.conftest import dmdl5_bytes, opt8_moments, reference_greedy, synth_raw_docs, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -364,14 +365,28 @@ class TestEval:
         for name in os.listdir(trained_ckpt):
             (ckpt / name).write_bytes((trained_ckpt / name).read_bytes())
         data = (ckpt / "model.qnf4").read_bytes()
-        assert data[:6] == b"DMDL" + (5).to_bytes(2, "little")
+        assert data[:6] == b"DMDL" + (6).to_bytes(2, "little")
         end = 10 + int.from_bytes(data[6:10], "little")  # the config text's blob
         vocab = json.loads(data[10:end])["vocab_size"]
         (ckpt / "model.qnf4").write_bytes(
             b"DMDL" + (4).to_bytes(2, "little") + data[6:end] + bytes(vocab) + data[end:])
         assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 3
         err = capsys.readouterr().err
-        assert "unsupported version 4, expected 5" in err and "Traceback" not in err
+        assert "unsupported version 4, expected 6" in err and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_a_version_5_model_file_exits_3(self, trained_ckpt, shards_dir, eval_files, tmp_path,
+                                            capsys):
+        """A checkpoint whose model file is DMDL 5, which held a LayerNorm bias
+        after each norm gain, is refused by its version."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in os.listdir(trained_ckpt):
+            (ckpt / name).write_bytes((trained_ckpt / name).read_bytes())
+        (ckpt / "model.qnf4").write_bytes(dmdl5_bytes(load_model(trained_ckpt / "model.qnf4")))
+        assert self.run_eval(ckpt, shards_dir, eval_files, tmp_path / "rep") == 3
+        err = capsys.readouterr().err
+        assert "unsupported version 5, expected 6" in err and "Traceback" not in err
         assert not (tmp_path / "rep").exists()
 
     def test_report_equals_a_full_window_reference(self, trained_ckpt, shards_dir, tmp_path):

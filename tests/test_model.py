@@ -17,6 +17,7 @@ from desklora.numcore import (
     DOUBLE, FULL, Parameter, Rng, RowRngs, backward, metering, no_grad,
 )
 from desklora.quant import quantize
+from tests.conftest import dmdl5_bytes
 
 
 def tiny_cfg(**kw):
@@ -81,7 +82,7 @@ class TestBuild:
             return sum(n for name, n in numel.items() if pick(name))
 
         embedding = cfg.vocab_size * d
-        norms = L * 4 * d + 2 * d
+        norms = L * 2 * d + d  # one RMS-norm gain per norm, no bias
         adapters = L * 4 * (r * (d + d))
         frozen = L * (4 * d * d + 2 * cfg.d_ffn * d)
         assert numel["embedding"] == embedding
@@ -300,7 +301,14 @@ class TestCheckpointIO:
         w.text(json.dumps(tiny_cfg().to_dict()))
         w.array(np.zeros(256), "u1")
         (tmp_path / "model.qnf4").write_bytes(w.getvalue())
-        with pytest.raises(FormatError, match="unsupported version 4, expected 5"):
+        with pytest.raises(FormatError, match="unsupported version 4, expected 6"):
+            load_model(tmp_path / "model.qnf4")
+
+    def test_version_5_file_is_format_error(self, tmp_path):
+        """DMDL 5 held a LayerNorm bias after each norm gain; such a file is
+        refused by its version, not by its extra tensors."""
+        (tmp_path / "model.qnf4").write_bytes(dmdl5_bytes(build(tiny_cfg(), Rng(10))))
+        with pytest.raises(FormatError, match="unsupported version 5, expected 6"):
             load_model(tmp_path / "model.qnf4")
 
     def test_double_model_reloads_with_double_adapters(self, tmp_path):
@@ -320,11 +328,11 @@ class TestCheckpointIO:
             assert layer.dtype == DOUBLE and layer.weight().dtype == np.float64
 
     @pytest.mark.parametrize("method, edit, match", [
-        ("masters", lambda ms: ms[:-1], "no tensor named 'lnf_b'"),
+        ("masters", lambda ms: ms[:-1], "no tensor named 'lnf_g'"),
         ("masters", lambda ms: [*ms, Parameter(np.zeros(3), FULL, name="extra")],
          r"unexpected tensors \['extra'\]"),
-        ("masters", lambda ms: [*ms[:-1], Parameter(np.zeros(33), FULL, name="lnf_b")],
-         "'lnf_b' has shape"),
+        ("masters", lambda ms: [*ms[:-1], Parameter(np.zeros(33), FULL, name="lnf_g")],
+         "'lnf_g' has shape"),
         ("masters", lambda ms: [*ms, ms[0]], "'embedding' appears twice"),
         ("frozen_tensors", lambda fs: fs[:-1], "no tensor named 'layer1.w2'"),
         ("frozen_tensors", lambda fs: [*fs, ("layer2.q", fs[0][1])],

@@ -8,8 +8,10 @@ Each run is 3 adamw8 steps of `train()` at deskbench's `finetune` shape
 of 48 + 1 tokens, seed 1), for every combination of precision (full,
 double), checkpointing (off, on) and micro-batch x accumulation (8x1, 2x3).
 A digest covers the trainable parameters, the frozen bases and every step's
-loss, gradient norm and ledger high-waters. Run it on both sides of a change
-and compare the eight lines. pytest does not collect this file.
+loss, gradient norm and ledger high-waters. Each line ends with the run's
+last-step loss, so a change that alters the numerics can quote the loss on
+both sides. Run it on both sides of a change and compare the eight lines.
+pytest does not collect this file.
 """
 
 import hashlib
@@ -29,7 +31,9 @@ SEQ_LEN = 48
 VOCAB_SIZE = 512
 
 
-def run_digest(dtype: str, checkpointing: bool, micro_batch: int, accumulation: int) -> str:
+def run_digest(dtype: str, checkpointing: bool, micro_batch: int,
+               accumulation: int) -> tuple[str, float]:
+    """The run's digest and its last step's loss."""
     cfg = ModelConfig(vocab_size=VOCAB_SIZE, d_model=64, n_heads=4, n_layers=2, d_ffn=256,
                       max_seq_len=SEQ_LEN + 1, dtype=dtype, lora=LoraConfig(r=8, dropout=0.05))
     model = build(cfg, Rng(SEED))
@@ -47,14 +51,15 @@ def run_digest(dtype: str, checkpointing: bool, micro_batch: int, accumulation: 
     h.update(model.base_bytes())
     for r in result.metrics:
         h.update(repr((r.step, r.loss, r.grad_norm, r.device_hw_bytes, r.host_hw_bytes)).encode())
-    return h.hexdigest()
+    return h.hexdigest(), result.metrics[-1].loss
 
 
 def main():
     for dtype, checkpointing, (micro, accum) in itertools.product(
             (FULL, DOUBLE), (False, True), ((8, 1), (2, 3))):
-        digest = run_digest(dtype, checkpointing, micro, accum)
-        print(f"{dtype:<6} checkpointing={int(checkpointing)} {micro}x{accum}  {digest}")
+        digest, loss = run_digest(dtype, checkpointing, micro, accum)
+        print(f"{dtype:<6} checkpointing={int(checkpointing)} {micro}x{accum}  {digest}  "
+              f"loss {loss:.6f}")
 
 
 if __name__ == "__main__":
