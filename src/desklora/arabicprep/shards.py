@@ -27,6 +27,7 @@ DIALECT_TAGS = ("MSA", "EGY", "GLF", "LEV", "MGR", "UNK")
 _SHRD = (b"SHRD", 2)
 MANIFEST_NAME = "manifest.json"
 DEFAULT_SHARD_DOCS = 4096
+_MANIFEST_SLICE = 256  # doc index entries per json encode
 
 
 @dataclass
@@ -126,9 +127,18 @@ def write_shards(
         "counts": {key: Counter(d[key] for d in doc_index) for key in ("source", "dialect")},
         "docs": doc_index,
     }
+
+    def dumps(obj) -> str:
+        return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+
+    # dumps, not dump: only a one-shot encode runs json's C encoder. It holds
+    # every chunk until it joins them, so the doc index goes in slices.
+    head, tail = dumps({**manifest, "docs": 0}).split('"docs": 0', 1)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        # dumps, not dump: only a one-shot encode runs json's C encoder
-        f.write(json.dumps(manifest, ensure_ascii=False, sort_keys=True) + "\n")
+        f.write(head + '"docs": [')
+        for start in range(0, len(doc_index), _MANIFEST_SLICE):
+            f.write((", " if start else "") + dumps(doc_index[start : start + _MANIFEST_SLICE])[1:-1])
+        f.write("]" + tail + "\n")
     return manifest
 
 

@@ -5,9 +5,12 @@ Greedy generation decodes all of a section's prompts in lockstep
 (`greedy_batch`) over one K/V cache row per prompt: a row whose context fits
 the model's window extends its row by one token per step, and a row whose
 context has outgrown the window refills its row with the slid window from
-position 0. Rows fed alike share one batched forward. Cached logits agree
-with a full-window recompute up to float rounding, so the continuations are
-the ids that recomputing every step gives.
+position 0. Rows fed alike share one batched forward. Such a forward
+computes only each row's last-position logits: its last block runs past K
+and V at one position per row, and a fill, whose rows all start at 0, reads
+the rope table, the mask and the cache by slice. Cached logits agree with a
+full-window recompute up to float rounding, so the continuations are the ids
+that recomputing every step gives.
 """
 
 import itertools

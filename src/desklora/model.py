@@ -10,7 +10,10 @@ precision is fixed when it is built or loaded. `forward` and `loss` take one
 sequence or a batch of equal-length sequences; dropout runs exactly when they
 get an rng. Under `no_grad`, `forward` also continues the rows of a `KVCache`
 (`kv_cache`), which holds each layer's rotated keys and values, so greedy
-decoding feeds only new tokens.
+decoding feeds only new tokens. Such a cached forward computes only what its
+last-position logits need: every block writes K and V at all fed positions,
+but the last block's queries, attention output, MLP and the final norm run
+at each row's last position alone.
 
 `_assemble` alone lays out, names and freezes a model's tensors: `build` and
 `load_model` supply the values, and the inventory reads the objects' names.
@@ -167,13 +170,18 @@ class TransformerModel:
 
     def _block_fn(self, blk: Block, i: int, rng, cache: KVCache | None):
         cfg = self.cfg
+        # with a cache, the last block's output reaches only the head, which
+        # reads each row's last position: past K and V, the block runs there alone
+        tail = cache is not None and i == cfg.n_layers - 1
 
         def run(x: GradNode) -> GradNode:
             h = layer_norm(x, blk.ln1_g)
             sub = rng.split("block", i) if rng is not None else None
-            q = lora.forward(blk.q, h, sub.split("q") if sub else None)
             k = lora.forward(blk.k, h, sub.split("k") if sub else None)
             v = lora.forward(blk.v, h, sub.split("v") if sub else None)
+            if tail:
+                x, h = (constant(a.value[:, -1:], cfg.dtype) for a in (x, h))
+            q = lora.forward(blk.q, h, sub.split("q") if sub else None)
             attn = causal_attention(q, k, v, cfg.n_heads, self.rope, cache)
             x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
             h2 = layer_norm(x, blk.ln2_g)
@@ -200,7 +208,9 @@ class TransformerModel:
         With a `cache` of B rows (under `no_grad` only), ids [B x T] continue
         them: row b's tokens take positions `cache.lengths[b]` onwards, attend
         over what the row holds, and are added to it. The result is then
-        each row's last-position logits [B x vocab]."""
+        each row's last-position logits [B x vocab], and only they are
+        computed: past its K and V, the last block runs at each row's last
+        position, [B x 1 x d], and so do the final norm and the head."""
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim not in (1, 2) or ids.size == 0:
             raise ContractError(f"forward expects non-empty [T] or [B x T] ids, got shape {ids.shape}")
@@ -222,7 +232,7 @@ class TransformerModel:
         x = layer_norm(x, self.lnf_g)
         if cache is not None:
             cache.lengths += t_len
-            x = constant(x.value[:, -1], self.cfg.dtype)  # the tied head reads last positions only
+            x = constant(x.value[:, 0], self.cfg.dtype)  # [B x 1 x d] -> [B x d]
         return matmul(x, transpose(self.embedding))
 
     def loss(self, window, rng: Rng | RowRngs | None = None,

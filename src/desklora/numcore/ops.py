@@ -11,8 +11,9 @@ and `scale` alone takes a python scalar. Ops over sequences take leading
 batch axes: `matmul`, `layer_norm` (RMS layer normalization),
 `gather_rows`, `softmax_cross_entropy` and `causal_attention` read a
 `[B, T, d]` activation as B sequences of `[T, d]`, and a `[T, d]` one as a
-batch of one. `causal_attention` alone can also continue B rows from a
-`KVCache` of their earlier keys and values, for tape-free decoding.
+batch of one. `causal_attention` alone takes queries for fewer positions
+than its keys, and can also continue B rows from a `KVCache` of their earlier
+keys and values, for tape-free decoding.
 """
 
 import math
@@ -138,14 +139,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: GradNode) -> GradNode:
+    """The tanh approximation `0.5 x (1 + tanh(c (x + 0.044715 x^3)))`, c = √(2/π).
+    Forward and backward run in place on two buffers, in the operation order of
+    the plain expression, so they round exactly as it does."""
     d = x.value
-    inner = _GELU_C * (d + 0.044715 * (d * d * d))
-    t = np.tanh(inner)
-    out = 0.5 * d * (1.0 + t)
+    t = d * d
+    t *= d
+    t *= 0.044715
+    t += d
+    t *= _GELU_C
+    np.tanh(t, out=t)  # kept for backward
+    out = 1.0 + t
+    out *= 0.5 * d
 
     def grad_fn(g):
-        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * d * d)
-        return (g * (0.5 * (1.0 + t) + 0.5 * d * dt),)
+        # (1 - t^2) c (1 + 3·0.044715 d^2), then 0.5 (1 + t) + 0.5 d · that
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        dt *= _GELU_C
+        u = d * (3 * 0.044715)
+        u *= d
+        u += 1.0
+        dt *= u
+        np.multiply(d, 0.5, out=u)
+        u *= dt
+        np.add(t, 1.0, out=dt)
+        dt *= 0.5
+        dt += u
+        return (np.multiply(g, dt, out=dt if g.dtype == dt.dtype else None),)
 
     return op_output(out, (x,), grad_fn)
 
@@ -237,10 +258,12 @@ class KVCache:
     the values [..., B, H, L, hd] and the positions each row holds [B]. The
     keys' and values' leading axes index layers. `layer` and `rows` give
     views that write through. Attention writes a call's keys and values at
-    each row's next positions; the caller advances `lengths` once every layer
-    has run. A caller may set a row's length to 0 to refill it from position
-    0: attention then masks every key past the row's new positions, so what
-    the earlier fill left there is never read."""
+    each row's next positions, all T of them however few queries the call
+    has; the caller advances `lengths` once every layer has run. Rows that
+    hold the same length are written and read by slice, rows of different
+    lengths by per-row gathers. A caller may set a row's length to 0 to
+    refill it from position 0: attention then masks every key past the row's
+    new positions, so what the earlier fill left there is never read."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -265,46 +288,61 @@ def causal_attention(
 ) -> GradNode:
     """Multi-head causal attention over [B, T, d] sequences, or one [T, d] sequence.
 
-    `rope` is a (cos, sin) table over positions, at least as long as the
-    positions the call reaches. Without a `cache`, a row's queries and keys sit
-    at positions 0..T-1 and scores and weights are [B, H, T, T] batched
-    matmuls. With one (one layer's, B rows), row b's T new positions follow
-    the `cache.lengths[b]` it holds: they are rotated there, written into the
-    cache, and attend over every key the row holds up to their own position.
+    `k` and `v` hold the T positions the call feeds; `q` may hold fewer
+    rows, T_q <= T, which are the queries of the last T_q positions, and the
+    result has `q`'s shape. `rope` is a (cos, sin) table over positions, at
+    least as long as the positions the call reaches. Without a `cache`, a row's
+    keys sit at positions 0..T-1 and scores and weights are [B, H, T_q, T]
+    batched matmuls. With one (one layer's, B rows), row b's T new positions
+    follow the `cache.lengths[b]` it holds: they are rotated there, written into
+    the cache, and each query attends over every key the row holds up to its
+    own position. When every row holds the same length, as on a fill from
+    length 0, the call takes one slice of the rope table and the cache and the
+    triangular mask; rows of different lengths gather per row.
     """
-    shape = q.shape
-    if shape != k.shape or shape != v.shape:
-        raise DimensionError(f"attention q/k/v shapes differ: {shape}, {k.shape}, {v.shape}")
-    if len(shape) not in (2, 3):
-        raise DimensionError(f"attention expects [T, d] or [B, T, d] inputs, got {shape}")
-    t_len, d = shape[-2:]
+    if len(k.shape) not in (2, 3):
+        raise DimensionError(f"attention expects [T, d] or [B, T, d] inputs, got {k.shape}")
+    if (k.shape != v.shape or len(q.shape) != len(k.shape) or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1]):
+        raise DimensionError(f"attention q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    t_q, (t_len, d) = q.shape[-2], k.shape[-2:]
+    if not 0 < t_q <= t_len:
+        raise DimensionError(f"attention takes 1 to {t_len} queries for {t_len} keys, got {t_q}")
     if d % n_heads != 0:
         raise DimensionError(f"model width {d} not divisible by {n_heads} heads")
     hd = d // n_heads
     compute = q.dtype
 
     def heads(x: np.ndarray) -> np.ndarray:  # [..., T, d] -> [B, H, T, hd]
-        return x.reshape(-1, t_len, n_heads, hd).transpose(0, 2, 1, 3)
+        return x.reshape(-1, x.shape[-2], n_heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray) -> np.ndarray:  # [B, H, T, hd] -> the input's shape
+    def merge(x: np.ndarray, shape) -> np.ndarray:  # [B, H, T, hd] -> [..., T, d]
         return x.transpose(0, 2, 1, 3).reshape(shape)
 
     qh, kh, vh = heads(q.value), heads(k.value), heads(v.value)
-    if cache is None:  # every row at positions 0..T-1
-        at, n_keys = slice(t_len), t_len
-        mask = np.triu(np.full((t_len, t_len), -np.inf, dtype=compute), k=1)
-    else:  # row b at positions cache.lengths[b] onwards
-        positions = cache.lengths[:, None] + np.arange(t_len)  # [B, T]
+    lengths = None if cache is None else cache.lengths
+    if lengths is None or (lengths == lengths[0]).all():  # every row at start..start+T-1
+        start = 0 if lengths is None else int(lengths[0])
+        n_keys = start + t_len
+        at = slice(start, n_keys)
+        mask = np.triu(np.full((t_q, n_keys), -np.inf, dtype=compute), k=n_keys - t_q + 1)
+    else:  # row b at positions lengths[b] onwards
+        positions = lengths[:, None] + np.arange(t_len)  # [B, T]
         at, n_keys = positions[:, None], int(positions.max()) + 1  # at: [B, 1, T]
-        mask = np.where(np.arange(n_keys) <= at[..., None], compute.type(0), compute.type(-np.inf))
-    cos = rope[0][at].astype(compute)  # [T, hd/2], or [B, 1, T, hd/2] with a cache
+        mask = np.where(np.arange(n_keys) <= at[..., t_len - t_q:, None],
+                        compute.type(0), compute.type(-np.inf))
+    cos = rope[0][at].astype(compute)  # [T, hd/2], or [B, 1, T, hd/2] per row
     sin = rope[1][at].astype(compute)
-    qr, kr = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
+    cos_q, sin_q = cos[..., t_len - t_q:, :], sin[..., t_len - t_q:, :]
+    qr, kr = _rotate(qh, cos_q, sin_q), _rotate(kh, cos, sin)
 
     if cache is not None:
-        rows = np.arange(qh.shape[0])[:, None]
-        cache.keys[rows, :, positions] = kr.transpose(0, 2, 1, 3)
-        cache.values[rows, :, positions] = vh.transpose(0, 2, 1, 3)
+        if isinstance(at, slice):
+            cache.keys[:, :, at], cache.values[:, :, at] = kr, vh
+        else:
+            rows = np.arange(qh.shape[0])[:, None]
+            cache.keys[rows, :, positions] = kr.transpose(0, 2, 1, 3)
+            cache.values[rows, :, positions] = vh.transpose(0, 2, 1, 3)
         kr, vh = cache.keys[:, :, :n_keys], cache.values[:, :, :n_keys]
 
     inv_sqrt = 1.0 / math.sqrt(hd)
@@ -313,7 +351,7 @@ def causal_attention(
     m = scores.max(axis=-1, keepdims=True)
     w = np.exp(scores - m)
     w = w / w.sum(axis=-1, keepdims=True)
-    out = merge(np.matmul(w, vh))
+    out = merge(np.matmul(w, vh), q.shape)
 
     def grad_fn(g):
         gh = heads(g)
@@ -322,6 +360,7 @@ def causal_attention(
         dq = np.matmul(ds, kr) * inv_sqrt
         dk = np.matmul(ds.swapaxes(-1, -2), qr) * inv_sqrt
         dv = np.matmul(w.swapaxes(-1, -2), gh)
-        return merge(_unrotate_grad(dq, cos, sin)), merge(_unrotate_grad(dk, cos, sin)), merge(dv)
+        return (merge(_unrotate_grad(dq, cos_q, sin_q), q.shape),
+                merge(_unrotate_grad(dk, cos, sin), k.shape), merge(dv, k.shape))
 
     return op_output(out, (q, k, v), grad_fn)

@@ -1,6 +1,9 @@
 """Test-only numcore helpers: `mul` and `sum_all` turn an op's output into the
-scalar a gradient probe differentiates, and `finite_diff_check` compares an
-analytic gradient with central differences. The engine never calls them."""
+scalar a gradient probe differentiates, `finite_diff_check` compares an
+analytic gradient with central differences, and `gelu_expression` is GELU
+written out of place. The engine never calls them."""
+
+import math
 
 import numpy as np
 
@@ -57,3 +60,13 @@ def finite_diff_check(f, x, h: float = 1e-5) -> float:
         err = abs(analytic[i] - fd) / (abs(analytic[i]) + 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def gelu_expression(d: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's tanh approximation at `d` and its input gradient for the output
+    gradient `g`, as plain out-of-place numpy expressions: the rounding
+    `numcore.gelu` must reproduce bit for bit."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (d + 0.044715 * (d * d * d)))
+    dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * d * d)
+    return 0.5 * d * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * d * dt)

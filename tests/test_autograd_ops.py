@@ -7,6 +7,7 @@ from desklora.errors import ContractError, DimensionError
 from desklora.numcore import (
     DOUBLE,
     FULL,
+    KVCache,
     Parameter,
     Rng,
     add,
@@ -22,9 +23,10 @@ from desklora.numcore import (
     no_grad,
     scale,
     softmax_cross_entropy,
+    storage_dtype,
     transpose,
 )
-from tests.numcore_oracles import finite_diff_check, mul, sum_all
+from tests.numcore_oracles import finite_diff_check, gelu_expression, mul, sum_all
 
 
 def leaf(a, dtype=DOUBLE):
@@ -164,6 +166,26 @@ class TestLayerNorm:
             layer_norm(constant(np.ones((2, 4)), DOUBLE), constant(np.ones(5), DOUBLE))
 
 
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    def test_bit_equal_to_the_plain_expression(self, dtype):
+        """The in-place forward and backward round exactly as the out-of-place
+        expression does, also where tanh saturates and near 1e-20."""
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.normal(size=98) * 3.0, [-40.0, -12.5, -10.01, 10.01, 12.5, 40.0],
+                            rng.uniform(-5, 5, 20) * 1e-20, [0.0, -0.0, 1e-20, -1e-20]])
+        x = x.astype(storage_dtype(dtype)).reshape(2, 4, 16)
+        g = rng.normal(size=x.shape).astype(x.dtype)
+        p = leaf(x, dtype)
+        out = gelu(p)
+        backward(out, seed=g)
+        want_out, want_grad = gelu_expression(x, g)
+        bits = np.uint32 if dtype == FULL else np.uint64
+        assert out.dtype == p.grad.dtype == x.dtype
+        assert np.array_equal(out.value.view(bits), want_out.view(bits))
+        assert np.array_equal(p.grad.view(bits), want_grad.view(bits))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = leaf(np.arange(6.0).reshape(2, 3))
@@ -273,6 +295,22 @@ class TestFiniteDifference:
 
         assert finite_diff_check(f, rng.normal(size=(t_len, d))) < 1e-4
 
+    @pytest.mark.parametrize("arg", range(3))
+    def test_attention_gradients_with_fewer_queries(self, arg):
+        """Queries for the last 2 of 5 positions: q's gradient has q's 2 rows,
+        k's and v's all 5."""
+        rng = np.random.default_rng(40 + arg)
+        heads, d = 2, 8
+        rope = rope_tables(5, d // heads)
+        qkv = [rng.normal(size=(2, n, d)) for n in (2, 5, 5)]
+        w = constant(rng.normal(size=(2, 2, d)), DOUBLE)
+
+        def f(x):
+            args = [x if i == arg else constant(a, DOUBLE) for i, a in enumerate(qkv)]
+            return sum_all(mul(causal_attention(*args, heads, rope), w))
+
+        assert finite_diff_check(f, qkv[arg]) < 1e-4
+
     def test_gather_rows_gradient(self):
         rng = np.random.default_rng(3)
         ids = np.array([0, 2, 2, 1])
@@ -316,12 +354,92 @@ class TestAttentionSemantics:
         k2[4:], v2[4:] = 0.0, 99.0
         assert np.array_equal(out1[:4], attend(k2, v2)[:4])
 
+    def test_query_and_key_shapes_checked(self):
+        rope = rope_tables(6, 4)
+        k = constant(np.ones((2, 5, 8)), DOUBLE)
+        for q_shape in ((2, 6, 8), (2, 0, 8), (2, 3, 4), (1, 3, 8), (3, 8), (8,)):
+            with pytest.raises(DimensionError):
+                causal_attention(constant(np.ones(q_shape), DOUBLE), k, k, 2, rope)
+        with pytest.raises(DimensionError):
+            causal_attention(k, k, constant(np.ones((2, 4, 8)), DOUBLE), 2, rope)
+
     def test_rope_table_is_required(self):
         """Attention always rotates its queries and keys; there is no call
         without a rope table."""
         x = constant(np.random.default_rng(1).normal(size=(4, 8)), DOUBLE)
         with pytest.raises(TypeError, match="rope"):
             causal_attention(x, x, x, 2)
+
+
+def attend(qkv, t_q, precision, cache=None):
+    """`causal_attention` of 2 heads with queries for the last `t_q` positions."""
+    q, k, v = (constant(a, precision) for a in qkv)
+    q = constant(q.value[:, q.shape[1] - t_q:], precision)
+    return causal_attention(q, k, v, 2, rope_tables(16, 4), cache).value
+
+
+def filled_cache(lengths, dtype):
+    """A 2-head cache of len(lengths) rows whose every slot holds random values,
+    at the given lengths."""
+    rng = np.random.default_rng(11)
+    shape = (len(lengths), 2, 16, 4)
+    return KVCache(rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype),
+                   np.asarray(lengths, dtype=np.int64))
+
+
+def copy_cache(c):
+    return KVCache(c.keys.copy(), c.values.copy(), c.lengths.copy())
+
+
+class TestFewerQueries:
+    """Queries for the last T_q of T fed positions give the full call's last
+    T_q rows. For T_q >= 2 they are bit-equal. A single query's products run
+    as numpy matrix-vector products, which may round otherwise by a few ulps."""
+
+    @staticmethod
+    def same(got, want, t_q):
+        if t_q > 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 8 * np.finfo(got.dtype).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    @pytest.mark.parametrize("lengths", [None, [0, 0, 0], [5, 5, 5], [0, 3, 7]],
+                             ids=["uncached", "fill", "shared-start", "per-row"])
+    def test_last_rows_of_the_full_call(self, dtype, lengths):
+        rng = np.random.default_rng(12)
+        np_dtype = storage_dtype(dtype)
+        qkv = [rng.normal(size=(3, 6, 8)).astype(np_dtype) for _ in range(3)]
+        full_cache = None if lengths is None else filled_cache(lengths, np_dtype)
+        full = attend(qkv, 6, dtype, full_cache)
+        for t_q in (1, 2, 5):
+            cache = None if lengths is None else filled_cache(lengths, np_dtype)
+            got = attend(qkv, t_q, dtype, cache)
+            assert got.shape == (3, t_q, 8)
+            self.same(got, full[:, 6 - t_q:], t_q)
+            if cache is not None:  # every fed key and value is written alike
+                assert np.array_equal(cache.keys, full_cache.keys)
+                assert np.array_equal(cache.values, full_cache.values)
+
+    @pytest.mark.parametrize("dtype", [FULL, DOUBLE])
+    @pytest.mark.parametrize("t_len", [1, 3])
+    def test_shared_start_equals_the_per_row_path(self, dtype, t_len):
+        """Rows 0 and 1 at length 5 alone take the shared-start slices; beside
+        a row at length 4 they take the per-row gathers, over as many keys.
+        Outputs and cache writes agree bit for bit."""
+        rng = np.random.default_rng(13)
+        np_dtype = storage_dtype(dtype)
+        qkv = [rng.normal(size=(3, t_len, 8)).astype(np_dtype) for _ in range(3)]
+        mixed = filled_cache([5, 5, 4], np_dtype)
+        shared = copy_cache(mixed).rows(0, 2)
+        for t_q in range(1, t_len + 1):
+            per_row = attend(qkv, t_q, dtype, copy_cache(mixed))
+            alone = copy_cache(shared)
+            got = attend([a[:2] for a in qkv], t_q, dtype, alone)
+            assert np.array_equal(got, per_row[:2])
+        attend(qkv, t_len, dtype, mixed)
+        assert np.array_equal(alone.keys, mixed.keys[:2])
+        assert np.array_equal(alone.values, mixed.values[:2])
 
 
 class TestDeterminism:

@@ -400,6 +400,16 @@ class TestShards:
         expected = 6 + 4 + 4 * len(docs) + 4 * sum(lens)
         assert (tmp_path / "shard_0000.bin").stat().st_size == expected
 
+    @pytest.mark.parametrize("n_docs", [1, 256, 257, 600])
+    def test_manifest_has_the_bytes_of_one_json_encode(self, n_docs, tmp_path):
+        """The doc index is encoded in slices of entries; across slice
+        boundaries the file holds what one encode of the manifest gives."""
+        docs = [Document(f"نص {i}", dialect=("MSA", "EGY", "GLF")[i % 3]) for i in range(n_docs)]
+        ids = [[4 + i % 7] * (1 + i % 3) for i in range(n_docs)]
+        manifest = write_shards(docs, ids, "hash", NormalizationPolicy(), tmp_path, shard_docs=100)
+        expected = json.dumps(manifest, ensure_ascii=False, sort_keys=True) + "\n"
+        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == expected
+
     def test_more_docs_than_a_u16_counts(self):
         counts, ids = loads_shard(dumps_shard([[5]] * 70_000 + [[6, 7]]))
         assert counts.size == 70_001 and ids.size == 70_002 and ids[-1] == 7

@@ -28,6 +28,7 @@ from desklora.evalharness import (
     token_f1,
     validate_report,
 )
+from desklora import lora
 from desklora.evalharness.perturb import CONFUSABLE_GROUPS, _GROUP_OF
 from desklora.lora import LoraConfig
 from desklora.model import ModelConfig, build
@@ -305,8 +306,8 @@ class OracleModel:
         return out
 
 
-def decoder_model(dtype=FULL, max_seq_len=8, vocab=40):
-    cfg = ModelConfig(vocab_size=vocab, d_model=16, n_heads=2, n_layers=2, d_ffn=32,
+def decoder_model(dtype=FULL, max_seq_len=8, vocab=40, n_layers=2):
+    cfg = ModelConfig(vocab_size=vocab, d_model=16, n_heads=2, n_layers=n_layers, d_ffn=32,
                       max_seq_len=max_seq_len, dtype=dtype, lora=LoraConfig(r=2, dropout=0.0))
     model = build(cfg, Rng(5))
     # a wide embedding spreads the logits, so the tied head's argmax is decisive,
@@ -408,6 +409,31 @@ class TestCachedDecoder:
         view = cache.layer(1).rows(1, 3)
         assert view.keys.shape == (2, *shape[2:]) and np.shares_memory(view.keys, cache.keys)
         assert view.lengths.tolist() == [0, 0]
+
+    def test_cached_last_block_runs_at_last_positions_only(self, monkeypatch):
+        """A refill of [B, T] ids runs every frozen layer of the earlier blocks
+        over B·T rows; the last block runs K and V there, and Q, O and the MLP
+        over each row's last position, B rows. An uncached forward runs them
+        all over B·T rows."""
+        model = decoder_model(n_layers=3)
+        seen = []
+        plain = lora.forward
+
+        def spy(layer, x, rng=None):
+            seen.append((layer.name, x.value.reshape(-1, x.shape[-1]).shape[0]))
+            return plain(layer, x, rng)
+
+        monkeypatch.setattr(lora, "forward", spy)
+        ids = np.asarray([[3, 1, 6, 2, 9], [0, 7, 5, 4, 11]])
+        model.forward_ids(ids, model.kv_cache(2))
+        rows = dict(seen)
+        assert len(rows) == len(seen) == 18
+        for name, n in rows.items():
+            tail = name.startswith("layer2.") and not name.endswith((".k", ".v"))
+            assert n == (2 if tail else 10), name
+        seen.clear()
+        model.forward_ids(ids)
+        assert [n for _, n in seen] == [10] * 18
 
     def test_cache_refused_while_the_tape_records(self):
         model = decoder_model()
