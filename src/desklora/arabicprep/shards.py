@@ -19,10 +19,11 @@ import numpy as np
 from ..binfmt import Reader, Writer
 from ..errors import ConfigError, ContractError, DataError, FormatError
 from ..util import sha256_bytes
+from .dialect import DIALECTS, UNKNOWN
 from .textops import NormalizationPolicy
 
 SOURCES = ("bactrian", "openassistant", "wikipedia", "other")
-DIALECT_TAGS = ("MSA", "EGY", "GLF", "LEV", "MGR", "UNK")
+DIALECT_TAGS = (*DIALECTS, UNKNOWN)
 
 _SHRD = (b"SHRD", 2)
 MANIFEST_NAME = "manifest.json"

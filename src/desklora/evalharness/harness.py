@@ -22,6 +22,7 @@ import numpy as np
 
 from ..arabicprep import NormalizationPolicy, encode_text, read_jsonl
 from ..arabicprep.bpe import BOS_ID, SEP_ID
+from ..arabicprep.dialect import DIALECTS
 from ..errors import ContractError, FormatError
 from .metrics import bleu, exact_match, lm_scores, qa_f1, token_f1
 from .perturb import PerturbationConfig, perturb
@@ -35,7 +36,7 @@ _REQUIRED_FIELDS = {
     "robustness": {"text": str},
 }
 
-DIALECT_ORDER = ("MSA", "EGY", "GLF", "LEV", "MGR")
+DIALECT_ORDER = DIALECTS
 MAX_NEW_TOKENS = 64
 
 

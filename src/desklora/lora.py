@@ -15,7 +15,7 @@ import numpy as np
 
 from .binfmt import Reader, Writer
 from .errors import ConfigError, DimensionError, FormatError
-from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, RowRngs, storage_dtype
+from .numcore import DOUBLE, FULL, GradNode, Parameter, Rng, storage_dtype
 from .numcore.autograd import op_output
 from .numcore.ops import dropout_factor
 from .quant import QuantizedTensor, dequantize
@@ -99,7 +99,7 @@ def attach(base: QuantizedTensor, cfg: LoraConfig, rng: Rng, name: str = "",
     return with_adapter(base, cfg, a_init, name, dtype)
 
 
-def forward(layer: FrozenLinear, x: GradNode, rng: Rng | RowRngs | None = None) -> GradNode:
+def forward(layer: FrozenLinear, x: GradNode, rng: Rng | None = None) -> GradNode:
     """y = x·Wᵀ + s·(dropout(x)·Aᵀ)·Bᵀ over the rows of x [..., d_in], as one node
     over x, A and B (x·Wᵀ over x alone without an adapter). x is a parent twice,
     once per path, so the tape adds its base and branch gradients one at a time,

@@ -35,7 +35,6 @@ from .numcore import (
     KVCache,
     Parameter,
     Rng,
-    RowRngs,
     add,
     causal_attention,
     checkpoint,
@@ -199,11 +198,11 @@ class TransformerModel:
         return KVCache(np.zeros(shape, dtype), np.zeros(shape, dtype),
                        np.zeros(batch, dtype=np.int64))
 
-    def forward(self, tokens, rng: Rng | RowRngs | None = None,
+    def forward(self, tokens, rng: Rng | None = None,
                 checkpointing: bool = False, cache: KVCache | None = None) -> GradNode:
         """Logits [T x vocab] for token ids [T], or [B x T x vocab] for a batch
-        [B x T]. Dropout only when `rng` is given; with a `RowRngs` of one
-        stream per row, row b's masks are those its stream gives the [T] row alone.
+        [B x T]. Dropout only when `rng` is given: each adapted projection
+        draws one mask over the whole [B x T x d] input from its split of it.
 
         With a `cache` of B rows (under `no_grad` only), ids [B x T] continue
         them: row b's tokens take positions `cache.lengths[b]` onwards, attend
@@ -235,7 +234,7 @@ class TransformerModel:
             x = constant(x.value[:, 0], self.cfg.dtype)  # [B x 1 x d] -> [B x d]
         return matmul(x, transpose(self.embedding))
 
-    def loss(self, window, rng: Rng | RowRngs | None = None,
+    def loss(self, window, rng: Rng | None = None,
              checkpointing: bool = False) -> GradNode:
         """Mean next-token NLL over a window [T+1] or a batch of windows [B x T+1]
         (the mean over all B*T targets); inputs window[..., :-1], targets window[..., 1:]."""

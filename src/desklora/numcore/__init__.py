@@ -28,14 +28,13 @@ from .ops import (
     softmax_cross_entropy,
     transpose,
 )
-from .rng import Rng, RowRngs
+from .rng import Rng
 
 __all__ = [
     "GradNode",
     "KVCache",
     "Parameter",
     "Rng",
-    "RowRngs",
     "DOUBLE",
     "FULL",
     "add",

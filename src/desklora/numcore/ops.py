@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ContractError, DimensionError
 from .autograd import GradNode, op_output, storage_dtype
-from .rng import Rng, RowRngs
+from .rng import Rng
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +44,14 @@ def scale(a: GradNode, s: float) -> GradNode:
     return op_output(a.value * s, (a,), lambda g: (g * s,))
 
 
-def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradNode:
+def dropout(x: GradNode, rate: float, rng: Rng | None = None) -> GradNode:
     """Zero each element with probability `rate`, scaling survivors by 1/(1-rate).
 
     Dropout is on exactly when an `rng` is passed; without one, or at rate 0,
-    it returns `x` itself. Mask draws come from the given stream, so the same
-    stream yields the same mask; a `RowRngs` draws row b's mask from its
-    stream b, the mask that stream alone gives for `x[b]`. `lora.forward` draws
-    the same mask through `dropout_factor`; this op stays for the tests and
-    because deskbench's tracer wraps it by name.
+    it returns `x` itself. The mask is one uniform draw over `x`'s full shape,
+    batch axes included, so the same stream yields the same mask.
+    `lora.forward` draws the same mask through `dropout_factor`; this op stays
+    for the tests and because deskbench's tracer wraps it by name.
     """
     factor = dropout_factor(x.value, rate, rng)
     if factor is None:
@@ -60,7 +59,7 @@ def dropout(x: GradNode, rate: float, rng: Rng | RowRngs | None = None) -> GradN
     return op_output(x.value * factor, (x,), lambda g: (g * factor,))
 
 
-def dropout_factor(x: np.ndarray, rate: float, rng: Rng | RowRngs | None) -> np.ndarray | None:
+def dropout_factor(x: np.ndarray, rate: float, rng: Rng | None) -> np.ndarray | None:
     """`dropout`'s multiplier for `x`, keep / (1 - rate) drawn from `rng`; None when off."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")

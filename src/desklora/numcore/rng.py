@@ -4,12 +4,11 @@ Built on numpy's Philox bit generator, which produces the same stream for
 the same key on every platform. Child streams are derived by mixing string
 or integer tags into the parent key with splitmix64, so any call site can
 carve out an independent, reproducible stream without consuming draws from
-its parent.
+its parent. A draw over a batch comes from one stream: training splits one
+per micro-batch, so a row's dropout mask depends on the batch it runs in.
 """
 
 import numpy as np
-
-from ..errors import DimensionError
 
 _MASK = (1 << 64) - 1
 
@@ -69,22 +68,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-class RowRngs:
-    """One stream per row of a batch. `split` splits every row's stream, and a
-    draw of shape [B, ...] stacks row b's draw of shape [...] from stream b, so
-    each row gets exactly what its stream alone would give."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(rows)
-
-    def split(self, *tags) -> "RowRngs":
-        return RowRngs(r.split(*tags) for r in self.rows)
-
-    def uniform(self, shape) -> np.ndarray:
-        if len(shape) == 0 or shape[0] != len(self.rows):
-            raise DimensionError(f"a draw of shape {tuple(shape)} from {len(self.rows)} row streams")
-        return np.stack([r.uniform(shape[1:]) for r in self.rows])

@@ -1,9 +1,10 @@
 """Training loop: gradient accumulation, warmup+cosine schedule, clipping,
 8-bit-state AdamW, optional gradient checkpointing, a memory ledger with
 budget enforcement, per-step metrics, and deterministic checkpoint/resume.
-Each micro-batch runs as one [micro_batch x seq_len+1] graph with one dropout
-stream per row. The model derives its precision itself, `backward` sums
-micro-batch gradients into each `grad`, and `checkpoint` finds the activation
+Each micro-batch runs as one [micro_batch x seq_len+1] graph whose dropout
+masks come from one stream, keyed by step and micro-batch index. The model
+derives its precision itself, `backward` sums micro-batch gradients into each
+`grad` of every trainable parameter, and `checkpoint` finds the activation
 meter through autograd.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from ..errors import ConfigError, ContractError, DataError, FormatError, TrainingError
 from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
-from ..numcore import Rng, RowRngs, backward, storage_dtype
+from ..numcore import Rng, backward, storage_dtype
 from ..quant import quantized_nbytes
 from ..util import sha256_file, sha256_json
 from .ledger import ActivationMeter, MemoryBudget, MemoryLedger
@@ -299,16 +300,15 @@ def train(
             for micro in range(cfg.accumulation_steps):
                 batch = windows[[order.window_index(micro_idx + bi) for bi in range(cfg.micro_batch)]]
                 micro_idx += cfg.micro_batch
-                rows = RowRngs(run_rng.split("drop", t, micro, bi) for bi in range(cfg.micro_batch))
                 with meter.scope():
-                    loss = model.loss(batch, rng=rows, checkpointing=cfg.checkpointing)
+                    loss = model.loss(batch, rng=run_rng.split("drop", t, micro),
+                                      checkpointing=cfg.checkpointing)
                     loss_value = loss.value.item()
                     if not math.isfinite(loss_value):
                         raise TrainingError(f"non-finite loss at step {t}", step=t)
                     backward(loss)
                 micro_losses.append(loss_value)
-            grads = {name: p.grad / cfg.accumulation_steps
-                     for name, p in params if p.grad is not None}
+            grads = {name: p.grad / cfg.accumulation_steps for name, p in params}
             model.zero_grads()
 
             grad_norm = global_grad_norm(grads)

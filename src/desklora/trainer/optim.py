@@ -28,9 +28,10 @@ full precision.
   holds each block's absmax), writes the parameters' new values and
   requantizes. Every operation is elementwise or per block, so the result is
   bit for bit the per-parameter step's, and the float64 temporaries are
-  O(chunk). A parameter absent from the gradients keeps its value and state.
-  A non-finite moment raises `TrainingError` before its chunk is written, but
-  the chunks before it stay stepped, so training has to stop there.
+  O(chunk). A step needs a gradient for every parameter: one missing is a
+  `ContractError` before anything is written. A non-finite moment raises
+  `TrainingError` before its chunk is written, but the chunks before it stay
+  stepped, so training has to stop there.
 - **Ledger.** The padded state plus `WORKING_BYTES` for one chunk's
   temporaries are charged to the host-side optimizer_states pool when the
   layout binds. A parameter's new value is built next to the old one and
@@ -86,6 +87,12 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     for name in grads:
         grads[name] = grads[name] * scale
     return scale
+
+
+def _expect_complete(params: list, grads: dict):
+    missing = next((name for name, _ in params if name not in grads), None)
+    if missing is not None:
+        raise ContractError(f"no gradient for parameter {missing!r}")
 
 
 _OPT8 = (b"OPT8", 3)
@@ -152,19 +159,17 @@ class Sgd(_Checkpointable):
 
     kind = "sgd"
 
-    def __init__(self, **_):
+    def __init__(self):
         self.step_count = 0
 
     def _restore(self, step: int, layout: list, state: tuple):
         self.step_count = step
 
     def step(self, params: list, grads: dict, lr: float):
+        _expect_complete(params, grads)
         self.step_count += 1
         for name, p in params:
-            g = grads.get(name)
-            if g is None:
-                continue
-            p.assign(p.value - lr * g)
+            p.assign(p.value - lr * grads[name])
 
 
 class _Codes8:
@@ -290,6 +295,7 @@ class AdamW(_Checkpointable):
         self._layout, self._chunks = signature, chunks
 
     def step(self, params: list, grads: dict, lr: float):
+        _expect_complete(params, grads)
         self.step_count += 1
         signature = [(name, p.value.shape) for name, p in params]
         if self._chunks is None:
@@ -298,24 +304,16 @@ class AdamW(_Checkpointable):
             raise ContractError("the parameters differ from those the optimizer state is laid out for")
         fresh: dict = {}  # parameter index -> its new value, filled chunk by chunk
         for chunk in self._chunks:
-            run: list = []
-            for piece in chunk:
-                if params[piece[0]][0] in grads:
-                    run.append(piece)
-                elif run:
-                    self._update(run, params, grads, lr, fresh)
-                    run = []
-            if run:
-                self._update(run, params, grads, lr, fresh)
+            self._update(chunk, params, grads, lr, fresh)
 
-    def _update(self, run: list, params: list, grads: dict, lr: float, fresh: dict):
-        """One Adam step over consecutive pieces (index, lo, hi, flat lo, flat
-        end) whose flat range [e0, e1) is whole blocks."""
+    def _update(self, chunk: list, params: list, grads: dict, lr: float, fresh: dict):
+        """One Adam step over a chunk's pieces (index, lo, hi, flat lo, flat
+        end), consecutive in the layout, whose flat range [e0, e1) is whole blocks."""
         t = self.step_count
         b1, b2 = BETAS
-        e0, e1 = run[0][3], run[-1][4]
+        e0, e1 = chunk[0][3], chunk[-1][4]
         g = np.zeros(e1 - e0)
-        for i, lo, hi, f0, _ in run:
+        for i, lo, hi, f0, _ in chunk:
             name, p = params[i]
             grad = grads[name]
             if grad.shape != p.value.shape:
@@ -339,7 +337,7 @@ class AdamW(_Checkpointable):
         finite &= np.abs(v) < limit
         if not finite.all():
             bad = e0 + int(np.argmin(finite))
-            i = next(i for i, _, _, f0, f1 in run if f0 <= bad < f1)
+            i = next(i for i, _, _, f0, f1 in chunk if f0 <= bad < f1)
             beyond = " (an 8-bit block's absmax must fit float32)" if self.quantized else ""
             raise TrainingError(f"non-finite moments for {params[i][0]!r} at step {t}{beyond}",
                                 step=t)
@@ -350,7 +348,7 @@ class AdamW(_Checkpointable):
         np.sqrt(update, out=update)
         update += EPS
         np.divide(m / (1 - b1**t), update, out=update)
-        for i, lo, hi, f0, _ in run:
+        for i, lo, hi, f0, _ in chunk:
             p = params[i][1]
             if lo == 0:
                 fresh[i] = np.empty(p.value.size, dtype=p.value.dtype)

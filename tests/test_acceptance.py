@@ -52,7 +52,6 @@ from desklora.numcore import (
     FULL,
     GradNode,
     Rng,
-    RowRngs,
     add,
     backward,
     causal_attention,
@@ -224,7 +223,7 @@ def _op_battery(seed: int) -> float:
     worst = max(worst, max(finite_diff_check(f, x) for f, x in batch_checks))
 
     # QLoRA's frozen linear op: x, A and B through a dropped-out adapter branch on
-    # [2, T, d] rows with one stream each; x without dropout on [T, d]; x without an adapter
+    # [2, T, d] rows with one stream; x without dropout on [T, d]; x without an adapter
     layer = FrozenLinear("fd", quant.quantize(rng.normal(size=(5, d)).astype(np.float32)), DOUBLE)
     a_val, b_val = rng.normal(size=(3, d)), rng.normal(size=(5, 3))
     a_node, b_node = constant(a_val, DOUBLE), constant(b_val, DOUBLE)
@@ -233,7 +232,7 @@ def _op_battery(seed: int) -> float:
 
     def qlora(x, a=a_node, b=b_node, rate=0.4, adapter=True):
         layer.adapter = LoraAdapter(a, b, 2.0, rate) if adapter else None
-        rows = RowRngs(Rng(seed).split("row", i) for i in range(2)) if x.value.ndim == 3 else None
+        rows = Rng(seed).split("row") if x.value.ndim == 3 else None
         return lora.forward(layer, x, rows)
 
     qlora_checks = [

@@ -16,7 +16,7 @@ from desklora.lora import (
 )
 from desklora.model import ModelConfig, build
 from desklora.numcore import (
-    FULL, Parameter, Rng, RowRngs, add, backward, constant, dropout, matmul, scale, transpose,
+    FULL, Parameter, Rng, add, backward, constant, dropout, matmul, scale, transpose,
 )
 from desklora.numcore.ops import dropout_factor
 from desklora.quant import dequantize, quantize
@@ -132,7 +132,7 @@ class TestUnfusedGraph:
         probe = constant(Rng(21).normal((*shape[:-1], 8)), FULL)
 
         def streams():
-            return RowRngs(Rng(22).split("row", i) for i in range(shape[0])) if len(shape) == 3 else None
+            return Rng(22) if len(shape) == 3 else None
 
         def fused(x):
             return lora.forward(layer, x, streams())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from desklora.binfmt import Writer
-from desklora.errors import ConfigError, ContractError, DimensionError, FormatError
+from desklora.errors import ConfigError, ContractError, FormatError
 from desklora.lora import LoraConfig, apply_adapter_state, dumps_adapters, loads_adapters
 from desklora.model import (
     ModelConfig,
@@ -14,7 +14,7 @@ from desklora.model import (
     save_model,
 )
 from desklora.numcore import (
-    DOUBLE, FULL, Parameter, Rng, RowRngs, backward, metering, no_grad,
+    DOUBLE, FULL, Parameter, Rng, backward, metering, no_grad,
 )
 from desklora.quant import quantize
 from tests.conftest import dmdl5_bytes
@@ -153,7 +153,7 @@ class TestForwardSemantics:
         windows = np.array(Rng(2).integers(0, 512, (8, 49)))
         meter = CountingMeter()
         with metering(meter):
-            m.loss(windows, rng=RowRngs(Rng(3).split("drop", bi) for bi in range(8)))
+            m.loss(windows, rng=Rng(3).split("drop"))
         assert meter.calls <= 35
 
 
@@ -227,21 +227,20 @@ class TestBatch:
     def test_batched_loss_is_the_mean_of_row_losses(self, dtype, tol, grad_tol):
         m = self.model(dtype)
         windows = np.array(Rng(8).integers(0, 256, (4, 13)))
-        streams = [Rng(9).split("drop", bi) for bi in range(4)]
         m.zero_grads()
-        batched = m.loss(windows, rng=RowRngs(streams))
+        batched = m.loss(windows)
         backward(batched)
         batched_grads = {n: p.grad.copy() for n, p in m.trainable_parameters()}
         m.zero_grads()
         row_losses = []
-        for window, stream in zip(windows, streams):
-            loss = m.loss(window, rng=stream)
+        for window in windows:
+            loss = m.loss(window)
             backward(loss)  # sums each row's gradient into `grad`
             row_losses.append(loss.value.item())
         mean = np.mean(row_losses)
         assert abs(batched.value.item() - mean) <= tol * abs(mean)
         for name, p in m.trainable_parameters():
-            rows_mean = p.grad / len(streams)
+            rows_mean = p.grad / len(windows)
             err = np.max(np.abs(batched_grads[name] - rows_mean))
             assert err <= grad_tol * np.max(np.abs(rows_mean)), name
 
@@ -255,11 +254,6 @@ class TestBatch:
         for row, logits in zip(ids, batched):
             single = m.forward_ids(row)
             assert np.max(np.abs(logits - single)) <= tol * np.max(np.abs(single))
-
-    def test_row_streams_must_match_the_batch(self):
-        m = self.model(FULL)
-        with pytest.raises(DimensionError):
-            m.loss(np.zeros((3, 9), dtype=np.int64), rng=RowRngs([Rng(0), Rng(1)]))
 
 
 class TestCheckpointIO:

@@ -345,6 +345,25 @@ class TestTrainLoop:
         train(model, fixture_windows(), tiny_train_cfg(), tmp_path)
         assert not np.array_equal(model.embedding.value, emb_before)
 
+    def test_each_micro_batch_draws_from_its_own_stream(self, tmp_path):
+        """Micro-batch `micro` of step `t` gets Rng(seed).split("drop", t, micro),
+        one stream for all its rows."""
+        model = tiny_model(seed=4, dropout=0.1)
+        streams, real_loss = [], model.loss
+
+        def spy(batch, rng, checkpointing):
+            streams.append(rng)
+            return real_loss(batch, rng=rng, checkpointing=checkpointing)
+
+        model.loss = spy
+        cfg = tiny_train_cfg(micro_batch=2, accumulation_steps=3, total_steps=3, seed=5)
+        train(model, fixture_windows(), cfg, tmp_path)
+        # the model only splits its stream, so a fresh draw from it is its first
+        keys = [(t, micro) for t in (1, 2, 3) for micro in range(3)]
+        assert len(streams) == len(keys)
+        for rng, key in zip(streams, keys):
+            assert np.array_equal(rng.uniform((4,)), Rng(5).split("drop", *key).uniform((4,))), key
+
     def test_determinism_same_seed_same_artifacts(self, tmp_path):
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=4)
         a = tmp_path / "a"
@@ -356,11 +375,11 @@ class TestTrainLoop:
         assert (a / "step_000004" / "optimizer.st8").read_bytes() == (b / "step_000004" / "optimizer.st8").read_bytes()
 
     @staticmethod
-    def run_and_resume(tmp_path, **kw):
+    def run_and_resume(tmp_path, dropout=0.0, **kw):
         """Train 4 steps, then resume a second run from the full run's step 2."""
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9, **kw)
         full_dir = tmp_path / "full"
-        train(tiny_model(seed=6), fixture_windows(), cfg, full_dir)
+        train(tiny_model(seed=6, dropout=dropout), fixture_windows(), cfg, full_dir)
 
         resumed_dir = tmp_path / "resumed"
         model2, state = load_checkpoint(full_dir / "step_000002")
@@ -368,8 +387,9 @@ class TestTrainLoop:
         train(model2, fixture_windows(), cfg, resumed_dir, resume_from=full_dir / "step_000002")
         return full_dir, resumed_dir
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
-        full_dir, resumed_dir = self.run_and_resume(tmp_path)
+    @pytest.mark.parametrize("dropout, micro_batch", [(0.0, 1), (0.05, 2)])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, dropout, micro_batch):
+        full_dir, resumed_dir = self.run_and_resume(tmp_path, dropout, micro_batch=micro_batch)
         for name in ("model.qnf4", "adapters.lora", "optimizer.st8"):
             assert (resumed_dir / "step_000004" / name).read_bytes() == (
                 full_dir / "step_000004" / name
