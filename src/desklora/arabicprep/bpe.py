@@ -1,6 +1,11 @@
 """Byte-level BPE (Sennrich et al. 2016): 256 byte tokens plus four specials,
 then greedy most-frequent-pair merges.
 
+The specials frame every sequence the model reads, and only this module
+says how: `frame_document` gives `BOS ids EOS`, which training packs and the
+LM scorer reads up to its EOS; `frame_prompt` gives `BOS ids SEP`, and SEP
+means "a response follows" (QA and MT generation). PAD is never fed.
+
 A pair's count is the number of adjacent positions holding it, overlapping
 runs included ("aaa" counts (a, a) twice). The most frequent pair merges,
 ties going to the smallest (left bytes, right bytes), and its occurrences are
@@ -55,6 +60,16 @@ FIRST_MERGE_ID = BYTE_OFFSET + 256
 
 _KEY_SHIFT = 21  # a pair key packs (left << 21) | right, so ids must stay below 2^21
 MAX_VOCAB_SIZE = 1 << _KEY_SHIFT
+
+
+def frame_document(ids) -> np.ndarray:
+    """A document as the model reads it: BOS, its ids, EOS."""
+    return np.concatenate(([BOS_ID], np.asarray(ids, dtype=np.int64), [EOS_ID]))
+
+
+def frame_prompt(ids) -> np.ndarray:
+    """A prompt as the model reads it: BOS, its ids, SEP."""
+    return np.concatenate(([BOS_ID], np.asarray(ids, dtype=np.int64), [SEP_ID]))
 
 
 def check_vocab_size(vocab_size: int):

@@ -28,7 +28,7 @@ from .arabicprep import (
     BpeVocab, DialectLexicon, NormalizationPolicy, ShardReader, bpe_train_encode,
     prepare_documents, read_jsonl, write_shards,
 )
-from .arabicprep.bpe import SEP_ID, check_vocab_size
+from .arabicprep.bpe import check_vocab_size
 from .arabicprep.shards import DEFAULT_SHARD_DOCS
 from .describe import describe
 from .errors import BudgetError, ConfigError, DataError, DeskloraError, TrainingError
@@ -300,7 +300,7 @@ def cmd_train(args) -> int:
     docs = list(reader.iter_tokens(run.dialect))
     if run.dialect is not None and not docs:
         raise DataError(f"no documents tagged {run.dialect!r} in the shard set")
-    windows = pack_windows(docs, run.train.seq_len, SEP_ID)
+    windows = pack_windows(docs, run.train.seq_len)
     frac = model.trainable_fraction()
     print(f"training: {windows.shape[0]} windows of {run.train.seq_len + 1} tokens, "
           f"effective batch {effective_batch(run.train)}, "

@@ -11,6 +11,9 @@ and V at one position per row, and a fill, whose rows all start at 0, reads
 the rope table, the mask and the cache by slice. Cached logits agree with a
 full-window recompute up to float rounding, so the continuations are the ids
 that recomputing every step gives.
+
+QA and MT prompts are `frame_prompt(ids)`; robustness texts decode as open
+documents, `frame_document(ids)[:-1]`, which the model continues.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arabicprep import NormalizationPolicy, encode_text, read_jsonl
-from ..arabicprep.bpe import BOS_ID, SEP_ID
+from ..arabicprep.bpe import frame_document, frame_prompt
 from ..arabicprep.dialect import DIALECTS
 from ..errors import ContractError, FormatError
 from .metrics import bleu, exact_match, lm_scores, qa_f1, token_f1
@@ -99,11 +102,6 @@ def greedy_continue(model, prompt_ids, max_new: int = MAX_NEW_TOKENS) -> list[in
     return greedy_batch(model, [prompt_ids], max_new)[0]
 
 
-def _prompt(text: str, vocab, policy: NormalizationPolicy) -> list[int]:
-    """A question or source text as a generation prompt: BOS, its tokens, SEP."""
-    return [BOS_ID, *encode_text(text, vocab, policy), SEP_ID]
-
-
 # ---------------------------------------------------------------------------
 # robustness
 # ---------------------------------------------------------------------------
@@ -124,7 +122,8 @@ def robustness_curve(
     n = len(texts)
     inputs = list(texts) + [perturb(text, level, pcfg.ops, pcfg.seed)
                             for level in pcfg.levels for text in texts]
-    conts = greedy_batch(model, [[BOS_ID, *encode_text(t, vocab, policy)] for t in inputs], max_new)
+    conts = greedy_batch(model, [frame_document(encode_text(t, vocab, policy))[:-1] for t in inputs],
+                         max_new)
     clean = conts[:n]
     return [(float(level), float(np.mean([token_f1(base, cont) for base, cont
                                           in zip(clean, conts[(j + 1) * n:(j + 2) * n])])))
@@ -223,7 +222,8 @@ def dialect_breakdown(
     def decode_section(eval_set: EvalSet, key: str):
         """{dialect: [(item, decoded prediction)]} over one batch of every dialect's prompts."""
         subsets = _by_dialect(eval_set, report)
-        prompts = [_prompt(it[key], vocab, policy) for items in subsets.values() for it in items]
+        prompts = [frame_prompt(encode_text(it[key], vocab, policy))
+                   for items in subsets.values() for it in items]
         preds = iter(greedy_batch(model, prompts))
         return {dialect: [(it, vocab.decode(next(preds))) for it in items]
                 for dialect, items in subsets.items()}

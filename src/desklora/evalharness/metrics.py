@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 
 from ..arabicprep import NormalizationPolicy
-from ..arabicprep.bpe import BOS_ID
+from ..arabicprep.bpe import frame_document
 from ..arabicprep.textops import replace_chars, text_replacements
 from ..errors import ContractError
 
@@ -36,15 +36,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
 
 
-def _teacher_forced(model, seq, bos_id: int) -> tuple[float, int]:
-    """Total NLL and argmax hits of the tokens of one BOS-prefixed sequence.
+def _teacher_forced(model, seq) -> tuple[float, int]:
+    """Total NLL and argmax hits of the ids of one document, read as the open
+    document `frame_document(seq)[:-1]`: its closing EOS is not scored.
 
     A sequence longer than the model's window is scored in consecutive
     windows of at most `max_seq_len` inputs, each starting again at position
     0, as a slid window does in greedy decoding (`harness.greedy_batch`).
     Argmax ties resolve to the lowest id.
     """
-    ids = np.asarray([bos_id, *seq], dtype=np.int64)
+    ids = frame_document(seq)[:-1]
     inputs, targets = ids[:-1], ids[1:]
     limit = model.cfg.max_seq_len
     nll, hits = 0.0, 0
@@ -57,9 +58,9 @@ def _teacher_forced(model, seq, bos_id: int) -> tuple[float, int]:
     return nll, hits
 
 
-def lm_scores(model, sequences, bos_id: int = BOS_ID) -> tuple[float, float]:
-    """(perplexity, next-word accuracy) over tokenized sequences, from one
-    teacher-forced pass per sequence.
+def lm_scores(model, sequences) -> tuple[float, float]:
+    """(perplexity, next-word accuracy) over tokenized documents, from one
+    teacher-forced pass per document (`_teacher_forced`).
 
     Perplexity is exp(total NLL / total predicted tokens); accuracy the
     fraction of positions where argmax(logits) hits the actual next token,
@@ -67,25 +68,25 @@ def lm_scores(model, sequences, bos_id: int = BOS_ID) -> tuple[float, float]:
     """
     total, hits, count = 0.0, 0, 0
     for seq in sequences:
-        nll, seq_hits = _teacher_forced(model, seq, bos_id)
+        nll, seq_hits = _teacher_forced(model, seq)
         total, hits, count = total + nll, hits + seq_hits, count + len(seq)
     if count == 0:
         raise ContractError("language-model scores need at least one non-empty sequence")
     return float(math.exp(total / count)), hits / count
 
 
-def perplexity(model, sequences, bos_id: int = BOS_ID) -> float:
+def perplexity(model, sequences) -> float:
     """exp(total NLL / total predicted tokens) over tokenized sequences.
     `dialect_breakdown` calls `lm_scores`; this stays public because
     deskbench's tracer wraps it by name."""
-    return lm_scores(model, sequences, bos_id)[0]
+    return lm_scores(model, sequences)[0]
 
 
-def next_word_accuracy(model, sequences, bos_id: int = BOS_ID) -> float:
+def next_word_accuracy(model, sequences) -> float:
     """Fraction of positions where argmax(logits) hits the actual next token.
     `dialect_breakdown` calls `lm_scores`; this stays public because
     deskbench's tracer wraps it by name."""
-    return lm_scores(model, sequences, bos_id)[1]
+    return lm_scores(model, sequences)[1]
 
 
 def token_f1(tokens_a, tokens_b) -> float:

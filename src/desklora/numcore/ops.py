@@ -245,12 +245,6 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def _unrotate_grad(g: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    half = g.shape[-1] // 2
-    g1, g2 = g[..., :half], g[..., half:]
-    return np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
-
-
 @dataclass
 class KVCache:
     """What causal attention keeps of B rows between calls: the rotated keys and
@@ -359,7 +353,7 @@ def causal_attention(
         dq = np.matmul(ds, kr) * inv_sqrt
         dk = np.matmul(ds.swapaxes(-1, -2), qr) * inv_sqrt
         dv = np.matmul(w.swapaxes(-1, -2), gh)
-        return (merge(_unrotate_grad(dq, cos_q, sin_q), q.shape),
-                merge(_unrotate_grad(dk, cos, sin), k.shape), merge(dv, k.shape))
+        return (merge(_rotate(dq, cos_q, -sin_q), q.shape),  # the inverse rotation
+                merge(_rotate(dk, cos, -sin), k.shape), merge(dv, k.shape))
 
     return op_output(out, (q, k, v), grad_fn)

@@ -231,35 +231,25 @@ def _unpack4(packed: np.ndarray, numel: int) -> np.ndarray:
 
 
 def _quantize_absmax(absmax: np.ndarray, group_size: int) -> DoubleQuantState:
+    """Per group of `group_size` blocks: offset min and step (max - min) / 255 in
+    float64, both stored as float32, and code rint((absmax - offset) / step) in
+    float32, which is >= 0; a constant group (step 0) gets code 0."""
     n = absmax.size
-    n_groups = (n + group_size - 1) // group_size
-    codes = np.empty(n, dtype=np.uint8)
-    scales = np.empty(n_groups, dtype=np.float32)
-    offsets = np.empty(n_groups, dtype=np.float32)
-    for gi in range(n_groups):
-        chunk = absmax[gi * group_size : (gi + 1) * group_size]
-        lo = float(chunk.min())
-        hi = float(chunk.max())
-        step = (hi - lo) / 255.0
-        offsets[gi] = lo
-        scales[gi] = step
-        if step == 0.0:
-            codes[gi * group_size : (gi + 1) * group_size] = 0
-        else:
-            q = np.rint((chunk - lo) / step)
-            codes[gi * group_size : (gi + 1) * group_size] = np.clip(q, 0, 255).astype(np.uint8)
+    starts = np.arange(0, n, group_size)
+    lo, hi = np.minimum.reduceat(absmax, starts), np.maximum.reduceat(absmax, starts)
+    step = (hi.astype(np.float64) - lo) / 255.0
+    scale = step.astype(np.float32)
+    divisor = scale + (step == 0.0)  # a constant group divides its zeros by 1
+    q = np.rint((absmax - lo.repeat(group_size)[:n]) / divisor.repeat(group_size)[:n])
     return DoubleQuantState(
-        absmax_codes=codes, group_size=group_size, group_scale=scales, group_offset=offsets
+        absmax_codes=np.minimum(q, 255, out=q).astype(np.uint8), group_size=group_size,
+        group_scale=scale, group_offset=lo,
     )
 
 
 def _reconstruct_absmax(dq: DoubleQuantState) -> np.ndarray:
-    n = dq.absmax_codes.size
-    out = np.empty(n, dtype=np.float32)
-    for gi in range((n + dq.group_size - 1) // dq.group_size):
-        sl = slice(gi * dq.group_size, (gi + 1) * dq.group_size)
-        out[sl] = dq.group_offset[gi] + dq.absmax_codes[sl].astype(np.float32) * dq.group_scale[gi]
-    return out
+    n, g = dq.absmax_codes.size, dq.group_size
+    return dq.group_offset.repeat(g)[:n] + dq.absmax_codes * dq.group_scale.repeat(g)[:n]
 
 
 def quantize(

@@ -5,7 +5,8 @@ Each micro-batch runs as one [micro_batch x seq_len+1] graph whose dropout
 masks come from one stream, keyed by step and micro-batch index. The model
 derives its precision itself, `backward` sums micro-batch gradients into each
 `grad` of every trainable parameter, and `checkpoint` finds the activation
-meter through autograd.
+meter through autograd. Windows hold documents framed as the LM scorer
+reads them (`frame_document`).
 """
 
 import json
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..arabicprep.bpe import frame_document
 from ..errors import ConfigError, ContractError, DataError, FormatError, TrainingError
 from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
@@ -99,13 +101,10 @@ class MetricsRecord:
         )
 
 
-def pack_windows(doc_token_lists, seq_len: int, sep_id: int) -> np.ndarray:
-    """Concatenate documents with a separator and cut (seq_len+1)-long windows."""
-    sep = np.array([sep_id], dtype=np.int64)
-    parts = [np.empty(0, dtype=np.int64)]
-    for ids in doc_token_lists:
-        parts += (np.asarray(ids, dtype=np.int64), sep)
-    stream = np.concatenate(parts)
+def pack_windows(doc_token_lists, seq_len: int) -> np.ndarray:
+    """Concatenate the documents, each framed as `BOS ids EOS`
+    (`frame_document`), and cut (seq_len+1)-long windows."""
+    stream = np.concatenate([np.empty(0, dtype=np.int64), *map(frame_document, doc_token_lists)])
     width = seq_len + 1
     n = stream.size // width
     if n == 0:

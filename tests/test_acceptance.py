@@ -30,7 +30,6 @@ from desklora.arabicprep import (
     preprocess_text,
     segment_sentences,
 )
-from desklora.arabicprep.bpe import SEP_ID
 from desklora.errors import BudgetError
 from desklora.evalharness import (
     EvalReport,
@@ -104,7 +103,7 @@ def prep50kb(corpus_50kb_docs):
     assert sum(len(d.text.encode("utf-8")) for d in docs) >= 50_000
     vocab = bpe_train((d.text for d in docs), vocab_size=512)
     token_lists = [vocab.encode(d.text) for d in docs]
-    windows = pack_windows(token_lists, seq_len=48, sep_id=SEP_ID)
+    windows = pack_windows(token_lists, seq_len=48)
     return {
         "docs": docs,
         "vocab": vocab,

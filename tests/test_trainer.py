@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from desklora.arabicprep.bpe import BOS_ID, EOS_ID
 from desklora.errors import BudgetError, ConfigError, ContractError, DataError, FormatError, TrainingError
 from desklora.lora import LoraConfig, dumps_adapters
 from desklora.model import ModelConfig, build
@@ -290,26 +291,33 @@ class TestAdam:
 
 class TestPackWindows:
     def test_separator_and_count(self):
-        windows = pack_windows([[1, 2, 3], [4, 5]], seq_len=2, sep_id=0)
-        # stream: 1 2 3 0 4 5 0 -> windows of 3: [1,2,3], [0,4,5]
-        assert windows.shape == (2, 3)
-        assert windows[0].tolist() == [1, 2, 3]
-        assert windows[1].tolist() == [0, 4, 5]
+        windows = pack_windows([[7, 8, 9], [10, 11]], seq_len=2)
+        # stream: BOS 7 8 9 EOS BOS 10 11 EOS -> windows of 3
+        assert windows.shape == (3, 3)
+        assert windows.tolist() == [[BOS_ID, 7, 8], [9, EOS_ID, BOS_ID], [10, 11, EOS_ID]]
+
+    def test_each_document_opens_with_bos_and_closes_with_eos(self):
+        docs = [[4, 5], [], [6, 7, 8], [9]]
+        windows = pack_windows(docs, seq_len=6)
+        assert windows.shape == (2, 7)
+        assert windows.ravel().tolist() == [
+            BOS_ID, 4, 5, EOS_ID, BOS_ID, EOS_ID, BOS_ID, 6, 7, 8, EOS_ID, BOS_ID, 9, EOS_ID]
 
     def test_too_small_corpus(self):
         with pytest.raises(DataError):
-            pack_windows([[1]], seq_len=8, sep_id=0)
+            pack_windows([[1]], seq_len=8)
 
     def test_matches_the_list_stream_it_replaced(self):
         rng = np.random.default_rng(0)
         docs = [rng.integers(4, 1 << 21, rng.integers(0, 40)).astype("<u4") for _ in range(50)]
         stream = []
         for ids in docs:
+            stream.append(BOS_ID)
             stream.extend(int(i) for i in ids)
-            stream.append(3)
+            stream.append(EOS_ID)
         n = len(stream) // 17
         expected = np.asarray(stream[: n * 17], dtype=np.int64).reshape(n, 17)
-        windows = pack_windows(docs, seq_len=16, sep_id=3)
+        windows = pack_windows(docs, seq_len=16)
         assert windows.dtype == np.int64 and np.array_equal(windows, expected)
 
 
