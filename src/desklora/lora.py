@@ -1,11 +1,12 @@
 """QLoRA's linear layer as one op: y = x·Wᵀ + s·(dropout(x)·Aᵀ)·Bᵀ (Dettmers et al. 2023, eq. 5).
 
 A `FrozenLinear` holds a 4-bit base W [d_out x d_in] (`q`) that never receives
-gradients, dequantized once on first use into the layer's precision, and
-optionally a trainable adapter A [r x d_in], B [d_out x r] with s = alpha / r.
-B starts at zero (`attach`), so a fresh adapter is an exact identity perturbation.
-`forward` records one tape node whose backward gives x's, A's and B's gradients
-and never forms W's; dropout runs only given an rng. The adapter file stores A
+gradients, dequantized on first use into the layer's precision and kept until
+`release` (training releases it when it returns), and optionally a trainable
+adapter A [r x d_in], B [d_out x r] with s = alpha / r. B starts at zero
+(`attach`), so a fresh adapter is an exact identity perturbation. `forward`
+records one tape node whose backward gives x's, A's and B's gradients and
+never forms W's; dropout runs only given an rng. The adapter file stores A
 and B in the layer's precision, so they reload exactly.
 """
 
@@ -68,12 +69,16 @@ class FrozenLinear:
 
     def weight(self) -> np.ndarray:
         """The dequantized base [d_out x d_in], read-only, built on first use and
-        kept as a view of a contiguous Wᵀ, the layout that x·Wᵀ reads."""
+        kept until `release` as a view of a contiguous Wᵀ, the layout that x·Wᵀ reads."""
         if self._weight is None:
             wt = np.ascontiguousarray(dequantize(self.q, storage_dtype(self.dtype)).T)
             wt.flags.writeable = False
             self._weight = wt.T
         return self._weight
+
+    def release(self):
+        """Drop the dequantized copy; the next `weight()` rebuilds the same values."""
+        self._weight = None
 
 
 def with_adapter(base: QuantizedTensor, cfg: LoraConfig, a_init: np.ndarray, name: str = "",

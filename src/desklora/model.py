@@ -8,12 +8,15 @@ mixing, pre-norm blocks, GELU MLP. Each norm is RMS layer normalization with a
 gain and no bias, as in Qwen2, at eps 1e-5 where Qwen2 uses 1e-6. The model's
 precision is fixed when it is built or loaded. `forward` and `loss` take one
 sequence or a batch of equal-length sequences; dropout runs exactly when they
-get an rng. Under `no_grad`, `forward` also continues the rows of a `KVCache`
-(`kv_cache`), which holds each layer's rotated keys and values, so greedy
-decoding feeds only new tokens. Such a cached forward computes only what its
-last-position logits need: every block writes K and V at all fed positions,
-but the last block's queries, attention output, MLP and the final norm run
-at each row's last position alone.
+get an rng. With `checkpointing`, each block keeps what its linear layers
+and norms keep, but not what attention and GELU keep for backward, which
+reruns those two ops instead (selective recomputation, Korthikanti et al.
+2022, arXiv 2205.05198, §5). Under `no_grad`, `forward` also continues the
+rows of a `KVCache` (`kv_cache`), which holds each layer's rotated keys and
+values, so greedy decoding feeds only new tokens. Such a cached forward
+computes only what its last-position logits need: every block writes K and
+V at all fed positions, but the last block's queries, attention output, MLP
+and the final norm run at each row's last position alone.
 
 `_assemble` alone lays out, names and freezes a model's tensors: `build` and
 `load_model` supply the values, and the inventory reads the objects' names.
@@ -167,26 +170,27 @@ class TransformerModel:
 
     # -- forward --------------------------------------------------------------
 
-    def _block_fn(self, blk: Block, i: int, rng, cache: KVCache | None):
+    def _block(self, blk: Block, i: int, x: GradNode, rng, cache: KVCache | None,
+               checkpointing: bool) -> GradNode:
         cfg = self.cfg
         # with a cache, the last block's output reaches only the head, which
         # reads each row's last position: past K and V, the block runs there alone
         tail = cache is not None and i == cfg.n_layers - 1
+        run = checkpoint if checkpointing else (lambda fn, *xs: fn(*xs))
 
-        def run(x: GradNode) -> GradNode:
-            h = layer_norm(x, blk.ln1_g)
-            sub = rng.split("block", i) if rng is not None else None
-            k = lora.forward(blk.k, h, sub.split("k") if sub else None)
-            v = lora.forward(blk.v, h, sub.split("v") if sub else None)
-            if tail:
-                x, h = (constant(a.value[:, -1:], cfg.dtype) for a in (x, h))
-            q = lora.forward(blk.q, h, sub.split("q") if sub else None)
-            attn = causal_attention(q, k, v, cfg.n_heads, self.rope, cache)
-            x = add(x, lora.forward(blk.o, attn, sub.split("o") if sub else None))
-            h2 = layer_norm(x, blk.ln2_g)
-            return add(x, lora.forward(blk.w2, gelu(lora.forward(blk.w1, h2))))
+        def attend(q, k, v):
+            return causal_attention(q, k, v, cfg.n_heads, self.rope, cache)
 
-        return run
+        h = layer_norm(x, blk.ln1_g)
+        sub = rng.split("block", i) if rng is not None else None
+        k = lora.forward(blk.k, h, sub.split("k") if sub else None)
+        v = lora.forward(blk.v, h, sub.split("v") if sub else None)
+        if tail:
+            x, h = (constant(a.value[:, -1:], cfg.dtype) for a in (x, h))
+        q = lora.forward(blk.q, h, sub.split("q") if sub else None)
+        x = add(x, lora.forward(blk.o, run(attend, q, k, v), sub.split("o") if sub else None))
+        h2 = layer_norm(x, blk.ln2_g)
+        return add(x, lora.forward(blk.w2, run(gelu, lora.forward(blk.w1, h2))))
 
     def kv_cache(self, batch: int) -> KVCache:
         """An empty cache for `batch` rows of tape-free decoding (see `forward`):
@@ -203,6 +207,9 @@ class TransformerModel:
         """Logits [T x vocab] for token ids [T], or [B x T x vocab] for a batch
         [B x T]. Dropout only when `rng` is given: each adapted projection
         draws one mask over the whole [B x T x d] input from its split of it.
+        With `checkpointing`, every block runs `causal_attention` and `gelu`
+        under `checkpoint`, so backward reruns them rather than holding their
+        weights, rotated queries and keys, and tanh; gradients stay bit-identical.
 
         With a `cache` of B rows (under `no_grad` only), ids [B x T] continue
         them: row b's tokens take positions `cache.lengths[b]` onwards, attend
@@ -225,8 +232,8 @@ class TransformerModel:
 
         x = gather_rows(self.embedding, ids)  # rejects ids outside the vocab
         for i, blk in enumerate(self.blocks):
-            fn = self._block_fn(blk, i, rng, None if cache is None else cache.layer(i))
-            x = checkpoint(fn, x) if checkpointing else fn(x)
+            x = self._block(blk, i, x, rng, None if cache is None else cache.layer(i),
+                            checkpointing)
 
         x = layer_norm(x, self.lnf_g)
         if cache is not None:

@@ -211,28 +211,31 @@ def backward(loss: GradNode, seed: np.ndarray | None = None):
                 grads[key] = contrib
 
 
-def checkpoint(fn, x: GradNode) -> GradNode:
-    """Run `fn(x)` without retaining its internal tape; recompute it on backward.
+def checkpoint(fn, *xs: GradNode) -> GradNode:
+    """Run `fn(*xs)` without retaining its internal tape; recompute it on backward.
 
-    The output needs a gradient when `x` does or when `fn` reads a node that
-    does, such as a parameter of the block. The recomputation executes the
-    exact same op sequence, so gradients are bit-identical to the
-    non-checkpointed path. When a meter is installed (see `metering`) at the
-    call, the throwaway forward and the recomputation each run in a scope of
-    their own, so the meter sees the block's internals as transient; the leaf
-    that feeds `fn` shares `x.value` and costs nothing. Only the block's
-    output is charged where `checkpoint` is called.
+    The output is one node over `xs`, and it needs a gradient when an input
+    does or when `fn` reads a node that does, such as a parameter. Backward
+    reruns `fn` once over leaves that share the inputs' values and returns
+    each input's gradient, None for an input that needs none. The rerun
+    executes the exact same op sequence, so gradients are bit-identical to
+    the plain call's. When a meter is installed (see `metering`) at the
+    call, the throwaway forward and the rerun each run in a scope of their
+    own, so the meter sees what `fn` keeps for its backward as transient;
+    the leaves cost nothing. Only the output is charged where `checkpoint`
+    is called. The model checkpoints attention and GELU this way
+    (Korthikanti et al. 2022, arXiv 2205.05198, §5).
     """
     scope = _meter.scope if _meter is not None else contextlib.nullcontext
     with scope(), _taping(False, _track):
-        out = fn(GradNode(x.value))
+        out = fn(*(GradNode(x.value) for x in xs))
 
     def grad_fn(g: np.ndarray) -> tuple:
         with scope():
-            leaf = GradNode(x.value, requires_grad=x.requires_grad)
-            backward(fn(leaf), seed=g)
-        return (leaf.grad,)
+            leaves = [GradNode(x.value, requires_grad=x.requires_grad) for x in xs]
+            backward(fn(*leaves), seed=g)
+        return tuple(leaf.grad for leaf in leaves)
 
-    node = op_output(out.value, (x,), grad_fn, dtype=out.value.dtype)
+    node = op_output(out.value, xs, grad_fn, dtype=out.value.dtype)
     node.requires_grad = node.requires_grad or (_track and out.requires_grad)
     return node

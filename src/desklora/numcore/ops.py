@@ -167,7 +167,7 @@ def gelu(x: GradNode) -> GradNode:
         dt += u
         return (np.multiply(g, dt, out=dt if g.dtype == dt.dtype else None),)
 
-    return op_output(out, (x,), grad_fn)
+    return op_output(out, (x,), grad_fn, saved=(t,))
 
 
 def layer_norm(x: GradNode, gain: GradNode, eps: float = 1e-5) -> GradNode:
@@ -356,4 +356,4 @@ def causal_attention(
         return (merge(_rotate(dq, cos_q, -sin_q), q.shape),  # the inverse rotation
                 merge(_rotate(dk, cos, -sin), k.shape), merge(dv, k.shape))
 
-    return op_output(out, (q, k, v), grad_fn)
+    return op_output(out, (q, k, v), grad_fn, saved=(w, qr, kr))

@@ -9,10 +9,11 @@ duplicated zero level. The constants below were produced once from a normal
 inverse-CDF oracle and are frozen; a golden test re-derives them.
 
 Both codebooks map a block-scaled value to its nearest level, the lower code
-on a tie. NF4 binary-searches its 15 midpoints. The 8-bit codebook, which
-the optimizer requantizes every step, looks the code up instead: a table
-keyed on a float64's bits >> 45 (exponent and top 7 mantissa bits) holds at
-most one midpoint per bucket, so one comparison finishes the search.
+on a tie. An NF4 code is the count of its 15 midpoints below the value.
+The 8-bit codebook, which the optimizer requantizes every step, looks the
+code up instead: a table keyed on a float64's bits >> 45 (exponent and top
+7 mantissa bits) holds at most one midpoint per bucket, so one comparison
+finishes the search.
 `encode_blocks8`/`decode_blocks8` apply it to whole [n, STATE8_BLOCK_SIZE]
 rows, which is how `trainer.optim.AdamW` keeps its flat state.
 """
@@ -78,10 +79,16 @@ def max_half_gap(codebook: np.ndarray) -> float:
     return float(np.diff(np.sort(codebook)).max() / 2.0)
 
 
-def _nearest_codes(normalized: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Nearest level per element; ties at midpoints resolve to the lower code."""
-    mids = (codebook[:-1] + codebook[1:]) / 2.0
-    return np.searchsorted(mids, normalized, side="left").astype(np.uint8)
+_NF4_MIDPOINTS = (NF4_VALUES[:-1] + NF4_VALUES[1:]) / 2.0
+
+
+def _nearest_nf4(normalized: np.ndarray) -> np.ndarray:
+    """The nearest NF4 level per element, as the count of midpoints strictly
+    below it, so a value at a midpoint takes the lower code."""
+    codes = np.zeros(normalized.shape, dtype=np.uint8)
+    for mid in _NF4_MIDPOINTS:
+        codes += normalized > mid
+    return codes
 
 
 _KEY_SHIFT = 45  # a float64's bits >> 45: sign, 11 exponent bits, top 7 mantissa bits
@@ -124,8 +131,8 @@ _DYN8_FIRST, _DYN8_BASE, _DYN8_THRESHOLD = _dynamic8_table()
 
 
 def _nearest_dynamic8(normalized: np.ndarray) -> np.ndarray:
-    """`_nearest_codes(normalized, DYNAMIC8_VALUES)` by table lookup, for
-    float64 values in [-1, 1]."""
+    """The nearest 8-bit dynamic level per element, the lower code on a tie,
+    by table lookup, for float64 values in [-1, 1]."""
     key = normalized.view(np.int64) >> _KEY_SHIFT
     key ^= key >> 63  # a negative value's key becomes _KEY_MAX - its magnitude's
     np.clip(key, _DYN8_FIRST, _KEY_MAX - _DYN8_FIRST, out=key)
@@ -259,8 +266,7 @@ def quantize(
     dq_group: int = DEFAULT_DQ_GROUP,
 ) -> QuantizedTensor:
     """Blockwise absmax-scaled nearest-level 4-bit quantization."""
-    shape, codes, absmax32 = _encode_blocks(
-        x, block_size, lambda u: _nearest_codes(u, NF4_VALUES), NF4_ZERO_CODE)
+    shape, codes, absmax32 = _encode_blocks(x, block_size, _nearest_nf4, NF4_ZERO_CODE)
     packed = _pack4(codes)
     if double_quant:
         dq = _quantize_absmax(absmax32, dq_group)

@@ -1,8 +1,9 @@
 """Byte-accounting ledger enforcing host/device budget ceilings.
 
-Budgets model the target hardware split: quantized weights, their resident
-dequantized copies, adapters and activations count against the device budget; optimizer moments and master
-copies against the host budget. Only engine-registered allocations are
+Budgets model the target hardware split: quantized weights, their
+dequantized copies (held from first use until training returns), adapters
+and activations count against the device budget; optimizer moments and
+master copies against the host budget. Only engine-registered allocations are
 tracked; this is an accounting realization of the memory limits, not an OS
 allocator.
 """
@@ -102,14 +103,17 @@ class ActivationMeter:
 
     Inside `scope()` autograd charges the meter for every op output it
     creates, and `checkpoint` opens nested scopes on it. Every scope releases
-    the bytes charged while it was innermost, so transient graphs
-    (checkpointed block recomputation) raise and then lower the water line.
-    An op charges its output plus the arrays it declares as `saved`: for
-    `lora.forward`, the rank-r product, Aᵀ, Bᵀ and the dropout multiplier. Leaves
-    cost nothing: parameters, constants and the leaf `checkpoint` builds over
-    its input, which holds the input's own read-only array, not a copy.
-    The dequantized frozen weights are no nodes at all; `register_static_memory`
-    charges them as `dequantized_weights` when training starts. Ops that return
+    the bytes charged while it was innermost, so transient graphs (the
+    throwaway forward and the backward rerun of checkpointed attention and
+    GELU) raise and then lower the water line. An op charges its output plus
+    the arrays it declares as `saved`: for `lora.forward`, the rank-r product,
+    Aᵀ, Bᵀ and the dropout multiplier; for `causal_attention`, the weights
+    [B, H, T_q, T] and the rotated queries and keys; for `gelu`, its tanh.
+    Leaves cost nothing: parameters, constants and the leaves `checkpoint`
+    builds over its inputs, which hold the inputs' own read-only arrays, not
+    copies. The dequantized frozen weights are no nodes at all;
+    `register_static_memory` charges them as `dequantized_weights` when
+    training starts, and `train` drops them when it returns. Ops that return
     their input node (dropout off, `astype` to the same precision) cost nothing.
     Evaluation installs no meter, so nothing on the eval path is charged: not
     its op outputs, and not the greedy decoder's K/V cache, which is no node.

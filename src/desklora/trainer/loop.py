@@ -5,8 +5,11 @@ Each micro-batch runs as one [micro_batch x seq_len+1] graph whose dropout
 masks come from one stream, keyed by step and micro-batch index. The model
 derives its precision itself, `backward` sums micro-batch gradients into each
 `grad` of every trainable parameter, and `checkpoint` finds the activation
-meter through autograd. Windows hold documents framed as the LM scorer
-reads them (`frame_document`).
+meter through autograd. Checkpointing reruns each block's attention and GELU
+in backward (see `model.TransformerModel.forward`). Windows hold documents
+framed as the LM scorer reads them (`frame_document`). The frozen layers'
+dequantized bases live while `train` runs, which drops them when it returns,
+aborted or not.
 """
 
 import json
@@ -138,8 +141,9 @@ class _WindowOrder:
 
 
 def register_static_memory(model: TransformerModel, ledger: MemoryLedger):
-    """Charge quantized bases, their dequantized copies (each frozen layer keeps
-    one from its first use on), adapter masters, and the other masters."""
+    """Charge quantized bases, their dequantized copies (each frozen layer holds
+    one from its first use until `train` returns), adapter masters, and the
+    other masters."""
     ledger.allocate("quantized_weights", sum(quantized_nbytes(q) for _, q in model.frozen_tensors()))
     ledger.allocate("dequantized_weights", sum(
         layer.q.numel * storage_dtype(layer.dtype).itemsize
@@ -339,5 +343,8 @@ def train(
                     shutil.rmtree(kept_checkpoints.pop(0), ignore_errors=True)
     finally:
         metrics_file.close()
+        for blk in model.blocks:  # the bases' float copies; the next forward rebuilds them
+            for layer in blk.frozen():
+                layer.release()
 
     return TrainResult(final_checkpoint=final_dir, metrics=metrics)

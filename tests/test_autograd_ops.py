@@ -238,6 +238,61 @@ class TestBackward:
         assert out.parents == () and out.grad_fn is None and not out.requires_grad
 
 
+class TestCheckpoint:
+    """`checkpoint(fn, *xs)` against the plain call of the op it wraps."""
+
+    @staticmethod
+    def attention(run, t_q, needs=(True, True, True)):
+        """Attention's output and the gradients of q [2, t_q, 8], k and v [2, 6, 8]."""
+        rng = np.random.default_rng(t_q)
+        q, k, v = (Parameter(rng.normal(size=(2, n, 8)), FULL) for n in (t_q, 6, 6))
+        for node, need in zip((q, k, v), needs):
+            node.requires_grad = need
+        rope = rope_tables(6, 4)
+        out = run(lambda *qkv: causal_attention(*qkv, 2, rope), q, k, v)
+        backward(sum_all(mul(out, constant(rng.normal(size=(2, t_q, 8)), FULL))))
+        return out.value, [p.grad for p in (q, k, v)]
+
+    @pytest.mark.parametrize("t_q", [6, 3])
+    @pytest.mark.parametrize("needs", [(True, True, True), (True, False, True)])
+    def test_attention_gradients_bit_identical(self, t_q, needs):
+        """Each input's gradient is the plain op's; one without a gradient gets none."""
+        plain = self.attention(lambda fn, *xs: fn(*xs), t_q, needs)
+        ckpt = self.attention(checkpoint, t_q, needs)
+        assert np.array_equal(plain[0], ckpt[0])
+        for need, a, b in zip(needs, plain[1], ckpt[1]):
+            assert (b is None) if not need else np.array_equal(a, b)
+
+    def test_throwaway_forward_records_no_tape(self):
+        made = []
+
+        def fn(x):
+            made.append(gelu(x))
+            return made[-1]
+
+        out = checkpoint(fn, leaf(np.linspace(-2.0, 2.0, 5)))
+        assert out.requires_grad and made[0].parents == () and made[0].grad_fn is None
+        backward(sum_all(out))
+        assert made[1].grad_fn is not None  # the rerun records its tape
+
+    def test_rerun_once_per_backward(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return gelu(x)
+
+        x = leaf(np.linspace(-2.0, 2.0, 5))
+        out = checkpoint(fn, x)
+        assert len(calls) == 1
+        backward(add(sum_all(out), sum_all(out)))  # two consumers, one summed gradient
+        assert len(calls) == 2
+        plain = leaf(np.linspace(-2.0, 2.0, 5))
+        y = gelu(plain)
+        backward(add(sum_all(y), sum_all(y)))
+        assert np.array_equal(x.grad, plain.grad)
+
+
 class TestFiniteDifference:
     def test_linear_is_exact(self):
         err = finite_diff_check(sum_all, np.random.default_rng(0).normal(size=(4, 3)))

@@ -18,13 +18,13 @@ from desklora.quant import (
     DYNAMIC8_ZERO_CODE,
     STATE8_BLOCK_SIZE,
     Quantized8bitState,
-    _nearest_codes,
     dequantize_state8,
     quantize_state8,
 )
 from desklora.trainer import AdamW, MemoryLedger, Sgd
 from desklora.trainer.optim import BETAS, CHUNK_ELEMENTS, EPS, WORKING_BYTES
 from tests.conftest import opt8_moments
+from tests.quant_oracles import nearest_codes
 
 
 def oracle_quantize8(x) -> Quantized8bitState:
@@ -35,7 +35,7 @@ def oracle_quantize8(x) -> Quantized8bitState:
     padded[:flat.size] = flat
     blocks = padded.reshape(-1, b)
     absmax = np.abs(blocks).max(axis=1)
-    codes = _nearest_codes(blocks / np.where(absmax == 0.0, 1.0, absmax)[:, None], DYNAMIC8_VALUES)
+    codes = nearest_codes(blocks / np.where(absmax == 0.0, 1.0, absmax)[:, None], DYNAMIC8_VALUES)
     codes[absmax == 0.0] = DYNAMIC8_ZERO_CODE
     return Quantized8bitState(np.shape(x), codes.reshape(-1)[:flat.size], absmax.astype(np.float32), b)
 

@@ -22,6 +22,7 @@ from desklora.quant import (
     reconstructed_absmax,
 )
 from desklora.errors import FormatError
+from tests.quant_oracles import nearest_codes
 
 
 class TestCodebook:
@@ -100,6 +101,16 @@ class TestQuantizeRoundTrip:
         q = quantize(x, block_size=2)
         codes = quant._unpack4(q.codes, 2)
         assert codes[1] == 8  # the lower of the tied pair
+
+    def test_midpoint_count_matches_the_binary_search(self):
+        """The NF4 code is the count of midpoints below the value, which is the
+        left-sided binary search over them: on random values, exact midpoints,
+        their neighbours, the levels, +-1 and 0."""
+        mids = (NF4_VALUES[:-1] + NF4_VALUES[1:]) / 2.0
+        for x in (np.random.default_rng(16).uniform(-1.0, 1.0, 100_000), mids,
+                  np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf), NF4_VALUES,
+                  np.array([1.0, -1.0, 0.0, -0.0])):
+            assert np.array_equal(quant._nearest_nf4(x), nearest_codes(x, NF4_VALUES))
 
     def test_non_finite_rejected(self):
         x = np.ones(10)
@@ -270,7 +281,7 @@ class TestNearestCodeTable:
     @staticmethod
     def assert_same(x):
         x = np.ascontiguousarray(x, dtype=np.float64)
-        assert np.array_equal(quant._nearest_dynamic8(x), quant._nearest_codes(x, DYNAMIC8_VALUES))
+        assert np.array_equal(quant._nearest_dynamic8(x), nearest_codes(x, DYNAMIC8_VALUES))
 
     def test_midpoints_and_their_neighbours(self):
         mids = (DYNAMIC8_VALUES[:-1] + DYNAMIC8_VALUES[1:]) / 2.0

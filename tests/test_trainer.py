@@ -450,6 +450,16 @@ class TestTrainLoop:
         ids = fixture_windows()[0]
         assert np.array_equal(reloaded.forward_ids(ids), model.forward_ids(ids))
 
+    def test_train_releases_the_dequantized_bases(self, tmp_path):
+        """No frozen layer holds its float copy once `train` returns; the next
+        forward rebuilds it, and the logits equal a reloaded checkpoint's."""
+        model = tiny_model(seed=6, dropout=0.05)
+        res = train(model, fixture_windows(), tiny_train_cfg(checkpointing=True), tmp_path)
+        assert all(layer._weight is None for blk in model.blocks for layer in blk.frozen())
+        reloaded, _ = load_checkpoint(res.final_checkpoint)
+        ids = fixture_windows()[0]
+        assert np.array_equal(model.forward_ids(ids), reloaded.forward_ids(ids))
+
     def test_full_precision_adamw_checkpoints_and_resumes(self, tmp_path):
         full_dir, resumed_dir = self.run_and_resume(tmp_path, optimizer="adamw")
         assert (resumed_dir / "step_000004" / "optimizer.st8").read_bytes() == (
@@ -552,6 +562,7 @@ class TestTrainLoop:
         with pytest.raises(TrainingError) as e:
             train(model, fixture_windows(), cfg, tmp_path)
         assert e.value.step is not None
+        assert all(layer._weight is None for blk in model.blocks for layer in blk.frozen())
 
     def test_budget_breach_aborts(self, tmp_path):
         model = tiny_model(seed=9)
