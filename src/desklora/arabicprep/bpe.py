@@ -13,12 +13,17 @@ replaced left to right without overlap. Training stops once no pair repeats,
 since single-occurrence merges cannot generalize.
 
 Training keeps the corpus in one flat int32 stream, with -1 (no byte's id)
-before each piece and at the end, and the pair counts in sorted arrays built
-once. A merge finds its hits h with one vectorized scan, subtracts the pairs
-at {h-1, h, h+1}, writes the new id, deletes h+1 and adds the pairs around
-each new token (all new, as they hold the new id): one pass, not a recount.
-The hits are sorted and at least 2 apart, so the positions {h-1, h, h+1}
-laid out hit by hit are sorted already, and a duplicate sits next to its twin.
+before each piece and at the end. Each pair's count sits under a key of its
+later id, left id and right id, so the keys sort in the order they are added:
+the pairs a merge creates all hold the new, largest id. A merge of (a, b)
+finds its hits h with one vectorized scan. Hit h loses (stream[h-1], a),
+(a, b) and (b, stream[h+2]) and gains (stream[h-1], new) and
+(new, stream[h+2]); two hits 2 apart share the (b, a) between them, which
+becomes (new, new). `bincount` tallies the hits' left and right neighbours,
+`searchsorted` finds the keys to decrement, and the new keys are appended:
+no sort, insert or delete per merge. The stream then drops each h+1 through
+one boolean mask. Ties compare each token's rank among the distinct byte
+strings so far, which each merge updates, instead of the bytes themselves.
 
 Training's final stream is the encoding of its corpus, so `bpe_train_encode`
 returns it split per text. The encoder below applies the merges in rank
@@ -43,6 +48,7 @@ morphological boundary marker splits pieces: merges never cross it and it is
 dropped from the encoded stream, so decoding returns the text unmarked.
 """
 
+import bisect
 import heapq
 import json
 
@@ -58,8 +64,11 @@ N_SPECIALS = len(SPECIALS)
 BYTE_OFFSET = N_SPECIALS  # byte b encodes as id BYTE_OFFSET + b
 FIRST_MERGE_ID = BYTE_OFFSET + 256
 
-_KEY_SHIFT = 21  # a pair key packs (left << 21) | right, so ids must stay below 2^21
+_KEY_SHIFT = 21  # a pair key packs three ids in 21 bits each, so ids must stay below 2^21
 MAX_VOCAB_SIZE = 1 << _KEY_SHIFT
+_ID_MASK = MAX_VOCAB_SIZE - 1
+_PAIR_MASK = (1 << 2 * _KEY_SHIFT) - 1  # a key's (left << 21) | right
+_NO_KEY = np.iinfo(np.int64).max  # sorts after every key
 
 
 def frame_document(ids) -> np.ndarray:
@@ -169,15 +178,22 @@ class BpeVocab:
         return cls(merges=[tuple(m) for m in merges], vocab_size=vocab_size)
 
 
-def _sorted_distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array, in order."""
-    return x[np.diff(x, prepend=x[:1] - 1) != 0]
+def _pair_keys(left, right) -> np.ndarray:
+    """Keys of the pairs (left[i], right[i]): the later of the two ids, then
+    left, then right, 21 bits each, so that keys sort by the later id first."""
+    keys = np.maximum(left, right, dtype=np.int64)
+    keys <<= _KEY_SHIFT
+    keys |= left
+    keys <<= _KEY_SHIFT
+    keys |= right
+    return keys
 
 
-def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Keys of the pairs (left[i], right[i]) that hold no -1 separator."""
-    real = (left >= 0) & (right >= 0)
-    return (left[real].astype(np.int64) << _KEY_SHIFT) | right[real]
+def _tally(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in `ids` other than -1, ascending, and how often each occurs."""
+    n = np.bincount(ids + 1)[1:]
+    distinct = np.flatnonzero(n)
+    return distinct, n[distinct]
 
 
 def bpe_train(corpus, vocab_size: int = 8192) -> BpeVocab:
@@ -201,35 +217,71 @@ def bpe_train_encode(texts, vocab_size: int = 8192) -> tuple[BpeVocab, list[np.n
     byte_ids = np.frombuffer(b"".join(pieces), dtype=np.uint8).astype(np.int32) + BYTE_OFFSET
     stream = np.insert(byte_ids, np.cumsum([0] + [len(p) for p in pieces]), -1)
     del pieces, byte_ids  # the stream holds the corpus now
-    keys, counts = np.unique(_pair_keys(stream[:-1], stream[1:]), return_counts=True)
+    real = (stream[:-1] >= 0) & (stream[1:] >= 0)
+    keys = _pair_keys(stream[:-1][real], stream[1:][real])
+    del real  # before np.unique copies the keys: the peak of training is here
+    keys, counts = np.unique(keys, return_counts=True)
+    n_keys = keys.size  # keys grow at the end: past n_keys they hold _NO_KEY, counted 0
 
     token_bytes: list[bytes] = [b""] * N_SPECIALS + [bytes([i]) for i in range(256)]
+    # rank[id] is the place of id's bytes among the distinct byte strings so
+    # far, so ranks compare as bytes do, and equal bytes share a rank.
+    ordered = token_bytes[BYTE_OFFSET:]
+    rank = np.zeros(vocab_size, dtype=np.int64)
+    rank[BYTE_OFFSET:FIRST_MERGE_ID] = np.arange(256)
     merges: list[tuple[int, int]] = []
     for new_id in range(FIRST_MERGE_ID, vocab_size):
         if (top := counts.max(initial=0)) < 2:
             break
-        tied = [(k >> _KEY_SHIFT, k & (MAX_VOCAB_SIZE - 1)) for k in keys[counts == top].tolist()]
-        a, b = min(tied, key=lambda pair: (token_bytes[pair[0]], token_bytes[pair[1]]))
+        tied = np.flatnonzero(counts == top)
+        pairs = keys[tied] & _PAIR_MASK
+        by_bytes = rank[pairs >> _KEY_SHIFT] * len(ordered) + rank[pairs & _ID_MASK]
+        first = by_bytes == by_bytes.min()  # more than one only where byte strings repeat
+        best = tied[first][np.argmin(pairs[first])]
+        a, b = divmod(int(keys[best]) & _PAIR_MASK, MAX_VOCAB_SIZE)
         merges.append((a, b))
-        token_bytes.append(token_bytes[a] + token_bytes[b])
+        token_bytes.append(new_bytes := token_bytes[a] + token_bytes[b])
+        at = bisect.bisect_left(ordered, new_bytes)
+        if at == len(ordered) or ordered[at] != new_bytes:
+            ordered.insert(at, new_bytes)
+            live = rank[:new_id]
+            live[live >= at] += 1
+        rank[new_id] = at
 
         hits = np.flatnonzero(stream[:-1] == a)
         hits = hits[stream[hits + 1] == b]
-        # Only a == b gives adjacent hits: in each run of them keep the 1st, 3rd, ...
-        run_start = np.maximum.accumulate(np.where(np.diff(hits, prepend=-2) != 1, hits, 0))
-        hits = hits[(hits - run_start) % 2 == 0]
-        # The stream starts and ends with -1, so h - 1 and h + 2 are in range.
-        at = _sorted_distinct(np.stack([hits - 1, hits, hits + 1], 1).ravel())
-        gone, gone_counts = np.unique(_pair_keys(stream[at], stream[at + 1]), return_counts=True)
-        counts[np.searchsorted(keys, gone)] -= gone_counts
+        if a == b:  # only then can hits be adjacent: in each run of them keep the 1st, 3rd, ...
+            run_start = np.maximum.accumulate(np.where(np.diff(hits, prepend=-2) != 1, hits, 0))
+            hits = hits[(hits - run_start) % 2 == 0]
+        counts[best] -= hits.size
+        # Hit h loses (stream[h-1], a) and (b, stream[h+2]) and gains the same
+        # neighbours around new_id; the stream starts and ends with -1, so
+        # h - 1 and h + 2 are in range. Two hits 2 apart share the pair
+        # between them, (b, a): it counts as the earlier hit's right pair, and
+        # it becomes (new_id, new_id).
+        left, right = stream[hits - 1], stream[hits + 2]
+        two_apart = np.diff(hits) == 2
+        left[1:][two_apart] = -1
+        x, x_counts = _tally(left)
+        y, y_counts = _tally(right)
+        counts[np.searchsorted(keys, _pair_keys(x, a))] -= x_counts
+        counts[np.searchsorted(keys, _pair_keys(b, y))] -= y_counts
+        right[:-1][two_apart] = new_id
+        y, y_counts = _tally(right)
+        # Every new pair holds new_id, the largest id, so its key sorts after
+        # all others: x < new_id puts (x, new_id) before (new_id, y).
+        born = np.concatenate((_pair_keys(x, new_id), _pair_keys(new_id, y)))
+        if n_keys + born.size > keys.size:
+            keys = np.append(keys, np.full(keys.size + born.size, _NO_KEY))
+            counts = np.append(counts, np.zeros(counts.size + born.size, dtype=counts.dtype))
+        keys[n_keys:n_keys + born.size] = born
+        counts[n_keys:n_keys + born.size] = np.concatenate((x_counts, y_counts))
+        n_keys += born.size
+
         stream[hits] = new_id
-        stream = np.delete(stream, hits + 1)
-        placed = hits - np.arange(hits.size)  # the new tokens' positions after the deletions
-        at = _sorted_distinct(np.stack([placed - 1, placed], 1).ravel())
-        born, born_counts = np.unique(_pair_keys(stream[at], stream[at + 1]), return_counts=True)
-        keys, counts = keys[counts > 0], counts[counts > 0]
-        where = np.searchsorted(keys, born)
-        keys, counts = np.insert(keys, where, born), np.insert(counts, where, born_counts)
+        keep = np.ones(stream.size, dtype=bool)
+        keep[hits + 1] = False
+        stream = stream[keep]
 
     # Separator k opens piece k, so text t ends at separator ends[t], and the
     # ends[t] separators before it are not ids.

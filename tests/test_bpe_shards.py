@@ -21,6 +21,7 @@ from desklora.arabicprep import (
 from desklora.arabicprep.shards import dumps_shard, loads_shard
 from desklora.binfmt import Writer
 from desklora.errors import ConfigError, ContractError, DataError, FormatError
+from tests.bpe_oracles import train_encode as sorting_train_encode
 from tests.conftest import synth_raw_docs, write_encoded_shards
 
 
@@ -219,6 +220,23 @@ class TestTrainedIds:
         vocab = self.assert_same_ids(
             ["a" * 100, "", "ab" * 50 + BOUNDARY + "ab" * 7, BOUNDARY, "ba" * 30, "aab" * 20], 300)
         assert sum(a >= 260 and b >= 260 for a, b in vocab.merges) >= 10
+
+
+class TestNeighbourCounts:
+    """bpe_train_encode counts each merge's pairs from its hits' neighbours;
+    the trainer in tests/bpe_oracles.py re-sorts them. Both give the same
+    merges and ids."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 150), st.sampled_from([512, 1024]),
+           st.lists(_RUN_TEXTS, max_size=4))
+    def test_matches_the_sorting_trainer(self, seed, n_docs, vocab_size, runs):
+        docs = prepare_documents(synth_raw_docs(n_docs, seed=seed), NormalizationPolicy())
+        texts = runs + [d.text for d in docs] + runs
+        vocab, ids = bpe_train_encode(texts, vocab_size)
+        want_vocab, want_ids = sorting_train_encode(texts, vocab_size)
+        assert vocab.merges == want_vocab.merges
+        assert [(i.dtype, i.tolist()) for i in ids] == [(i.dtype, i.tolist()) for i in want_ids]
 
 
 class TestBpeEncodeDecode:
