@@ -148,7 +148,7 @@ class BpeVocab:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")  # C encoder, as in write_shards
+            f.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")  # dumps runs the C encoder
 
     @classmethod
     def load(cls, path) -> "BpeVocab":

@@ -10,12 +10,12 @@ Every read is bounds-checked. A short read, a wrong magic or version, a
 value the format rejects, or bytes left after the last field raise
 FormatError, which the CLI reports as a data error with exit code 3.
 
-There is no checksum trailer, so the last bytes of a file are the last
-elements of its last array. The container makes a file parse exactly or fail;
-it does not detect an edited value. deskbench's training check relies on
-this: it overwrites the last f32 of `adapters.lora` and expects the file to
-load and give different logits. Its prep check likewise flips a shard's last
-token id and expects the shard to load and decode to other text.
+There is no checksum trailer, so a file ends with its last array's last
+element, and an edited value parses. Two tests in `deskbench/test_deskbench.py`
+rely on this: `test_training_check_rejects_each_corruption` overwrites the
+last f32 of `adapters.lora` and expects other logits, and
+`test_prep_check_rejects_a_changed_shard_token` flips a shard's last token id
+and expects other text. So SHRD v3 keeps the token ids last, after its tags.
 """
 
 import math

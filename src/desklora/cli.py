@@ -30,7 +30,7 @@ from .arabicprep import (
 )
 from .arabicprep.bpe import check_vocab_size
 from .arabicprep.shards import DEFAULT_SHARD_DOCS
-from .describe import describe
+from .describe import describe, print_counts
 from .errors import BudgetError, ConfigError, DataError, DeskloraError, TrainingError
 from .evalharness import (
     PerturbationConfig, dialect_breakdown, emit_report, load_eval_set, perturb, robustness_curve,
@@ -38,7 +38,7 @@ from .evalharness import (
 from .model import ModelConfig, build
 from .numcore import Rng
 from .trainer import TrainConfig, checkpoint_hash, effective_batch, load_checkpoint, pack_windows, train
-from .util import from_known_keys, sha256_file
+from .util import from_known_keys, must_match, sha256_file
 
 
 @dataclass
@@ -228,15 +228,6 @@ def resolve(command: str, args):
     return cfg, section
 
 
-def _must_match(given: dict, actual: dict, source: str, where: str = "train.model"):
-    """Every value in `given` equals `actual`'s at the same key; else ConfigError."""
-    for key, value in given.items():
-        if isinstance(value, dict):
-            _must_match(value, actual[key], source, f"{where}.{key}")
-        elif value != actual[key]:
-            raise ConfigError(f"{where}.{key} is {value!r} but {source} has {actual[key]!r}")
-
-
 def _write_resolved(out_dir: str, command: str, cfg):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as f:
@@ -262,11 +253,9 @@ def cmd_prep(args) -> int:
     os.makedirs(run.out, exist_ok=True)
     vocab.save(os.path.join(run.out, "vocab.json"))
     counts = write_shards(docs, ids, vocab.vocab_hash(), run.policy, run.out,
-                          shard_docs=run.shard_docs)["counts"]
+                          shard_docs=run.shard_docs)
     print(f"prepared {len(docs)} documents ({len(raw) - len(docs)} dropped) -> {run.out}")
-    for label, table in (("source", counts["source"]), ("dialect", counts["dialect"])):
-        rendered = "  ".join(f"{k}={v}" for k, v in sorted(table.items()))
-        print(f"  by {label}: {rendered}")
+    print_counts(counts)
     print(f"  vocab: {vocab.n_tokens} tokens, hash {vocab.vocab_hash()[:12]}")
     _write_resolved(run.out, "prep", run)
     return 0
@@ -286,14 +275,16 @@ def cmd_train(args) -> int:
         model, state = load_checkpoint(start)
         if state["vocab_hash"] and state["vocab_hash"] != vocab.vocab_hash():
             raise ConfigError("vocab hash mismatch between checkpoint and shard set")
-        _must_match(section.get("model", {}), model.cfg.to_dict(), f"checkpoint {start}")
+        must_match(section.get("model", {}), model.cfg.to_dict(), f"checkpoint {start}",
+                   "train.model")
         _fits_window(run.train, model.cfg, f"checkpoint {start}")
         if not run.resume:
             adapters_hash = sha256_file(os.path.join(start, "adapters.lora"))
             print(f"initialized from {start} (adapters sha256 {adapters_hash[:12]})")
     else:
         model_cfg = replace(run.model, vocab_size=vocab.n_tokens)
-        _must_match(section.get("model", {}), model_cfg.to_dict(), "the shard set's vocabulary")
+        must_match(section.get("model", {}), model_cfg.to_dict(), "the shard set's vocabulary",
+                   "train.model")
         model = build(model_cfg, Rng(run.train.seed))
     run.model = model.cfg
 

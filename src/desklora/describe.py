@@ -1,16 +1,24 @@
-"""`desklora inspect`: one line or three per artifact. Each artifact is
+"""`desklora inspect`: a few lines per artifact. Each artifact is
 loaded whole, so a damaged one fails as its loader does."""
 
 import json
 import os
 
 from .arabicprep import BpeVocab, ShardReader, loads_shard
+from .arabicprep.shards import tag_counts
 from .evalharness import validate_report
 from .lora import loads_adapters
 from .model import load_model
 from .quant import loads_qnf4
 from .trainer import checkpoint_hash, loads_optimizer, read_trainer_state
 from .util import sha256_file
+
+
+def print_counts(counts):
+    """One line per tag kind: the documents per source, then per dialect."""
+    for label in ("source", "dialect"):
+        rendered = "  ".join(f"{k}={v}" for k, v in sorted(counts[label].items()))
+        print(f"  by {label}: {rendered}")
 
 
 def describe(path):
@@ -20,11 +28,11 @@ def describe(path):
         state = os.path.join(path, "trainer_state")
         if os.path.exists(manifest):
             reader = ShardReader(path)
-            counts = reader.manifest["counts"]
-            print(f"{path}: shard set, {len(reader)} docs, "
+            tokens = sum(ids.size for ids in reader.iter_tokens())
+            print(f"{path}: shard set, {len(reader)} docs, {tokens} tokens, "
                   f"{len(reader.manifest['shards'])} shards, vocab {reader.vocab_hash[:12]}")
             print(f"  policy: {reader.policy.to_dict()}")
-            print(f"  dialects: {counts['dialect']}")
+            print_counts(reader.counts())
             return
         if os.path.exists(state):
             st = read_trainer_state(path)
@@ -52,8 +60,9 @@ def describe(path):
         opt = loads_optimizer(data)
         print(f"{path}: {opt.kind} optimizer state at step {opt.step_count}")
     elif head == b"SHRD":
-        counts, ids = loads_shard(data)
+        counts, sources, dialects, ids = loads_shard(data)
         print(f"{path}: token shard, {counts.size} docs, {ids.size} tokens")
+        print_counts(tag_counts(sources, dialects))
     else:
         try:
             with open(path, "r", encoding="utf-8") as f:

@@ -28,7 +28,7 @@ from ..lora import apply_adapter_state, dumps_adapters, loads_adapters
 from ..model import TransformerModel, load_model, save_model
 from ..numcore import Rng, backward, storage_dtype
 from ..quant import quantized_nbytes
-from ..util import sha256_file, sha256_json
+from ..util import must_match, sha256_file, sha256_json
 from .ledger import ActivationMeter, MemoryBudget, MemoryLedger
 from .optim import clip_gradients, global_grad_norm, make_optimizer
 
@@ -171,7 +171,6 @@ def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
         "seed": cfg.seed,
         "vocab_hash": vocab_hash,
         "config": cfg.to_dict(),
-        "config_digest": sha256_json(cfg.to_dict()),
     }
     with open(os.path.join(tmp, "trainer_state"), "w", encoding="utf-8") as f:
         json.dump(state, f, sort_keys=True, indent=1)
@@ -180,7 +179,7 @@ def save_checkpoint(out_dir, model: TransformerModel, optimizer, step: int,
     os.replace(tmp, out_dir)
 
 
-_STATE_FIELDS = {"step": int, "seed": int, "vocab_hash": str, "config": dict, "config_digest": str}
+_STATE_FIELDS = {"step": int, "seed": int, "vocab_hash": str, "config": dict}
 
 
 def read_trainer_state(ckpt_dir) -> dict:
@@ -273,8 +272,7 @@ def train(
     start_step = 0
     if resume_from is not None:
         state = read_trainer_state(resume_from)
-        if state["config_digest"] != sha256_json(cfg.to_dict()):
-            raise ConfigError("resume config does not match checkpoint config")
+        must_match(cfg.to_dict(), state["config"], f"checkpoint {resume_from}", "train.train")
         if vocab_hash and state["vocab_hash"] and state["vocab_hash"] != vocab_hash:
             raise ConfigError("vocab hash mismatch between checkpoint and current tokenization")
         start_step = int(state["step"])

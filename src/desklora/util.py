@@ -62,3 +62,16 @@ def from_known_keys(cls, d):
         return cls(**values)
     except (TypeError, ValueError) as e:  # a missing field, or a value __post_init__ cannot take
         raise ConfigError(f"{cls.__name__}: {e}") from e
+
+
+def must_match(given: dict, actual: dict, source: str, where: str):
+    """Every value in `given` equals `actual`'s at the same key path, a key
+    `actual` lacks included; else ConfigError naming the first that differs."""
+    for key, value in given.items():
+        path = f"{where}.{key}"
+        if key not in actual:
+            raise ConfigError(f"{path} is {value!r} but {source} has no {key!r}")
+        if isinstance(value, dict) and isinstance(actual[key], dict):
+            must_match(value, actual[key], source, path)
+        elif value != actual[key]:
+            raise ConfigError(f"{path} is {value!r} but {source} has {actual[key]!r}")

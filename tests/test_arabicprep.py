@@ -208,8 +208,3 @@ class TestPipeline:
         docs = prepare_documents(raw, DEFAULTS, per_sentence=True)
         assert [d.text for d in docs] == ["ذهبت؟", "نعم."]
 
-    def test_stable_ids(self):
-        raw = [{"text": "مرحبا بكم", "source": "wikipedia"}]
-        a = prepare_documents(raw, DEFAULTS)[0].id
-        b = prepare_documents(raw, DEFAULTS)[0].id
-        assert a == b and len(a) == 16

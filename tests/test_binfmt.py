@@ -152,7 +152,8 @@ def artifacts(tmp_dir):
         quant.dequantize(quant.loads_qnf4(data))
 
     return {
-        "shrd": (dumps_shard([[5, 6, 7], [], [300, 4]]), lambda data, _: loads_shard(data)),
+        "shrd": (dumps_shard([[5, 6, 7], [], [300, 4]], [0, 3, 2], [1, 5, 0]),
+                 lambda data, _: loads_shard(data)),
         "qnf4": (quant.dumps_qnf4(quant.quantize(x, 16)), use_qnf4),
         "qnf4_double_quant": (
             quant.dumps_qnf4(quant.quantize(x, 8, double_quant=True, dq_group=2)), use_qnf4),

@@ -1,13 +1,17 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from desklora import cli
 from desklora.arabicprep import (
     BOUNDARY,
+    DIALECT_TAGS,
+    SOURCES,
     BpeVocab,
     Document,
     NormalizationPolicy,
@@ -23,6 +27,11 @@ from desklora.binfmt import Writer
 from desklora.errors import ConfigError, ContractError, DataError, FormatError
 from tests.bpe_oracles import train_encode as sorting_train_encode
 from tests.conftest import synth_raw_docs, write_encoded_shards
+
+
+def _codes(n, table, step=1) -> list[int]:
+    """n tag codes that cycle through every code of `table`."""
+    return [i * step % len(table) for i in range(n)]
 
 
 def oracle_merges(texts, max_merges):
@@ -185,9 +194,9 @@ class TestBpeTraining:
         assert hashlib.sha256(ids.encode()).hexdigest() == (
             "c3d1b10e5948639c778bddeb956bcf0b0317330607a31713900ed112ae6e95be")
         assert hashlib.sha256((tmp_path / "shard_0000.bin").read_bytes()).hexdigest() == (
-            "3afd342af8be1b8f1a57125383b167a7c3715dbdb5a3cf23a82c0049d69c06ca")
+            "ada95f24b8562d32f511911d1b41d669e055a5f1138e87c1ce7bf8db58a2b65e")
         assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == (
-            "e8eb6955f3b0b7e29c409006945237fbef84af58085163103b9d59f3d79b0312")
+            "d12d16f57dcd018f65093ac9d5921a5e5d3083dbddf8e717220d6de3251ffa06")
         vocab.save(tmp_path / "vocab.json")
         assert hashlib.sha256((tmp_path / "vocab.json").read_bytes()).hexdigest() == (
             "e5819c70fc38a431d0d0a724fbd44a53de66567220f812a7d05963397190845b")
@@ -399,15 +408,18 @@ class TestShards:
         assert len(reader) == len(docs)
         for i, doc in enumerate(docs):
             assert reader.doc_tokens(i).tolist() == vocab.encode(doc.text)
-            assert reader.docs[i]["dialect"] == doc.dialect
+        for tag in DIALECT_TAGS:  # each document's dialect, across the three shards
+            assert [t.tolist() for t in reader.iter_tokens(tag)] == [
+                vocab.encode(d.text) for d in docs if d.dialect == tag]
 
-    def test_manifest_counts(self, prepared, tmp_path):
+    def test_counts_tally_the_documents(self, prepared, tmp_path):
         policy, docs, vocab = prepared
-        write_encoded_shards(docs, vocab, policy, tmp_path)
+        written = write_encoded_shards(docs, vocab, policy, tmp_path, shard_docs=25)
         reader = ShardReader(tmp_path)
-        counts = reader.manifest["counts"]
-        assert sum(counts["source"].values()) == len(docs)
-        assert sum(counts["dialect"].values()) == len(docs)
+        assert reader.counts() == written == {
+            "source": dict(Counter(d.source for d in docs)),
+            "dialect": dict(Counter(d.dialect for d in docs))}
+        assert len(written["source"]) > 1 and len(written["dialect"]) > 1
         assert reader.vocab_hash == vocab.vocab_hash()
         assert reader.policy.to_dict() == policy.to_dict()
 
@@ -415,61 +427,89 @@ class TestShards:
         policy, docs, vocab = prepared
         write_encoded_shards(docs, vocab, policy, tmp_path, shard_docs=len(docs))
         lens = [len(vocab.encode(d.text)) for d in docs]
-        expected = 6 + 4 + 4 * len(docs) + 4 * sum(lens)
+        expected = 6 + 4 + 4 * len(docs) + 2 * len(docs) + 4 * sum(lens)
         assert (tmp_path / "shard_0000.bin").stat().st_size == expected
 
-    @pytest.mark.parametrize("n_docs", [1, 256, 257, 600])
-    def test_manifest_has_the_bytes_of_one_json_encode(self, n_docs, tmp_path):
-        """The doc index is encoded in slices of entries; across slice
-        boundaries the file holds what one encode of the manifest gives."""
-        docs = [Document(f"نص {i}", dialect=("MSA", "EGY", "GLF")[i % 3]) for i in range(n_docs)]
-        ids = [[4 + i % 7] * (1 + i % 3) for i in range(n_docs)]
-        manifest = write_shards(docs, ids, "hash", NormalizationPolicy(), tmp_path, shard_docs=100)
-        expected = json.dumps(manifest, ensure_ascii=False, sort_keys=True) + "\n"
-        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == expected
+    def test_manifest_does_not_grow_with_the_corpus(self, tmp_path):
+        """The manifest describes the set, not its documents: 10 documents and
+        1,000, one shard each, give manifests of one length."""
+        sizes = []
+        for n_docs in (10, 1000):
+            docs = [Document(f"نص {i}", dialect=("MSA", "EGY", "GLF")[i % 3]) for i in range(n_docs)]
+            ids = [[4 + i % 7] * (1 + i % 3) for i in range(n_docs)]
+            out = tmp_path / str(n_docs)
+            write_shards(docs, ids, "hash", NormalizationPolicy(), out, shard_docs=n_docs)
+            sizes.append((out / "manifest.json").stat().st_size)
+        assert sizes[0] == sizes[1] < 1024
 
-    def test_more_docs_than_a_u16_counts(self):
-        counts, ids = loads_shard(dumps_shard([[5]] * 70_000 + [[6, 7]]))
-        assert counts.size == 70_001 and ids.size == 70_002 and ids[-1] == 7
-        assert not ids.flags.writeable
-
-    @pytest.mark.parametrize("token_lists", [[], [[]], [np.array([3, 4], np.int32), [], [9]]])
+    @pytest.mark.parametrize("token_lists", [[], [[]], [np.array([3, 4], np.int32), [], [9]],
+                                             [[5]] * 70_000 + [[6, 7]]],
+                             ids=["none", "one empty", "mixed", "past u16"])
     def test_shard_round_trip_with_empty_documents_or_none(self, token_lists):
-        blob = dumps_shard(token_lists)
-        assert blob[6:10] == len(token_lists).to_bytes(4, "little")
-        counts, ids = loads_shard(blob)
+        """Ids and both tag arrays come back, with no document, with empty
+        ones, and with more documents than a u16 counts."""
+        n = len(token_lists)
+        sources, dialects = _codes(n, SOURCES), _codes(n, DIALECT_TAGS, 5)
+        blob = dumps_shard(token_lists, sources, dialects)
+        assert blob[6:10] == n.to_bytes(4, "little")
+        counts, got_sources, got_dialects, ids = loads_shard(blob)
         assert counts.tolist() == [len(t) for t in token_lists]
+        assert got_sources.tolist() == sources and got_dialects.tolist() == dialects
         assert ids.tolist() == [int(i) for t in token_lists for i in t]
+        assert not ids.flags.writeable
 
     def test_one_id_array_has_the_bytes_of_one_array_per_document(self):
         """Documents of lists and arrays of mixed integer types, the largest
         u32 id among them, give the bytes a write per document gives."""
         token_lists = [np.array([3, 4], np.int32), [], [2**32 - 1, 0],
                        np.array([7], np.uint32), [], np.array([], np.int64)]
-        w = Writer(b"SHRD", 2)
+        sources, dialects = _codes(len(token_lists), SOURCES), _codes(len(token_lists), DIALECT_TAGS)
+        w = Writer(b"SHRD", 3)
         w.pack("I", len(token_lists))
         w.array([len(t) for t in token_lists], "<u4")
+        w.array(sources, "u1")
+        w.array(dialects, "u1")
         for ids in token_lists:
             w.array(ids, "<u4")
-        assert dumps_shard(token_lists) == w.getvalue()
+        assert dumps_shard(token_lists, sources, dialects) == w.getvalue()
 
     @pytest.mark.parametrize("token_lists", [[np.array([-1])], [[2**32]], [[5], [0, -3]]])
     def test_id_outside_u32_is_refused(self, token_lists):
         """An id the file's u32 cannot hold is refused, not wrapped into another id."""
         with pytest.raises(ContractError, match="fit u32"):
-            dumps_shard(token_lists)
+            dumps_shard(token_lists, [0] * len(token_lists), [0] * len(token_lists))
 
-    def test_v1_shard_set_needs_a_new_prep(self, prepared, tmp_path):
+    @pytest.mark.parametrize("edit, match", [
+        ("manifest v1", "unsupported manifest version 1, expected 2"),
+        ("shard v2", "shard_0000.bin: SHRD: unsupported version 2, expected 3"),
+        ("source code", "shard_0000.bin: SHRD: a source code past its 4 tags"),
+        ("dialect code", "shard_0000.bin: SHRD: a dialect code past its 6 tags"),
+    ])
+    def test_old_set_or_unknown_tag_needs_a_new_prep(self, prepared, tmp_path, capsys, edit,
+                                                     match):
+        """A set an older prep wrote, or a tag code past its table, is a
+        FormatError naming what is wrong, and the CLI exits 3."""
         policy, docs, vocab = prepared
         write_encoded_shards(docs, vocab, policy, tmp_path)
-        shard = tmp_path / "shard_0000.bin"
-        blob = shard.read_bytes()[:4] + b"\x01\x00" + shard.read_bytes()[6:]
-        shard.write_bytes(blob)
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        blob = bytearray((tmp_path / "shard_0000.bin").read_bytes())
+        n = len(docs)
+        if edit == "manifest v1":
+            manifest["version"] = 1
+        elif edit == "shard v2":
+            blob[4:6] = (2).to_bytes(2, "little")
+        elif edit == "source code":
+            blob[10 + 4 * n + n // 2] = len(SOURCES)
+        else:
+            blob[10 + 5 * n + n // 2] = len(DIALECT_TAGS)
+        (tmp_path / "shard_0000.bin").write_bytes(bytes(blob))
         manifest["shards"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
         (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(FormatError, match="unsupported version 1, expected 2"):
+        with pytest.raises(FormatError, match=match):
             ShardReader(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["inspect", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_corruption_detected(self, prepared, tmp_path):
         policy, docs, vocab = prepared
@@ -484,7 +524,7 @@ class TestShards:
     def test_empty_doc_rejected(self, prepared, tmp_path):
         policy, _, vocab = prepared
         with pytest.raises(DataError):
-            write_encoded_shards([Document(text="", id="x")], vocab, policy, tmp_path)
+            write_encoded_shards([Document(text="")], vocab, policy, tmp_path)
 
     def test_one_id_list_per_document(self, prepared, tmp_path):
         policy, docs, vocab = prepared
@@ -555,18 +595,18 @@ class TestManifest:
         assert len(self.use(shard_dir)) == 12
 
     @pytest.mark.parametrize("edit", [
-        lambda m: m.pop("docs"),
+        lambda m: m.pop("shards"),
         lambda m: m.pop("policy"),
-        lambda m: m.pop("counts"),
+        lambda m: m.pop("version"),
         lambda m: m.pop("vocab_hash"),
-        lambda m: m["docs"][0].update(shard=3),  # past the last shard
-        lambda m: m["docs"][0].update(shard=-1),  # a Python negative index
-        lambda m: m["docs"][4].update(index=5),  # past the shard's last doc
-        lambda m: m["docs"][0].update(index=True),
-        lambda m: m["docs"].pop(),
-        lambda m: m["docs"][0].update(tokens=m["docs"][0]["tokens"] + 1),
-        lambda m: m["docs"][0].update(dialect="XYZ"),
-        lambda m: m["counts"]["source"].update(other=99),
+        lambda m: m.update(version=3),
+        lambda m: m.update(format="desklora-bpe"),
+        lambda m: m.update(shards={}),
+        lambda m: m["shards"].append(5),
+        lambda m: m["shards"][0].pop("sha256"),
+        lambda m: m["shards"][1].update(file="shard_0002.bin"),  # out of order
+        lambda m: m["shards"].reverse(),
+        lambda m: m["shards"][0].update(sha256=7),
         lambda m: m["shards"][0].update(file="../shard_0000.bin"),
         lambda m: m["policy"].update(unify_alif="yes"),
         lambda m: m["policy"].update(unknown=True),

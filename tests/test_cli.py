@@ -55,6 +55,19 @@ def same_bytes(a, b, names):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def printed_counts(out: str) -> list[dict]:
+    """The `  by source:` and `  by dialect:` tables in printed output, one
+    dict of both per source line."""
+    tables = []
+    for line in out.splitlines():
+        if line.startswith("  by "):
+            label, table = line[len("  by "):].split(": ")
+            if label == "source":
+                tables.append({})
+            tables[-1][label] = {k: int(v) for k, v in (kv.split("=") for kv in table.split("  "))}
+    return tables
+
+
 def run_train(shards, out, extra=()):
     return cli.main([
         "train", "--shards", str(shards), "--out", str(out),
@@ -79,17 +92,24 @@ class TestPrep:
         reader = ShardReader(tmp_path / "o")
         assert len(reader) == 3
 
-    def test_printed_counts_are_the_written_manifests(self, corpus_path, tmp_path, capsys):
-        assert cli.main(["prep", "--input", str(corpus_path), "--out", str(tmp_path / "o"),
-                         "--vocab-size", "300"]) == 0
-        printed = {}
-        for line in capsys.readouterr().out.splitlines():
-            if line.startswith("  by "):
-                label, table = line[len("  by "):].split(": ")
-                printed[label] = {k: int(v) for k, v in (kv.split("=") for kv in table.split("  "))}
-        counts = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))["counts"]
+    def test_printed_counts_are_the_written_shards(self, corpus_path, tmp_path, capsys,
+                                                   monkeypatch):
+        """What `write_shards` returns, what prep prints and what the reader
+        tallies from the shards are one set of counts."""
+        returned, write = [], cli.write_shards
+
+        def write_and_keep(*args, **kwargs):
+            returned.append(write(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "write_shards", write_and_keep)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prep": {"shard_docs": 50}}))  # three shards
+        assert cli.main(["prep", "--config", str(cfg), "--input", str(corpus_path),
+                         "--out", str(tmp_path / "o"), "--vocab-size", "300"]) == 0
+        counts = ShardReader(tmp_path / "o").counts()
         assert len(counts["source"]) > 1 and len(counts["dialect"]) > 1
-        assert printed == counts
+        assert printed_counts(capsys.readouterr().out) == returned == [counts]
 
     def test_empty_after_cleaning_dropped(self, tmp_path):
         src = tmp_path / "drop.jsonl"
@@ -233,6 +253,14 @@ class TestTrain:
         egy_tokens = sum(len(t) + 1 for t in reader.iter_tokens("EGY"))
         expected_windows = egy_tokens // 25  # seq_len 24 -> width 25
         assert f"{expected_windows} windows" in printed
+
+    def test_resume_with_another_lr_exits_2(self, shards_dir, trained_ckpt, tmp_path, capsys):
+        rc = run_train(shards_dir, tmp_path / "run",
+                       extra=["--resume", str(trained_ckpt), "--lr", "2e-3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: train.train.lr_max is 0.002 but checkpoint "
+                              f"{trained_ckpt} has 0.001"), err
 
     def test_unknown_dialect_filter_is_data_error(self, shards_dir, tmp_path):
         rc = run_train(shards_dir, tmp_path / "x", extra=["--dialect", "ZZZ"])
@@ -590,22 +618,27 @@ class TestPerturbInspect:
                 shards_dir / "shard_0000.bin"]
 
     def test_inspect_loads_every_artifact_kind(self, trained_ckpt, shards_dir, tmp_path, capsys):
-        rc = cli.main(["inspect", *map(str, self.artifacts(trained_ckpt, shards_dir, tmp_path))])
+        rc = cli.main(["inspect", *map(str, self.artifacts(trained_ckpt, shards_dir, tmp_path)),
+                       str(shards_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "QNF4 tensor shape (40,)" in out
         assert "adapter checkpoint r=2" in out
         assert "model checkpoint, 1 layers, d_model 16" in out
         assert "adamw8 optimizer state at step 5" in out
-        reader = ShardReader(shards_dir)
-        tokens = sum(d["tokens"] for d in reader.docs)
+        reader = ShardReader(shards_dir)  # one shard, so the shard and the set agree
+        tokens = sum(ids.size for ids in reader.iter_tokens())
         assert f"token shard, {len(reader)} docs, {tokens} tokens" in out
+        assert f"shard set, {len(reader)} docs, {tokens} tokens, 1 shards" in out
+        assert printed_counts(out) == [reader.counts()] * 2
 
-    @pytest.mark.parametrize("keep", [6, 14])
+    @pytest.mark.parametrize("keep", [6, 14, "tags"])
     def test_truncated_shard_with_its_checksum_is_a_data_error(self, shards_dir, tmp_path, keep,
                                                                capsys):
         for f in shards_dir.iterdir():
             (tmp_path / f.name).write_bytes(f.read_bytes())
+        if keep == "tags":  # a cut inside the dialect codes
+            keep = 10 + 5 * len(ShardReader(shards_dir)) + 1
         blob = (shards_dir / "shard_0000.bin").read_bytes()[:keep]
         (tmp_path / "shard_0000.bin").write_bytes(blob)
         manifest = json.loads((shards_dir / "manifest.json").read_text(encoding="utf-8"))

@@ -31,6 +31,7 @@ from desklora.trainer import (
     save_checkpoint,
     train,
 )
+from desklora.util import sha256_json
 from tests.conftest import opt8_moments
 
 
@@ -383,11 +384,17 @@ class TestTrainLoop:
         assert (a / "step_000004" / "optimizer.st8").read_bytes() == (b / "step_000004" / "optimizer.st8").read_bytes()
 
     @staticmethod
-    def run_and_resume(tmp_path, dropout=0.0, **kw):
-        """Train 4 steps, then resume a second run from the full run's step 2."""
+    def run_and_resume(tmp_path, dropout=0.0, old_state=False, **kw):
+        """Train 4 steps, then resume a second run from the full run's step 2;
+        with `old_state`, its trainer_state also holds the config digest that
+        earlier versions wrote."""
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9, **kw)
         full_dir = tmp_path / "full"
         train(tiny_model(seed=6, dropout=dropout), fixture_windows(), cfg, full_dir)
+        if old_state:
+            path = full_dir / "step_000002" / "trainer_state"
+            state = json.loads(path.read_text())
+            path.write_text(json.dumps({**state, "config_digest": sha256_json(cfg.to_dict())}))
 
         resumed_dir = tmp_path / "resumed"
         model2, state = load_checkpoint(full_dir / "step_000002")
@@ -395,9 +402,11 @@ class TestTrainLoop:
         train(model2, fixture_windows(), cfg, resumed_dir, resume_from=full_dir / "step_000002")
         return full_dir, resumed_dir
 
-    @pytest.mark.parametrize("dropout, micro_batch", [(0.0, 1), (0.05, 2)])
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path, dropout, micro_batch):
-        full_dir, resumed_dir = self.run_and_resume(tmp_path, dropout, micro_batch=micro_batch)
+    @pytest.mark.parametrize("dropout, micro_batch, old_state",
+                             [(0.0, 1, False), (0.05, 2, False), (0.0, 1, True)])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, dropout, micro_batch, old_state):
+        full_dir, resumed_dir = self.run_and_resume(tmp_path, dropout, old_state,
+                                                    micro_batch=micro_batch)
         for name in ("model.qnf4", "adapters.lora", "optimizer.st8"):
             assert (resumed_dir / "step_000004" / name).read_bytes() == (
                 full_dir / "step_000004" / name
@@ -526,14 +535,24 @@ class TestTrainLoop:
         with pytest.raises(FormatError):
             train(tiny_model(seed=6), fixture_windows(), cfg, tmp_path / "x", resume_from=ckpt)
 
-    def test_resume_config_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("total_steps, dropped, match", [
+        (5, None, r"train\.train\.total_steps is 5 but checkpoint .* has 4"),
+        (4, "lr_max", r"train\.train\.lr_max is .* but checkpoint .* has no 'lr_max'"),
+    ])
+    def test_resume_config_mismatch_rejected(self, tmp_path, total_steps, dropped, match):
+        """The first key path that differs is named, a key the checkpoint's
+        config lacks included."""
         cfg = tiny_train_cfg(total_steps=4, checkpoint_every=2, keep_checkpoints=9)
         train(tiny_model(seed=6), fixture_windows(), cfg, tmp_path / "run")
-        model2, _ = load_checkpoint(tmp_path / "run" / "step_000002")
-        other = tiny_train_cfg(total_steps=5, checkpoint_every=2)
-        with pytest.raises(ConfigError):
-            train(model2, fixture_windows(), other, tmp_path / "x",
-                  resume_from=tmp_path / "run" / "step_000002")
+        ckpt = tmp_path / "run" / "step_000002"
+        if dropped:
+            state = json.loads((ckpt / "trainer_state").read_text())
+            del state["config"][dropped]
+            (ckpt / "trainer_state").write_text(json.dumps(state))
+        model2, _ = load_checkpoint(ckpt)
+        other = dataclasses.replace(cfg, total_steps=total_steps)
+        with pytest.raises(ConfigError, match=match):
+            train(model2, fixture_windows(), other, tmp_path / "x", resume_from=ckpt)
 
     def test_accumulation_equivalence_plain_sgd(self, tmp_path):
         """(B=1, N=4) equals (B=4, N=1) within 1e-10 after 20 macro-steps."""
